@@ -33,7 +33,7 @@
 #include <string>
 #include <vector>
 
-#include "cache/answer_cache.h"
+#include "cache/approx_cache.h"
 #include "cache/reuse_router.h"
 #include "common/log.h"
 #include "common/stopwatch.h"

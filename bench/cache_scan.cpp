@@ -7,7 +7,7 @@
 
 #include <memory>
 
-#include "cache/proximity_cache.h"
+#include "cache/approx_cache.h"
 #include "common/rng.h"
 #include "index/flat_index.h"
 #include "index/hnsw_index.h"
@@ -38,7 +38,7 @@ std::vector<float> RandomQuery(std::uint64_t seed) {
 // Cache lookup latency vs capacity (always-miss scan of c keys).
 void BM_CacheLookup(benchmark::State& state) {
   const auto capacity = static_cast<std::size_t>(state.range(0));
-  ProximityCacheOptions opts;
+  ApproxCacheOptions opts;
   opts.capacity = capacity;
   opts.tolerance = 0.0f;  // never hits: measures the full scan
   ProximityCache cache(kDim, opts);
@@ -91,7 +91,7 @@ BENCHMARK(BM_HnswSearch)->RangeMultiplier(10)->Range(1000, 10000);
 // Cache hit fast path: lookup that matches the first key.
 void BM_CacheHit(benchmark::State& state) {
   const auto capacity = static_cast<std::size_t>(state.range(0));
-  ProximityCacheOptions opts;
+  ApproxCacheOptions opts;
   opts.capacity = capacity;
   opts.tolerance = 1e9f;  // always hits
   ProximityCache cache(kDim, opts);

@@ -39,7 +39,7 @@
 #include <vector>
 
 #include "bench/load_gen.h"
-#include "cache/concurrent_cache.h"
+#include "cache/approx_cache.h"
 #include "cluster/router.h"
 #include "cluster/shard_map.h"
 #include "embed/hash_embedder.h"
@@ -65,7 +65,7 @@ using bench::LoadStats;
 struct Backend {
   HashEmbedder embedder;
   std::unique_ptr<ShardedIndex> index;
-  std::unique_ptr<ConcurrentProximityCache> cache;
+  std::unique_ptr<ProximityCache> cache;
   std::unique_ptr<BatchingDriver> driver;
   std::unique_ptr<net::Server> server;
 
@@ -74,11 +74,10 @@ struct Backend {
     IndexSpec spec;
     spec.kind = "flat";
     index = BuildPartitionedIndex(spec, corpus, part, parts);
-    ProximityCacheOptions copts;
+    ApproxCacheOptions copts;
     copts.capacity = 512;
     copts.tolerance = 2.0f;
-    cache = std::make_unique<ConcurrentProximityCache>(embedder.dim(),
-                                                       copts);
+    cache = std::make_unique<ProximityCache>(embedder.dim(), copts);
     BatchingDriverOptions dopts;
     dopts.top_k = 5;
     driver = std::make_unique<BatchingDriver>(*index, *cache, &embedder,

@@ -1,22 +1,23 @@
 // A-concurrency (extension): behaviour of the shared cache under
 // multi-user load — hit + coalescing rates and database-retrieval count
-// as worker threads increase. Coalescing (approximate single-flight)
-// keeps the number of database queries roughly flat even as concurrency
-// grows, which is the multi-tenant analogue of the paper's
-// "lowers the computational burden on the vector database".
+// as client threads submitting to one BatchingDriver increase. The
+// driver's one flusher serializes batches and τ-coalesces similar misses
+// within a batch, so the number of database queries stays roughly flat
+// even as concurrency grows, which is the multi-tenant analogue of the
+// paper's "lowers the computational burden on the vector database".
 //
 // Usage: concurrency_scaling [corpus=6000] [tau=2] [threads=1,2,4,8]
 //                            [zipf_length=2000] [quiet=true]
 #include <cstdio>
 #include <iostream>
 
-#include "cache/concurrent_cache.h"
+#include "cache/approx_cache.h"
 #include "common/config.h"
 #include "common/csv.h"
 #include "common/log.h"
 #include "index/index_factory.h"
 #include "llm/answer_model.h"
-#include "rag/concurrent_driver.h"
+#include "rag/batching_driver.h"
 #include "workload/benchmark_spec.h"
 #include "workload/query_stream.h"
 
@@ -51,25 +52,25 @@ int main(int argc, char** argv) {
                   "accuracy", "mean_latency_ms", "wall_ms"});
 
   for (std::int64_t threads : thread_counts) {
-    ProximityCacheOptions copts;
+    ApproxCacheOptions copts;
     copts.capacity = 200;
     copts.tolerance = tau;
-    ConcurrentProximityCache cache(embedder.dim(), copts);
+    ProximityCache cache(embedder.dim(), copts);
 
     Stopwatch wall;
-    const auto result = RunStreamConcurrent(
+    BatchingDriverStats driver;
+    const auto result = RunStreamBatched(
         workload, *index, cache, AnswerModel(MmluAnswerParams()), 1, stream,
-        embeddings, static_cast<std::size_t>(threads));
+        embeddings, static_cast<std::size_t>(threads), {}, &driver);
     const double wall_ms = wall.ElapsedMillis();
 
     table.AddRow({threads, result.metrics.hit_rate,
-                  static_cast<std::int64_t>(result.cache_stats.coalesced),
-                  static_cast<std::int64_t>(result.cache_stats.retrievals),
+                  static_cast<std::int64_t>(driver.coalesced),
+                  static_cast<std::int64_t>(driver.retrieved),
                   result.metrics.accuracy, result.metrics.mean_latency_ms,
                   wall_ms});
     LogInfo("threads={}: hit={:.3f} retrievals={} coalesced={}", threads,
-            result.metrics.hit_rate, result.cache_stats.retrievals,
-            result.cache_stats.coalesced);
+            result.metrics.hit_rate, driver.retrieved, driver.coalesced);
   }
 
   std::printf("# Shared-cache concurrency scaling (extension)\n");

@@ -19,7 +19,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "cache/proximity_cache.h"
+#include "cache/approx_cache.h"
 #include "common/config.h"
 #include "common/csv.h"
 #include "common/log.h"
@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
     const BorrowedSlowIndex slow(inner.get(), delay_us * 1000, &clock);
 
     auto run = [&](double run_tau, std::uint64_t seed) {
-      ProximityCacheOptions copts;
+      ApproxCacheOptions copts;
       copts.capacity = capacity;
       copts.tolerance = static_cast<float>(run_tau);
       copts.metric = slow.metric();

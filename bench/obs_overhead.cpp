@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "cache/proximity_cache.h"
+#include "cache/approx_cache.h"
 #include "common/rng.h"
 #include "index/flat_index.h"
 #include "obs/metrics_registry.h"
@@ -149,7 +149,7 @@ OverheadResult MeasureScanOverhead() {
 // Absolute cost of the instrumented end-to-end units, for context: one
 // cache Lookup over a populated cache and one flat search over 10k rows.
 double MeasureCacheLookup() {
-  ProximityCacheOptions opts;
+  ApproxCacheOptions opts;
   opts.capacity = 512;
   opts.tolerance = 0.25f;  // small: most lookups scan every key and miss
   ProximityCache cache(kDim, opts);

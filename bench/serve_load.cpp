@@ -34,7 +34,7 @@
 #include <vector>
 
 #include "bench/load_gen.h"
-#include "cache/concurrent_cache.h"
+#include "cache/approx_cache.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "embed/hash_embedder.h"
@@ -63,7 +63,7 @@ struct Stack {
   Workload workload;
   HashEmbedder embedder;
   std::unique_ptr<ShardedIndex> index;
-  std::unique_ptr<ConcurrentProximityCache> cache;
+  std::unique_ptr<ProximityCache> cache;
   std::unique_ptr<BatchingDriver> driver;
   std::unique_ptr<net::Server> server;
   std::vector<StreamEntry> stream;
@@ -80,12 +80,11 @@ struct Stack {
     index = BuildShardedIndex(ispec, embedder.EmbedBatch(workload.passages),
                               {});
 
-    ProximityCacheOptions copts;
+    ApproxCacheOptions copts;
     copts.capacity = 200;
     copts.tolerance = 2.0f;
     copts.metric = index->metric();
-    cache = std::make_unique<ConcurrentProximityCache>(embedder.dim(),
-                                                       copts);
+    cache = std::make_unique<ProximityCache>(embedder.dim(), copts);
 
     BatchingDriverOptions dopts;
     dopts.queue_bound = queue_bound;

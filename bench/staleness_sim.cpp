@@ -29,7 +29,7 @@
 #include <iostream>
 #include <stdexcept>
 
-#include "cache/proximity_cache.h"
+#include "cache/approx_cache.h"
 #include "common/config.h"
 #include "common/csv.h"
 #include "common/log.h"
@@ -120,14 +120,14 @@ int main(int argc, char** argv) {
 
   // Every mode's cache warms against the SAME pre-update index state,
   // before the mutations below are applied.
-  ProximityCacheOptions copts;
+  ApproxCacheOptions copts;
   copts.capacity = capacity;
   copts.tolerance = tau;
-  ProximityCacheOptions serve_stale = copts;
+  ApproxCacheOptions serve_stale = copts;
   serve_stale.staleness = StalenessPolicy::kServeStale;
-  ProximityCacheOptions revalidate = copts;
+  ApproxCacheOptions revalidate = copts;
   revalidate.staleness = StalenessPolicy::kRevalidate;
-  ProximityCacheOptions invalidate = copts;
+  ApproxCacheOptions invalidate = copts;
   invalidate.staleness = StalenessPolicy::kInvalidateRegion;
 
   ProximityCache cache_stale(embedder.dim(), serve_stale);

@@ -157,7 +157,7 @@ BatchingDriverOptions DriverOptions(bool fair) {
 
 std::unique_ptr<TenantRegistry> MakeRegistry(const ShardedIndex& index,
                                              double hostile_qps) {
-  ProximityCacheOptions copts;
+  ApproxCacheOptions copts;
   copts.capacity = 256;
   copts.tolerance = 2.0f;
   copts.metric = index.metric();

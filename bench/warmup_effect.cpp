@@ -14,7 +14,7 @@
 #include <iostream>
 #include <sstream>
 
-#include "cache/proximity_cache.h"
+#include "cache/approx_cache.h"
 #include "common/config.h"
 #include "common/csv.h"
 #include "common/log.h"
@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
     return ids;
   };
 
-  ProximityCacheOptions copts;
+  ApproxCacheOptions copts;
   copts.capacity = capacity;
   copts.tolerance = tau;
   copts.metric = index->metric();

@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   for (const auto& e : stream) texts.push_back(e.text);
   const Matrix stream_embeddings = embedder.EmbedBatch(texts);
 
-  ProximityCacheOptions copts;
+  ApproxCacheOptions copts;
   copts.capacity = capacity;
   copts.tolerance = 0.5f;
   copts.metric = index->metric();

@@ -1,17 +1,18 @@
 // Concurrent RAG service simulation: many "users" share one Proximity
-// cache; similar in-flight retrievals coalesce onto a single database
-// query (cache-stampede protection generalized to similarity matching).
+// cache through a BatchingDriver; similar misses that land in the same
+// batch coalesce onto a single database query (cache-stampede protection
+// generalized to similarity matching).
 //
 // Usage: concurrent_service [corpus=4000] [threads=8] [tau=2]
 #include <cstdio>
 
-#include "cache/concurrent_cache.h"
+#include "cache/approx_cache.h"
 #include "common/config.h"
 #include "common/log.h"
 #include "embed/hash_embedder.h"
 #include "index/index_factory.h"
 #include "llm/answer_model.h"
-#include "rag/concurrent_driver.h"
+#include "rag/batching_driver.h"
 #include "workload/benchmark_spec.h"
 #include "workload/query_stream.h"
 
@@ -45,24 +46,25 @@ int main(int argc, char** argv) {
   std::printf("%zu queries, %zu worker threads, tau=%.1f\n", stream.size(),
               threads, static_cast<double>(tau));
 
-  ProximityCacheOptions copts;
+  ApproxCacheOptions copts;
   copts.capacity = 200;
   copts.tolerance = tau;
-  ConcurrentProximityCache cache(embedder.dim(), copts);
+  ProximityCache cache(embedder.dim(), copts);
 
-  const auto result = RunStreamConcurrent(
+  BatchingDriverStats driver;
+  const auto result = RunStreamBatched(
       workload, *index, cache, AnswerModel(MmluAnswerParams()), 1, stream,
-      embeddings, threads);
+      embeddings, threads, {}, &driver);
 
   const auto& stats = result.cache_stats;
   std::printf("\naccuracy        %.3f\n", result.metrics.accuracy);
   std::printf("hit rate        %.3f\n", result.metrics.hit_rate);
   std::printf("mean latency    %.3f ms\n", result.metrics.mean_latency_ms);
   std::printf("db retrievals   %llu (of %llu lookups)\n",
-              static_cast<unsigned long long>(stats.retrievals),
+              static_cast<unsigned long long>(driver.retrieved),
               static_cast<unsigned long long>(stats.lookups));
-  std::printf("coalesced       %llu (similar queries that piggybacked on an "
-              "in-flight retrieval)\n",
-              static_cast<unsigned long long>(stats.coalesced));
+  std::printf("coalesced       %llu (similar queries that shared a batch "
+              "mate's retrieval)\n",
+              static_cast<unsigned long long>(driver.coalesced));
   return 0;
 }

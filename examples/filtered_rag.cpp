@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
            collections;
   };
 
-  ProximityCacheOptions copts;
+  ApproxCacheOptions copts;
   copts.capacity = 100;
   copts.tolerance = tau;
   FilteredCacheRouter router(embedder.dim(), copts);
@@ -56,9 +56,9 @@ int main(int argc, char** argv) {
     const std::size_t wanted = static_cast<std::size_t>(tag - 1);
 
     std::vector<VectorId> documents;
-    const auto cached = router.Lookup(tag, embedding);
+    auto cached = router.Lookup(tag, embedding);
     if (cached.hit) {
-      documents.assign(cached.documents.begin(), cached.documents.end());
+      documents = std::move(cached.value);
     } else {
       ++db_queries;
       const auto results = index.SearchFiltered(

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
               "latency_ms", "note");
 
   for (double tau : {0.0, 2.0, 5.0, 10.0}) {
-    ProximityCacheOptions copts;
+    ApproxCacheOptions copts;
     copts.capacity = capacity;
     copts.tolerance = static_cast<float>(tau);
     copts.metric = index->metric();

@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
               stream.size(), workload.passages.size());
   const RunMetrics base = run(nullptr, "no cache:");
 
-  ProximityCacheOptions copts;
+  ApproxCacheOptions copts;
   copts.capacity = capacity;
   copts.tolerance = tau;
   copts.metric = index->metric();

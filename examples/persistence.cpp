@@ -9,7 +9,7 @@
 #include <filesystem>
 #include <fstream>
 
-#include "cache/proximity_cache.h"
+#include "cache/approx_cache.h"
 #include "common/config.h"
 #include "common/log.h"
 #include "embed/hash_embedder.h"
@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   LogInfo("building HNSW over {} passages", corpus_embeddings.rows());
   index.AddBatch(corpus_embeddings);
 
-  ProximityCacheOptions copts;
+  ApproxCacheOptions copts;
   copts.capacity = 200;
   copts.tolerance = 2.0f;
   ProximityCache cache(embedder.dim(), copts);

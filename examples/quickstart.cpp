@@ -5,7 +5,7 @@
 // nearby queries (the q1/q2 scenario of Figure 2 in the paper).
 #include <cstdio>
 
-#include "cache/proximity_cache.h"
+#include "cache/approx_cache.h"
 #include "common/rng.h"
 #include "index/flat_index.h"
 #include "rag/retriever.h"
@@ -28,7 +28,7 @@ int main() {
 
   // 2. The Proximity cache: capacity c = 100 entries, tolerance tau = 1.0,
   //    same metric as the database (required).
-  ProximityCacheOptions opts;
+  ApproxCacheOptions opts;
   opts.capacity = 100;
   opts.tolerance = 1.0f;
   opts.metric = index.metric();

@@ -3,7 +3,7 @@
 namespace proximity {
 
 FilteredCacheRouter::FilteredCacheRouter(std::size_t dim,
-                                         ProximityCacheOptions options)
+                                         ApproxCacheOptions options)
     : dim_(dim), options_(options) {}
 
 ProximityCache& FilteredCacheRouter::CacheFor(FilterTag tag) {
@@ -25,8 +25,8 @@ void FilteredCacheRouter::Insert(FilterTag tag, std::span<const float> query,
   CacheFor(tag).Insert(query, std::move(documents));
 }
 
-ProximityCacheStats FilteredCacheRouter::TotalStats() const {
-  ProximityCacheStats total;
+ApproxCacheStats FilteredCacheRouter::TotalStats() const {
+  ApproxCacheStats total;
   for (const auto& [_, cache] : caches_) {
     const auto& s = cache->stats();
     total.lookups += s.lookups;

@@ -14,7 +14,7 @@
 #include <memory>
 #include <unordered_map>
 
-#include "cache/proximity_cache.h"
+#include "cache/approx_cache.h"
 
 namespace proximity {
 
@@ -27,7 +27,7 @@ inline constexpr FilterTag kNoFilter = 0;
 class FilteredCacheRouter {
  public:
   /// `options` applies to every per-tag cache.
-  FilteredCacheRouter(std::size_t dim, ProximityCacheOptions options);
+  FilteredCacheRouter(std::size_t dim, ApproxCacheOptions options);
 
   /// The cache dedicated to `tag`, created on first use.
   ProximityCache& CacheFor(FilterTag tag);
@@ -42,7 +42,7 @@ class FilteredCacheRouter {
   std::size_t dim() const noexcept { return dim_; }
 
   /// Aggregate statistics across all tags.
-  ProximityCacheStats TotalStats() const;
+  ApproxCacheStats TotalStats() const;
 
   /// Drops the cache of one tag (e.g. after the underlying filtered view
   /// of the corpus changed); no-op if the tag has no cache.
@@ -51,7 +51,7 @@ class FilteredCacheRouter {
 
  private:
   std::size_t dim_;
-  ProximityCacheOptions options_;
+  ApproxCacheOptions options_;
   std::unordered_map<FilterTag, std::unique_ptr<ProximityCache>> caches_;
 };
 

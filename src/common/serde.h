@@ -16,6 +16,7 @@
 #include <istream>
 #include <ostream>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -90,6 +91,19 @@ void WriteHeader(BinaryWriter& w, std::uint32_t magic, std::uint32_t version);
 /// std::runtime_error on a magic mismatch or version > max_version.
 std::uint32_t ReadHeader(BinaryReader& r, std::uint32_t expected_magic,
                          std::uint32_t max_version);
+
+/// Reads an enum stored as u32, rejecting values past `last`: the
+/// checksum proves the bytes arrived intact, not that this build knows
+/// the value they hold. Throws std::runtime_error.
+template <typename Enum>
+Enum ReadEnum(BinaryReader& r, Enum last) {
+  const std::uint32_t raw = r.ReadU32();
+  if (raw > static_cast<std::uint32_t>(last)) {
+    throw std::runtime_error("serde: enum value " + std::to_string(raw) +
+                             " out of range");
+  }
+  return static_cast<Enum>(raw);
+}
 
 void WriteMatrix(BinaryWriter& w, const Matrix& m);
 Matrix ReadMatrix(BinaryReader& r);

@@ -197,7 +197,7 @@ FlatIndex FlatIndex::LoadFrom(std::istream& is) {
   const std::uint32_t version =
       ReadHeader(r, io_magic::kFlatIndex, /*max_version=*/2);
   FlatIndexOptions opts;
-  opts.metric = static_cast<Metric>(r.ReadU32());
+  opts.metric = ReadEnum(r, kLastMetric);
   opts.parallel_threshold = r.ReadU64();
   if (version >= 2) {
     opts.storage = static_cast<StorageLayout>(r.ReadU32());

@@ -363,7 +363,7 @@ std::unique_ptr<HnswIndex> HnswIndex::LoadFrom(std::istream& is) {
   const std::uint32_t version =
       ReadHeader(r, io_magic::kHnswIndex, /*max_version=*/2);
   HnswOptions opts;
-  opts.metric = static_cast<Metric>(r.ReadU32());
+  opts.metric = ReadEnum(r, kLastMetric);
   opts.M = r.ReadU64();
   opts.ef_construction = r.ReadU64();
   opts.ef_search = r.ReadU64();

@@ -157,7 +157,7 @@ IvfFlatIndex IvfFlatIndex::LoadFrom(std::istream& is) {
       ReadHeader(r, io_magic::kIvfFlat, /*max_version=*/2);
   const std::uint64_t dim = r.ReadU64();
   IvfFlatOptions opts;
-  opts.metric = static_cast<Metric>(r.ReadU32());
+  opts.metric = ReadEnum(r, kLastMetric);
   opts.nlist = r.ReadU64();
   opts.nprobe = r.ReadU64();
   opts.seed = r.ReadU64();

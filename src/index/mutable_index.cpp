@@ -494,7 +494,7 @@ std::unique_ptr<MutableGraphIndex> MutableGraphIndex::LoadFrom(
   BinaryReader r(is);
   ReadHeader(r, io_magic::kMutableIndex, 1);
   MutableGraphOptions opts;
-  opts.metric = static_cast<Metric>(r.ReadU32());
+  opts.metric = ReadEnum(r, kLastMetric);
   opts.max_degree = r.ReadU64();
   opts.build_beam = r.ReadU64();
   opts.search_beam = r.ReadU64();

@@ -6,15 +6,6 @@ namespace proximity::obs {
 
 namespace {
 
-struct Ring {
-  SpanEvent events[kSpanRingCapacity];
-  std::size_t next = 0;
-  std::size_t count = 0;
-};
-
-thread_local Ring t_ring;
-thread_local std::uint16_t t_depth = 0;
-
 Nanos ToNanos(std::chrono::steady_clock::duration d) noexcept {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(d).count();
 }
@@ -23,7 +14,6 @@ Nanos ToNanos(std::chrono::steady_clock::duration d) noexcept {
 
 Span::Span(Stage stage) noexcept
     : stage_(stage),
-      depth_(t_depth++),
       start_(std::chrono::steady_clock::now()),
       trace_parent_(CurrentTraceContext()) {
   if (trace_parent_.active()) {
@@ -34,19 +24,8 @@ Span::Span(Stage stage) noexcept
 
 Span::~Span() {
   const auto end = std::chrono::steady_clock::now();
-  if (t_depth > 0) --t_depth;
   const Nanos duration = ToNanos(end - start_);
   MetricsRegistry::Default().RecordStage(stage_, duration);
-
-  Ring& ring = t_ring;
-  ring.events[ring.next] = SpanEvent{
-      .stage = stage_,
-      .depth = depth_,
-      .start_ns = TraceRelNanos(start_),
-      .duration_ns = duration,
-  };
-  ring.next = (ring.next + 1) % kSpanRingCapacity;
-  if (ring.count < kSpanRingCapacity) ++ring.count;
 
   if (trace_parent_.active()) {
     TraceSpanRecord record;
@@ -60,29 +39,6 @@ Span::~Span() {
     SetCurrentTraceContext(trace_parent_);
   }
 }
-
-std::vector<SpanEvent> ThreadRecentSpans() {
-  const Ring& ring = t_ring;
-  std::vector<SpanEvent> out;
-  out.reserve(ring.count);
-  const std::size_t oldest =
-      (ring.next + kSpanRingCapacity - ring.count) % kSpanRingCapacity;
-  for (std::size_t i = 0; i < ring.count; ++i) {
-    out.push_back(ring.events[(oldest + i) % kSpanRingCapacity]);
-  }
-  return out;
-}
-
-void ClearThreadSpans() {
-  t_ring.next = 0;
-  t_ring.count = 0;
-  t_depth = 0;
-}
-
-#else  // PROXIMITY_OBS_ENABLED == 0
-
-std::vector<SpanEvent> ThreadRecentSpans() { return {}; }
-void ClearThreadSpans() {}
 
 #endif  // PROXIMITY_OBS_ENABLED
 

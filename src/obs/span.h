@@ -1,7 +1,6 @@
 // RAII span tracing: tag a scope with a Stage; on destruction the span's
 // wall duration is recorded into the stage's histogram in the default
-// MetricsRegistry and appended to a bounded per-thread ring buffer of
-// recent span events (the lightweight "what just happened" trace).
+// MetricsRegistry.
 //
 // When the opening thread carries an active TraceContext (obs/trace.h),
 // the span additionally joins that request's end-to-end trace as a
@@ -15,35 +14,12 @@
 
 #include <chrono>
 #include <cstdint>
-#include <vector>
 
-#include "common/types.h"
 #include "obs/metrics_registry.h"
 #include "obs/stage.h"
 #include "obs/trace.h"
 
 namespace proximity::obs {
-
-/// One completed span, as kept in the per-thread ring.
-struct SpanEvent {
-  Stage stage = Stage::kEmbed;
-  /// Nesting depth at open time (0 = outermost on this thread).
-  std::uint16_t depth = 0;
-  /// Open timestamp relative to the process trace epoch.
-  Nanos start_ns = 0;
-  Nanos duration_ns = 0;
-};
-
-/// Ring capacity per thread; older events are overwritten.
-inline constexpr std::size_t kSpanRingCapacity = 256;
-
-/// Copies the *calling thread's* ring, oldest event first. Empty when
-/// tracing is compiled out. Spans close inner-first, so a nested span
-/// appears before its parent.
-std::vector<SpanEvent> ThreadRecentSpans();
-
-/// Clears the calling thread's ring (test isolation).
-void ClearThreadSpans();
 
 #if PROXIMITY_OBS_ENABLED
 
@@ -57,7 +33,6 @@ class Span {
 
  private:
   Stage stage_;
-  std::uint16_t depth_;
   std::chrono::steady_clock::time_point start_;
   /// When the opening thread carried an active TraceContext, the span
   /// also joins that trace: `trace_parent_` is the inherited context,

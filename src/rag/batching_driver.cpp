@@ -31,7 +31,7 @@ const obs::HistogramHandle kObsQueueWait("serve.queue_wait_ns");
 }  // namespace
 
 BatchingDriver::BatchingDriver(const VectorIndex& index,
-                               ConcurrentProximityCache& cache,
+                               ProximityCache& cache,
                                const HashEmbedder* embedder,
                                BatchingDriverOptions options)
     : index_(index),
@@ -101,7 +101,7 @@ void BatchingDriver::Fail(Pending& entry, RequestStatus status,
   entry.done(std::move(result));
 }
 
-ConcurrentProximityCache& BatchingDriver::CacheFor(TenantId tenant) {
+ProximityCache& BatchingDriver::CacheFor(TenantId tenant) {
   return registry_ != nullptr ? registry_->CacheFor(tenant) : *cache_;
 }
 
@@ -582,21 +582,21 @@ void BatchingDriver::ProcessBatch(std::vector<Pending> batch) {
     //     no search. Stale τ-hits ride the normal path instead; the
     //     router audits their cached evidence against the fresh result
     //     in step 6 and the entry is refreshed.
-    std::map<std::size_t, ConcurrentAnswerCache::Hit> stale_answers;
+    std::map<std::size_t, CachedAnswer> stale_answers;
     if (answer_reuse) {
       for (const std::size_t i : live) {
         if (done[i]) continue;
         const TenantId tenant = batch[i].tenant;
         const obs::ScopedTraceContext trace_scope(batch[i].trace);
-        auto hit =
+        auto probe =
             registry_->AnswerCacheFor(tenant).Lookup(batch[i].embedding);
-        if (!hit) continue;
-        if (hit->stale) {
-          stale_answers.emplace(i, std::move(*hit));
+        if (!probe.hit) continue;
+        if (probe.stale) {
+          stale_answers.emplace(i, std::move(probe.value));
           continue;
         }
-        results[i].documents = hit->answer.source_docs;
-        results[i].distances = hit->answer.source_distances;
+        results[i].documents = std::move(probe.value.source_docs);
+        results[i].distances = std::move(probe.value.source_distances);
         results[i].answer_hit = true;
         results[i].queue_wait_ns = waited[i];
         done[i] = true;
@@ -618,10 +618,10 @@ void BatchingDriver::ProcessBatch(std::vector<Pending> batch) {
       const obs::ScopedTraceContext trace_scope(batch[i].trace);
       auto cached = CacheFor(tenant).Lookup(batch[i].embedding);
       if (registry_ != nullptr) {
-        registry_->ObserveLookup(tenant, cached.has_value());
+        registry_->ObserveLookup(tenant, cached.hit);
       }
-      if (cached) {
-        results[i].documents = std::move(*cached);
+      if (cached.hit) {
+        results[i].documents = std::move(cached.value);
         results[i].cache_hit = true;
         results[i].queue_wait_ns = waited[i];
         done[i] = true;
@@ -634,10 +634,10 @@ void BatchingDriver::ProcessBatch(std::vector<Pending> batch) {
     }
 
     // 3. Coalesce τ-similar misses onto one leader retrieval per
-    //    neighborhood (the in-batch analogue of single-flight). Only
-    //    entries of the SAME tenant may share a leader — a cross-tenant
-    //    join would leak one tenant's approximate answer to another —
-    //    and similarity is judged by the leader tenant's own τ.
+    //    neighborhood. Only entries of the SAME tenant may share a
+    //    leader — a cross-tenant join would leak one tenant's approximate
+    //    answer to another — and similarity is judged by the leader
+    //    tenant's own τ.
     std::vector<std::size_t> leaders;
     std::vector<std::size_t> leader_of(batch.size(), 0);
     std::map<TenantId, float> tolerances;
@@ -735,11 +735,10 @@ void BatchingDriver::ProcessBatch(std::vector<Pending> batch) {
     //    fresh evidence. The driver caches evidence only; the answer
     //    payload belongs to the layer that generates (the pipeline).
     if (answer_reuse) {
-      for (const auto& [i, hit] : stale_answers) {
+      for (const auto& [i, stale] : stale_answers) {
         if (!done[i] || results[i].status != RequestStatus::kOk) continue;
-        router_.Route(true, hit.answer.source_docs,
-                      hit.answer.source_distances, results[i].documents,
-                      results[i].distances);
+        router_.Route(true, stale.source_docs, stale.source_distances,
+                      results[i].documents, results[i].distances);
       }
       for (const std::size_t i : misses) {
         if (results[i].status != RequestStatus::kOk) continue;
@@ -747,7 +746,7 @@ void BatchingDriver::ProcessBatch(std::vector<Pending> batch) {
         entry.source_docs = results[i].documents;
         entry.source_distances = results[i].distances;
         registry_->AnswerCacheFor(batch[i].tenant)
-            .Insert(batch[i].embedding, std::move(entry));
+            .Upsert(batch[i].embedding, std::move(entry));
       }
     }
   } catch (...) {
@@ -809,7 +808,7 @@ void BatchingDriver::ProcessBatch(std::vector<Pending> batch) {
 
 ConcurrentRunResult RunStreamBatched(
     const Workload& workload, const VectorIndex& index,
-    ConcurrentProximityCache& cache, const AnswerModel& answer_model,
+    ProximityCache& cache, const AnswerModel& answer_model,
     std::uint64_t answer_seed, const std::vector<StreamEntry>& stream,
     const Matrix& embeddings, std::size_t threads,
     const BatchingDriverOptions& options,

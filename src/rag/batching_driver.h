@@ -1,19 +1,20 @@
 // Dynamic microbatching serving driver (DESIGN.md §8, §10).
 //
-// RunStreamConcurrent hands every worker thread one query at a time, so
-// the database side only ever sees batch size 1. This driver replaces
-// that claim loop with an admission queue: callers Submit queries (text
-// or pre-computed embeddings) and get a future; a flusher thread drains
-// the queue whenever `max_batch` queries are pending or the oldest has
-// waited `max_wait_us` (flush-on-full / flush-on-timer), embeds queued
-// text in one EmbedBatch call, probes the concurrent cache, and issues
-// the remaining misses as ONE grouped SearchBatch against the index —
+// Many users query the RAG service at once, but a claim loop that hands
+// each worker one query at a time only ever shows the database batch
+// size 1. This driver is an admission queue instead: callers Submit
+// queries (text or pre-computed embeddings) and get a future; a flusher
+// thread drains the queue whenever `max_batch` queries are pending or the
+// oldest has waited `max_wait_us` (flush-on-full / flush-on-timer), embeds
+// queued text in one EmbedBatch call, probes the cache, and issues the
+// remaining misses as ONE grouped SearchBatch against the index —
 // which, for a ShardedIndex, fans shard×query legs across the thread
 // pool so the fused batch kernels see real batch shapes.
 //
 // Within a flush, misses that are τ-similar to an earlier miss of the
-// same batch coalesce onto that leader's retrieval (the in-batch
-// analogue of ConcurrentProximityCache's single-flight). Every submitted
+// same batch coalesce onto that leader's retrieval. Across flushes the
+// one flusher thread serializes batches, so a τ-similar query in a later
+// batch hits what an earlier batch inserted. Every submitted
 // query is exactly one of {hit, retrieved, coalesced, shed, expired,
 // quota_shed}; Shutdown drains the queue, so no query is dropped
 // mid-batch.
@@ -59,13 +60,14 @@
 #include <thread>
 #include <vector>
 
-#include "cache/concurrent_cache.h"
+#include "cache/approx_cache.h"
 #include "cache/reuse_router.h"
 #include "common/types.h"
 #include "embed/hash_embedder.h"
 #include "index/vector_index.h"
+#include "llm/answer_model.h"
 #include "obs/trace.h"
-#include "rag/concurrent_driver.h"
+#include "rag/pipeline.h"
 #include "tenant/tenant_registry.h"
 #include "workload/query_stream.h"
 
@@ -191,7 +193,7 @@ class BatchingDriver {
   /// Single-tenant mode: every submission shares `cache`. `index` and
   /// `cache` are not owned and must outlive the driver. `embedder` may
   /// be null when only the embedding Submit path is used.
-  BatchingDriver(const VectorIndex& index, ConcurrentProximityCache& cache,
+  BatchingDriver(const VectorIndex& index, ProximityCache& cache,
                  const HashEmbedder* embedder,
                  BatchingDriverOptions options = {});
 
@@ -313,7 +315,7 @@ class BatchingDriver {
   /// total_pending_ must be > 0.
   std::chrono::steady_clock::time_point OldestEnqueued() const;
   /// The cache serving `tenant` (the tenant's own in registry mode).
-  ConcurrentProximityCache& CacheFor(TenantId tenant);
+  ProximityCache& CacheFor(TenantId tenant);
   /// Processes one batch outside the queue lock.
   void ProcessBatch(std::vector<Pending> batch);
   /// Completes `entry` with a non-OK status.
@@ -324,7 +326,7 @@ class BatchingDriver {
   /// path disarmed (SubmitMutationAsync fails with kInvalidArgument).
   /// Atomic: EnableMutation may race the already-running flusher.
   std::atomic<VectorIndex*> mutable_index_{nullptr};
-  ConcurrentProximityCache* cache_;  // single-tenant mode; else null
+  ProximityCache* cache_;  // single-tenant mode; else null
   TenantRegistry* registry_;         // multi-tenant mode; else null
   const HashEmbedder* embedder_;
   BatchingDriverOptions options_;
@@ -355,16 +357,25 @@ class BatchingDriver {
   std::thread flusher_;
 };
 
-/// RunStreamConcurrent's batched counterpart: `threads` client workers
-/// claim stream entries and submit them to one shared BatchingDriver over
-/// `index`, so concurrent in-flight queries group into real microbatches.
+struct ConcurrentRunResult {
+  RunMetrics metrics;
+  ApproxCacheStats cache_stats;
+};
+
+/// Multi-user stream execution: `threads` client workers claim stream
+/// entries from a shared atomic cursor and submit them to one shared
+/// BatchingDriver over `index` and `cache`, so concurrent in-flight
+/// queries group into real microbatches. The interleaving — and
+/// therefore the exact hit rate — is scheduling-dependent; the driver's
+/// conservation invariant is not. Embeddings must hold one row per
+/// stream entry.
 /// `driver_stats`, if non-null, receives the driver counters. A non-null
 /// `stop` flag makes workers stop claiming entries once it reads true
 /// (the SIGINT/SIGTERM drain path: in-flight queries still complete and
 /// the partial metrics are returned, not lost).
 ConcurrentRunResult RunStreamBatched(
     const Workload& workload, const VectorIndex& index,
-    ConcurrentProximityCache& cache, const AnswerModel& answer_model,
+    ProximityCache& cache, const AnswerModel& answer_model,
     std::uint64_t answer_seed, const std::vector<StreamEntry>& stream,
     const Matrix& embeddings, std::size_t threads,
     const BatchingDriverOptions& options = {},

@@ -75,7 +75,7 @@ RunMetrics SweepRunner::RunOne(std::int64_t capacity, double tolerance,
     throw std::out_of_range("SweepRunner::RunOne: seed outside prepared set");
   }
 
-  ProximityCacheOptions copts;
+  ApproxCacheOptions copts;
   copts.capacity = static_cast<std::size_t>(capacity);
   copts.tolerance = static_cast<float>(tolerance);
   copts.metric = search_index_->metric();
@@ -104,7 +104,7 @@ SweepRunner::AdaptiveRunResult SweepRunner::RunAdaptive(
   const auto& stream = streams_[seed_slot];
   const Matrix& embeddings = stream_embeddings_[seed_slot];
 
-  ProximityCacheOptions copts;
+  ApproxCacheOptions copts;
   copts.capacity = static_cast<std::size_t>(capacity);
   copts.tolerance = static_cast<float>(controller_options.initial_tau);
   copts.metric = search_index_->metric();

@@ -105,9 +105,7 @@ QueryResult RagPipeline::ProcessWithReuse(const StreamEntry& entry,
 
   ++reuse_stats_.lookups;
   const AnswerCache::LookupResult probe = answer_cache_->Lookup(embedding);
-  // Copied out: a refresh Insert below may overwrite the probed slot.
-  CachedAnswer cached;
-  if (probe.hit) cached = *probe.answer;
+  const CachedAnswer& cached = probe.value;
   if (probe.hit && probe.stale) ++reuse_stats_.stale_hits;
 
   // The overlap idiom (RAGCache/RAGO): on a non-stale hit the draft
@@ -143,7 +141,7 @@ QueryResult RagPipeline::ProcessWithReuse(const StreamEntry& entry,
     CachedAnswer fresh{outcome.documents, outcome.distances,
                        result.judgment.relevance, result.judgment.misleading,
                        result.correct};
-    answer_cache_->Insert(embedding, std::move(fresh));
+    answer_cache_->Upsert(embedding, std::move(fresh));
     return result;
   }
 
@@ -198,7 +196,7 @@ QueryResult RagPipeline::ProcessWithReuse(const StreamEntry& entry,
       CachedAnswer fresh{outcome.documents, outcome.distances,
                          result.judgment.relevance,
                          result.judgment.misleading, result.correct};
-      answer_cache_->Insert(embedding, std::move(fresh));
+      answer_cache_->Upsert(embedding, std::move(fresh));
       break;
     }
     case ReuseDecision::kRegenerate: {
@@ -223,7 +221,7 @@ QueryResult RagPipeline::ProcessWithReuse(const StreamEntry& entry,
       CachedAnswer fresh{outcome.documents, outcome.distances,
                          result.judgment.relevance,
                          result.judgment.misleading, result.correct};
-      answer_cache_->Insert(embedding, std::move(fresh));
+      answer_cache_->Upsert(embedding, std::move(fresh));
       break;
     }
   }

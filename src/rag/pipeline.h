@@ -5,7 +5,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "cache/answer_cache.h"
+#include "cache/approx_cache.h"
 #include "cache/reuse_router.h"
 #include "common/stats.h"
 #include "embed/hash_embedder.h"

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "obs/metrics_registry.h"
-#include "obs/span.h"
 
 namespace proximity {
 
@@ -43,14 +42,9 @@ RetrievalOutcome Retriever::Retrieve(std::span<const float> query) {
   Stopwatch watch;
 
   if (cache_ != nullptr) {
-    ProximityCache::LookupResult cached;
-    {
-      const obs::Span lookup_span(obs::Stage::kCacheLookup);
-      cached = cache_->Lookup(query);
-    }
+    ProximityCache::LookupResult cached = cache_->Lookup(query);
     if (cached.hit) {
-      outcome.documents.assign(cached.documents.begin(),
-                               cached.documents.end());
+      outcome.documents = std::move(cached.value);
       outcome.cache_hit = true;
     } else {
       auto neighbors = index_->Search(query, options_.top_k);

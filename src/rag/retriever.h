@@ -5,7 +5,7 @@
 #include <span>
 #include <vector>
 
-#include "cache/proximity_cache.h"
+#include "cache/approx_cache.h"
 #include "common/stats.h"
 #include "common/stopwatch.h"
 #include "index/vector_index.h"

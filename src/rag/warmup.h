@@ -13,7 +13,7 @@
 #include <cstddef>
 #include <functional>
 
-#include "cache/proximity_cache.h"
+#include "cache/approx_cache.h"
 #include "vecmath/matrix.h"
 
 namespace proximity {

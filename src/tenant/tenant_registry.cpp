@@ -63,7 +63,7 @@ struct ObsFamily {
 
 struct TenantRegistry::State {
   State(std::size_t dim, const TenantSpec& s,
-        const ProximityCacheOptions& cache_opts,
+        const ApproxCacheOptions& cache_opts,
         const AnswerCacheOptions& answer_opts, std::string obs_label)
       : spec(s),
         cache(dim, cache_opts),
@@ -76,8 +76,8 @@ struct TenantRegistry::State {
   }
 
   TenantSpec spec;
-  ConcurrentProximityCache cache;
-  ConcurrentAnswerCache answer_cache;
+  ProximityCache cache;
+  AnswerCache answer_cache;
   ObsFamily obs;
   TokenBucket bucket;
   std::optional<AdaptiveTau> adaptive;
@@ -96,7 +96,7 @@ TenantRegistry::~TenantRegistry() = default;
 
 std::unique_ptr<TenantRegistry::State> TenantRegistry::MakeState(
     const TenantSpec& spec) {
-  ProximityCacheOptions cache_opts = options_.cache_defaults;
+  ApproxCacheOptions cache_opts = options_.cache_defaults;
   if (spec.cache_capacity > 0) cache_opts.capacity = spec.cache_capacity;
   if (spec.tolerance >= 0) {
     cache_opts.tolerance = static_cast<float>(spec.tolerance);
@@ -216,12 +216,12 @@ std::vector<TenantInfo> TenantRegistry::Infos() const {
   return out;
 }
 
-ConcurrentProximityCache& TenantRegistry::CacheFor(TenantId id) {
+ProximityCache& TenantRegistry::CacheFor(TenantId id) {
   std::lock_guard lock(mu_);
   return StateFor(id).cache;
 }
 
-ConcurrentAnswerCache& TenantRegistry::AnswerCacheFor(TenantId id) {
+AnswerCache& TenantRegistry::AnswerCacheFor(TenantId id) {
   std::lock_guard lock(mu_);
   return StateFor(id).answer_cache;
 }
@@ -232,7 +232,7 @@ double TenantRegistry::WeightFor(TenantId id) const {
 }
 
 void TenantRegistry::ObserveLookup(TenantId id, bool hit) {
-  ConcurrentProximityCache* cache = nullptr;
+  ProximityCache* cache = nullptr;
   float next_tau = 0.0f;
   {
     std::lock_guard lock(mu_);

@@ -34,8 +34,7 @@
 #include <vector>
 
 #include "cache/adaptive_tau.h"
-#include "cache/answer_cache.h"
-#include "cache/concurrent_cache.h"
+#include "cache/approx_cache.h"
 #include "common/types.h"
 
 namespace proximity {
@@ -104,7 +103,7 @@ enum class UnknownTenantPolicy {
 
 struct TenantRegistryOptions {
   /// Capacity/τ/metric template for tenants that do not override them.
-  ProximityCacheOptions cache_defaults;
+  ApproxCacheOptions cache_defaults;
   /// Template for the per-tenant answer caches (DESIGN.md §15). The
   /// caches always exist; whether the driver probes them is its own
   /// `answer_reuse` option.
@@ -133,8 +132,8 @@ struct TenantInfo {
   std::size_t cache_entries = 0;
   std::size_t answer_entries = 0;
   std::size_t inflight = 0;
-  ConcurrentCacheStats cache;
-  AnswerCacheStats answer;
+  ApproxCacheStats cache;
+  ApproxCacheStats answer;
 };
 
 /// Per-tenant serve-outcome deltas, mirrored into `tenant.<label>.*`.
@@ -185,10 +184,10 @@ class TenantRegistry {
 
   /// The tenant's private approximate cache (stable reference: tenants
   /// are never destroyed while the registry lives).
-  ConcurrentProximityCache& CacheFor(TenantId id);
+  ProximityCache& CacheFor(TenantId id);
 
   /// The tenant's private answer cache (same stability guarantee).
-  ConcurrentAnswerCache& AnswerCacheFor(TenantId id);
+  AnswerCache& AnswerCacheFor(TenantId id);
 
   double WeightFor(TenantId id) const;
 

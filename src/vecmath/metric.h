@@ -18,6 +18,9 @@ enum class Metric {
   kCosine,        // cosine distance 1 - cos(a, b) (smaller = closer)
 };
 
+/// The highest Metric value; snapshot loaders reject stored values past it.
+inline constexpr Metric kLastMetric = Metric::kCosine;
+
 inline std::string_view MetricName(Metric m) noexcept {
   switch (m) {
     case Metric::kL2:

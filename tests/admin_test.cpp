@@ -20,7 +20,7 @@
 #include <string>
 #include <thread>
 
-#include "cache/concurrent_cache.h"
+#include "cache/approx_cache.h"
 #include "embed/hash_embedder.h"
 #include "index/flat_index.h"
 #include "net/client.h"
@@ -129,7 +129,7 @@ TEST(AdminHealthTest, TracksServerDrainTransitions) {
   const Matrix corpus = embedder.EmbedBatch(
       {"draining servers answer unavailable", "epoll loops poll"});
   for (std::size_t r = 0; r < corpus.rows(); ++r) index.Add(corpus.Row(r));
-  ConcurrentProximityCache cache(embedder.dim(), {});
+  ProximityCache cache(embedder.dim(), {});
   BatchingDriverOptions dopts;
   // Park queued work so the drain stays observable for a moment.
   dopts.max_batch = 1000;

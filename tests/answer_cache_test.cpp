@@ -1,6 +1,7 @@
 // Answer-level semantic cache and grounded reuse routing (DESIGN.md
-// §15): AnswerCache arena mechanics (τ-lookup, FIFO eviction, the
-// upsert deviation, staleness stamping), ReuseRouter threshold math,
+// §15): the answer tier's Upsert (τ-lookup, FIFO eviction and staleness
+// stamping are shared with the document tier and tested over both in
+// cache_test), ReuseRouter threshold math,
 // the pipeline's serve/patch/regenerate paths with overlap-draft
 // accounting (drafts == commits + discards), and the BatchingDriver's
 // answer tier — hit short-circuit, deleted-source-doc forced
@@ -15,7 +16,7 @@
 #include <thread>
 #include <vector>
 
-#include "cache/answer_cache.h"
+#include "cache/approx_cache.h"
 #include "cache/reuse_router.h"
 #include "embed/hash_embedder.h"
 #include "index/flat_index.h"
@@ -47,58 +48,14 @@ CachedAnswer Answer(double relevance, bool correct,
 
 // ---------------------------------------------------------- AnswerCache --
 
-TEST(AnswerCacheTest, LookupHitsWithinTauAndMissesBeyond) {
-  AnswerCacheOptions opts;
-  opts.capacity = 4;
-  opts.tolerance = 0.5f;
-  AnswerCache cache(4, opts);
-
-  EXPECT_FALSE(cache.Lookup(Key(0.0f)).hit);  // empty cache
-  cache.Insert(Key(0.0f), Answer(0.9, true));
-  EXPECT_EQ(cache.size(), 1u);
-
-  const auto hit = cache.Lookup(Key(0.1f));  // L2 distance 0.2 < τ
-  ASSERT_TRUE(hit.hit);
-  EXPECT_FALSE(hit.stale);
-  ASSERT_NE(hit.answer, nullptr);
-  EXPECT_DOUBLE_EQ(hit.answer->relevance, 0.9);
-  EXPECT_TRUE(hit.answer->correct);
-  EXPECT_EQ(hit.answer->source_docs, (std::vector<VectorId>{1, 2, 3}));
-
-  EXPECT_FALSE(cache.Lookup(Key(5.0f)).hit);  // far beyond τ
-
-  const AnswerCacheStats& s = cache.stats();
-  EXPECT_EQ(s.lookups, 3u);
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.misses, 2u);
-  EXPECT_EQ(s.insertions, 1u);
-}
-
-TEST(AnswerCacheTest, FifoEvictsOldestOnceFull) {
-  AnswerCacheOptions opts;
-  opts.capacity = 2;
-  opts.tolerance = 0.1f;
-  AnswerCache cache(4, opts);
-
-  cache.Insert(Key(0.0f), Answer(0.1, false, {1}));
-  cache.Insert(Key(10.0f), Answer(0.2, false, {2}));
-  cache.Insert(Key(20.0f), Answer(0.3, false, {3}));  // evicts Key(0)
-
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_FALSE(cache.Lookup(Key(0.0f)).hit);
-  EXPECT_TRUE(cache.Lookup(Key(10.0f)).hit);
-  EXPECT_TRUE(cache.Lookup(Key(20.0f)).hit);
-}
-
 TEST(AnswerCacheTest, InsertUpsertsTauCloseEntryInPlace) {
   AnswerCacheOptions opts;
   opts.capacity = 4;
   opts.tolerance = 0.5f;
   AnswerCache cache(4, opts);
 
-  cache.Insert(Key(0.0f), Answer(0.1, false, {7}));
-  cache.Insert(Key(0.05f), Answer(0.8, true, {8, 9}));  // within τ
+  cache.Upsert(Key(0.0f), Answer(0.1, false, {7}));
+  cache.Upsert(Key(0.05f), Answer(0.8, true, {8, 9}));  // within τ
 
   EXPECT_EQ(cache.size(), 1u);  // refreshed, not appended
   EXPECT_EQ(cache.stats().insertions, 2u);
@@ -107,27 +64,36 @@ TEST(AnswerCacheTest, InsertUpsertsTauCloseEntryInPlace) {
 
   const auto hit = cache.Lookup(Key(0.05f));
   ASSERT_TRUE(hit.hit);
-  EXPECT_TRUE(hit.answer->correct);
-  EXPECT_EQ(hit.answer->source_docs, (std::vector<VectorId>{8, 9}));
+  EXPECT_TRUE(hit.value.correct);
+  EXPECT_EQ(hit.value.source_docs, (std::vector<VectorId>{8, 9}));
 }
 
-TEST(AnswerCacheTest, GenerationStampMarksOlderEntriesStale) {
-  AnswerCache cache(4, {.capacity = 4, .tolerance = 0.5f});
-  cache.Insert(Key(0.0f), Answer(0.5, true));
-  EXPECT_FALSE(cache.Lookup(Key(0.0f)).stale);
+// A refresh keeps its slot's place in the FIFO order: queueing the slot
+// again would make a later eviction remove an entry just written.
+TEST(AnswerCacheTest, UpsertRefreshKeepsFifoVictimOrder) {
+  AnswerCacheOptions opts;
+  opts.capacity = 3;
+  opts.tolerance = 0.5f;
+  AnswerCache cache(4, opts);
+  cache.Upsert(Key(0.0f), Answer(0.1, false, {0}));   // slot 0
+  cache.Upsert(Key(10.0f), Answer(0.1, false, {1}));  // slot 1
+  cache.Upsert(Key(20.0f), Answer(0.1, false, {2}));  // slot 2
+  cache.Upsert(Key(10.1f), Answer(0.9, true, {3}));   // refreshes slot 1
+  ASSERT_EQ(cache.stats().refreshes, 1u);
 
-  cache.set_generation(3);  // the corpus mutated underneath the entry
-  const auto stale = cache.Lookup(Key(0.0f));
-  ASSERT_TRUE(stale.hit);
-  EXPECT_TRUE(stale.stale);
-  EXPECT_EQ(cache.stats().stale_hits, 1u);
-
-  // A refresh re-stamps the entry under the current generation.
-  cache.Insert(Key(0.0f), Answer(0.6, true));
-  EXPECT_EQ(cache.stats().refreshes, 1u);
-  const auto fresh = cache.Lookup(Key(0.0f));
-  ASSERT_TRUE(fresh.hit);
-  EXPECT_FALSE(fresh.stale);
+  // capacity + 1 appends: victims run round-robin over slots 0, 1, 2, 0.
+  for (const float x : {30.0f, 40.0f, 50.0f, 60.0f}) {
+    cache.Upsert(Key(x), Answer(0.5, true, {static_cast<VectorId>(x)}));
+  }
+  EXPECT_EQ(cache.stats().evictions, 4u);
+  for (const float gone : {0.0f, 10.0f, 20.0f, 30.0f}) {
+    EXPECT_FALSE(cache.Lookup(Key(gone)).hit) << gone;
+  }
+  for (const float kept : {40.0f, 50.0f, 60.0f}) {
+    const auto hit = cache.Lookup(Key(kept));
+    ASSERT_TRUE(hit.hit) << kept;
+    EXPECT_EQ(hit.value.source_docs[0], static_cast<VectorId>(kept));
+  }
 }
 
 // ---------------------------------------------------------- ReuseRouter --
@@ -487,13 +453,13 @@ TEST(DriverAnswerReuseTest, AnswerHitsNeverCrossTenants) {
   ExpectConserved(driver.stats());
 }
 
-// ------------------------------------------- ConcurrentAnswerCache race --
+// ------------------------------------------------- AnswerCache race --
 
-TEST(ConcurrentAnswerCacheTest, ParallelLookupInsertAndStamping) {
+TEST(AnswerCacheTest, ParallelLookupUpsertAndStamping) {
   AnswerCacheOptions opts;
   opts.capacity = 16;
   opts.tolerance = 0.25f;
-  ConcurrentAnswerCache cache(4, opts);
+  AnswerCache cache(4, opts);
 
   constexpr int kThreads = 4;
   constexpr int kIters = 500;
@@ -502,10 +468,11 @@ TEST(ConcurrentAnswerCacheTest, ParallelLookupInsertAndStamping) {
     threads.emplace_back([&cache, t] {
       for (int i = 0; i < kIters; ++i) {
         const float x = static_cast<float>((t * kIters + i) % 32);
-        cache.Insert(Key(x), Answer(0.5, true, {static_cast<VectorId>(t)}));
-        if (auto hit = cache.Lookup(Key(x))) {
+        cache.Upsert(Key(x), Answer(0.5, true, {static_cast<VectorId>(t)}));
+        const auto hit = cache.Lookup(Key(x));
+        if (hit.hit) {
           // Copied out: safe to read while other threads insert.
-          EXPECT_FALSE(hit->answer.source_docs.empty());
+          EXPECT_FALSE(hit.value.source_docs.empty());
         }
         if (i % 64 == 0) {
           cache.set_generation(static_cast<std::uint64_t>(i));
@@ -516,7 +483,7 @@ TEST(ConcurrentAnswerCacheTest, ParallelLookupInsertAndStamping) {
   for (auto& t : threads) t.join();
 
   EXPECT_LE(cache.size(), opts.capacity);
-  const AnswerCacheStats s = cache.stats();
+  const ApproxCacheStats s = cache.stats();
   EXPECT_EQ(s.insertions, static_cast<std::uint64_t>(kThreads * kIters));
 }
 

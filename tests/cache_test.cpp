@@ -1,6 +1,6 @@
-// Unit tests for src/cache: eviction policies, the Proximity cache
-// (Algorithm 1 semantics), the exact-match baseline, and the adaptive-τ
-// controller.
+// Unit tests for src/cache: eviction policies, the approximate cache
+// (Algorithm 1 semantics, for both tiers where they share mechanics), the
+// exact-match baseline, and the adaptive-τ controller.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,10 +9,12 @@
 #include <sstream>
 
 #include "cache/adaptive_tau.h"
+#include "cache/approx_cache.h"
 #include "cache/eviction_policy.h"
 #include "cache/exact_cache.h"
-#include "cache/proximity_cache.h"
 #include "common/rng.h"
+#include "index/flat_index.h"
+#include "rag/retriever.h"
 
 namespace proximity {
 namespace {
@@ -149,15 +151,105 @@ TEST(EvictionFactoryTest, NamesRoundTrip) {
   EXPECT_THROW(EvictionFromName("arc"), std::invalid_argument);
 }
 
-// ------------------------------------------------------ ProximityCache --
-
-ProximityCacheOptions SmallCache(std::size_t capacity = 3,
-                                 float tolerance = 1.0f) {
-  ProximityCacheOptions opts;
+ApproxCacheOptions SmallCache(std::size_t capacity = 3,
+                              float tolerance = 1.0f) {
+  ApproxCacheOptions opts;
   opts.capacity = capacity;
   opts.tolerance = tolerance;
   return opts;
 }
+
+// ------------------------------------------- Both tiers (ApproxCache) --
+
+// A value of either tier, told apart by one document id.
+template <typename Value>
+Value Tagged(VectorId tag);
+template <>
+std::vector<VectorId> Tagged(VectorId tag) {
+  return {tag};
+}
+template <>
+CachedAnswer Tagged(VectorId tag) {
+  CachedAnswer answer;
+  answer.source_docs = {tag};
+  return answer;
+}
+VectorId TagOf(const std::vector<VectorId>& docs) { return docs.at(0); }
+VectorId TagOf(const CachedAnswer& answer) {
+  return answer.source_docs.at(0);
+}
+
+template <typename Value>
+class ApproxCacheTest : public ::testing::Test {};
+using CacheValues = ::testing::Types<std::vector<VectorId>, CachedAnswer>;
+TYPED_TEST_SUITE(ApproxCacheTest, CacheValues);
+
+TYPED_TEST(ApproxCacheTest, HitsWithinTau) {
+  ApproxCache<TypeParam> cache(2, SmallCache(3, 1.0f));
+  cache.Insert(Vec2(0, 0), Tagged<TypeParam>(10));
+  // Distance 0.25 <= 1.0 -> hit with the stored value.
+  const auto hit = cache.Lookup(Vec2(0.5f, 0));
+  ASSERT_TRUE(hit.hit);
+  EXPECT_FALSE(hit.stale);
+  EXPECT_FLOAT_EQ(hit.best_distance, 0.25f);
+  EXPECT_EQ(TagOf(hit.value), 10);
+
+  const ApproxCacheStats s = cache.stats();
+  EXPECT_EQ(s.lookups, 1u);
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.misses, 0u);
+  EXPECT_EQ(s.insertions, 1u);
+}
+
+TYPED_TEST(ApproxCacheTest, MissesBeyondTau) {
+  ApproxCache<TypeParam> cache(2, SmallCache(3, 1.0f));
+  cache.Insert(Vec2(0, 0), Tagged<TypeParam>(10));
+  // Distance 4 > 1 -> miss, still reporting the best distance.
+  const auto miss = cache.Lookup(Vec2(2, 0));
+  EXPECT_FALSE(miss.hit);
+  EXPECT_FLOAT_EQ(miss.best_distance, 4.0f);
+
+  const ApproxCacheStats s = cache.stats();
+  EXPECT_EQ(s.lookups, 1u);
+  EXPECT_EQ(s.hits, 0u);
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.insertions, 1u);
+}
+
+TYPED_TEST(ApproxCacheTest, FifoEvictsOldestOnceFull) {
+  ApproxCache<TypeParam> cache(2, SmallCache(2, 0.1f));
+  cache.Insert(Vec2(0, 0), Tagged<TypeParam>(1));
+  cache.Insert(Vec2(10, 0), Tagged<TypeParam>(2));
+  EXPECT_EQ(cache.size(), 2u);
+  cache.Insert(Vec2(20, 0), Tagged<TypeParam>(3));  // evicts (0,0)
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_FALSE(cache.Lookup(Vec2(0, 0)).hit);
+  EXPECT_TRUE(cache.Lookup(Vec2(10, 0)).hit);
+  EXPECT_TRUE(cache.Lookup(Vec2(20, 0)).hit);
+}
+
+TYPED_TEST(ApproxCacheTest, GenerationStampMarksOlderEntriesStale) {
+  ApproxCache<TypeParam> cache(2, SmallCache(4, 0.5f));
+  cache.Insert(Vec2(0, 0), Tagged<TypeParam>(1));
+  EXPECT_FALSE(cache.Lookup(Vec2(0, 0)).stale);
+
+  cache.set_generation(3);  // the corpus mutated underneath the entry
+  const auto stale = cache.Lookup(Vec2(0, 0));
+  ASSERT_TRUE(stale.hit);  // served: the default policy is serve-stale
+  EXPECT_TRUE(stale.stale);
+  EXPECT_EQ(cache.stats().stale_hits, 1u);
+
+  // A refresh re-stamps the entry under the current generation.
+  cache.Upsert(Vec2(0, 0), Tagged<TypeParam>(2));
+  EXPECT_EQ(cache.stats().refreshes, 1u);
+  const auto fresh = cache.Lookup(Vec2(0, 0));
+  ASSERT_TRUE(fresh.hit);
+  EXPECT_FALSE(fresh.stale);
+  EXPECT_EQ(TagOf(fresh.value), 2);
+}
+
+// ------------------------------------------------------ ProximityCache --
 
 TEST(ProximityCacheTest, MissOnEmpty) {
   ProximityCache cache(2, SmallCache());
@@ -165,26 +257,6 @@ TEST(ProximityCacheTest, MissOnEmpty) {
   EXPECT_FALSE(result.hit);
   EXPECT_TRUE(std::isinf(result.best_distance));
   EXPECT_EQ(cache.stats().misses, 1u);
-}
-
-TEST(ProximityCacheTest, HitWithinTolerance) {
-  ProximityCache cache(2, SmallCache(3, 1.0f));
-  cache.Insert(Vec2(0, 0), {10, 20});
-  // Distance 0.25 <= 1.0 -> hit with the stored documents.
-  const auto result = cache.Lookup(Vec2(0.5f, 0));
-  ASSERT_TRUE(result.hit);
-  EXPECT_FLOAT_EQ(result.best_distance, 0.25f);
-  ASSERT_EQ(result.documents.size(), 2u);
-  EXPECT_EQ(result.documents[0], 10);
-  EXPECT_EQ(result.documents[1], 20);
-}
-
-TEST(ProximityCacheTest, MissBeyondTolerance) {
-  ProximityCache cache(2, SmallCache(3, 1.0f));
-  cache.Insert(Vec2(0, 0), {10});
-  const auto result = cache.Lookup(Vec2(2, 0));  // distance 4 > 1
-  EXPECT_FALSE(result.hit);
-  EXPECT_FLOAT_EQ(result.best_distance, 4.0f);
 }
 
 TEST(ProximityCacheTest, BoundaryDistanceEqualToTauHits) {
@@ -209,24 +281,11 @@ TEST(ProximityCacheTest, ReturnsNearestKeyNotFirstKey) {
   cache.Insert(Vec2(5, 0), {2});
   const auto result = cache.Lookup(Vec2(4, 0));  // closer to (5,0)
   ASSERT_TRUE(result.hit);
-  EXPECT_EQ(result.documents[0], 2);
-}
-
-TEST(ProximityCacheTest, FifoEvictionAtCapacity) {
-  ProximityCache cache(2, SmallCache(2, 0.1f));
-  cache.Insert(Vec2(0, 0), {1});
-  cache.Insert(Vec2(10, 0), {2});
-  EXPECT_EQ(cache.size(), 2u);
-  cache.Insert(Vec2(20, 0), {3});  // evicts (0,0)
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_FALSE(cache.Lookup(Vec2(0, 0)).hit);
-  EXPECT_TRUE(cache.Lookup(Vec2(10, 0)).hit);
-  EXPECT_TRUE(cache.Lookup(Vec2(20, 0)).hit);
+  EXPECT_EQ(result.value[0], 2);
 }
 
 TEST(ProximityCacheTest, LruEvictionKeepsAccessedEntry) {
-  ProximityCacheOptions opts = SmallCache(2, 0.1f);
+  ApproxCacheOptions opts = SmallCache(2, 0.1f);
   opts.eviction = EvictionKind::kLru;
   ProximityCache cache(2, opts);
   cache.Insert(Vec2(0, 0), {1});
@@ -255,23 +314,26 @@ TEST(ProximityCacheTest, StatsCountEverything) {
   EXPECT_EQ(cache.stats().lookups, 0u);
 }
 
-TEST(ProximityCacheTest, FetchOrRetrieveImplementsAlgorithm1) {
+TEST(ProximityCacheTest, RetrieverImplementsAlgorithm1) {
+  FlatIndex index(2);
+  index.Add(Vec2(0, 0));
+  index.Add(Vec2(3, 0));
   ProximityCache cache(2, SmallCache(3, 1.0f));
-  int db_calls = 0;
-  auto retrieve = [&db_calls](std::span<const float>) {
-    ++db_calls;
-    return std::vector<VectorId>{42, 43};
-  };
-  bool hit = true;
-  const auto r1 = cache.FetchOrRetrieve(Vec2(0, 0), retrieve, &hit);
-  EXPECT_FALSE(hit);
-  EXPECT_EQ(db_calls, 1);
-  EXPECT_EQ(r1, (std::vector<VectorId>{42, 43}));
+  Retriever retriever(&index, &cache, nullptr, {.top_k = 2});
 
-  const auto r2 = cache.FetchOrRetrieve(Vec2(0.1f, 0), retrieve, &hit);
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(db_calls, 1);  // database bypassed
-  EXPECT_EQ(r2, r1);
+  // Miss: the database answers and its result is cached under the query.
+  const auto r1 = retriever.Retrieve(Vec2(0, 0));
+  EXPECT_FALSE(r1.cache_hit);
+  EXPECT_EQ(r1.documents, (std::vector<VectorId>{0, 1}));
+  EXPECT_EQ(cache.size(), 1u);
+
+  // A τ-similar query is served from the cache: the database is bypassed.
+  const auto r2 = retriever.Retrieve(Vec2(0.1f, 0));
+  EXPECT_TRUE(r2.cache_hit);
+  EXPECT_EQ(r2.documents, r1.documents);
+  EXPECT_TRUE(r2.distances.empty());  // no database distances on a hit
+  EXPECT_EQ(cache.stats().insertions, 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
 }
 
 TEST(ProximityCacheTest, ClearEmptiesCache) {
@@ -306,7 +368,7 @@ TEST(ProximityCacheTest, IntrospectionAccessors) {
 TEST(ProximityCacheTest, ValidatesArguments) {
   EXPECT_THROW(ProximityCache(0, SmallCache()), std::invalid_argument);
   EXPECT_THROW(ProximityCache(2, SmallCache(0)), std::invalid_argument);
-  ProximityCacheOptions neg = SmallCache();
+  ApproxCacheOptions neg = SmallCache();
   neg.tolerance = -1.0f;
   EXPECT_THROW(ProximityCache(2, neg), std::invalid_argument);
   ProximityCache cache(2, SmallCache());
@@ -316,7 +378,7 @@ TEST(ProximityCacheTest, ValidatesArguments) {
 }
 
 TEST(ProximityCacheTest, NegativeToleranceAllowedForInnerProduct) {
-  ProximityCacheOptions opts;
+  ApproxCacheOptions opts;
   opts.capacity = 2;
   opts.metric = Metric::kInnerProduct;
   opts.tolerance = -0.5f;  // IP distances are negated similarities
@@ -329,7 +391,7 @@ TEST(ProximityCacheTest, NegativeToleranceAllowedForInnerProduct) {
 }
 
 TEST(ProximityCacheTest, CosineMetricHits) {
-  ProximityCacheOptions opts;
+  ApproxCacheOptions opts;
   opts.capacity = 2;
   opts.metric = Metric::kCosine;
   opts.tolerance = 0.01f;
@@ -355,7 +417,7 @@ TEST(ProximityCacheTest, SizeNeverExceedsCapacity) {
 // ------------------------------------------------------------- Max age --
 
 TEST(ProximityCacheTtlTest, FreshEntryHitsStaleEntryMisses) {
-  ProximityCacheOptions opts = SmallCache(4, 1.0f);
+  ApproxCacheOptions opts = SmallCache(4, 1.0f);
   opts.max_age = 3;  // expires after 3 cache operations
   ProximityCache cache(2, opts);
   cache.Insert(Vec2(0, 0), {1});  // op 1, birth 1
@@ -367,7 +429,7 @@ TEST(ProximityCacheTtlTest, FreshEntryHitsStaleEntryMisses) {
 }
 
 TEST(ProximityCacheTtlTest, ReinsertionRefreshesAge) {
-  ProximityCacheOptions opts = SmallCache(4, 1.0f);
+  ApproxCacheOptions opts = SmallCache(4, 1.0f);
   opts.max_age = 2;
   ProximityCache cache(2, opts);
   cache.Insert(Vec2(0, 0), {1});
@@ -378,12 +440,12 @@ TEST(ProximityCacheTtlTest, ReinsertionRefreshesAge) {
   cache.Insert(Vec2(0, 0), {2});
   const auto result = cache.Lookup(Vec2(0, 0));
   ASSERT_TRUE(result.hit);
-  EXPECT_EQ(result.documents[0], 2);
+  EXPECT_EQ(result.value[0], 2);
 }
 
 TEST(ProximityCacheTtlTest, ExpiredEntryDoesNotShadowLiveOne) {
   // An expired closer key must not hide a live farther key within tau.
-  ProximityCacheOptions opts = SmallCache(4, 9.0f);
+  ApproxCacheOptions opts = SmallCache(4, 9.0f);
   opts.max_age = 4;
   ProximityCache cache(2, opts);
   cache.Insert(Vec2(0, 0), {1});   // will expire
@@ -394,7 +456,7 @@ TEST(ProximityCacheTtlTest, ExpiredEntryDoesNotShadowLiveOne) {
   // Query at (0,0): expired key at distance 0, live key at distance 4.
   const auto result = cache.Lookup(Vec2(0, 0));
   ASSERT_TRUE(result.hit);
-  EXPECT_EQ(result.documents[0], 2);
+  EXPECT_EQ(result.value[0], 2);
   EXPECT_FLOAT_EQ(result.best_distance, 4.0f);
 }
 
@@ -408,7 +470,7 @@ TEST(ProximityCacheTtlTest, ZeroMaxAgeDisablesExpiry) {
 }
 
 TEST(ProximityCacheTtlTest, MaxAgeSurvivesSerialization) {
-  ProximityCacheOptions opts = SmallCache(4, 1.0f);
+  ApproxCacheOptions opts = SmallCache(4, 1.0f);
   opts.max_age = 7;
   ProximityCache cache(2, opts);
   cache.Insert(Vec2(1, 1), {3});

@@ -23,7 +23,7 @@
 #include <thread>
 #include <vector>
 
-#include "cache/concurrent_cache.h"
+#include "cache/approx_cache.h"
 #include "cluster/router.h"
 #include "cluster/shard_map.h"
 #include "embed/hash_embedder.h"
@@ -131,7 +131,7 @@ std::vector<std::string> TestCorpus(std::size_t n) {
 struct BackendStack {
   HashEmbedder embedder;
   std::unique_ptr<ShardedIndex> index;
-  std::unique_ptr<ConcurrentProximityCache> cache;
+  std::unique_ptr<ProximityCache> cache;
   std::unique_ptr<BatchingDriver> driver;
   std::unique_ptr<net::Server> server;
 
@@ -141,11 +141,10 @@ struct BackendStack {
     IndexSpec spec;
     spec.kind = "flat";
     index = BuildPartitionedIndex(spec, corpus, part, parts);
-    ProximityCacheOptions copts;
+    ApproxCacheOptions copts;
     copts.capacity = 64;
     copts.tolerance = tolerance;
-    cache = std::make_unique<ConcurrentProximityCache>(embedder.dim(),
-                                                       copts);
+    cache = std::make_unique<ProximityCache>(embedder.dim(), copts);
     BatchingDriverOptions dopts;
     dopts.top_k = 5;
     dopts.max_batch = 8;
@@ -384,7 +383,7 @@ TEST(ClusterRouterTest, MutationsRouteToOneGroupAndRoundTrip) {
   struct MutableStack {
     HashEmbedder embedder{SmallEmbedder()};
     std::unique_ptr<ShardedIndex> index;
-    std::unique_ptr<ConcurrentProximityCache> cache;
+    std::unique_ptr<ProximityCache> cache;
     std::unique_ptr<BatchingDriver> driver;
     std::unique_ptr<net::Server> server;
   };
@@ -393,11 +392,10 @@ TEST(ClusterRouterTest, MutationsRouteToOneGroupAndRoundTrip) {
   for (std::size_t p = 0; p < 2; ++p) {
     MutableStack& b = backends[p];
     b.index = make_mutable(p);
-    ProximityCacheOptions copts;
+    ApproxCacheOptions copts;
     copts.capacity = 16;
     copts.tolerance = 0.0f;
-    b.cache = std::make_unique<ConcurrentProximityCache>(b.embedder.dim(),
-                                                         copts);
+    b.cache = std::make_unique<ProximityCache>(b.embedder.dim(), copts);
     BatchingDriverOptions dopts;
     dopts.top_k = 3;
     b.driver = std::make_unique<BatchingDriver>(*b.index, *b.cache,

@@ -1,26 +1,26 @@
-// Tests for the thread-safe cache and the concurrent stream driver:
-// linearizable counters, single-flight coalescing, failure fallback, and
-// end-to-end invariants under racing workers.
+// Tests for the cache's own lock and the multi-user stream driver:
+// linearizable counters under racing Lookup/Insert, and end-to-end
+// invariants under racing client threads.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <barrier>
-#include <chrono>
 #include <thread>
 
-#include "cache/concurrent_cache.h"
+#include "cache/approx_cache.h"
 #include "common/log.h"
 #include "common/rng.h"
 #include "index/flat_index.h"
 #include "obs/metrics_registry.h"
-#include "rag/concurrent_driver.h"
+#include "rag/batching_driver.h"
+#include "rag/retriever.h"
 #include "workload/benchmark_spec.h"
 
 namespace proximity {
 namespace {
 
-ProximityCacheOptions CacheOpts(std::size_t capacity, float tolerance) {
-  ProximityCacheOptions opts;
+ApproxCacheOptions CacheOpts(std::size_t capacity, float tolerance) {
+  ApproxCacheOptions opts;
   opts.capacity = capacity;
   opts.tolerance = tolerance;
   return opts;
@@ -31,116 +31,50 @@ std::vector<float> Vec4(float a, float b = 0, float c = 0, float d = 0) {
 }
 
 TEST(ConcurrentCacheTest, BasicLookupInsert) {
-  ConcurrentProximityCache cache(4, CacheOpts(10, 1.0f));
-  EXPECT_FALSE(cache.Lookup(Vec4(0)).has_value());
+  ProximityCache cache(4, CacheOpts(10, 1.0f));
+  EXPECT_FALSE(cache.Lookup(Vec4(0)).hit);
   cache.Insert(Vec4(0), {7, 8});
   const auto hit = cache.Lookup(Vec4(0.5f));
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, (std::vector<VectorId>{7, 8}));
+  ASSERT_TRUE(hit.hit);
+  EXPECT_EQ(hit.value, (std::vector<VectorId>{7, 8}));
   EXPECT_EQ(cache.stats().lookups, 2u);
   EXPECT_EQ(cache.stats().hits, 1u);
 }
 
-TEST(ConcurrentCacheTest, FetchOrRetrieveCachesResult) {
-  ConcurrentProximityCache cache(4, CacheOpts(10, 1.0f));
-  std::atomic<int> calls{0};
-  auto retrieve = [&](std::span<const float>) {
-    ++calls;
-    return std::vector<VectorId>{1, 2, 3};
-  };
-  EXPECT_EQ(cache.FetchOrRetrieve(Vec4(5), retrieve),
-            (std::vector<VectorId>{1, 2, 3}));
-  EXPECT_EQ(cache.FetchOrRetrieve(Vec4(5.1f), retrieve),
-            (std::vector<VectorId>{1, 2, 3}));
-  EXPECT_EQ(calls.load(), 1);
-  EXPECT_EQ(cache.stats().retrievals, 1u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-}
+TEST(ConcurrentCacheTest, RetrieverCachesResultAcrossThreads) {
+  FlatIndex index(4);
+  index.Add(Vec4(5));
+  index.Add(Vec4(9));
+  index.Add(Vec4(0));
+  ProximityCache cache(4, CacheOpts(10, 1.0f));
+  Retriever first(&index, &cache, nullptr, {.top_k = 3});
+  const auto filled = first.Retrieve(Vec4(5));
+  EXPECT_FALSE(filled.cache_hit);
+  EXPECT_EQ(filled.documents, (std::vector<VectorId>{0, 1, 2}));
 
-TEST(ConcurrentCacheTest, SingleFlightCoalescesSimilarQueries) {
-  ConcurrentProximityCache cache(4, CacheOpts(10, 1.0f));
-  constexpr int kThreads = 8;
-  std::atomic<int> retrievals{0};
-  std::barrier barrier(kThreads);
-
-  auto slow_retrieve = [&](std::span<const float>) {
-    ++retrievals;
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    return std::vector<VectorId>{42};
-  };
-
-  std::vector<std::thread> threads;
+  // Every thread's retriever serves its τ-similar query from the one
+  // shared cache; none reaches the database.
+  constexpr int kThreads = 4;
   std::atomic<int> served{0};
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      barrier.arrive_and_wait();  // maximize overlap
-      // All queries are within tolerance of each other.
-      const auto docs = cache.FetchOrRetrieve(
-          Vec4(1.0f + 0.01f * static_cast<float>(t)), slow_retrieve);
-      if (docs == std::vector<VectorId>{42}) ++served;
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  EXPECT_EQ(served.load(), kThreads);
-  // Coalescing must have collapsed most retrievals; with a 50ms window
-  // and a barrier start, one retrieval is the expected outcome.
-  EXPECT_LE(retrievals.load(), 2);
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.lookups, static_cast<std::uint64_t>(kThreads));
-  EXPECT_EQ(stats.hits + stats.coalesced + stats.retrievals,
-            static_cast<std::uint64_t>(kThreads));
-}
-
-TEST(ConcurrentCacheTest, DissimilarQueriesDoNotCoalesce) {
-  ConcurrentProximityCache cache(4, CacheOpts(10, 0.1f));
-  std::atomic<int> retrievals{0};
-  auto retrieve = [&](std::span<const float> q) {
-    ++retrievals;
-    return std::vector<VectorId>{static_cast<VectorId>(q[0])};
-  };
   std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      const auto docs =
-          cache.FetchOrRetrieve(Vec4(static_cast<float>(t) * 100), retrieve);
-      EXPECT_EQ(docs.size(), 1u);
-      EXPECT_EQ(docs[0], t * 100);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      Retriever retriever(&index, &cache, nullptr, {.top_k = 3});
+      const auto r = retriever.Retrieve(Vec4(5.1f));
+      if (r.cache_hit && r.documents == filled.documents) ++served;
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_EQ(retrievals.load(), 4);
-}
-
-TEST(ConcurrentCacheTest, FailedFlightFallsBack) {
-  ConcurrentProximityCache cache(4, CacheOpts(10, 1.0f));
-  std::atomic<int> attempts{0};
-  auto flaky_retrieve = [&](std::span<const float>) -> std::vector<VectorId> {
-    const int attempt = ++attempts;
-    if (attempt == 1) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(30));
-      throw std::runtime_error("database unavailable");
-    }
-    return {7};
-  };
-
-  std::thread owner([&] {
-    EXPECT_THROW(cache.FetchOrRetrieve(Vec4(1), flaky_retrieve),
-                 std::runtime_error);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  // This waiter coalesces onto the failing flight, then retries itself.
-  const auto docs = cache.FetchOrRetrieve(Vec4(1.01f), flaky_retrieve);
-  owner.join();
-  EXPECT_EQ(docs, (std::vector<VectorId>{7}));
-  EXPECT_GE(attempts.load(), 2);
+  EXPECT_EQ(served.load(), kThreads);
+  EXPECT_EQ(cache.stats().insertions, 1u);
+  EXPECT_EQ(cache.stats().hits, static_cast<std::uint64_t>(kThreads));
 }
 
 TEST(ConcurrentCacheTest, ParallelHammeringKeepsInvariants) {
-  ConcurrentProximityCache cache(8, CacheOpts(32, 2.0f));
+  ProximityCache cache(8, CacheOpts(32, 2.0f));
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 500;
-  std::atomic<std::uint64_t> retrievals{0};
+  std::atomic<std::uint64_t> inserted{0};
 
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
@@ -149,10 +83,13 @@ TEST(ConcurrentCacheTest, ParallelHammeringKeepsInvariants) {
       for (int op = 0; op < kOpsPerThread; ++op) {
         std::vector<float> q(8);
         for (auto& x : q) x = static_cast<float>(rng.Gaussian(0, 3));
-        cache.FetchOrRetrieve(q, [&](std::span<const float>) {
-          retrievals.fetch_add(1, std::memory_order_relaxed);
-          return std::vector<VectorId>{static_cast<VectorId>(op)};
-        });
+        const auto probe = cache.Lookup(q);
+        if (probe.hit) {
+          EXPECT_EQ(probe.value.size(), 1u);  // never a torn value
+        } else {
+          cache.Insert(q, {static_cast<VectorId>(op)});
+          inserted.fetch_add(1, std::memory_order_relaxed);
+        }
       }
     });
   }
@@ -161,15 +98,16 @@ TEST(ConcurrentCacheTest, ParallelHammeringKeepsInvariants) {
   const auto stats = cache.stats();
   EXPECT_EQ(stats.lookups,
             static_cast<std::uint64_t>(kThreads * kOpsPerThread));
-  EXPECT_EQ(stats.hits + stats.coalesced + stats.retrievals, stats.lookups);
-  EXPECT_EQ(stats.retrievals, retrievals.load());
+  EXPECT_EQ(stats.hits + stats.misses, stats.lookups);
+  EXPECT_EQ(stats.insertions, inserted.load());
+  EXPECT_EQ(stats.evictions, stats.insertions - cache.size());
   EXPECT_LE(cache.size(), 32u);
 }
 
-// The ProximityCacheStats lost-update audit, exercised: the plain stats
+// The ApproxCacheStats lost-update audit, exercised: the plain stats
 // fields are mutated only under the cache mutex, so raw integer counters
 // must stay exact under heavy contention — and the lock-free registry
-// mirrors (`ccache.*`, inner `cache.*`) must agree with them.
+// mirrors (`cache.*`) must agree with them.
 TEST(ConcurrentCacheTest, StatsStayExactUnderContention) {
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 400;
@@ -180,7 +118,7 @@ TEST(ConcurrentCacheTest, StatsStayExactUnderContention) {
   const auto before = obs::MetricsRegistry::Default().Snapshot();
 #endif
 
-  ConcurrentProximityCache cache(8, CacheOpts(64, 1.0f));
+  ProximityCache cache(8, CacheOpts(64, 1.0f));
   std::barrier barrier(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
@@ -190,25 +128,18 @@ TEST(ConcurrentCacheTest, StatsStayExactUnderContention) {
       for (int op = 0; op < kOpsPerThread; ++op) {
         std::vector<float> q(8);
         for (auto& x : q) x = static_cast<float>(rng.Gaussian(0, 4));
-        cache.FetchOrRetrieve(q, [](std::span<const float>) {
-          return std::vector<VectorId>{1};
-        });
+        if (!cache.Lookup(q).hit) cache.Insert(q, {1});
       }
     });
   }
   for (auto& t : threads) t.join();
 
   // Plain counters: no lost updates despite kThreads racing writers.
-  const ConcurrentCacheStats stats = cache.stats();
+  // Every operation probes once; every miss inserts once.
+  const ApproxCacheStats stats = cache.stats();
   EXPECT_EQ(stats.lookups, total);
-  EXPECT_EQ(stats.hits + stats.coalesced + stats.retrievals, total);
-
-  // Every FetchOrRetrieve probes the inner cache exactly once; every
-  // owned retrieval inserts exactly once.
-  const ProximityCacheStats inner = cache.inner_stats();
-  EXPECT_EQ(inner.lookups, total);
-  EXPECT_EQ(inner.hits, stats.hits);
-  EXPECT_EQ(inner.insertions, stats.retrievals);
+  EXPECT_EQ(stats.hits + stats.misses, total);
+  EXPECT_EQ(stats.insertions, stats.misses);
 
 #if PROXIMITY_OBS_ENABLED
   // Registry mirrors recorded through per-thread shards reconcile with
@@ -217,12 +148,10 @@ TEST(ConcurrentCacheTest, StatsStayExactUnderContention) {
   const auto delta = [&](const char* name) {
     return after.CounterValue(name) - before.CounterValue(name);
   };
-  EXPECT_EQ(delta("ccache.lookups"), total);
-  EXPECT_EQ(delta("ccache.hits"), stats.hits);
-  EXPECT_EQ(delta("ccache.coalesced"), stats.coalesced);
-  EXPECT_EQ(delta("ccache.retrievals"), stats.retrievals);
-  EXPECT_EQ(delta("cache.lookups"), inner.lookups);
-  EXPECT_EQ(delta("cache.insertions"), inner.insertions);
+  EXPECT_EQ(delta("cache.lookups"), total);
+  EXPECT_EQ(delta("cache.hits"), stats.hits);
+  EXPECT_EQ(delta("cache.misses"), stats.misses);
+  EXPECT_EQ(delta("cache.insertions"), stats.insertions);
 #endif
 }
 
@@ -247,14 +176,15 @@ TEST(ConcurrentDriverTest, InvariantsHoldAcrossThreadCounts) {
   const Matrix embeddings = embedder.EmbedBatch(texts);
 
   for (std::size_t threads : {1u, 4u}) {
-    ConcurrentProximityCache cache(embedder.dim(), CacheOpts(50, 2.0f));
-    const auto result = RunStreamConcurrent(
+    ProximityCache cache(embedder.dim(), CacheOpts(50, 2.0f));
+    BatchingDriverStats driver;
+    const auto result = RunStreamBatched(
         workload, index, cache, AnswerModel(MmluAnswerParams()), 1, stream,
-        embeddings, threads);
+        embeddings, threads, {}, &driver);
     EXPECT_EQ(result.metrics.queries, stream.size());
     EXPECT_EQ(result.cache_stats.lookups, stream.size());
-    EXPECT_EQ(result.cache_stats.hits + result.cache_stats.coalesced +
-                  result.cache_stats.retrievals,
+    EXPECT_EQ(result.cache_stats.hits, driver.hits);
+    EXPECT_EQ(driver.hits + driver.coalesced + driver.retrieved,
               stream.size());
     // Variant geometry guarantees substantial hits at tau = 2 regardless
     // of interleaving.
@@ -283,24 +213,16 @@ TEST(ConcurrentDriverTest, SingleThreadMatchesSequentialHitRate) {
   for (const auto& e : stream) texts.push_back(e.text);
   const Matrix embeddings = embedder.EmbedBatch(texts);
 
-  // Sequential reference via the plain cache.
+  // Sequential reference: Algorithm 1 through the Retriever.
   ProximityCache reference(embedder.dim(), CacheOpts(50, 2.0f));
+  Retriever retriever(&index, &reference, nullptr, {.top_k = 10});
   std::size_t ref_hits = 0;
   for (std::size_t i = 0; i < stream.size(); ++i) {
-    bool hit = false;
-    reference.FetchOrRetrieve(
-        embeddings.Row(i),
-        [&](std::span<const float> q) {
-          std::vector<VectorId> ids;
-          for (const auto& n : index.Search(q, 10)) ids.push_back(n.id);
-          return ids;
-        },
-        &hit);
-    ref_hits += hit ? 1 : 0;
+    ref_hits += retriever.Retrieve(embeddings.Row(i)).cache_hit ? 1 : 0;
   }
 
-  ConcurrentProximityCache cache(embedder.dim(), CacheOpts(50, 2.0f));
-  const auto result = RunStreamConcurrent(
+  ProximityCache cache(embedder.dim(), CacheOpts(50, 2.0f));
+  const auto result = RunStreamBatched(
       workload, index, cache, AnswerModel(MmluAnswerParams()), 2, stream,
       embeddings, /*threads=*/1);
   EXPECT_EQ(result.cache_stats.hits, ref_hits);
@@ -315,19 +237,17 @@ TEST(ConcurrentDriverTest, ValidatesArguments) {
   }());
   HashEmbedder embedder;
   FlatIndex index(embedder.dim());
-  ConcurrentProximityCache cache(embedder.dim(), CacheOpts(10, 1.0f));
+  ProximityCache cache(embedder.dim(), CacheOpts(10, 1.0f));
   const std::vector<StreamEntry> stream(3);
   const Matrix wrong(2, embedder.dim());
   EXPECT_THROW(
-      RunStreamConcurrent(workload, index, cache,
-                          AnswerModel(MmluAnswerParams()), 1, stream, wrong,
-                          1),
+      RunStreamBatched(workload, index, cache,
+                       AnswerModel(MmluAnswerParams()), 1, stream, wrong, 1),
       std::invalid_argument);
   const Matrix right(3, embedder.dim());
   EXPECT_THROW(
-      RunStreamConcurrent(workload, index, cache,
-                          AnswerModel(MmluAnswerParams()), 1, stream, right,
-                          0),
+      RunStreamBatched(workload, index, cache,
+                       AnswerModel(MmluAnswerParams()), 1, stream, right, 0),
       std::invalid_argument);
 }
 

@@ -15,10 +15,8 @@
 #include <string>
 #include <vector>
 
-#include "cache/answer_cache.h"
-#include "cache/proximity_cache.h"
+#include "cache/approx_cache.h"
 #include "cache/reuse_router.h"
-#include "cache/tiered_cache.h"
 #include "cluster/router.h"
 #include "common/rng.h"
 #include "embed/hash_embedder.h"
@@ -31,7 +29,6 @@
 #include "obs/run_report.h"
 #include "obs/trace.h"
 #include "rag/batching_driver.h"
-#include "rag/concurrent_driver.h"
 #include "rag/pipeline.h"
 #include "rag/retriever.h"
 #include "tenant/tenant_registry.h"
@@ -104,10 +101,6 @@ void InstantiateTheStack() {
   (void)mutable_index.Delete(mid);
   (void)mutable_index.Consolidate();
 
-  // tcache.*
-  TieredCache tiered(kDim, {});
-  (void)tiered.Lookup(vec);
-
   // acache.* — the answer tier (DESIGN.md §15): a miss, an insert, a
   // fresh hit, and a stale hit after a generation stamp.
   AnswerCache acache(kDim, {});
@@ -115,7 +108,7 @@ void InstantiateTheStack() {
   CachedAnswer cached_answer;
   cached_answer.source_docs = {1};
   cached_answer.source_distances = {0.0f};
-  acache.Insert(vec, cached_answer);
+  acache.Upsert(vec, cached_answer);
   (void)acache.Lookup(vec);
   acache.set_generation(1);
   (void)acache.Lookup(vec);
@@ -129,23 +122,15 @@ void InstantiateTheStack() {
   (void)reuse_router.Route(true, evidence, evidence_dists, evidence,
                            evidence_dists);
 
-  // overlap.* — the pipeline TU's draft-accounting handles (odr-used
-  // via the member pointer, same idiom as RunStreamConcurrent below).
+  // overlap.* — the pipeline TU's draft-accounting handles (odr-used,
+  // not run — the volatile store keeps the discarded address from being
+  // elided, which would drop the relocation and skip the archive member).
   volatile auto overlap_touch = &RagPipeline::RunStream;
   (void)overlap_touch;
 
   // retriever.* / retrieve.*
   Retriever retriever(&index, &cache, nullptr, {});
   (void)retriever.Retrieve(vec);
-
-  // driver.* (RunStreamConcurrent's TU; odr-used, not run — the
-  // volatile store keeps the discarded address from being elided,
-  // which would drop the relocation and skip the archive member).
-  volatile auto drive = static_cast<ConcurrentRunResult (*)(
-      const Workload&, const VectorIndex&, ConcurrentProximityCache&,
-      const AnswerModel&, std::uint64_t, const std::vector<StreamEntry>&,
-      const Matrix&, std::size_t, std::size_t)>(&RunStreamConcurrent);
-  (void)drive;
 
   // shard.*
   std::vector<std::unique_ptr<VectorIndex>> shards;
@@ -156,8 +141,7 @@ void InstantiateTheStack() {
   (void)sharded.Search(vec, 1);
 
   // tenant.* — enough tenants to cross the cardinality cap, so the
-  // shared `tenant.other.*` family registers too; ccache.* rides along
-  // (every tenant cache is a ConcurrentProximityCache).
+  // shared `tenant.other.*` family registers too.
   TenantRegistryOptions topts;
   topts.max_obs_tenants = 2;
   TenantRegistry registry(kDim, topts);

@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "cache/filtered_router.h"
-#include "cache/tiered_cache.h"
 #include "common/log.h"
 #include "embed/hash_embedder.h"
 #include "index/index_factory.h"
@@ -91,34 +90,6 @@ TEST(E2eTest, RetrievalForAQuestionFindsItsGoldPassages) {
   }
 }
 
-TEST(E2eTest, TieredCacheServesVariantTrafficThroughBothLevels) {
-  E2eFixture fx;
-  TieredCacheOptions topts;
-  topts.l1_capacity = 64;
-  topts.l2.capacity = 64;
-  topts.l2.tolerance = 2.0f;
-  TieredCache cache(fx.embedder.dim(), topts);
-
-  auto retrieve = [&](std::span<const float> q) {
-    std::vector<VectorId> ids;
-    for (const auto& n : fx.index->Search(q, 10)) ids.push_back(n.id);
-    return ids;
-  };
-
-  // First pass: all misses fill both levels; second pass over identical
-  // text: all L1; a variant-perturbed pass: L2.
-  for (const auto& e : fx.stream) {
-    cache.FetchOrRetrieve(fx.embedder.Embed(e.text), retrieve);
-  }
-  const auto after_fill = cache.stats();
-  for (const auto& e : fx.stream) {
-    TieredCache::Source source;
-    cache.FetchOrRetrieve(fx.embedder.Embed(e.text), retrieve, &source);
-    EXPECT_EQ(source, TieredCache::Source::kL1);
-  }
-  EXPECT_EQ(cache.stats().l1_hits - after_fill.l1_hits, fx.stream.size());
-}
-
 TEST(E2eTest, TraceRoundTripReproducesPipelineMetricsExactly) {
   E2eFixture fx;
   std::stringstream trace;
@@ -126,7 +97,7 @@ TEST(E2eTest, TraceRoundTripReproducesPipelineMetricsExactly) {
   const auto replayed = ReadTrace(trace, fx.workload.questions.size());
 
   auto run = [&](const std::vector<StreamEntry>& entries) {
-    ProximityCacheOptions copts;
+    ApproxCacheOptions copts;
     copts.capacity = 32;
     copts.tolerance = 2.0f;
     ProximityCache cache(fx.embedder.dim(), copts);
@@ -147,7 +118,7 @@ TEST(E2eTest, TraceRoundTripReproducesPipelineMetricsExactly) {
 
 TEST(E2eTest, MidSessionSnapshotRestoresServingState) {
   E2eFixture fx;
-  ProximityCacheOptions copts;
+  ApproxCacheOptions copts;
   copts.capacity = 48;
   copts.tolerance = 2.0f;
   ProximityCache cache(fx.embedder.dim(), copts);
@@ -182,7 +153,7 @@ TEST(E2eTest, FilteredPipelineNeverLeaksAcrossCollections) {
   E2eFixture fx;
   // Two collections split by passage id parity; queries alternate
   // between them with a shared router.
-  ProximityCacheOptions copts;
+  ApproxCacheOptions copts;
   copts.capacity = 32;
   copts.tolerance = 5.0f;  // loose: would leak without per-tag isolation
   FilteredCacheRouter router(fx.embedder.dim(), copts);
@@ -193,9 +164,9 @@ TEST(E2eTest, FilteredPipelineNeverLeaksAcrossCollections) {
     const auto embedding = fx.embedder.Embed(fx.stream[i].text);
 
     std::vector<VectorId> documents;
-    const auto cached = router.Lookup(tag, embedding);
+    auto cached = router.Lookup(tag, embedding);
     if (cached.hit) {
-      documents.assign(cached.documents.begin(), cached.documents.end());
+      documents = std::move(cached.value);
     } else {
       const auto results = fx.index->SearchFiltered(
           embedding, 5, [want_even](VectorId id) {

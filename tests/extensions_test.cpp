@@ -1,10 +1,9 @@
-// Tests for the extension surface: tiered (L1 exact / L2 approximate)
-// cache, history-based cache warm-up, and the ASCII plot renderer.
+// Tests for the extension surface: history-based cache warm-up and the
+// ASCII plot renderer.
 #include <gtest/gtest.h>
 
 #include <atomic>
 
-#include "cache/tiered_cache.h"
 #include "common/ascii_plot.h"
 #include "common/rng.h"
 #include "index/flat_index.h"
@@ -12,90 +11,6 @@
 
 namespace proximity {
 namespace {
-
-std::vector<float> Vec2(float x, float y) { return {x, y}; }
-
-TieredCacheOptions TieredOpts(std::size_t l1, std::size_t l2_capacity,
-                              float tolerance) {
-  TieredCacheOptions opts;
-  opts.l1_capacity = l1;
-  opts.l2.capacity = l2_capacity;
-  opts.l2.tolerance = tolerance;
-  return opts;
-}
-
-// ---------------------------------------------------------- TieredCache --
-
-TEST(TieredCacheTest, ExactRepeatHitsL1) {
-  TieredCache cache(2, TieredOpts(4, 8, 1.0f));
-  cache.Insert(Vec2(1, 1), {7});
-  const auto result = cache.Lookup(Vec2(1, 1));
-  EXPECT_EQ(result.source, TieredCache::Source::kL1);
-  ASSERT_EQ(result.documents.size(), 1u);
-  EXPECT_EQ(result.documents[0], 7);
-}
-
-TEST(TieredCacheTest, SimilarQueryHitsL2) {
-  TieredCache cache(2, TieredOpts(4, 8, 1.0f));
-  cache.Insert(Vec2(1, 1), {7});
-  const auto result = cache.Lookup(Vec2(1.5f, 1));  // distance 0.25
-  EXPECT_EQ(result.source, TieredCache::Source::kL2);
-  EXPECT_EQ(result.documents[0], 7);
-}
-
-TEST(TieredCacheTest, L2HitIsPromotedToL1) {
-  TieredCache cache(2, TieredOpts(4, 8, 1.0f));
-  cache.Insert(Vec2(1, 1), {7});
-  EXPECT_EQ(cache.Lookup(Vec2(1.5f, 1)).source, TieredCache::Source::kL2);
-  // Identical repeat of the *similar* query: now L1.
-  EXPECT_EQ(cache.Lookup(Vec2(1.5f, 1)).source, TieredCache::Source::kL1);
-  EXPECT_EQ(cache.stats().l1_hits, 1u);
-  EXPECT_EQ(cache.stats().l2_hits, 1u);
-}
-
-TEST(TieredCacheTest, MissFallsThroughBothLevels) {
-  TieredCache cache(2, TieredOpts(4, 8, 1.0f));
-  cache.Insert(Vec2(0, 0), {1});
-  const auto result = cache.Lookup(Vec2(50, 50));
-  EXPECT_EQ(result.source, TieredCache::Source::kMiss);
-  EXPECT_TRUE(result.documents.empty());
-  EXPECT_EQ(cache.stats().misses, 1u);
-}
-
-TEST(TieredCacheTest, FetchOrRetrieveOnlyQueriesDatabaseOnMiss) {
-  TieredCache cache(2, TieredOpts(4, 8, 1.0f));
-  std::atomic<int> calls{0};
-  auto retrieve = [&](std::span<const float>) {
-    ++calls;
-    return std::vector<VectorId>{3};
-  };
-  TieredCache::Source source;
-  cache.FetchOrRetrieve(Vec2(2, 2), retrieve, &source);
-  EXPECT_EQ(source, TieredCache::Source::kMiss);
-  cache.FetchOrRetrieve(Vec2(2, 2), retrieve, &source);
-  EXPECT_EQ(source, TieredCache::Source::kL1);
-  cache.FetchOrRetrieve(Vec2(2.5f, 2), retrieve, &source);
-  EXPECT_EQ(source, TieredCache::Source::kL2);
-  EXPECT_EQ(calls.load(), 1);
-}
-
-TEST(TieredCacheTest, HitRateCombinesLevels) {
-  TieredCache cache(2, TieredOpts(4, 8, 1.0f));
-  cache.Insert(Vec2(0, 0), {1});
-  cache.Lookup(Vec2(0, 0));      // L1
-  cache.Lookup(Vec2(0.5f, 0));   // L2
-  cache.Lookup(Vec2(40, 40));    // miss
-  EXPECT_DOUBLE_EQ(cache.stats().HitRate(), 2.0 / 3.0);
-}
-
-TEST(TieredCacheTest, ClearResetsBothLevels) {
-  TieredCache cache(2, TieredOpts(4, 8, 1.0f));
-  cache.Insert(Vec2(0, 0), {1});
-  cache.Clear();
-  EXPECT_EQ(cache.Lookup(Vec2(0, 0)).source, TieredCache::Source::kMiss);
-}
-
-// --------------------------------------------------------------- Warmup --
 
 TEST(WarmupTest, SeedsCacheAndCoversHistory) {
   // Historical queries in three tight clusters.
@@ -111,7 +26,7 @@ TEST(WarmupTest, SeedsCacheAndCoversHistory) {
     history.AppendRow(q);
   }
 
-  ProximityCacheOptions copts;
+  ApproxCacheOptions copts;
   copts.capacity = 16;
   copts.tolerance = 1.0f;
   ProximityCache cache(4, copts);
@@ -146,7 +61,7 @@ TEST(WarmupTest, BudgetClampedToCapacity) {
         static_cast<float>(rng.Gaussian(0, 5)),
         static_cast<float>(rng.Gaussian(0, 5))});
   }
-  ProximityCacheOptions copts;
+  ApproxCacheOptions copts;
   copts.capacity = 4;
   ProximityCache cache(2, copts);
   WarmupOptions wopts;

@@ -5,7 +5,7 @@
 
 #include <memory>
 
-#include "cache/proximity_cache.h"
+#include "cache/approx_cache.h"
 #include "common/rng.h"
 #include "embed/hash_embedder.h"
 #include "index/flat_index.h"
@@ -72,18 +72,14 @@ TEST(FaultTest, RetrieverPropagatesDatabaseFailure) {
 }
 
 TEST(FaultTest, FailedRetrievalDoesNotPolluteCache) {
-  ProximityCacheOptions opts;
+  auto flaky = MakeFlaky(/*fail_every=*/1);  // always fails
+  ApproxCacheOptions opts;
   opts.capacity = 4;
   opts.tolerance = 100.0f;
   ProximityCache cache(4, opts);
+  Retriever retriever(flaky.get(), &cache, nullptr, {.top_k = 5});
   const std::vector<float> q = {1, 1, 1, 1};
-  EXPECT_THROW(
-      cache.FetchOrRetrieve(
-          q,
-          [](std::span<const float>) -> std::vector<VectorId> {
-            throw std::runtime_error("db down");
-          }),
-      std::runtime_error);
+  EXPECT_THROW(retriever.Retrieve(q), std::runtime_error);
   EXPECT_EQ(cache.size(), 0u);  // nothing half-inserted
   EXPECT_EQ(cache.stats().insertions, 0u);
 }
@@ -92,7 +88,7 @@ TEST(FaultTest, CacheAbsorbsIntermittentFailures) {
   // With a warm cache, hits keep flowing even while the database is down:
   // the availability benefit of caching layers.
   auto flaky = MakeFlaky(/*fail_every=*/0);  // healthy for warm-up
-  ProximityCacheOptions opts;
+  ApproxCacheOptions opts;
   opts.capacity = 16;
   opts.tolerance = 0.5f;
   ProximityCache cache(4, opts);
@@ -130,7 +126,7 @@ TEST(FaultTest, SlowStorageOverFlakyIndexStillCharges) {
 TEST(EdgeCaseTest, IndexReturningFewerThanTopK) {
   FlatIndex tiny(4);
   tiny.Add(std::vector<float>{1, 2, 3, 4});
-  ProximityCacheOptions opts;
+  ApproxCacheOptions opts;
   opts.capacity = 4;
   opts.tolerance = 0.1f;
   ProximityCache cache(4, opts);
@@ -145,7 +141,7 @@ TEST(EdgeCaseTest, IndexReturningFewerThanTopK) {
 
 TEST(EdgeCaseTest, EmptyIndexCachesEmptyResult) {
   FlatIndex empty(4);
-  ProximityCacheOptions opts;
+  ApproxCacheOptions opts;
   opts.capacity = 4;
   opts.tolerance = 0.1f;
   ProximityCache cache(4, opts);
@@ -178,7 +174,7 @@ TEST(EdgeCaseTest, EmbedderHandlesBatchEdges) {
 }
 
 TEST(EdgeCaseTest, CacheWithCapacityOne) {
-  ProximityCacheOptions opts;
+  ApproxCacheOptions opts;
   opts.capacity = 1;
   opts.tolerance = 0.1f;
   ProximityCache cache(2, opts);

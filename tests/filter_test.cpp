@@ -1,12 +1,11 @@
 // Tests for filtered search (predicate NNS + the filter-aware cache
-// router) and the SQ8 scalar-quantized index.
+// router).
 #include <gtest/gtest.h>
 
 #include "cache/filtered_router.h"
 #include "common/rng.h"
 #include "index/flat_index.h"
 #include "index/hnsw_index.h"
-#include "index/sq8_index.h"
 #include "index/recall.h"
 #include "vecmath/kernels.h"
 #include "vecmath/topk.h"
@@ -103,8 +102,8 @@ TEST(FilteredSearchTest, HnswOverFetchRecallIsHigh) {
 
 // --------------------------------------------------------- FilterRouter --
 
-ProximityCacheOptions RouterOpts() {
-  ProximityCacheOptions opts;
+ApproxCacheOptions RouterOpts() {
+  ApproxCacheOptions opts;
   opts.capacity = 4;
   opts.tolerance = 1.0f;
   return opts;
@@ -120,7 +119,7 @@ TEST(FilteredRouterTest, TagsAreIsolated) {
   // Same tag: hit with the right documents.
   const auto hit = router.Lookup(7, q);
   ASSERT_TRUE(hit.hit);
-  EXPECT_EQ(hit.documents[0], 100);
+  EXPECT_EQ(hit.value[0], 100);
   EXPECT_EQ(router.tag_count(), 3u);  // 7, 8, and kNoFilter were touched
 }
 
@@ -156,117 +155,6 @@ TEST(FilteredRouterTest, TotalStatsAggregates) {
   EXPECT_EQ(total.insertions, 1u);
   EXPECT_EQ(total.hits, 1u);
   EXPECT_EQ(total.misses, 1u);
-}
-
-// ------------------------------------------------------------------ SQ8 --
-
-TEST(Sq8Test, EncodeDecodeWithinQuantizationStep) {
-  const Matrix sample = RandomMatrix(500, 16, 6);
-  Sq8Index index(16);
-  index.Train(sample);
-  // In-range vectors (training rows) reconstruct to within half a
-  // quantization step; out-of-range values clamp (tested separately).
-  std::vector<std::uint8_t> code(16);
-  std::vector<float> decoded(16);
-  for (std::size_t r = 0; r < 10; ++r) {
-    const auto v = sample.Row(r);
-    index.Encode(v, code.data());
-    index.Decode(code.data(), decoded);
-    // Gaussian data: each dim's range is ~7 sigma over 500 samples, so
-    // the step is about 7/255; allow one full step of slack.
-    for (std::size_t j = 0; j < 16; ++j) {
-      EXPECT_NEAR(decoded[j], v[j], 8.0 / 255.0);
-    }
-  }
-}
-
-TEST(Sq8Test, OutOfRangeValuesClampToTrainedRange) {
-  const Matrix sample = RandomMatrix(500, 4, 6);
-  Sq8Index index(4);
-  index.Train(sample);
-  const std::vector<float> huge = {100.f, -100.f, 0.f, 0.f};
-  std::vector<std::uint8_t> code(4);
-  std::vector<float> decoded(4);
-  index.Encode(huge, code.data());
-  index.Decode(code.data(), decoded);
-  EXPECT_EQ(code[0], 255);  // clamped high
-  EXPECT_EQ(code[1], 0);    // clamped low
-  EXPECT_LT(decoded[0], 10.f);
-  EXPECT_GT(decoded[1], -10.f);
-}
-
-TEST(Sq8Test, SearchApproximatesExact) {
-  const Matrix corpus = RandomMatrix(2000, 16, 7);
-  Sq8Index index(16);
-  index.Train(corpus);
-  index.AddBatch(corpus);
-  FlatIndex exact(16);
-  exact.AddBatch(corpus);
-  double recall = 0;
-  for (std::uint64_t s = 0; s < 20; ++s) {
-    const auto q = RandomVec(16, 400 + s);
-    recall += RecallAtK(index.Search(q, 10), exact.Search(q, 10));
-  }
-  EXPECT_GT(recall / 20, 0.9);  // SQ8 error is tiny relative to distances
-}
-
-TEST(Sq8Test, RefinementGivesExactRanking) {
-  const Matrix corpus = RandomMatrix(1000, 16, 8);
-  Sq8Index index(16, {.refine_factor = 4});
-  index.Train(corpus);
-  index.AddBatch(corpus);
-  FlatIndex exact(16);
-  exact.AddBatch(corpus);
-  const auto q = RandomVec(16, 500);
-  const auto refined = index.Search(q, 5);
-  const auto truth = exact.Search(q, 5);
-  // Distances must be the exact ones (re-ranked against raw vectors).
-  for (std::size_t i = 0; i < refined.size(); ++i) {
-    const float d = L2SquaredDistance(
-        q, corpus.Row(static_cast<std::size_t>(refined[i].id)));
-    EXPECT_FLOAT_EQ(refined[i].distance, d);
-  }
-  EXPECT_GT(RecallAtK(refined, truth), 0.79);
-}
-
-TEST(Sq8Test, TrimmedTrainingIgnoresOutliers) {
-  Matrix sample = RandomMatrix(1000, 4, 9);
-  // Inject absurd outliers into dim 0.
-  sample.MutableRow(0)[0] = 1e6f;
-  sample.MutableRow(1)[0] = -1e6f;
-  Sq8Index trimmed(4, {.trim = 0.01});
-  trimmed.Train(sample);
-  Sq8Index untrimmed(4);
-  untrimmed.Train(sample);
-  // The trimmed quantizer keeps resolution for normal values.
-  const std::vector<float> v = {0.5f, 0.5f, 0.5f, 0.5f};
-  std::vector<std::uint8_t> code(4);
-  std::vector<float> out(4);
-  trimmed.Encode(v, code.data());
-  trimmed.Decode(code.data(), out);
-  const float err_trimmed = std::abs(out[0] - 0.5f);
-  untrimmed.Encode(v, code.data());
-  untrimmed.Decode(code.data(), out);
-  const float err_untrimmed = std::abs(out[0] - 0.5f);
-  EXPECT_LT(err_trimmed, err_untrimmed / 100);
-}
-
-TEST(Sq8Test, LifecycleErrors) {
-  Sq8Index index(8);
-  const std::vector<float> v(8, 0.f);
-  EXPECT_THROW(index.Add(v), std::logic_error);
-  EXPECT_THROW(index.Search(v, 1), std::logic_error);
-  index.Train(RandomMatrix(50, 8, 10));
-  EXPECT_THROW(index.Train(RandomMatrix(50, 8, 11)), std::logic_error);
-  EXPECT_THROW(Sq8Index(8, {.trim = 0.6}), std::invalid_argument);
-  EXPECT_THROW(Sq8Index(0), std::invalid_argument);
-}
-
-TEST(Sq8Test, MemoryFootprint) {
-  Sq8Index plain(768);
-  EXPECT_EQ(plain.BytesPerVector(), 768u);  // 4x smaller than float32
-  Sq8Index refined(768, {.refine_factor = 2});
-  EXPECT_EQ(refined.BytesPerVector(), 768u + 768u * 4);
 }
 
 }  // namespace

@@ -13,7 +13,7 @@
 #include <thread>
 #include <vector>
 
-#include "cache/proximity_cache.h"
+#include "cache/approx_cache.h"
 #include "embed/hash_embedder.h"
 #include "index/index_factory.h"
 #include "index/index_io.h"
@@ -313,7 +313,7 @@ TEST(ShardedMutation, RoutesByGlobalIdAndKeepsGenerationsMonotone) {
 // The three staleness policies, observed purely through the public
 // cache API: fill at generation 0, bump, and watch what a hit does.
 TEST(StalenessPolicy, ServeStaleServesAndCounts) {
-  ProximityCacheOptions opts;
+  ApproxCacheOptions opts;
   opts.capacity = 8;
   opts.tolerance = 0.5f;
   opts.staleness = StalenessPolicy::kServeStale;
@@ -329,7 +329,7 @@ TEST(StalenessPolicy, ServeStaleServesAndCounts) {
 }
 
 TEST(StalenessPolicy, RevalidateMissesAndEvictsTheEntry) {
-  ProximityCacheOptions opts;
+  ApproxCacheOptions opts;
   opts.capacity = 8;
   opts.tolerance = 0.5f;
   opts.staleness = StalenessPolicy::kRevalidate;
@@ -345,12 +345,12 @@ TEST(StalenessPolicy, RevalidateMissesAndEvictsTheEntry) {
   cache.Insert(q, {4, 5, 6});
   const auto hit = cache.Lookup(q);
   ASSERT_TRUE(hit.hit);
-  EXPECT_EQ(hit.documents[0], 4);
+  EXPECT_EQ(hit.value[0], 4);
   EXPECT_EQ(cache.stats().stale_hits, 1u);
 }
 
 TEST(StalenessPolicy, InvalidateRegionEvictsTheWholeNeighborhood) {
-  ProximityCacheOptions opts;
+  ApproxCacheOptions opts;
   opts.capacity = 8;
   opts.tolerance = 1.0f;
   opts.staleness = StalenessPolicy::kInvalidateRegion;
@@ -381,7 +381,7 @@ TEST(StalenessPolicy, InvalidateRegionEvictsTheWholeNeighborhood) {
 }
 
 TEST(StalenessPolicy, CacheSerdeCarriesPolicyGenerationAndStamps) {
-  ProximityCacheOptions opts;
+  ApproxCacheOptions opts;
   opts.capacity = 8;
   opts.tolerance = 0.5f;
   opts.staleness = StalenessPolicy::kRevalidate;
@@ -417,11 +417,11 @@ TEST(DriverMutation, InsertDeleteRoundTripAndConservation) {
   spec.kind = "mutable";
   const auto index = BuildIndex(spec, embedder.EmbedBatch(corpus));
 
-  ProximityCacheOptions copts;
+  ApproxCacheOptions copts;
   copts.capacity = 32;
   copts.tolerance = 0.05f;
   copts.staleness = StalenessPolicy::kRevalidate;
-  ConcurrentProximityCache cache(dim, copts);
+  ProximityCache cache(dim, copts);
   BatchingDriverOptions dopts;
   dopts.max_batch = 8;
   BatchingDriver driver(*index, cache, &embedder, dopts);
@@ -447,7 +447,7 @@ TEST(DriverMutation, InsertDeleteRoundTripAndConservation) {
   (void)driver.SubmitText("what is document forty two").get();
   driver.Flush();
   EXPECT_EQ(cache.generation(), index->generation());
-  EXPECT_GE(cache.inner_stats().stale_hits, 1u);
+  EXPECT_GE(cache.stats().stale_hits, 1u);
 
   std::promise<BatchResult> deleted;
   driver.SubmitMutationAsync(
@@ -490,9 +490,9 @@ TEST(DriverMutation, EnableMutationRejectsForeignAndBuildOnceIndexes) {
   mut.kind = "mutable";
   const auto other = BuildIndex(mut, rows);
 
-  ProximityCacheOptions copts;
+  ApproxCacheOptions copts;
   copts.capacity = 8;
-  ConcurrentProximityCache cache(dim, copts);
+  ProximityCache cache(dim, copts);
   BatchingDriver driver(*frozen, cache, nullptr, {});
   EXPECT_THROW(driver.EnableMutation(*frozen), std::invalid_argument);
   EXPECT_THROW(driver.EnableMutation(*other), std::invalid_argument);

@@ -22,7 +22,7 @@
 #include <thread>
 #include <vector>
 
-#include "cache/concurrent_cache.h"
+#include "cache/approx_cache.h"
 #include "embed/hash_embedder.h"
 #include "index/flat_index.h"
 #include "net/client.h"
@@ -154,7 +154,7 @@ TEST(NetProtocolTest, MalformedFramesAreErrors) {
 struct TestStack {
   HashEmbedder embedder;
   FlatIndex index;
-  std::unique_ptr<ConcurrentProximityCache> cache;
+  std::unique_ptr<ProximityCache> cache;
   std::unique_ptr<BatchingDriver> driver;
   std::unique_ptr<net::Server> server;
 
@@ -173,11 +173,10 @@ struct TestStack {
     for (std::size_t r = 0; r < corpus.rows(); ++r) {
       index.Add(corpus.Row(r));
     }
-    ProximityCacheOptions copts;
+    ApproxCacheOptions copts;
     copts.capacity = 16;
     copts.tolerance = 1.0f;
-    cache = std::make_unique<ConcurrentProximityCache>(embedder.dim(),
-                                                       copts);
+    cache = std::make_unique<ProximityCache>(embedder.dim(), copts);
     dopts.top_k = 3;
     driver = std::make_unique<BatchingDriver>(index, *cache, &embedder,
                                               dopts);

@@ -253,38 +253,6 @@ TEST(RunReportTest, EmptySnapshotRendersNothing) {
 
 #if PROXIMITY_OBS_ENABLED
 
-TEST(SpanTest, NestedSpansRecordInnerFirstWithDepth) {
-  ClearThreadSpans();
-  {
-    const Span outer(Stage::kCacheLookup);
-    {
-      const Span inner(Stage::kCacheScan);
-      (void)inner;
-    }
-    (void)outer;
-  }
-  const std::vector<SpanEvent> events = ThreadRecentSpans();
-  ASSERT_EQ(events.size(), 2u);
-  // Spans close inner-first.
-  EXPECT_EQ(events[0].stage, Stage::kCacheScan);
-  EXPECT_EQ(events[0].depth, 1);
-  EXPECT_EQ(events[1].stage, Stage::kCacheLookup);
-  EXPECT_EQ(events[1].depth, 0);
-  EXPECT_LE(events[1].start_ns, events[0].start_ns);
-  EXPECT_GE(events[1].duration_ns, events[0].duration_ns);
-}
-
-TEST(SpanTest, RingIsBoundedAndKeepsNewest) {
-  ClearThreadSpans();
-  for (std::size_t i = 0; i < kSpanRingCapacity + 10; ++i) {
-    const Span s(Stage::kEmbed);
-    (void)s;
-  }
-  EXPECT_EQ(ThreadRecentSpans().size(), kSpanRingCapacity);
-  ClearThreadSpans();
-  EXPECT_TRUE(ThreadRecentSpans().empty());
-}
-
 TEST(SpanTest, SpanFeedsDefaultRegistryStageHistogram) {
   MetricsRegistry& reg = MetricsRegistry::Default();
   const std::uint64_t before =
@@ -323,7 +291,6 @@ TEST(ObsOffTest, SpansAndHandlesAreNoops) {
   const HistogramHandle hist("off.hist");
   counter.Inc();
   hist.Record(1000);
-  EXPECT_TRUE(ThreadRecentSpans().empty());
   // Handles never registered anything: the default registry still carries
   // only the pre-registered (all-empty) stage histograms.
   EXPECT_TRUE(MetricsRegistry::Default().Snapshot().Empty());

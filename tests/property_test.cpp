@@ -11,7 +11,7 @@
 #include <optional>
 
 #include "cache/exact_cache.h"
-#include "cache/proximity_cache.h"
+#include "cache/approx_cache.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "embed/hash_embedder.h"
@@ -91,7 +91,7 @@ class ShadowCache {
 TEST_P(CacheShadowModelTest, MatchesBruteForceSemantics) {
   const auto params = GetParam();
   constexpr std::size_t kDim = 8;
-  ProximityCacheOptions opts;
+  ApproxCacheOptions opts;
   opts.capacity = params.capacity;
   opts.tolerance = params.tolerance;
   opts.eviction = params.eviction;
@@ -109,7 +109,7 @@ TEST_P(CacheShadowModelTest, MatchesBruteForceSemantics) {
     const auto expected = shadow.Lookup(q);
     ASSERT_EQ(got.hit, expected.has_value()) << "step " << step;
     if (got.hit) {
-      EXPECT_TRUE(std::equal(got.documents.begin(), got.documents.end(),
+      EXPECT_TRUE(std::equal(got.value.begin(), got.value.end(),
                              expected->begin(), expected->end()))
           << "step " << step;
     } else {
@@ -139,7 +139,7 @@ TEST_P(CacheHitInvariantTest, HitsAreWithinToleranceAndSizeBounded) {
   constexpr std::size_t kDim = 6;
   constexpr std::size_t kCapacity = 10;
   constexpr float kTau = 3.0f;
-  ProximityCacheOptions opts;
+  ApproxCacheOptions opts;
   opts.capacity = kCapacity;
   opts.tolerance = kTau;
   opts.eviction = GetParam();
@@ -189,7 +189,7 @@ TEST(CacheEquivalenceTest, ZeroToleranceMatchesExactCacheOnHits) {
   // FIFO with the same capacity, so their contents stay identical.
   constexpr std::size_t kDim = 4;
   constexpr std::size_t kCapacity = 8;
-  ProximityCacheOptions opts;
+  ApproxCacheOptions opts;
   opts.capacity = kCapacity;
   opts.tolerance = 0.0f;
   ProximityCache approx(kDim, opts);
@@ -209,8 +209,8 @@ TEST(CacheEquivalenceTest, ZeroToleranceMatchesExactCacheOnHits) {
     const auto* e = exact.Lookup(q);
     ASSERT_EQ(a.hit, e != nullptr) << "step " << step;
     if (a.hit) {
-      EXPECT_TRUE(std::equal(a.documents.begin(), a.documents.end(),
-                             e->begin(), e->end()));
+      EXPECT_TRUE(std::equal(a.value.begin(), a.value.end(), e->begin(),
+                             e->end()));
     } else {
       const std::vector<VectorId> docs = {step};
       approx.Insert(q, docs);
@@ -307,6 +307,11 @@ struct GeometryCase {
   const char* name;
   bool medrag;
 };
+
+// Names each case by its workload. Without it gtest prints the struct's
+// raw bytes (a string-literal address and padding), so the case names
+// ctest discovers would change with every relink.
+void PrintTo(const GeometryCase& c, std::ostream* os) { *os << c.name; }
 
 class WorkloadGeometryTest : public ::testing::TestWithParam<GeometryCase> {};
 

@@ -55,7 +55,7 @@ TEST(RetrieverTest, WithoutCacheAlwaysQueriesIndex) {
 TEST(RetrieverTest, CacheHitBypassesIndexAndIsFaster) {
   FlatIndex index(4);
   index.AddBatch(RandomMatrix(20000, 4, 2));
-  ProximityCacheOptions copts;
+  ApproxCacheOptions copts;
   copts.capacity = 10;
   copts.tolerance = 0.01f;
   ProximityCache cache(4, copts);
@@ -71,7 +71,7 @@ TEST(RetrieverTest, CacheHitBypassesIndexAndIsFaster) {
 
 TEST(RetrieverTest, RejectsMetricMismatch) {
   FlatIndex index(4, {.metric = Metric::kCosine});
-  ProximityCacheOptions copts;
+  ApproxCacheOptions copts;
   copts.metric = Metric::kL2;
   ProximityCache cache(4, copts);
   EXPECT_THROW(Retriever(&index, &cache, nullptr, {}),
@@ -147,7 +147,7 @@ TEST(RagPipelineTest, ExactRetrievalIsFullyRelevant) {
 
 TEST(RagPipelineTest, LooseCacheProducesHitsAndFasterRetrieval) {
   PipelineFixture fx;
-  ProximityCacheOptions copts;
+  ApproxCacheOptions copts;
   copts.capacity = 100;
   copts.tolerance = 2.0f;
   ProximityCache cache(fx.embedder.dim(), copts);
@@ -162,7 +162,7 @@ TEST(RagPipelineTest, LooseCacheProducesHitsAndFasterRetrieval) {
 TEST(RagPipelineTest, DeterministicAcrossRuns) {
   PipelineFixture fx;
   auto run = [&] {
-    ProximityCacheOptions copts;
+    ApproxCacheOptions copts;
     copts.capacity = 50;
     copts.tolerance = 2.0f;
     ProximityCache cache(fx.embedder.dim(), copts);

@@ -2,9 +2,10 @@
 // and cache snapshots, and corruption detection.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 
-#include "cache/proximity_cache.h"
+#include "cache/approx_cache.h"
 #include "common/rng.h"
 #include "common/serde.h"
 #include "index/flat_index.h"
@@ -26,6 +27,22 @@ Matrix RandomMatrix(std::size_t rows, std::size_t dim, std::uint64_t seed) {
     }
   }
   return m;
+}
+
+// Overwrites the u32 at byte `offset` of a snapshot and re-seals its
+// FNV-1a trailer (serde.h), so the loader sees intact bytes that carry a
+// value this build may not know.
+std::string PatchU32(std::string snapshot, std::size_t offset,
+                     std::uint32_t value) {
+  std::memcpy(snapshot.data() + offset, &value, sizeof(value));
+  const std::size_t payload = snapshot.size() - sizeof(std::uint64_t);
+  std::uint64_t h = 1469598103934665603ULL;
+  for (std::size_t i = 0; i < payload; ++i) {
+    h ^= static_cast<unsigned char>(snapshot[i]);
+    h *= 1099511628211ULL;
+  }
+  std::memcpy(snapshot.data() + payload, &h, sizeof(h));
+  return snapshot;
 }
 
 std::vector<float> RandomVec(std::size_t dim, std::uint64_t seed) {
@@ -149,6 +166,19 @@ TEST(IndexIoTest, FlatRoundTripPreservesSearch) {
   EXPECT_EQ(back.metric(), Metric::kCosine);
   const auto q = RandomVec(16, 100);
   EXPECT_EQ(back.Search(q, 10), index.Search(q, 10));
+}
+
+TEST(IndexIoTest, FlatUnknownMetricRejected) {
+  FlatIndex index(4);
+  index.Add(RandomVec(4, 1));
+  std::stringstream ss;
+  index.SaveTo(ss);
+  const std::string snapshot = ss.str();
+  // [magic u32][version u32][metric u32]...
+  constexpr std::size_t kMetricOffset = 8;
+  ASSERT_EQ(PatchU32(snapshot, kMetricOffset, 0), snapshot);  // L2 is 0
+  std::stringstream unknown(PatchU32(snapshot, kMetricOffset, 7));
+  EXPECT_THROW(FlatIndex::LoadFrom(unknown), std::runtime_error);
 }
 
 TEST(IndexIoTest, HnswRoundTripPreservesGraphAndSearch) {
@@ -284,7 +314,7 @@ TEST(IndexIoTest, UntrainedIndexRefusesToSave) {
 // ---------------------------------------------------------- Cache round --
 
 TEST(CacheIoTest, RoundTripPreservesEntriesAndOptions) {
-  ProximityCacheOptions opts;
+  ApproxCacheOptions opts;
   opts.capacity = 8;
   opts.tolerance = 2.5f;
   opts.metric = Metric::kCosine;
@@ -311,9 +341,7 @@ TEST(CacheIoTest, RoundTripPreservesEntriesAndOptions) {
     EXPECT_FLOAT_EQ(back.KeyAt(slot)[0], cache.KeyAt(slot)[0]);
   }
   // A lookup that hit before still hits after.
-  const auto key0 = std::vector<float>(cache.KeyAt(0).begin(),
-                                       cache.KeyAt(0).end());
-  EXPECT_TRUE(back.Lookup(key0).hit);
+  EXPECT_TRUE(back.Lookup(cache.KeyAt(0)).hit);
 }
 
 TEST(CacheIoTest, CorruptSnapshotRejected) {
@@ -325,6 +353,28 @@ TEST(CacheIoTest, CorruptSnapshotRejected) {
   buf[buf.size() / 2] ^= 0xff;
   std::stringstream corrupted(buf);
   EXPECT_THROW(ProximityCache::LoadFrom(corrupted), std::runtime_error);
+}
+
+// A checksummed snapshot can still carry an enum value this build does
+// not know. Loaded unchecked, metric 7 matched no distance kernel and
+// every probe then hit slot 0 at distance 0.
+TEST(CacheIoTest, UnknownEnumValuesRejected) {
+  ProximityCache cache(4, {});
+  cache.Insert(std::vector<float>{1, 2, 3, 4}, {1});
+  std::stringstream ss;
+  cache.SaveTo(ss);
+  const std::string snapshot = ss.str();
+  // [magic][version][dim u64][capacity u64][tolerance f32][metric u32]
+  // [eviction u32]...
+  constexpr std::size_t kMetricOffset = 28;
+  constexpr std::size_t kEvictionOffset = 32;
+  ASSERT_EQ(PatchU32(snapshot, kMetricOffset, 0), snapshot);    // L2
+  ASSERT_EQ(PatchU32(snapshot, kEvictionOffset, 0), snapshot);  // FIFO
+
+  std::stringstream bad_metric(PatchU32(snapshot, kMetricOffset, 7));
+  EXPECT_THROW(ProximityCache::LoadFrom(bad_metric), std::runtime_error);
+  std::stringstream bad_eviction(PatchU32(snapshot, kEvictionOffset, 9));
+  EXPECT_THROW(ProximityCache::LoadFrom(bad_eviction), std::runtime_error);
 }
 
 }  // namespace

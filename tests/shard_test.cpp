@@ -17,7 +17,7 @@
 #include <thread>
 #include <vector>
 
-#include "cache/concurrent_cache.h"
+#include "cache/approx_cache.h"
 #include "common/rng.h"
 #include "embed/hash_embedder.h"
 #include "index/flat_index.h"
@@ -237,8 +237,8 @@ TEST(ShardedIndexTest, ApproximateRecallParity) {
 
 // ------------------------------------------------------ batching driver --
 
-ProximityCacheOptions SmallCache() {
-  ProximityCacheOptions opts;
+ApproxCacheOptions SmallCache() {
+  ApproxCacheOptions opts;
   opts.capacity = 64;
   opts.tolerance = 2.0f;
   return opts;
@@ -256,7 +256,7 @@ TEST(BatchingDriverTest, ConcurrentSubmitsAccountForEveryQuery) {
   ShardedIndexOptions sopts;
   sopts.num_shards = 2;
   const auto index = BuildShardedIndex(spec, corpus, sopts);
-  ConcurrentProximityCache cache(kDim, SmallCache());
+  ProximityCache cache(kDim, SmallCache());
 
   BatchingDriverOptions opts;
   opts.max_batch = 8;
@@ -298,7 +298,7 @@ TEST(BatchingDriverTest, ShutdownDrainsPendingQueries) {
   const Matrix corpus = RandomMatrix(200, kDim, 51);
   FlatIndex index(kDim);
   for (std::size_t r = 0; r < corpus.rows(); ++r) index.Add(corpus.Row(r));
-  ConcurrentProximityCache cache(kDim, SmallCache());
+  ProximityCache cache(kDim, SmallCache());
 
   BatchingDriverOptions opts;
   opts.max_batch = 1000;                 // never fills
@@ -338,7 +338,7 @@ TEST(BatchingDriverTest, IdenticalMissesCoalesceWithinBatch) {
   const Matrix corpus = RandomMatrix(200, kDim, 61);
   FlatIndex index(kDim);
   for (std::size_t r = 0; r < corpus.rows(); ++r) index.Add(corpus.Row(r));
-  ConcurrentProximityCache cache(kDim, SmallCache());
+  ProximityCache cache(kDim, SmallCache());
 
   BatchingDriverOptions opts;
   opts.max_batch = 1000;
@@ -376,7 +376,7 @@ TEST(BatchingDriverTest, SubmitAfterShutdownFailsFast) {
   FlatIndex index(kDim);
   const Matrix corpus = RandomMatrix(50, kDim, 71);
   for (std::size_t r = 0; r < corpus.rows(); ++r) index.Add(corpus.Row(r));
-  ConcurrentProximityCache cache(kDim, SmallCache());
+  ProximityCache cache(kDim, SmallCache());
 
   HashEmbedderOptions eopts;
   eopts.dim = kDim;
@@ -404,7 +404,7 @@ TEST(BatchingDriverTest, ConcurrentSubmitVersusShutdownNeverDeadlocks) {
   FlatIndex index(kDim);
   const Matrix corpus = RandomMatrix(50, kDim, 72);
   for (std::size_t r = 0; r < corpus.rows(); ++r) index.Add(corpus.Row(r));
-  ConcurrentProximityCache cache(kDim, SmallCache());
+  ProximityCache cache(kDim, SmallCache());
 
   BatchingDriverOptions opts;
   opts.max_batch = 4;
@@ -464,7 +464,7 @@ TEST(BatchingDriverTest, SubmitTextMatchesEmbeddedSubmit) {
   const Matrix corpus = embedder.EmbedBatch(docs_text);
   FlatIndex index(eopts.dim);
   for (std::size_t r = 0; r < corpus.rows(); ++r) index.Add(corpus.Row(r));
-  ConcurrentProximityCache cache(eopts.dim, SmallCache());
+  ProximityCache cache(eopts.dim, SmallCache());
 
   BatchingDriverOptions opts;
   opts.top_k = 3;

@@ -276,8 +276,7 @@ TEST(TraceDriverTest, SubmitTextAsyncPropagatesContextThroughStages) {
   const auto index =
       BuildShardedIndex(IndexSpec{.kind = "flat"},
                         embedder.EmbedBatch(corpus), {});
-  ConcurrentProximityCache cache(embedder.dim(),
-                                 {.capacity = 16, .tolerance = 0.5f});
+  ProximityCache cache(embedder.dim(), {.capacity = 16, .tolerance = 0.5f});
   BatchingDriver driver(*index, cache, &embedder, {});
 
   const TraceContext trace{NewTraceId(), NewSpanId()};

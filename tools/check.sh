@@ -31,8 +31,8 @@ esac
 # serve_smoke loopback drain check), `tenant` the multi-tenant registry
 # and fair batching, `quant` the compressed scan path (its scan.*
 # telemetry test is OBS-gated, so both matrix legs exercise it),
-# `acache` the answer-level cache tier (its concurrent wrapper and the
-# driver's answer path ride TSan).
+# `acache` the answer-level cache tier (racing threads on the cache's
+# own lock and the driver's answer path ride TSan).
 LABELS='^(obs|concurrent|shard|common|net|tenant|quant|acache)$'
 
 run_suite() {

@@ -344,9 +344,8 @@ std::string ServeStatusz(const std::string& storage,
     std::uint64_t stale_hits = 0;
     const char* policy = "serve-stale";
     if (registry != nullptr) {
-      ConcurrentProximityCache& cache =
-          registry->CacheFor(kDefaultTenant);
-      stale_hits = cache.inner_stats().stale_hits;
+      const ProximityCache& cache = registry->CacheFor(kDefaultTenant);
+      stale_hits = cache.stats().stale_hits;
       policy = StalenessPolicyName(cache.staleness());
     }
     std::snprintf(line, sizeof(line),
@@ -500,7 +499,7 @@ int CmdServe(const Config& cfg) {
     LogInfo("serving over {}", index->Describe());
   }
 
-  ProximityCacheOptions copts;
+  ApproxCacheOptions copts;
   copts.capacity = static_cast<std::size_t>(cfg.GetInt("capacity", 200));
   copts.tolerance = static_cast<float>(cfg.GetDouble("tau", 2.0));
   copts.metric = index->metric();
@@ -511,7 +510,7 @@ int CmdServe(const Config& cfg) {
                  staleness_name.c_str());
     return 2;
   }
-  ConcurrentProximityCache cache(embedder.dim(), copts);
+  ProximityCache cache(embedder.dim(), copts);
 
   // Answer-level semantic cache above the proximity tier (DESIGN.md
   // §15): `answer_cache=N` entries per tenant, τ defaults to half the
@@ -1133,7 +1132,7 @@ int CmdReplay(const Config& cfg) {
   for (const auto& e : stream) texts.push_back(e.text);
   const Matrix embeddings = embedder.EmbedBatch(texts);
 
-  ProximityCacheOptions copts;
+  ApproxCacheOptions copts;
   copts.capacity = static_cast<std::size_t>(cfg.GetInt("capacity", 100));
   copts.tolerance = static_cast<float>(cfg.GetDouble("tau", 2.0));
   copts.metric = index->metric();
