@@ -5,7 +5,7 @@
 // speedups enabled by Proximity."
 //
 // The MedRAG-like workload runs against an index (flat by default; pass
-// index=vamana for the DiskANN in-memory core) wrapped in a
+// index=mutable for a Vamana graph, DiskANN's in-memory core) wrapped in a
 // storage-latency model, sweeping the simulated per-search delay from 0
 // (RAM-resident, the paper's setup) to tens of milliseconds
 // (disk-resident regime). The index is built once and shared across all

@@ -4,10 +4,11 @@
 // such as HNSW or quantization-based approaches, maintaining low-latency
 // retrieval while ensuring high recall remains difficult."
 //
-// This bench measures that trade-off across our four index substrates:
-// exact flat scan, HNSW, IVF-Flat, and IVF-PQ — query latency and
-// recall@10 (vs flat ground truth) as the corpus grows. It documents the
-// latency regimes the Proximity cache is bypassing in each configuration.
+// This bench measures that trade-off across our index substrates: exact
+// flat scan, HNSW, the mutable Vamana-style graph, IVF-Flat, and IVF-Flat
+// over sq4 codes (the compressed point) — query latency and recall@10
+// (vs flat ground truth) as the corpus grows. It documents the latency
+// regimes the Proximity cache is bypassing in each configuration.
 //
 // Usage: index_compare [sizes=4000,12000] [queries=100] [dim=768]
 //                      [quiet=true]
@@ -76,26 +77,22 @@ int main(int argc, char** argv) {
       truth[q] = flat->Search(queries.Row(q), kTopK);
     }
 
-    for (const char* kind : {"flat", "hnsw", "vamana", "ivf_flat", "ivf_pq",
-                             "ivf_pq_refined"}) {
+    for (const char* kind :
+         {"flat", "hnsw", "mutable", "ivf_flat", "ivf_flat_sq4"}) {
       IndexSpec spec;
       spec.kind = kind;
       spec.hnsw_ef_construction = 100;
       spec.ivf_nlist = 64;
       spec.ivf_nprobe = 8;
-      spec.pq_m = 64;
       spec.vamana_degree = 32;
       spec.vamana_beam = 64;
-      if (spec.kind == "ivf_pq_refined") {
-        spec.kind = "ivf_pq";
-        spec.pq_refine_factor = 8;
+      if (spec.kind == "ivf_flat_sq4") {
+        spec.kind = "ivf_flat";
+        spec.storage = "sq4";
       }
 
       Stopwatch build_watch;
       auto index = BuildIndex(spec, corpus);
-      // One untimed warm-up query: lazily-built indexes (Vamana) do their
-      // graph construction on first search, which belongs in build time.
-      index->Search(queries.Row(0), 1);
       const double build_ms = build_watch.ElapsedMillis();
 
       LatencyHistogram lat;

@@ -200,7 +200,7 @@ FlatIndex FlatIndex::LoadFrom(std::istream& is) {
   opts.metric = ReadEnum(r, kLastMetric);
   opts.parallel_threshold = r.ReadU64();
   if (version >= 2) {
-    opts.storage = static_cast<StorageLayout>(r.ReadU32());
+    opts.storage = ReadEnum(r, StorageLayout::kSq4);
     opts.rerank_factor = r.ReadU64();
   }
   Matrix vectors = ReadMatrix(r);

@@ -369,7 +369,7 @@ std::unique_ptr<HnswIndex> HnswIndex::LoadFrom(std::istream& is) {
   opts.ef_search = r.ReadU64();
   opts.seed = r.ReadU64();
   if (version >= 2) {
-    opts.storage = static_cast<StorageLayout>(r.ReadU32());
+    opts.storage = ReadEnum(r, StorageLayout::kSq4);
   }
   const std::uint64_t rng_state = r.ReadU64();
   const NodeId entry = r.ReadU32();
@@ -395,6 +395,12 @@ std::unique_ptr<HnswIndex> HnswIndex::LoadFrom(std::istream& is) {
   index->levels_.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     index->levels_.push_back(static_cast<int>(r.ReadI64()));
+  }
+  // An empty graph saves entry 0 at level -1; otherwise every search
+  // starts at the entry node on the top level.
+  if (n == 0 ? entry != 0 || max_level != -1
+             : entry >= n || index->levels_[entry] != max_level) {
+    throw std::runtime_error("HnswIndex::LoadFrom: entry point out of range");
   }
   index->links_.resize(n);
   for (std::uint64_t node = 0; node < n; ++node) {

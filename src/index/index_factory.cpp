@@ -8,9 +8,7 @@
 #include "index/flat_index.h"
 #include "index/hnsw_index.h"
 #include "index/ivf_flat_index.h"
-#include "index/ivfpq_index.h"
 #include "index/mutable_index.h"
-#include "index/vamana_index.h"
 
 namespace proximity {
 
@@ -72,34 +70,11 @@ std::unique_ptr<VectorIndex> BuildIndex(const IndexSpec& spec,
                                                             4096),
                               spec.seed));
     index = std::move(ivf);
-  } else if (spec.kind == "ivf_pq") {
-    IvfPqOptions opts;
-    opts.metric = spec.metric;
-    opts.nlist = spec.ivf_nlist;
-    opts.nprobe = spec.ivf_nprobe;
-    opts.pq.m = spec.pq_m;
-    opts.refine_factor = spec.pq_refine_factor;
-    opts.seed = spec.seed;
-    auto ivfpq = std::make_unique<IvfPqIndex>(dim, opts);
-    ivfpq->Train(TrainingSample(corpus,
-                                std::max<std::size_t>(spec.ivf_nlist * 64,
-                                                      4096),
-                                spec.seed));
-    index = std::move(ivfpq);
-  } else if (spec.kind == "vamana") {
-    VamanaOptions opts;
-    opts.metric = spec.metric;
-    opts.max_degree = spec.vamana_degree;
-    opts.build_beam = spec.vamana_beam;
-    opts.search_beam = spec.vamana_beam;
-    opts.alpha = spec.vamana_alpha;
-    opts.seed = spec.seed;
-    opts.storage = storage;
-    index = std::make_unique<VamanaIndex>(dim, opts);
   } else if (spec.kind == "mutable") {
     if (storage != StorageLayout::kFloat32) {
       throw std::invalid_argument(
-          "BuildIndex: mutable index supports storage=float32 only");
+          "BuildIndex: mutable index supports storage=float32 only (a "
+          "compressed graph is hnsw with storage=sq8 or sq4)");
     }
     MutableGraphOptions opts;
     opts.metric = spec.metric;
@@ -110,8 +85,13 @@ std::unique_ptr<VectorIndex> BuildIndex(const IndexSpec& spec,
     opts.seed = spec.seed;
     index = std::make_unique<MutableGraphIndex>(dim, opts);
   } else {
+    std::string known;
+    for (std::string_view kind : kIndexKinds) {
+      known += known.empty() ? "" : " ";
+      known += kind;
+    }
     throw std::invalid_argument("BuildIndex: unknown index kind '" +
-                                spec.kind + "'");
+                                spec.kind + "' (known: " + known + ")");
   }
 
   LogInfo("building {} over {} vectors (dim {})", spec.kind, corpus.rows(),

@@ -1,25 +1,30 @@
 // String-configured index construction for benches and examples.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "index/vector_index.h"
 #include "vecmath/matrix.h"
 
 namespace proximity {
 
+/// Every IndexSpec::kind BuildIndex accepts. "mutable" is the Vamana-style
+/// live-corpus graph (DESIGN.md §13).
+inline constexpr std::array<std::string_view, 4> kIndexKinds = {
+    "flat", "hnsw", "ivf_flat", "mutable"};
+
 struct IndexSpec {
-  /// "flat", "hnsw", "ivf_flat", "ivf_pq", "vamana", or "mutable" (the
-  /// live-corpus graph; reuses the vamana_* knobs, float32 only).
+  /// One of kIndexKinds.
   std::string kind = "flat";
   Metric metric = Metric::kL2;
   std::uint64_t seed = 42;
 
   /// Primary storage layout: "float32" (default), "sq8", or "sq4".
   /// Quantized layouts run the compressed two-level scan (DESIGN.md §11)
-  /// on flat, ivf_flat, hnsw, and vamana; ivf_pq ignores it (PQ is its
-  /// own compression scheme).
+  /// on flat, ivf_flat and hnsw; mutable accepts float32 only.
   std::string storage = "float32";
   /// Over-fetch multiplier for quantized flat/ivf_flat scans.
   std::size_t rerank_factor = 4;
@@ -33,19 +38,16 @@ struct IndexSpec {
   std::size_t ivf_nlist = 64;
   std::size_t ivf_nprobe = 8;
 
-  // PQ knobs.
-  std::size_t pq_m = 8;
-  std::size_t pq_refine_factor = 0;  // 0 = no exact re-ranking
-
-  // Vamana (DiskANN) knobs.
+  // Vamana (DiskANN) graph knobs, read by the mutable index.
   std::size_t vamana_degree = 32;
   std::size_t vamana_beam = 64;
   float vamana_alpha = 1.2f;
 };
 
 /// Builds an index over `corpus` according to `spec`. Trainable indexes
-/// (IVF variants) are trained on a deterministic subsample of the corpus
-/// before insertion. Throws std::invalid_argument on an unknown kind.
+/// (IVF) are trained on a deterministic subsample of the corpus before
+/// insertion. Throws std::invalid_argument on an unknown kind or storage
+/// layout, and on a quantized layout for the mutable index.
 std::unique_ptr<VectorIndex> BuildIndex(const IndexSpec& spec,
                                         const Matrix& corpus);
 

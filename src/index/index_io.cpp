@@ -6,7 +6,6 @@
 #include "index/flat_index.h"
 #include "index/hnsw_index.h"
 #include "index/ivf_flat_index.h"
-#include "index/ivfpq_index.h"
 #include "index/mutable_index.h"
 
 namespace proximity {
@@ -28,10 +27,15 @@ std::unique_ptr<VectorIndex> LoadIndex(std::istream& is) {
       return HnswIndex::LoadFrom(is);
     case io_magic::kIvfFlat:
       return std::make_unique<IvfFlatIndex>(IvfFlatIndex::LoadFrom(is));
-    case io_magic::kIvfPq:
-      return std::make_unique<IvfPqIndex>(IvfPqIndex::LoadFrom(is));
     case io_magic::kMutableIndex:
       return MutableGraphIndex::LoadFrom(is);
+    case io_magic::kRetiredIvfPq:
+      throw std::runtime_error(
+          "LoadIndex: ivf_pq snapshots are retired; rebuild as ivf_flat "
+          "with storage=sq8 or sq4");
+    case io_magic::kRetiredPq:
+      throw std::runtime_error(
+          "LoadIndex: pq snapshots are retired; use storage=sq8 or sq4");
     default:
       throw std::runtime_error("LoadIndex: unknown magic tag");
   }

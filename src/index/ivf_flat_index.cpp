@@ -162,7 +162,7 @@ IvfFlatIndex IvfFlatIndex::LoadFrom(std::istream& is) {
   opts.nprobe = r.ReadU64();
   opts.seed = r.ReadU64();
   if (version >= 2) {
-    opts.storage = static_cast<StorageLayout>(r.ReadU32());
+    opts.storage = ReadEnum(r, StorageLayout::kSq4);
     opts.rerank_factor = r.ReadU64();
   }
   const std::uint64_t count = r.ReadU64();

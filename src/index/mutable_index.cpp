@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "common/rng.h"
@@ -457,6 +458,15 @@ std::size_t MutableGraphIndex::free_count() const {
   return free_slots_.size();
 }
 
+std::vector<std::uint32_t> MutableGraphIndex::OutNeighbors(VectorId id) const {
+  auto lock = AcquireShared();
+  const auto slot = static_cast<std::size_t>(id);
+  if (id < 0 || slot >= adjacency_.size()) {
+    throw std::out_of_range("MutableGraphIndex::OutNeighbors: no such slot");
+  }
+  return adjacency_[slot];
+}
+
 bool MutableGraphIndex::IsLive(VectorId id) const {
   auto lock = AcquireShared();
   const auto slot = static_cast<std::size_t>(id);
@@ -506,21 +516,47 @@ std::unique_ptr<MutableGraphIndex> MutableGraphIndex::LoadFrom(
 
   auto index = std::make_unique<MutableGraphIndex>(rows.dim(), opts);
   index->rows_ = std::move(rows);
-  index->live_ = r.ReadU8s(index->rows_.rows());
-  index->free_slots_ = r.ReadU32s(index->rows_.rows());
+  const std::size_t slots = index->rows_.rows();
+  // Every stored slot id indexes rows_, live_ and the edge lists; a
+  // checksummed file can still carry one past the end.
+  const auto check_ids = [slots](const std::vector<NodeId>& ids,
+                                 const char* what) {
+    for (NodeId id : ids) {
+      if (id >= slots) {
+        throw std::runtime_error(std::string("MutableGraphIndex: ") + what +
+                                 " id out of range");
+      }
+    }
+  };
+  index->live_ = r.ReadU8s(slots);
+  if (index->live_.size() != slots) {
+    throw std::runtime_error("MutableGraphIndex: live/slot mismatch");
+  }
+  index->free_slots_ = r.ReadU32s(slots);
+  check_ids(index->free_slots_, "free-slot");
   const std::uint64_t n_adj = r.ReadU64();
-  if (n_adj != index->rows_.rows()) {
+  if (n_adj != slots) {
     throw std::runtime_error("MutableGraphIndex: adjacency/slot mismatch");
   }
   index->adjacency_.resize(n_adj);
-  for (auto& out : index->adjacency_) out = r.ReadU32s(1u << 20);
+  for (auto& out : index->adjacency_) {
+    out = r.ReadU32s(1u << 20);
+    check_ids(out, "adjacency");
+  }
   const std::uint64_t n_links = r.ReadU64();
-  if (n_links != index->rows_.rows()) {
+  if (n_links != slots) {
     throw std::runtime_error("MutableGraphIndex: long-link/slot mismatch");
   }
   index->long_links_.resize(n_links);
-  for (auto& links : index->long_links_) links = r.ReadU32s(1u << 20);
+  for (auto& links : index->long_links_) {
+    links = r.ReadU32s(1u << 20);
+    check_ids(links, "long-link");
+  }
   index->entry_ = r.ReadU32();
+  // An empty arena saves entry 0; otherwise searches start at a slot.
+  if (slots == 0 ? index->entry_ != 0 : index->entry_ >= slots) {
+    throw std::runtime_error("MutableGraphIndex: entry point out of range");
+  }
   index->tombstones_ = r.ReadU64();
   index->generation_.store(r.ReadU64(), std::memory_order_release);
   index->long_rng_state_ = r.ReadU64();

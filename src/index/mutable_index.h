@@ -38,7 +38,10 @@ struct MutableGraphOptions {
   /// RobustPrune slack; α > 1 keeps detour-resistant edges.
   float alpha = 1.2f;
   std::uint64_t seed = 42;
-  /// Protected random shortcuts per node (see VamanaOptions); retargeted
+  /// Protected random long-range shortcuts per node, stored outside the
+  /// α-pruned degree budget and traversed by every beam search. They keep
+  /// tight, far-apart clusters reachable from one another, where
+  /// α-pruning alone keeps only nearest-neighborhood edges. Retargeted
   /// away from reclaimed slots during Consolidate.
   std::size_t long_edges = 2;
   /// Consolidate rewires at most this many tombstones per exclusive
@@ -84,6 +87,9 @@ class MutableGraphIndex final : public VectorIndex {
   std::size_t tombstone_count() const;
   std::size_t free_count() const;
   bool IsLive(VectorId id) const;
+  /// Copy of a slot's α-pruned adjacency, taken under the shared lock.
+  /// Throws std::out_of_range for an id past the arena.
+  std::vector<std::uint32_t> OutNeighbors(VectorId id) const;
 
  private:
   using NodeId = std::uint32_t;

@@ -1,39 +1,35 @@
-// Unit tests for src/index: flat, k-means, IVF, HNSW, PQ, IVF-PQ,
-// slow-storage wrapper, recall utilities, and the factory.
+// Unit tests for src/index: flat, k-means, IVF, HNSW, the graph
+// properties of the mutable Vamana-style index, the slow-storage wrapper,
+// recall utilities, and the factory.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <set>
+#include <string_view>
 
 #include "common/rng.h"
-#include "common/stats.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
-#include "vecmath/kernels.h"
 #include "vecmath/topk.h"
 #include "index/flat_index.h"
 #include "index/hnsw_index.h"
 #include "index/index_factory.h"
 #include "index/ivf_flat_index.h"
-#include "index/ivfpq_index.h"
 #include "index/kmeans.h"
-#include "index/pq.h"
+#include "index/mutable_index.h"
 #include "index/recall.h"
 #include "index/slow_storage_index.h"
-#include "index/vamana_index.h"
 
 namespace proximity {
 namespace {
 
-Matrix RandomMatrix(std::size_t rows, std::size_t dim, std::uint64_t seed,
-                    double stddev = 1.0) {
+Matrix RandomMatrix(std::size_t rows, std::size_t dim, std::uint64_t seed) {
   Matrix m(rows, dim);
   Rng rng(seed);
   for (std::size_t r = 0; r < rows; ++r) {
     for (auto& x : m.MutableRow(r)) {
-      x = static_cast<float>(rng.Gaussian(0, stddev));
+      x = static_cast<float>(rng.Gaussian(0, 1));
     }
   }
   return m;
@@ -378,145 +374,15 @@ TEST(HnswTest, ConcurrentSearchesAreSafe) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
-// ------------------------------------------------------------------- PQ --
-
-TEST(PqTest, EncodeDecodeRoundTripApproximates) {
-  const Matrix sample = RandomMatrix(2000, 32, 21);
-  ProductQuantizer pq(32, {.m = 8, .ksub = 64});
-  pq.Train(sample);
-  StreamingStats err;
-  for (std::uint64_t s = 0; s < 50; ++s) {
-    const auto v = RandomVec(32, 1100 + s);
-    err.Add(pq.ReconstructionError(v));
-  }
-  // Mean reconstruction error well below the vector norm (~32).
-  EXPECT_LT(err.mean(), 32.0 * 0.8);
-}
-
-TEST(PqTest, AdcApproximatesTrueDistance) {
-  const Matrix sample = RandomMatrix(2000, 32, 22);
-  ProductQuantizer pq(32, {.m = 16, .ksub = 256});
-  pq.Train(sample);
-  Rng rng(23);
-  const auto query = RandomVec(32, 1200);
-  const auto table = pq.ComputeDistanceTable(query);
-  StreamingStats rel_err;
-  for (std::uint64_t s = 0; s < 100; ++s) {
-    const auto v = RandomVec(32, 1300 + s);
-    std::vector<std::uint8_t> code(pq.code_size());
-    pq.Encode(v, code.data());
-    const float adc = pq.AdcDistance(table, code.data());
-    const float true_dist = L2SquaredDistance(query, v);
-    rel_err.Add(std::abs(adc - true_dist) / true_dist);
-  }
-  EXPECT_LT(rel_err.mean(), 0.35);
-}
-
-TEST(PqTest, MoreSubquantizersReduceError) {
-  const Matrix sample = RandomMatrix(2000, 32, 24);
-  ProductQuantizer coarse(32, {.m = 4, .ksub = 16});
-  ProductQuantizer fine(32, {.m = 16, .ksub = 16});
-  coarse.Train(sample);
-  fine.Train(sample);
-  StreamingStats err_coarse, err_fine;
-  for (std::uint64_t s = 0; s < 50; ++s) {
-    const auto v = RandomVec(32, 1400 + s);
-    err_coarse.Add(coarse.ReconstructionError(v));
-    err_fine.Add(fine.ReconstructionError(v));
-  }
-  EXPECT_LT(err_fine.mean(), err_coarse.mean());
-}
-
-TEST(PqTest, ValidatesParameters) {
-  EXPECT_THROW(ProductQuantizer(32, {.m = 5}), std::invalid_argument);
-  EXPECT_THROW(ProductQuantizer(32, {.m = 8, .ksub = 1000}),
-               std::invalid_argument);
-  ProductQuantizer pq(32, {.m = 8});
-  const auto v = RandomVec(32, 1);
-  std::vector<std::uint8_t> code(8);
-  EXPECT_THROW(pq.Encode(v, code.data()), std::logic_error);
-}
-
-TEST(IvfPqTest, RecallReasonableOnClusteredData) {
-  // Clustered corpus (PQ is poor on isotropic noise, fine on structure).
-  Rng rng(25);
-  Matrix corpus(0, 32);
-  Matrix centers = RandomMatrix(16, 32, 26, 3.0);
-  for (int i = 0; i < 4000; ++i) {
-    const auto c = centers.Row(rng.Below(16));
-    std::vector<float> v(32);
-    for (std::size_t j = 0; j < 32; ++j) {
-      v[j] = c[j] + static_cast<float>(rng.Gaussian(0, 0.3));
-    }
-    corpus.AppendRow(v);
-  }
-  IvfPqIndex index(32, {.nlist = 16, .nprobe = 16, .pq = {.m = 16}});
-  index.Train(corpus);
-  index.AddBatch(corpus);
-  double recall_sum = 0;
-  for (std::uint64_t s = 0; s < 20; ++s) {
-    std::vector<float> q(32);
-    const auto c = centers.Row(s % 16);
-    for (std::size_t j = 0; j < 32; ++j) {
-      q[j] = c[j] + static_cast<float>(rng.Gaussian(0, 0.3));
-    }
-    recall_sum += RecallAtK(index.Search(q, 10), BruteForce(corpus, q, 10));
-  }
-  EXPECT_GT(recall_sum / 20, 0.5);
-  EXPECT_EQ(index.BytesPerVector(), 16u);
-}
-
-TEST(IvfPqTest, RefinementImprovesRecall) {
-  // Isotropic noise: hard for coarse PQ, so re-ranking has room to help.
-  const Matrix corpus = RandomMatrix(3000, 32, 30);
-  IvfPqOptions base_opts{.nlist = 16, .nprobe = 16, .pq = {.m = 8,
-                                                           .ksub = 32}};
-  IvfPqIndex plain(32, base_opts);
-  plain.Train(corpus);
-  plain.AddBatch(corpus);
-
-  IvfPqOptions refined_opts = base_opts;
-  refined_opts.refine_factor = 32;
-  IvfPqIndex refined(32, refined_opts);
-  refined.Train(corpus);
-  refined.AddBatch(corpus);
-
-  double recall_plain = 0, recall_refined = 0;
-  for (std::uint64_t s = 0; s < 20; ++s) {
-    const auto q = RandomVec(32, 1700 + s);
-    const auto truth = BruteForce(corpus, q, 10);
-    recall_plain += RecallAtK(plain.Search(q, 10), truth);
-    recall_refined += RecallAtK(refined.Search(q, 10), truth);
-  }
-  EXPECT_GT(recall_refined, recall_plain + 0.1 * 20);
-  EXPECT_GT(recall_refined / 20, 0.75);
-}
-
-TEST(IvfPqTest, RefinedSearchReportsExactDistances) {
-  const Matrix corpus = RandomMatrix(500, 16, 31);
-  IvfPqIndex index(16, {.nlist = 4, .nprobe = 4,
-                        .pq = {.m = 4, .ksub = 16}, .refine_factor = 4});
-  index.Train(corpus);
-  index.AddBatch(corpus);
-  const auto q = RandomVec(16, 1800);
-  for (const auto& n : index.Search(q, 5)) {
-    const float exact = L2SquaredDistance(
-        q, corpus.Row(static_cast<std::size_t>(n.id)));
-    EXPECT_FLOAT_EQ(n.distance, exact);
-  }
-}
-
-TEST(IvfPqTest, RejectsNonL2Metric) {
-  EXPECT_THROW(IvfPqIndex(32, {.metric = Metric::kCosine}),
-               std::invalid_argument);
-}
-
 // --------------------------------------------------------------- Vamana --
+// Graph properties of the one Vamana-style graph, MutableGraphIndex (every
+// Add is a DiskANN fresh insert). Its slot arena, deletes and consolidation
+// are covered in mutation_test.
 
 TEST(VamanaTest, ExactOnTinySets) {
   const Matrix corpus = RandomMatrix(40, 8, 51);
-  VamanaIndex index(8, {.max_degree = 16, .build_beam = 40,
-                        .search_beam = 40});
+  MutableGraphIndex index(8, {.max_degree = 16, .build_beam = 40,
+                              .search_beam = 40});
   index.AddBatch(corpus);
   for (std::uint64_t s = 0; s < 10; ++s) {
     const auto q = RandomVec(8, 2000 + s);
@@ -526,8 +392,8 @@ TEST(VamanaTest, ExactOnTinySets) {
 
 TEST(VamanaTest, HighRecallAtModerateBeam) {
   const Matrix corpus = RandomMatrix(3000, 32, 52);
-  VamanaIndex index(32, {.max_degree = 32, .build_beam = 64,
-                         .search_beam = 64});
+  MutableGraphIndex index(32, {.max_degree = 32, .build_beam = 64,
+                               .search_beam = 64});
   index.AddBatch(corpus);
   double recall_sum = 0;
   for (std::uint64_t s = 0; s < 30; ++s) {
@@ -539,8 +405,8 @@ TEST(VamanaTest, HighRecallAtModerateBeam) {
 
 TEST(VamanaTest, BeamWidthImprovesRecall) {
   const Matrix corpus = RandomMatrix(3000, 32, 53);
-  VamanaIndex index(32, {.max_degree = 16, .build_beam = 32,
-                         .search_beam = 8});
+  MutableGraphIndex index(32, {.max_degree = 16, .build_beam = 32,
+                               .search_beam = 8});
   index.AddBatch(corpus);
   auto recall_at = [&](std::size_t beam) {
     index.set_search_beam(beam);
@@ -556,25 +422,25 @@ TEST(VamanaTest, BeamWidthImprovesRecall) {
 
 TEST(VamanaTest, DegreeBoundHolds) {
   const Matrix corpus = RandomMatrix(800, 8, 54);
-  VamanaOptions opts;
+  MutableGraphOptions opts;
   opts.max_degree = 12;
-  VamanaIndex index(8, opts);
+  MutableGraphIndex index(8, opts);
   index.AddBatch(corpus);
   for (VectorId id = 0; id < 800; ++id) {
-    const auto& out = index.OutNeighbors(id);
+    const auto out = index.OutNeighbors(id);
     EXPECT_LE(out.size(), opts.max_degree);
     // No self-loops or duplicates.
     std::set<std::uint32_t> unique(out.begin(), out.end());
     EXPECT_EQ(unique.size(), out.size());
     EXPECT_FALSE(unique.contains(static_cast<std::uint32_t>(id)));
   }
+  EXPECT_THROW((void)index.OutNeighbors(800), std::out_of_range);
 }
 
 TEST(VamanaTest, ClusteredCorpusStillNavigable) {
   // Regression guard: tight, far-apart clusters strand a purely
-  // incremental build inside the medoid's cluster (recall ~ 1/#clusters).
-  // The bulk build's random init + two-pass refinement must route across
-  // clusters.
+  // incremental α-pruned graph inside the entry point's cluster (recall
+  // ~ 1/#clusters). The protected long links must route across clusters.
   Rng rng(56);
   constexpr std::size_t kClusters = 16;
   Matrix centers = RandomMatrix(kClusters, 32, 57);
@@ -590,8 +456,8 @@ TEST(VamanaTest, ClusteredCorpusStillNavigable) {
     }
     corpus.AppendRow(v);
   }
-  VamanaIndex index(32, {.max_degree = 32, .build_beam = 64,
-                         .search_beam = 64});
+  MutableGraphIndex index(32, {.max_degree = 32, .build_beam = 64,
+                               .search_beam = 64});
   index.AddBatch(corpus);
   double recall_sum = 0;
   for (std::uint64_t s = 0; s < 20; ++s) {
@@ -606,59 +472,13 @@ TEST(VamanaTest, ClusteredCorpusStillNavigable) {
   EXPECT_GT(recall_sum / 20, 0.8);
 }
 
-TEST(VamanaTest, IncrementalAddAfterBuildStaysSearchable) {
-  const Matrix first = RandomMatrix(300, 8, 58);
-  const Matrix extra = RandomMatrix(50, 8, 59);
-  VamanaIndex index(8, {.max_degree = 16});
-  index.AddBatch(first);
-  index.Build();
-  index.AddBatch(extra);  // fresh-insert path
-  Matrix all(0, 8);
-  for (std::size_t r = 0; r < first.rows(); ++r) all.AppendRow(first.Row(r));
-  for (std::size_t r = 0; r < extra.rows(); ++r) all.AppendRow(extra.Row(r));
-  double recall_sum = 0;
-  for (std::uint64_t s = 0; s < 10; ++s) {
-    const auto q = RandomVec(8, 2300 + s);
-    recall_sum += RecallAtK(index.Search(q, 10), BruteForce(all, q, 10));
-  }
-  EXPECT_GT(recall_sum / 10, 0.8);
-}
-
-TEST(VamanaTest, GraphIsReachableFromMedoid) {
-  const Matrix corpus = RandomMatrix(500, 8, 55);
-  VamanaIndex index(8, {.max_degree = 16});
-  index.AddBatch(corpus);
-  index.Build();  // medoid is only meaningful on a built graph
-  // BFS from the medoid must reach (almost) every node; α-pruning with
-  // reverse edges keeps the graph navigable.
-  std::vector<bool> seen(500, false);
-  std::vector<std::uint32_t> frontier = {
-      static_cast<std::uint32_t>(index.medoid())};
-  seen[static_cast<std::size_t>(index.medoid())] = true;
-  std::size_t reached = 1;
-  auto visit = [&](std::uint32_t nb) {
-    if (!seen[nb]) {
-      seen[nb] = true;
-      ++reached;
-      frontier.push_back(nb);
-    }
-  };
-  while (!frontier.empty()) {
-    const std::uint32_t cur = frontier.back();
-    frontier.pop_back();
-    for (std::uint32_t nb : index.OutNeighbors(cur)) visit(nb);
-    for (std::uint32_t nb : index.LongLinks(cur)) visit(nb);
-  }
-  EXPECT_GT(reached, 495u);
-}
-
 TEST(VamanaTest, ValidatesOptions) {
-  EXPECT_THROW(VamanaIndex(8, {.max_degree = 1}), std::invalid_argument);
-  EXPECT_THROW(VamanaIndex(8, {.alpha = 0.5f}), std::invalid_argument);
+  EXPECT_THROW(MutableGraphIndex(8, {.max_degree = 1}), std::invalid_argument);
+  EXPECT_THROW(MutableGraphIndex(8, {.alpha = 0.5f}), std::invalid_argument);
 }
 
 TEST(VamanaTest, SingleElementAndEmpty) {
-  VamanaIndex index(4);
+  MutableGraphIndex index(4);
   const std::vector<float> q = {0, 0, 0, 0};
   EXPECT_TRUE(index.Search(q, 3).empty());
   index.Add(std::vector<float>{1, 2, 3, 4});
@@ -734,11 +554,10 @@ TEST(RecallTest, MeanRecallValidatesLengths) {
 
 TEST(IndexFactoryTest, BuildsAllKinds) {
   const Matrix corpus = RandomMatrix(300, 16, 28);
-  for (const char* kind : {"flat", "hnsw", "ivf_flat", "ivf_pq"}) {
+  for (std::string_view kind : kIndexKinds) {
     IndexSpec spec;
     spec.kind = kind;
     spec.ivf_nlist = 8;
-    spec.pq_m = 4;
     auto index = BuildIndex(spec, corpus);
     EXPECT_EQ(index->size(), 300u) << kind;
     const auto q = RandomVec(16, 1600);

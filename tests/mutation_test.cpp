@@ -228,7 +228,7 @@ TEST(MutableIndex, GenerationIsMonotonePerMutation) {
   EXPECT_EQ(index.generation(), last);
 }
 
-TEST(MutableIndex, FactoryBuildsAndRecallTracksVamana) {
+TEST(MutableIndex, FactoryBuildsAndRecallTracksFlat) {
   const std::size_t dim = 24;
   const std::size_t n = 800;
   const Matrix rows = RandomRows(n, dim, 10);

@@ -17,7 +17,6 @@
 #include "index/index_factory.h"
 #include "index/ivf_flat_index.h"
 #include "index/recall.h"
-#include "index/vamana_index.h"
 #include "obs/metrics_registry.h"
 #include "vecmath/compressed_store.h"
 #include "vecmath/kernels.h"
@@ -280,7 +279,7 @@ TEST(QuantRecall, FlatSq4KeepsUsableRecall) {
 // Quantized posting scans / graph traversal keep each index close to its
 // own float-storage twin (same structure, same seeds; only the primary
 // representation differs).
-TEST(QuantRecall, IvfHnswVamanaTrackTheirFloatTwins) {
+TEST(QuantRecall, IvfAndHnswTrackTheirFloatTwins) {
   const std::size_t n = 4000, dim = 32, k = 10;
   const Matrix corpus = RandomMatrix(n, dim, 717);
   const Matrix queries = RandomMatrix(10, dim, 718);
@@ -318,18 +317,6 @@ TEST(QuantRecall, IvfHnswVamanaTrackTheirFloatTwins) {
     HnswIndex q(dim, qo);
     q.AddBatch(corpus);
     EXPECT_GE(MeanRecallAtK(run(q), run(f)), 0.90) << "hnsw";
-  }
-  {
-    VamanaOptions base;
-    VamanaIndex f(dim, base);
-    f.AddBatch(corpus);
-    f.Build();
-    VamanaOptions qo = base;
-    qo.storage = StorageLayout::kSq8;
-    VamanaIndex q(dim, qo);
-    q.AddBatch(corpus);
-    q.Build();
-    EXPECT_GE(MeanRecallAtK(run(q), run(f)), 0.90) << "vamana";
   }
 }
 
@@ -417,7 +404,7 @@ TEST(QuantSerde, IvfAndHnswRoundTripQuantized) {
 
 TEST(QuantFactory, StorageKnobReachesEveryKind) {
   const Matrix corpus = RandomMatrix(500, 16, 55);
-  for (const char* kind : {"flat", "ivf_flat", "hnsw", "vamana"}) {
+  for (const char* kind : {"flat", "ivf_flat", "hnsw"}) {
     IndexSpec spec;
     spec.kind = kind;
     spec.storage = "sq8";
@@ -430,6 +417,11 @@ TEST(QuantFactory, StorageKnobReachesEveryKind) {
   IndexSpec bad;
   bad.storage = "sq2";
   EXPECT_THROW(BuildIndex(bad, corpus), std::invalid_argument);
+  // The mutable graph has no compressed path; a compressed graph is hnsw.
+  IndexSpec graph;
+  graph.kind = "mutable";
+  graph.storage = "sq8";
+  EXPECT_THROW(BuildIndex(graph, corpus), std::invalid_argument);
 }
 
 // ---------------------------------------------------------- telemetry ----

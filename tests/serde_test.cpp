@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "cache/approx_cache.h"
 #include "common/rng.h"
@@ -12,8 +15,7 @@
 #include "index/hnsw_index.h"
 #include "index/index_io.h"
 #include "index/ivf_flat_index.h"
-#include "index/ivfpq_index.h"
-#include "index/pq.h"
+#include "index/mutable_index.h"
 
 namespace proximity {
 namespace {
@@ -29,12 +31,9 @@ Matrix RandomMatrix(std::size_t rows, std::size_t dim, std::uint64_t seed) {
   return m;
 }
 
-// Overwrites the u32 at byte `offset` of a snapshot and re-seals its
-// FNV-1a trailer (serde.h), so the loader sees intact bytes that carry a
-// value this build may not know.
-std::string PatchU32(std::string snapshot, std::size_t offset,
-                     std::uint32_t value) {
-  std::memcpy(snapshot.data() + offset, &value, sizeof(value));
+// Recomputes a snapshot's FNV-1a trailer (serde.h) over its payload, so
+// the loader sees intact bytes whatever an edit put in them.
+std::string Reseal(std::string snapshot) {
   const std::size_t payload = snapshot.size() - sizeof(std::uint64_t);
   std::uint64_t h = 1469598103934665603ULL;
   for (std::size_t i = 0; i < payload; ++i) {
@@ -43,6 +42,34 @@ std::string PatchU32(std::string snapshot, std::size_t offset,
   }
   std::memcpy(snapshot.data() + payload, &h, sizeof(h));
   return snapshot;
+}
+
+// Overwrites the u32 at byte `offset` of a snapshot and re-seals it, so
+// the loader sees intact bytes that carry a value this build may not
+// know (or an id past the end of the index).
+std::string PatchU32(std::string snapshot, std::size_t offset,
+                     std::uint32_t value) {
+  std::memcpy(snapshot.data() + offset, &value, sizeof(value));
+  return Reseal(std::move(snapshot));
+}
+
+std::uint32_t U32At(const std::string& snapshot, std::size_t offset) {
+  std::uint32_t value = 0;
+  std::memcpy(&value, snapshot.data() + offset, sizeof(value));
+  return value;
+}
+
+template <typename Index>
+std::string Snapshot(const Index& index) {
+  std::stringstream ss;
+  index.SaveTo(ss);
+  return ss.str();
+}
+
+// Loads `snapshot` through the magic-dispatching loader.
+std::unique_ptr<VectorIndex> LoadBytes(const std::string& snapshot) {
+  std::stringstream ss(snapshot);
+  return LoadIndex(ss);
 }
 
 std::vector<float> RandomVec(std::size_t dim, std::uint64_t seed) {
@@ -230,45 +257,6 @@ TEST(IndexIoTest, IvfFlatRoundTrip) {
   EXPECT_EQ(back.Search(q, 10), index.Search(q, 10));
 }
 
-TEST(IndexIoTest, PqRoundTrip) {
-  ProductQuantizer pq(16, {.m = 4, .ksub = 32});
-  pq.Train(RandomMatrix(500, 16, 7));
-  std::stringstream ss;
-  pq.SaveTo(ss);
-  const ProductQuantizer back = ProductQuantizer::LoadFrom(ss);
-  const auto v = RandomVec(16, 104);
-  std::vector<std::uint8_t> code_a(pq.code_size()), code_b(pq.code_size());
-  pq.Encode(v, code_a.data());
-  back.Encode(v, code_b.data());
-  EXPECT_EQ(code_a, code_b);
-}
-
-TEST(IndexIoTest, IvfPqRoundTrip) {
-  const Matrix corpus = RandomMatrix(800, 16, 8);
-  IvfPqIndex index(16, {.nlist = 8, .nprobe = 8, .pq = {.m = 4, .ksub = 32}});
-  index.Train(corpus);
-  index.AddBatch(corpus);
-  std::stringstream ss;
-  index.SaveTo(ss);
-  const IvfPqIndex back = IvfPqIndex::LoadFrom(ss);
-  EXPECT_EQ(back.size(), index.size());
-  const auto q = RandomVec(16, 105);
-  EXPECT_EQ(back.Search(q, 10), index.Search(q, 10));
-}
-
-TEST(IndexIoTest, IvfPqRefinedRoundTrip) {
-  const Matrix corpus = RandomMatrix(400, 16, 12);
-  IvfPqIndex index(16, {.nlist = 4, .nprobe = 4,
-                        .pq = {.m = 4, .ksub = 16}, .refine_factor = 4});
-  index.Train(corpus);
-  index.AddBatch(corpus);
-  std::stringstream ss;
-  index.SaveTo(ss);
-  const IvfPqIndex back = IvfPqIndex::LoadFrom(ss);
-  const auto q = RandomVec(16, 107);
-  EXPECT_EQ(back.Search(q, 5), index.Search(q, 5));
-}
-
 TEST(IndexIoTest, LoadIndexDispatchesByMagic) {
   const Matrix corpus = RandomMatrix(100, 8, 9);
   FlatIndex flat(8);
@@ -292,6 +280,139 @@ TEST(IndexIoTest, LoadIndexRejectsGarbage) {
   EXPECT_THROW(LoadIndex(ss), std::runtime_error);
   std::stringstream empty;
   EXPECT_THROW(LoadIndex(empty), std::runtime_error);
+}
+
+// A snapshot of a retired artifact must fail with an error that names
+// it, not as an unknown file.
+TEST(IndexIoTest, RetiredSnapshotsFailByName) {
+  for (const auto& [magic, name] :
+       {std::pair{0x51504950u, "ivf_pq"}, std::pair{0x58515050u, "pq"}}) {
+    std::string bytes(16, '\0');  // "PIPQ" / "PPQX" tag, then zeros
+    std::memcpy(bytes.data(), &magic, sizeof(magic));
+    try {
+      LoadBytes(bytes);
+      ADD_FAILURE() << name << " snapshot loaded";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string(name) + " snapshots are retired"),
+                std::string::npos)
+          << what;
+    }
+  }
+}
+
+// A checksummed v2 snapshot can carry a storage layout this build does
+// not know. Each loader must reject it as corrupt input (runtime_error),
+// not let CompressedStore's invalid_argument escape.
+TEST(IndexIoTest, UnknownStorageLayoutRejected) {
+  const Matrix corpus = RandomMatrix(64, 8, 13);
+
+  FlatIndex flat(8, {.storage = StorageLayout::kSq8});
+  flat.AddBatch(corpus);
+  // [magic][version][metric u32][parallel_threshold u64][storage u32]
+  const std::string flat_bytes = Snapshot(flat);
+  ASSERT_EQ(U32At(flat_bytes, 4), 2u);
+  ASSERT_EQ(U32At(flat_bytes, 20), 1u);  // sq8
+  EXPECT_THROW(LoadBytes(PatchU32(flat_bytes, 20, 7)), std::runtime_error);
+
+  IvfFlatIndex ivf(8, {.nlist = 4, .storage = StorageLayout::kSq8});
+  ivf.Train(corpus);
+  ivf.AddBatch(corpus);
+  // [magic][version][dim u64][metric u32][nlist][nprobe][seed][storage u32]
+  const std::string ivf_bytes = Snapshot(ivf);
+  ASSERT_EQ(U32At(ivf_bytes, 4), 2u);
+  ASSERT_EQ(U32At(ivf_bytes, 44), 1u);
+  EXPECT_THROW(LoadBytes(PatchU32(ivf_bytes, 44, 7)), std::runtime_error);
+
+  HnswIndex hnsw(8, {.storage = StorageLayout::kSq8});
+  hnsw.AddBatch(corpus);
+  // [magic][version][metric u32][M][efc][efs][seed][storage u32]
+  const std::string hnsw_bytes = Snapshot(hnsw);
+  ASSERT_EQ(U32At(hnsw_bytes, 4), 2u);
+  ASSERT_EQ(U32At(hnsw_bytes, 44), 1u);
+  EXPECT_THROW(LoadBytes(PatchU32(hnsw_bytes, 44, 7)), std::runtime_error);
+}
+
+// Every HNSW search starts at the stored entry point, so an id past the
+// graph must not load.
+TEST(IndexIoTest, HnswEntryPointOutOfRangeRejected) {
+  HnswIndex index(8);
+  index.AddBatch(RandomMatrix(50, 8, 14));
+  // v1: [magic][version][metric u32][M][efc][efs][seed][rng u64]
+  //     [entry u32][max_level i64]...
+  const std::string bytes = Snapshot(index);
+  constexpr std::size_t kEntryOffset = 52;
+  ASSERT_LT(U32At(bytes, kEntryOffset), 50u);
+  ASSERT_EQ(U32At(bytes, kEntryOffset + 4),
+            static_cast<std::uint32_t>(index.max_level()));
+  EXPECT_NO_THROW(LoadBytes(bytes));
+  EXPECT_THROW(LoadBytes(PatchU32(bytes, kEntryOffset, 5000)),
+               std::runtime_error);
+  // An entry on a lower level than the stored max_level is as bad: the
+  // descent would index levels that node does not have.
+  for (VectorId id = 0; id < 50; ++id) {
+    if (index.NodeLevel(id) < index.max_level()) {
+      EXPECT_THROW(LoadBytes(PatchU32(bytes, kEntryOffset,
+                                      static_cast<std::uint32_t>(id))),
+                   std::runtime_error);
+      break;
+    }
+  }
+}
+
+// The mutable graph's slot ids index its rows, live flags and edge lists;
+// a checksummed snapshot carrying one past the arena must not load.
+TEST(IndexIoTest, MutableOutOfRangeIdsRejected) {
+  constexpr std::size_t kSlots = 50, kDim = 4;
+  MutableGraphIndex index(kDim, {.max_degree = 8});
+  index.AddBatch(RandomMatrix(kSlots, kDim, 15));
+  ASSERT_TRUE(index.Delete(3));
+  ASSERT_EQ(index.Consolidate(), 1u);  // slot 3 goes on the free list
+  const std::string bytes = Snapshot(index);
+  EXPECT_NO_THROW(LoadBytes(bytes));
+
+  // [magic][version][metric u32][degree][build][search][alpha f32][seed]
+  // [long_edges][chunk] = 64 bytes, then the row matrix (dim, rows,
+  // count, floats), live_ (count, bytes), free_slots_ (count, u32s),
+  // adjacency (count, per slot: count, u32s), long links (same shape),
+  // entry u32, then tombstones, generation, rng state and the trailer.
+  const std::size_t live_at = 64 + 24 + kSlots * kDim * sizeof(float);
+  const std::size_t free_at = live_at + 8 + kSlots;
+  ASSERT_EQ(U32At(bytes, live_at), kSlots);
+  ASSERT_EQ(U32At(bytes, free_at), 1u);
+  ASSERT_EQ(U32At(bytes, free_at + 8), 3u);
+  const std::size_t adj_at = free_at + 8 + 4;
+  ASSERT_EQ(U32At(bytes, adj_at), kSlots);
+  std::size_t links_at = adj_at + 8;
+  for (VectorId id = 0; id < static_cast<VectorId>(kSlots); ++id) {
+    links_at += 8 + 4 * index.OutNeighbors(id).size();
+  }
+  ASSERT_EQ(U32At(bytes, links_at), kSlots);
+  // Slot 0 was inserted into an empty graph, so it has no long links;
+  // slot 1 has exactly one, back to slot 0.
+  ASSERT_EQ(U32At(bytes, links_at + 8), 0u);
+  ASSERT_EQ(U32At(bytes, links_at + 16), 1u);
+  ASSERT_EQ(U32At(bytes, links_at + 24), 0u);
+  ASSERT_FALSE(index.OutNeighbors(0).empty());
+  const std::size_t entry_at = bytes.size() - 8 - 3 * 8 - 4;
+
+  EXPECT_THROW(LoadBytes(PatchU32(bytes, entry_at, 5000)), std::runtime_error)
+      << "entry point";
+  EXPECT_THROW(LoadBytes(PatchU32(bytes, free_at + 8, kSlots)),
+               std::runtime_error)
+      << "free slot";
+  EXPECT_THROW(LoadBytes(PatchU32(bytes, adj_at + 16, kSlots)),
+               std::runtime_error)
+      << "adjacency";
+  EXPECT_THROW(LoadBytes(PatchU32(bytes, links_at + 24, kSlots)),
+               std::runtime_error)
+      << "long link";
+  // One live flag short of the slot count, otherwise well-formed.
+  std::string short_live = bytes;
+  short_live.erase(live_at + 8, 1);
+  EXPECT_THROW(LoadBytes(PatchU32(short_live, live_at, kSlots - 1)),
+               std::runtime_error)
+      << "live flags";
 }
 
 TEST(IndexIoTest, FileRoundTrip) {

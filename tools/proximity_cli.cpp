@@ -1161,7 +1161,11 @@ int CmdReplay(const Config& cfg) {
 int CmdInfo(const Config& cfg) {
   std::puts("proximity_cli — Proximity approximate RAG cache (C++ repro)");
   std::puts("workloads: mmlu (131 q, HNSW), medrag (200 q, FLAT)");
-  std::puts("indexes:   flat hnsw vamana ivf_flat ivf_pq");
+  std::printf("indexes:  ");
+  for (std::string_view kind : kIndexKinds) {
+    std::printf(" %.*s", static_cast<int>(kind.size()), kind.data());
+  }
+  std::puts("");
   std::puts("eviction:  fifo (paper) lru lfu random clock");
   std::puts("subcommands: sweep run adaptive serve client route "
             "trace-gen replay info");
