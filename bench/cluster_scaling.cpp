@@ -65,7 +65,7 @@ using bench::LoadStats;
 struct Backend {
   HashEmbedder embedder;
   std::unique_ptr<ShardedIndex> index;
-  std::unique_ptr<ProximityCache> cache;
+  std::unique_ptr<TenantRegistry> registry;
   std::unique_ptr<BatchingDriver> driver;
   std::unique_ptr<net::Server> server;
 
@@ -77,10 +77,11 @@ struct Backend {
     ApproxCacheOptions copts;
     copts.capacity = 512;
     copts.tolerance = 2.0f;
-    cache = std::make_unique<ProximityCache>(embedder.dim(), copts);
+    registry = std::make_unique<TenantRegistry>(
+        embedder.dim(), TenantRegistryOptions{.cache_defaults = copts});
     BatchingDriverOptions dopts;
     dopts.top_k = 5;
-    driver = std::make_unique<BatchingDriver>(*index, *cache, &embedder,
+    driver = std::make_unique<BatchingDriver>(*index, *registry, &embedder,
                                               dopts);
     server = std::make_unique<net::Server>(*driver, nopts);
     server->Start();

@@ -55,12 +55,12 @@ int main(int argc, char** argv) {
     ApproxCacheOptions copts;
     copts.capacity = 200;
     copts.tolerance = tau;
-    ProximityCache cache(embedder.dim(), copts);
+    TenantRegistry registry(embedder.dim(), {.cache_defaults = copts});
 
     Stopwatch wall;
     BatchingDriverStats driver;
     const auto result = RunStreamBatched(
-        workload, *index, cache, AnswerModel(MmluAnswerParams()), 1, stream,
+        workload, *index, registry, AnswerModel(MmluAnswerParams()), 1, stream,
         embeddings, static_cast<std::size_t>(threads), {}, &driver);
     const double wall_ms = wall.ElapsedMillis();
 

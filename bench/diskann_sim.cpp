@@ -27,6 +27,7 @@
 #include "embed/hash_embedder.h"
 #include "index/index_factory.h"
 #include "llm/answer_model.h"
+#include "rag/batching_driver.h"
 #include "rag/pipeline.h"
 #include "workload/benchmark_spec.h"
 #include "workload/query_stream.h"
@@ -117,9 +118,9 @@ int main(int argc, char** argv) {
       copts.tolerance = static_cast<float>(run_tau);
       copts.metric = slow.metric();
       copts.seed = seed;
-      ProximityCache cache(embedder.dim(), copts);
-      Retriever retriever(&slow, &cache, &clock,
-                          RetrieverOptions{.top_k = 10});
+      TenantRegistry registry(embedder.dim(), {.cache_defaults = copts});
+      BatchingDriver driver(slow, registry, nullptr);
+      Retriever retriever(driver, &clock);
       RagPipeline pipeline(&workload, &embedder, &retriever,
                            AnswerModel(MedragAnswerParams()), seed);
       const std::size_t slot = static_cast<std::size_t>(seed - 1);

@@ -63,7 +63,7 @@ struct Stack {
   Workload workload;
   HashEmbedder embedder;
   std::unique_ptr<ShardedIndex> index;
-  std::unique_ptr<ProximityCache> cache;
+  std::unique_ptr<TenantRegistry> registry;
   std::unique_ptr<BatchingDriver> driver;
   std::unique_ptr<net::Server> server;
   std::vector<StreamEntry> stream;
@@ -84,11 +84,12 @@ struct Stack {
     copts.capacity = 200;
     copts.tolerance = 2.0f;
     copts.metric = index->metric();
-    cache = std::make_unique<ProximityCache>(embedder.dim(), copts);
+    registry = std::make_unique<TenantRegistry>(
+        embedder.dim(), TenantRegistryOptions{.cache_defaults = copts});
 
     BatchingDriverOptions dopts;
     dopts.queue_bound = queue_bound;
-    driver = std::make_unique<BatchingDriver>(*index, *cache,
+    driver = std::make_unique<BatchingDriver>(*index, *registry,
                                               &embedder, dopts);
     server = std::make_unique<net::Server>(*driver, net::ServerOptions{});
     server->Start();

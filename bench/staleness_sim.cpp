@@ -36,6 +36,7 @@
 #include "embed/hash_embedder.h"
 #include "index/index_factory.h"
 #include "llm/answer_model.h"
+#include "rag/batching_driver.h"
 #include "rag/pipeline.h"
 #include "workload/benchmark_spec.h"
 #include "workload/query_stream.h"
@@ -91,8 +92,9 @@ int main(int argc, char** argv) {
   const Matrix embeddings = embedder.EmbedBatch(texts);
   const std::size_t half = stream.size() / 2;
 
-  auto warm_phase = [&](ProximityCache& cache) {
-    Retriever retriever(index.get(), &cache, nullptr, {.top_k = 10});
+  auto warm_phase = [&](TenantRegistry& registry) {
+    BatchingDriver driver(*index, registry, nullptr);
+    Retriever retriever(driver);
     RagPipeline pipeline(&workload, &embedder, &retriever,
                          AnswerModel(MedragAnswerParams()), 1);
     for (std::size_t i = 0; i < half; ++i) {
@@ -100,8 +102,9 @@ int main(int argc, char** argv) {
     }
   };
 
-  auto post_update_phase = [&](ProximityCache& cache) {
-    Retriever retriever(index.get(), &cache, nullptr, {.top_k = 10});
+  auto post_update_phase = [&](TenantRegistry& registry) {
+    BatchingDriver driver(*index, registry, nullptr);
+    Retriever retriever(driver);
     RagPipeline pipeline(&workload, &embedder, &retriever,
                          AnswerModel(MedragAnswerParams()), 1);
     std::size_t correct = 0, hits = 0;
@@ -130,14 +133,14 @@ int main(int argc, char** argv) {
   ApproxCacheOptions invalidate = copts;
   invalidate.staleness = StalenessPolicy::kInvalidateRegion;
 
-  ProximityCache cache_stale(embedder.dim(), serve_stale);
-  ProximityCache cache_reval(embedder.dim(), revalidate);
-  ProximityCache cache_region(embedder.dim(), invalidate);
-  ProximityCache cache_fresh(embedder.dim(), copts);
-  warm_phase(cache_stale);
-  warm_phase(cache_reval);
-  warm_phase(cache_region);
-  warm_phase(cache_fresh);
+  TenantRegistry stale(embedder.dim(), {.cache_defaults = serve_stale});
+  TenantRegistry reval(embedder.dim(), {.cache_defaults = revalidate});
+  TenantRegistry region(embedder.dim(), {.cache_defaults = invalidate});
+  TenantRegistry fresh(embedder.dim(), {.cache_defaults = copts});
+  warm_phase(stale);
+  warm_phase(reval);
+  warm_phase(region);
+  warm_phase(fresh);
 
   // The update, as real streaming mutations: tombstone every stub slot,
   // consolidate so the slots are reclaimed, then insert the finished
@@ -170,23 +173,25 @@ int main(int argc, char** argv) {
 
   // The staleness contract: push the post-mutation generation into each
   // warm cache; every pre-update entry is now stale at hit time.
-  cache_stale.set_generation(generation);
-  cache_reval.set_generation(generation);
-  cache_region.set_generation(generation);
-  cache_fresh.set_generation(generation);
-  cache_fresh.Clear();  // the refresh-everything oracle
+  for (TenantRegistry* registry : {&stale, &reval, &region, &fresh}) {
+    registry->CacheFor(kDefaultTenant).set_generation(generation);
+  }
+  fresh.CacheFor(kDefaultTenant).Clear();  // the refresh-everything oracle
 
   CsvTable table(
       {"mode", "accuracy", "hit_rate", "mean_relevance", "stale_hits"});
-  const auto run_mode = [&](const std::string& mode, ProximityCache& cache) {
-    const auto [acc, hit, rel] = post_update_phase(cache);
-    table.AddRow({mode, acc, hit, rel,
-                  static_cast<double>(cache.stats().stale_hits)});
+  const auto run_mode = [&](const std::string& mode,
+                            TenantRegistry& registry) {
+    const auto [acc, hit, rel] = post_update_phase(registry);
+    table.AddRow(
+        {mode, acc, hit, rel,
+         static_cast<double>(
+             registry.CacheFor(kDefaultTenant).stats().stale_hits)});
   };
-  run_mode("serve-stale", cache_stale);
-  run_mode("revalidate", cache_reval);
-  run_mode("invalidate-region", cache_region);
-  run_mode("fresh", cache_fresh);
+  run_mode("serve-stale", stale);
+  run_mode("revalidate", reval);
+  run_mode("invalidate-region", region);
+  run_mode("fresh", fresh);
 
   std::printf("# Staleness under live-corpus mutation (policies of "
               "DESIGN.md §13)\n");

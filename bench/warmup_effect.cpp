@@ -20,6 +20,7 @@
 #include "common/log.h"
 #include "embed/hash_embedder.h"
 #include "index/index_factory.h"
+#include "rag/batching_driver.h"
 #include "rag/retriever.h"
 #include "rag/warmup.h"
 #include "workload/benchmark_spec.h"
@@ -67,23 +68,25 @@ int main(int argc, char** argv) {
   copts.metric = index->metric();
 
   // Yesterday's session, used for both the snapshot and the history.
-  ProximityCache yesterday_cache(embedder.dim(), copts);
+  std::stringstream snapshot;
   {
-    Retriever retriever(index.get(), &yesterday_cache, nullptr,
-                        {.top_k = 10});
+    TenantRegistry registry(embedder.dim(), {.cache_defaults = copts});
+    BatchingDriver driver(*index, registry, nullptr);
+    Retriever retriever(driver);
     for (std::size_t i = 0; i < yesterday.size(); ++i) {
       retriever.Retrieve(yesterday_embeddings.Row(i));
     }
+    registry.CacheFor(kDefaultTenant).SaveTo(snapshot);
   }
-  std::stringstream snapshot;
-  yesterday_cache.SaveTo(snapshot);
 
   CsvTable table({"start", "seed_retrievals", "early_hit_rate",
                   "overall_hit_rate"});
 
-  auto run_today = [&](const char* label, ProximityCache& cache,
+  // Each start is the default tenant of its own registry.
+  auto run_today = [&](const char* label, TenantRegistry& registry,
                        std::size_t seed_retrievals) {
-    Retriever retriever(index.get(), &cache, nullptr, {.top_k = 10});
+    BatchingDriver driver(*index, registry, nullptr);
+    Retriever retriever(driver);
     std::size_t early_hits = 0, hits = 0;
     for (std::size_t i = 0; i < today.size(); ++i) {
       const bool hit = retriever.Retrieve(today_embeddings.Row(i)).cache_hit;
@@ -98,21 +101,23 @@ int main(int argc, char** argv) {
   };
 
   // Cold.
-  ProximityCache cold(embedder.dim(), copts);
+  TenantRegistry cold(embedder.dim(), {.cache_defaults = copts});
   run_today("cold", cold, 0);
 
   // History warm-up: cluster yesterday's query embeddings.
-  ProximityCache warmed(embedder.dim(), copts);
+  TenantRegistry warmed(embedder.dim(), {.cache_defaults = copts});
   WarmupOptions wopts;
   wopts.budget = budget;
-  const auto report =
-      WarmCacheFromHistory(warmed, yesterday_embeddings, retrieve, wopts);
+  const auto report = WarmCacheFromHistory(warmed.CacheFor(kDefaultTenant),
+                                           yesterday_embeddings, retrieve,
+                                           wopts);
   LogInfo("warmup: seeded {} entries, estimated coverage {:.3f}",
           report.entries_seeded, report.estimated_coverage);
   run_today("warmed", warmed, report.retrievals_performed);
 
-  // Snapshot restore.
-  ProximityCache restored = ProximityCache::LoadFrom(snapshot);
+  // Snapshot restore into the tenant's cache.
+  TenantRegistry restored(embedder.dim(), {.cache_defaults = copts});
+  restored.CacheFor(kDefaultTenant).LoadFrom(snapshot);
   run_today("snapshot", restored, 0);
 
   std::printf("# Cold vs warmed vs snapshot start (extension)\n");

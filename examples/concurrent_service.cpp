@@ -49,11 +49,11 @@ int main(int argc, char** argv) {
   ApproxCacheOptions copts;
   copts.capacity = 200;
   copts.tolerance = tau;
-  ProximityCache cache(embedder.dim(), copts);
+  TenantRegistry registry(embedder.dim(), {.cache_defaults = copts});
 
   BatchingDriverStats driver;
   const auto result = RunStreamBatched(
-      workload, *index, cache, AnswerModel(MmluAnswerParams()), 1, stream,
+      workload, *index, registry, AnswerModel(MmluAnswerParams()), 1, stream,
       embeddings, threads, {}, &driver);
 
   const auto& stats = result.cache_stats;

@@ -10,6 +10,7 @@
 #include "embed/hash_embedder.h"
 #include "index/index_factory.h"
 #include "llm/answer_model.h"
+#include "rag/batching_driver.h"
 #include "rag/pipeline.h"
 #include "workload/benchmark_spec.h"
 #include "workload/query_stream.h"
@@ -47,8 +48,9 @@ int main(int argc, char** argv) {
     copts.capacity = capacity;
     copts.tolerance = static_cast<float>(tau);
     copts.metric = index->metric();
-    ProximityCache cache(embedder.dim(), copts);
-    Retriever retriever(index.get(), &cache, nullptr, {.top_k = 10});
+    TenantRegistry registry(embedder.dim(), {.cache_defaults = copts});
+    BatchingDriver driver(*index, registry, nullptr);
+    Retriever retriever(driver);
     RagPipeline pipeline(&workload, &embedder, &retriever,
                          AnswerModel(MedragAnswerParams()), seed);
     const RunMetrics m = pipeline.RunStream(stream, stream_embeddings);

@@ -3,7 +3,8 @@
 // Walks the full Figure-1 workflow on the synthetic MMLU workload: build
 // corpus -> embed -> index (HNSW) -> stream of question variants ->
 // retrieve (with/without Proximity) -> prompt -> simulated LLM answer.
-// Prints the paper's three metrics side by side.
+// Prints the paper's three metrics side by side; "no cache" is τ = 0,
+// the baseline of Figure 3.
 //
 // Usage: mmlu_rag [corpus=10000] [capacity=200] [tau=2] [seed=1]
 #include <cstdio>
@@ -14,6 +15,7 @@
 #include "index/index_factory.h"
 #include "llm/answer_model.h"
 #include "llm/prompt.h"
+#include "rag/batching_driver.h"
 #include "rag/pipeline.h"
 #include "workload/benchmark_spec.h"
 #include "workload/query_stream.h"
@@ -45,8 +47,12 @@ int main(int argc, char** argv) {
   for (const auto& e : stream) texts.push_back(e.text);
   const Matrix stream_embeddings = embedder.EmbedBatch(texts);
 
-  auto run = [&](ProximityCache* cache, const char* label) {
-    Retriever retriever(index.get(), cache, nullptr, {.top_k = 10});
+  ApproxCacheOptions copts;
+  copts.capacity = capacity;
+  copts.metric = index->metric();
+  auto run = [&](TenantRegistry& registry, const char* label) {
+    BatchingDriver driver(*index, registry, nullptr);
+    Retriever retriever(driver);
     RagPipeline pipeline(&workload, &embedder, &retriever,
                          AnswerModel(MmluAnswerParams()), seed);
     const RunMetrics m = pipeline.RunStream(stream, stream_embeddings);
@@ -57,14 +63,13 @@ int main(int argc, char** argv) {
 
   std::printf("MMLU-like pipeline: %zu queries over %zu passages\n",
               stream.size(), workload.passages.size());
-  const RunMetrics base = run(nullptr, "no cache:");
+  copts.tolerance = 0.0f;
+  TenantRegistry uncached(embedder.dim(), {.cache_defaults = copts});
+  const RunMetrics base = run(uncached, "no cache:");
 
-  ApproxCacheOptions copts;
-  copts.capacity = capacity;
   copts.tolerance = tau;
-  copts.metric = index->metric();
-  ProximityCache cache(embedder.dim(), copts);
-  const RunMetrics cached = run(&cache, "proximity:");
+  TenantRegistry registry(embedder.dim(), {.cache_defaults = copts});
+  const RunMetrics cached = run(registry, "proximity:");
 
   if (base.mean_latency_ms > 0) {
     std::printf("\nretrieval latency reduction: %.1f%% (tau=%.1f, c=%zu)\n",
@@ -74,7 +79,8 @@ int main(int argc, char** argv) {
 
   // Show one augmented prompt, end to end (steps 6-7 of Figure 1).
   const auto& entry = stream.front();
-  Retriever retriever(index.get(), &cache, nullptr, {.top_k = 3});
+  BatchingDriver driver(*index, registry, nullptr, {.top_k = 3});
+  Retriever retriever(driver);
   const auto outcome = retriever.Retrieve(stream_embeddings.Row(0));
   const std::string prompt =
       BuildPrompt(entry.text, outcome.documents, workload.passages);

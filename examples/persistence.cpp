@@ -15,6 +15,7 @@
 #include "embed/hash_embedder.h"
 #include "index/hnsw_index.h"
 #include "index/index_io.h"
+#include "rag/batching_driver.h"
 #include "rag/retriever.h"
 #include "workload/benchmark_spec.h"
 #include "workload/query_stream.h"
@@ -39,13 +40,15 @@ int main(int argc, char** argv) {
   ApproxCacheOptions copts;
   copts.capacity = 200;
   copts.tolerance = 2.0f;
-  ProximityCache cache(embedder.dim(), copts);
+  TenantRegistry registry(embedder.dim(), {.cache_defaults = copts});
+  const ProximityCache& cache = registry.CacheFor(kDefaultTenant);
 
   QueryStreamOptions sopts;
   sopts.seed = 1;
   const auto stream = BuildQueryStream(workload, sopts);
   {
-    Retriever retriever(&index, &cache, nullptr, {.top_k = 10});
+    BatchingDriver driver(index, registry, nullptr);
+    Retriever retriever(driver);
     for (std::size_t i = 0; i < stream.size() / 2; ++i) {
       retriever.Retrieve(embedder.Embed(stream[i].text));
     }
@@ -66,15 +69,19 @@ int main(int argc, char** argv) {
               static_cast<std::uintmax_t>(
                   std::filesystem::file_size(cache_path)));
 
-  // Reload into fresh objects and serve the second half of the stream.
+  // Reload into fresh objects — the cache snapshot restores into the
+  // default tenant of a new registry — and serve the second half of the
+  // stream.
   auto reloaded_index = LoadIndexFromFile(index_path);
+  TenantRegistry reloaded(embedder.dim());
+  ProximityCache& reloaded_cache = reloaded.CacheFor(kDefaultTenant);
   std::ifstream is(cache_path, std::ios::binary);
-  ProximityCache reloaded_cache = ProximityCache::LoadFrom(is);
+  reloaded_cache.LoadFrom(is);
   std::printf("reloaded: %s, cache entries %zu\n",
               reloaded_index->Describe().c_str(), reloaded_cache.size());
 
-  Retriever retriever(reloaded_index.get(), &reloaded_cache, nullptr,
-                      {.top_k = 10});
+  BatchingDriver driver(*reloaded_index, reloaded, nullptr);
+  Retriever retriever(driver);
   for (std::size_t i = stream.size() / 2; i < stream.size(); ++i) {
     retriever.Retrieve(embedder.Embed(stream[i].text));
   }

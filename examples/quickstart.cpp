@@ -8,7 +8,9 @@
 #include "cache/approx_cache.h"
 #include "common/rng.h"
 #include "index/flat_index.h"
+#include "rag/batching_driver.h"
 #include "rag/retriever.h"
+#include "tenant/tenant_registry.h"
 
 int main() {
   using namespace proximity;
@@ -27,15 +29,19 @@ int main() {
   index.AddBatch(docs);
 
   // 2. The Proximity cache: capacity c = 100 entries, tolerance tau = 1.0,
-  //    same metric as the database (required).
+  //    same metric as the database (required). It is the cache of the one
+  //    tenant of a registry.
   ApproxCacheOptions opts;
   opts.capacity = 100;
   opts.tolerance = 1.0f;
   opts.metric = index.metric();
-  ProximityCache cache(kDim, opts);
+  TenantRegistry registry(kDim, {.cache_defaults = opts});
+  const ProximityCache& cache = registry.CacheFor(kDefaultTenant);
 
-  // 3. The retriever wires them together (Figure 2).
-  Retriever retriever(&index, &cache, /*clock=*/nullptr, {.top_k = 5});
+  // 3. The serving driver puts the cache in front of the database
+  //    (Figure 2); the retriever times each query through it.
+  BatchingDriver driver(index, registry, /*embedder=*/nullptr, {.top_k = 5});
+  Retriever retriever(driver);
 
   // Query q1: a fresh embedding -> cache miss, database lookup.
   std::vector<float> q1(kDim);
@@ -70,7 +76,7 @@ int main() {
   std::printf("q3: cache_hit=%d  latency=%.1fus\n", r3.cache_hit,
               static_cast<double>(r3.latency_ns) / 1e3);
 
-  const auto& stats = cache.stats();
+  const auto stats = cache.stats();
   std::printf("\ncache stats: lookups=%llu hits=%llu hit_rate=%.2f\n",
               static_cast<unsigned long long>(stats.lookups),
               static_cast<unsigned long long>(stats.hits), stats.HitRate());

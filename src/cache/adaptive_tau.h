@@ -27,6 +27,8 @@ struct AdaptiveTauOptions {
   double initial_tau = 1.0;
   /// Adjust only every `period` observations to let the window settle.
   std::size_t period = 16;
+
+  bool operator==(const AdaptiveTauOptions&) const = default;
 };
 
 class AdaptiveTau {

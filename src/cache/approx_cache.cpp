@@ -89,36 +89,28 @@ bool ParseStalenessPolicy(const std::string& name, StalenessPolicy* out) {
 }
 
 template <typename Value>
-ApproxCache<Value>::ApproxCache(std::size_t dim, ApproxCacheOptions options)
-    : dim_(dim),
-      options_(options),
-      policy_(MakeEvictionPolicy(options.eviction, options.seed)),
-      keys_(0, dim) {
+void ApproxCache<Value>::ValidateOptions(std::size_t dim,
+                                         const ApproxCacheOptions& options) {
   if (dim == 0) throw std::invalid_argument("ApproxCache: dim must be > 0");
-  if (options_.capacity == 0) {
+  if (options.capacity == 0) {
     throw std::invalid_argument("ApproxCache: capacity must be > 0");
   }
-  if (options_.tolerance < 0.f && options_.metric != Metric::kInnerProduct) {
+  if (options.tolerance < 0.f && options.metric != Metric::kInnerProduct) {
     // Negative tolerances only make sense for inner-product distances,
     // which are negated similarities and can be any real number.
     throw std::invalid_argument(
         "ApproxCache: tolerance must be >= 0 for L2/cosine metrics");
   }
-  ResetArena();
 }
 
 template <typename Value>
-ApproxCache<Value>::ApproxCache(std::size_t dim, ApproxCacheOptions options,
-                                const Matrix& keys, std::vector<Value> values,
-                                std::uint64_t generation,
-                                std::vector<std::uint64_t> entry_gens)
-    : ApproxCache(dim, options) {
-  generation_ = generation;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    Insert(keys.Row(i), std::move(values[i]));
-  }
-  if (!entry_gens.empty()) entry_gen_ = std::move(entry_gens);
-  stats_ = {};  // the insertions above are reconstruction, not use
+ApproxCache<Value>::ApproxCache(std::size_t dim, ApproxCacheOptions options)
+    : dim_(dim),
+      options_(options),
+      policy_(MakeEvictionPolicy(options.eviction, options.seed)),
+      keys_(0, dim) {
+  ValidateOptions(dim, options_);
+  ResetArena();
 }
 
 template <typename Value>
@@ -408,10 +400,17 @@ void ProximityCache::SaveTo(std::ostream& os) const {
 }
 
 template <>
-ProximityCache ProximityCache::LoadFrom(std::istream& is) {
+void ProximityCache::LoadFrom(std::istream& is) {
+  // Parse and verify the whole snapshot before touching this cache, so
+  // a corrupt one leaves it as it was.
   BinaryReader r(is);
   const std::uint32_t version = ReadHeader(r, kCacheMagic, /*max_version=*/2);
   const std::uint64_t dim = r.ReadU64();
+  if (dim != dim_) {
+    throw std::runtime_error("ProximityCache::LoadFrom: snapshot dim " +
+                             std::to_string(dim) + " != cache dim " +
+                             std::to_string(dim_));
+  }
   ApproxCacheOptions opts;
   opts.capacity = r.ReadU64();
   opts.tolerance = r.ReadF32();
@@ -442,8 +441,26 @@ ProximityCache ProximityCache::LoadFrom(std::istream& is) {
     }
   }
   r.VerifyChecksum();
-  return ProximityCache(dim, opts, keys, std::move(values), generation,
-                        std::move(entry_gens));
+  ValidateOptions(dim, opts);
+
+  std::lock_guard lock(mu_);
+  // The metric is fixed by the index the cache fronts (§3.1), like dim.
+  if (opts.metric != options_.metric) {
+    throw std::runtime_error("ProximityCache::LoadFrom: snapshot metric " +
+                             std::string(MetricName(opts.metric)) +
+                             " != cache metric " +
+                             std::string(MetricName(options_.metric)));
+  }
+  options_ = opts;
+  policy_ = MakeEvictionPolicy(opts.eviction, opts.seed);
+  ResetArena();
+  generation_ = generation;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    InsertLocked(keys.Row(i), std::move(values[i]));
+  }
+  // v1 snapshots carry no fill generations: entries take generation_.
+  if (!entry_gens.empty()) entry_gen_ = std::move(entry_gens);
+  stats_ = {};  // the insertions above are reconstruction, not use
 }
 
 template class ApproxCache<std::vector<VectorId>>;

@@ -12,9 +12,10 @@
 //    *retrievals*: the value is the document-id list the database
 //    returned for the key.
 //  - AnswerCache = ApproxCache<CachedAnswer> reuses *answers*: the value
-//    is the answer payload plus the evidence it was grounded in, which the
-//    ReuseRouter (cache/reuse_router.h) re-checks against a fresh
-//    retrieval ("Grounded Cache Routing for RAG", PAPERS.md). The answer
+//    is the evidence an answer was generated from. A τ-hit stamped with
+//    the current index generation is served from it with no retrieval
+//    and no generation; the generation stamp is what makes the reuse
+//    safe ("Grounded Cache Routing for RAG", PAPERS.md). The answer
 //    tier fills through Upsert, so a regenerated answer replaces the
 //    τ-close entry that triggered it instead of accumulating
 //    near-duplicates.
@@ -54,7 +55,7 @@ namespace proximity {
 enum class StalenessPolicy : std::uint32_t {
   /// Serve the entry anyway — the paper's bet that approximate staleness
   /// is acceptable, now made explicit and observable. The hit reports
-  /// `stale`, so the answer tier's router can still audit it.
+  /// `stale`, so the answer tier can treat it as a miss.
   kServeStale = 0,
   /// Report a miss and drop the stale entry, forcing the pipeline to
   /// re-retrieve and refill under the current generation.
@@ -116,21 +117,15 @@ struct AnswerCacheOptions {
   }
 };
 
-/// One cached answer plus the evidence it was generated from. The
-/// payload fields are what the simulator's answer model produces (a
-/// real deployment would store the generated text); the evidence fields
-/// are what the ReuseRouter compares against a fresh retrieval.
+/// The evidence one cached answer was generated from; an answer hit
+/// serves it in place of a retrieval. (The simulator's answer model is
+/// a function of the evidence, so the evidence stands in for the
+/// generated text a real deployment would also store.)
 struct CachedAnswer {
   /// Document ids the answer was grounded in, in retrieval order.
   std::vector<VectorId> source_docs;
-  /// Distances parallel to source_docs; may be empty when the serving
-  /// path had no distances (e.g. a retrieval-cache hit).
+  /// Distances parallel to source_docs.
   std::vector<float> source_distances;
-  /// Answer payload: the judged context quality and the verdict the
-  /// answer model produced from it.
-  double relevance = 0.0;
-  double misleading = 0.0;
-  bool correct = false;
 };
 
 /// Counters exposed for the evaluation (§4.2: cache hit rate is
@@ -223,18 +218,23 @@ class ApproxCache {
   Value ValueAt(std::size_t slot) const;
 
   /// Document tier only. Persists options and entries (not statistics).
-  /// On load, eviction bookkeeping is reconstructed by re-inserting
-  /// entries in slot order — an approximation of the original age order,
-  /// which is the usual warm-restart trade-off for caches.
   void SaveTo(std::ostream& os) const;
-  static ApproxCache LoadFrom(std::istream& is);
+  /// Document tier only. Restores a SaveTo snapshot into this cache in
+  /// place — options, entries and generation stamps replace the current
+  /// ones and statistics restart from zero — so a cache owned elsewhere
+  /// (a registry tenant's) can be warm-started. Eviction bookkeeping is
+  /// reconstructed by re-inserting entries in slot order — an
+  /// approximation of the original age order, which is the usual
+  /// warm-restart trade-off for caches. Throws std::runtime_error on a
+  /// corrupt snapshot or one of another dimension or metric (both are
+  /// fixed by the index the cache fronts), std::invalid_argument on
+  /// invalid options, as the constructor does; the cache is left
+  /// unchanged then.
+  void LoadFrom(std::istream& is);
 
  private:
-  /// LoadFrom's rebuild: re-inserts the snapshot's entries in slot order,
-  /// then restores their fill generations (when the snapshot has them).
-  ApproxCache(std::size_t dim, ApproxCacheOptions options, const Matrix& keys,
-              std::vector<Value> values, std::uint64_t generation,
-              std::vector<std::uint64_t> entry_gens);
+  static void ValidateOptions(std::size_t dim,
+                              const ApproxCacheOptions& options);
 
   // The helpers below run with mu_ held.
 
@@ -270,7 +270,7 @@ using AnswerCache = ApproxCache<CachedAnswer>;
 template <>
 void ProximityCache::SaveTo(std::ostream& os) const;
 template <>
-ProximityCache ProximityCache::LoadFrom(std::istream& is);
+void ProximityCache::LoadFrom(std::istream& is);
 
 extern template class ApproxCache<std::vector<VectorId>>;
 extern template class ApproxCache<CachedAnswer>;

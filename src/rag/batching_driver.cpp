@@ -31,34 +31,13 @@ const obs::HistogramHandle kObsQueueWait("serve.queue_wait_ns");
 }  // namespace
 
 BatchingDriver::BatchingDriver(const VectorIndex& index,
-                               ProximityCache& cache,
-                               const HashEmbedder* embedder,
-                               BatchingDriverOptions options)
-    : index_(index),
-      cache_(&cache),
-      registry_(nullptr),
-      embedder_(embedder),
-      options_(options),
-      router_(options.router) {
-  if (options_.max_batch == 0) {
-    throw std::invalid_argument("BatchingDriver: max_batch must be > 0");
-  }
-  if (options_.top_k == 0) {
-    throw std::invalid_argument("BatchingDriver: top_k must be > 0");
-  }
-  flusher_ = std::thread([this] { FlusherLoop(); });
-}
-
-BatchingDriver::BatchingDriver(const VectorIndex& index,
                                TenantRegistry& registry,
                                const HashEmbedder* embedder,
                                BatchingDriverOptions options)
     : index_(index),
-      cache_(nullptr),
-      registry_(&registry),
+      registry_(registry),
       embedder_(embedder),
-      options_(options),
-      router_(options.router) {
+      options_(options) {
   if (options_.max_batch == 0) {
     throw std::invalid_argument("BatchingDriver: max_batch must be > 0");
   }
@@ -68,6 +47,15 @@ BatchingDriver::BatchingDriver(const VectorIndex& index,
   if (registry.dim() != index.dim()) {
     throw std::invalid_argument(
         "BatchingDriver: registry/index dim mismatch");
+  }
+  // §3.1: proximity is only meaningful in the database's own distance
+  // function. Every tenant's caches take the registry's templates.
+  const TenantRegistryOptions& topts = registry.options();
+  if (topts.cache_defaults.metric != index.metric() ||
+      (options_.answer_reuse &&
+       topts.answer_defaults.metric != index.metric())) {
+    throw std::invalid_argument(
+        "BatchingDriver: cache metric differs from index metric");
   }
   flusher_ = std::thread([this] { FlusherLoop(); });
 }
@@ -101,70 +89,58 @@ void BatchingDriver::Fail(Pending& entry, RequestStatus status,
   entry.done(std::move(result));
 }
 
-ProximityCache& BatchingDriver::CacheFor(TenantId tenant) {
-  return registry_ != nullptr ? registry_->CacheFor(tenant) : *cache_;
-}
-
-bool BatchingDriver::Enqueue(Pending&& entry) {
+BatchingDriver::Admitted BatchingDriver::Admit(Pending& entry, bool queue) {
   entry.enqueued = std::chrono::steady_clock::now();
-  enum class Outcome { kQueued, kShed, kQuotaShed };
-  Outcome outcome = Outcome::kQueued;
+  enum class Outcome { kAccepted, kShed, kQuotaShed };
+  Outcome outcome = Outcome::kAccepted;
   TenantId tenant = kDefaultTenant;
   {
     std::lock_guard lock(mu_);
-    if (stop_) return false;
+    if (stop_) return Admitted::kStopped;
     // Resolve the tenant while the entry is still cheap to refuse:
     // quota runs before any embedding/search work is spent on it.
-    if (registry_ != nullptr) {
-      entry.tenant = registry_->Resolve(entry.tenant);
-    } else {
-      entry.tenant = kDefaultTenant;
-    }
+    entry.tenant = registry_.Resolve(entry.tenant);
     tenant = entry.tenant;
     ++stats_.submitted;
     BatchingDriverStats& tstats = tenant_stats_[tenant];
     ++tstats.submitted;
-    bool admitted = true;
-    if (registry_ != nullptr &&
-        registry_->Admit(tenant) != Admission::kAdmitted) {
-      admitted = false;
+    if (registry_.Admit(tenant) != Admission::kAdmitted) {
       ++stats_.quota_shed;
       ++tstats.quota_shed;
       outcome = Outcome::kQuotaShed;
-    }
-    if (admitted) {
-      if (options_.queue_bound != 0 &&
-          total_pending_ >= options_.queue_bound) {
-        ++stats_.shed;
-        ++tstats.shed;
-        outcome = Outcome::kShed;
-        // The quota token stays spent (rate counts admission attempts)
-        // but the inflight slot is released: the entry never runs.
-        if (registry_ != nullptr) registry_->OnDone(tenant);
-      } else {
-        entry.seq = next_seq_++;
-        TenantQueue& tq = queues_[tenant];
-        if (tq.queue.empty()) rr_.push_back(tenant);
-        tq.queue.push_back(std::move(entry));
-        ++total_pending_;
-      }
+    } else if (queue && options_.queue_bound != 0 &&
+               total_pending_ >= options_.queue_bound) {
+      ++stats_.shed;
+      ++tstats.shed;
+      outcome = Outcome::kShed;
+      // The quota token stays spent (rate counts admission attempts)
+      // but the inflight slot is released: the entry never runs.
+      registry_.OnDone(tenant);
+    } else if (queue) {
+      entry.seq = next_seq_++;
+      TenantQueue& tq = queues_[tenant];
+      if (tq.queue.empty()) rr_.push_back(tenant);
+      tq.queue.push_back(std::move(entry));
+      ++total_pending_;
     }
   }
   kObsSubmitted.Inc();
-  if (registry_ != nullptr) {
-    TenantCounters delta;
-    delta.submitted = 1;
-    if (outcome == Outcome::kShed) delta.shed = 1;
-    if (outcome == Outcome::kQuotaShed) delta.quota_shed = 1;
-    registry_->Record(tenant, delta);
-  }
-  if (outcome != Outcome::kQueued) {
+  TenantCounters delta;
+  delta.submitted = 1;
+  if (outcome == Outcome::kShed) delta.shed = 1;
+  if (outcome == Outcome::kQuotaShed) delta.quota_shed = 1;
+  registry_.Record(tenant, delta);
+  if (outcome != Outcome::kAccepted) {
     (outcome == Outcome::kShed ? kObsShed : kObsQuotaShed).Inc();
     Fail(entry, RequestStatus::kResourceExhausted, 0);
-    return true;
+    return Admitted::kShed;
   }
-  cv_.notify_all();
-  return true;
+  if (queue) cv_.notify_all();
+  return Admitted::kAccepted;
+}
+
+bool BatchingDriver::Enqueue(Pending&& entry) {
+  return Admit(entry, /*queue=*/true) != Admitted::kStopped;
 }
 
 std::future<std::vector<VectorId>> BatchingDriver::Submit(
@@ -292,6 +268,28 @@ std::vector<VectorId> BatchingDriver::Query(std::span<const float> embedding) {
   return Submit({embedding.begin(), embedding.end()}).get();
 }
 
+BatchResult BatchingDriver::Serve(std::span<const float> embedding) {
+  if (embedding.size() != index_.dim()) {
+    throw std::invalid_argument("BatchingDriver::Serve: dim mismatch");
+  }
+  BatchResult result;
+  std::vector<Pending> batch(1);
+  Pending& entry = batch.front();
+  entry.embedding.assign(embedding.begin(), embedding.end());
+  entry.deadline = std::chrono::steady_clock::time_point::max();
+  entry.done = [&result](BatchResult r) { result = std::move(r); };
+  switch (Admit(entry, /*queue=*/false)) {
+    case Admitted::kStopped:
+      throw std::runtime_error("BatchingDriver: Serve after Shutdown");
+    case Admitted::kShed:
+      break;
+    case Admitted::kAccepted:
+      ProcessBatch(std::move(batch));
+      break;
+  }
+  return result;
+}
+
 void BatchingDriver::Flush() {
   std::unique_lock lock(mu_);
   ++drain_requested_;
@@ -383,7 +381,7 @@ std::vector<BatchingDriver::Pending> BatchingDriver::TakeBatch(
     const TenantId id = rr_.front();
     rr_.pop_front();
     TenantQueue& tq = queues_[id];
-    tq.deficit += registry_ != nullptr ? registry_->WeightFor(id) : 1.0;
+    tq.deficit += registry_.WeightFor(id);
     while (tq.deficit >= 1.0 && !tq.queue.empty() &&
            batch.size() < take) {
       batch.push_back(std::move(tq.queue.front()));
@@ -464,10 +462,7 @@ void BatchingDriver::ProcessBatch(std::vector<Pending> batch) {
 
   std::uint64_t hits = 0, answer_hits = 0, retrieved = 0, coalesced = 0,
                 expired = 0, mutations = 0, completed = 0;
-  // Answer reuse is a registry-mode feature: per-tenant answer caches
-  // live in the registry, and single-cache drivers have nowhere
-  // isolation-safe to keep one.
-  const bool answer_reuse = options_.answer_reuse && registry_ != nullptr;
+  const bool answer_reuse = options_.answer_reuse;
   // Per-tenant view of the same outcome deltas (merged under mu_ at the
   // end, mirrored into tenant.<label>.* via the registry).
   std::map<TenantId, TenantCounters> deltas;
@@ -567,11 +562,11 @@ void BatchingDriver::ProcessBatch(std::vector<Pending> batch) {
       for (const std::size_t i : live) {
         if (done[i]) continue;
         if (!stamped.emplace(batch[i].tenant, true).second) continue;
-        CacheFor(batch[i].tenant).set_generation(gen);
+        registry_.CacheFor(batch[i].tenant).set_generation(gen);
         // The answer tier honors the same staleness contract: a hit
         // whose entry predates this stamp must not be served.
         if (answer_reuse) {
-          registry_->AnswerCacheFor(batch[i].tenant).set_generation(gen);
+          registry_.AnswerCacheFor(batch[i].tenant).set_generation(gen);
         }
       }
     }
@@ -579,22 +574,16 @@ void BatchingDriver::ProcessBatch(std::vector<Pending> batch) {
     // 1.7 Answer-reuse probe (DESIGN.md §15): a current-generation
     //     τ-hit in the submitting tenant's answer cache completes here
     //     with the cached entry's evidence — no retrieval cache probe,
-    //     no search. Stale τ-hits ride the normal path instead; the
-    //     router audits their cached evidence against the fresh result
-    //     in step 6 and the entry is refreshed.
-    std::map<std::size_t, CachedAnswer> stale_answers;
+    //     no search. A stale τ-hit is a miss: it rides the normal path
+    //     and a fresh retrieval refreshes the entry in step 6.
     if (answer_reuse) {
       for (const std::size_t i : live) {
         if (done[i]) continue;
         const TenantId tenant = batch[i].tenant;
         const obs::ScopedTraceContext trace_scope(batch[i].trace);
         auto probe =
-            registry_->AnswerCacheFor(tenant).Lookup(batch[i].embedding);
-        if (!probe.hit) continue;
-        if (probe.stale) {
-          stale_answers.emplace(i, std::move(probe.value));
-          continue;
-        }
+            registry_.AnswerCacheFor(tenant).Lookup(batch[i].embedding);
+        if (!probe.hit || probe.stale) continue;
         results[i].documents = std::move(probe.value.source_docs);
         results[i].distances = std::move(probe.value.source_distances);
         results[i].answer_hit = true;
@@ -606,9 +595,8 @@ void BatchingDriver::ProcessBatch(std::vector<Pending> batch) {
       }
     }
 
-    // 2. Probe each entry's tenant cache (the tenant's private cache in
-    //    registry mode; the one shared cache otherwise). Mutation
-    //    entries are already done and never probe.
+    // 2. Probe each entry's tenant cache. Mutation entries are already
+    //    done and never probe.
     std::vector<std::size_t> misses;
     for (const std::size_t i : live) {
       if (done[i]) continue;
@@ -616,10 +604,8 @@ void BatchingDriver::ProcessBatch(std::vector<Pending> batch) {
       // The probe runs with the entry's trace as the thread context, so
       // the cache's own spans (kCacheLookup/kCacheScan) join the trace.
       const obs::ScopedTraceContext trace_scope(batch[i].trace);
-      auto cached = CacheFor(tenant).Lookup(batch[i].embedding);
-      if (registry_ != nullptr) {
-        registry_->ObserveLookup(tenant, cached.hit);
-      }
+      auto cached = registry_.CacheFor(tenant).Lookup(batch[i].embedding);
+      registry_.ObserveLookup(tenant, cached.hit);
       if (cached.hit) {
         results[i].documents = std::move(cached.value);
         results[i].cache_hit = true;
@@ -644,15 +630,13 @@ void BatchingDriver::ProcessBatch(std::vector<Pending> batch) {
     const auto tolerance_of = [&](TenantId tenant) {
       auto it = tolerances.find(tenant);
       if (it == tolerances.end()) {
-        it = tolerances.emplace(tenant, CacheFor(tenant).tolerance())
+        it = tolerances
+                 .emplace(tenant, registry_.CacheFor(tenant).tolerance())
                  .first;
       }
       return it->second;
     };
-    const Metric metric =
-        registry_ != nullptr
-            ? registry_->CacheFor(kDefaultTenant).metric()
-            : cache_->metric();
+    const Metric metric = index_.metric();
     for (const std::size_t i : misses) {
       bool joined = false;
       if (options_.coalesce) {
@@ -703,7 +687,7 @@ void BatchingDriver::ProcessBatch(std::vector<Pending> batch) {
         }
         const obs::ScopedTraceContext trace_scope(
             batch[leaders[rank]].trace);
-        CacheFor(batch[leaders[rank]].tenant)
+        registry_.CacheFor(batch[leaders[rank]].tenant)
             .Insert(batch[leaders[rank]].embedding, leader_docs[rank]);
       }
     }
@@ -726,26 +710,16 @@ void BatchingDriver::ProcessBatch(std::vector<Pending> batch) {
       ++completed;
     }
 
-    // 6. Answer-tier maintenance. First audit each stale answer hit
-    //    against the fresh evidence its entry now has (the router's
-    //    verdict feeds router.* telemetry; conservation already counted
-    //    the retrieval-path outcome — stale entries are never served,
-    //    exactly the forced-regenerate contract). Then refresh/seed the
-    //    tenant's answer entry under the current generation with the
-    //    fresh evidence. The driver caches evidence only; the answer
-    //    payload belongs to the layer that generates (the pipeline).
+    // 6. Answer-tier maintenance: refresh (or seed) the tenant's
+    //    answer entry under the current generation with the fresh
+    //    evidence, so a stale entry τ-close to this query is replaced.
     if (answer_reuse) {
-      for (const auto& [i, stale] : stale_answers) {
-        if (!done[i] || results[i].status != RequestStatus::kOk) continue;
-        router_.Route(true, stale.source_docs, stale.source_distances,
-                      results[i].documents, results[i].distances);
-      }
       for (const std::size_t i : misses) {
         if (results[i].status != RequestStatus::kOk) continue;
         CachedAnswer entry;
         entry.source_docs = results[i].documents;
         entry.source_distances = results[i].distances;
-        registry_->AnswerCacheFor(batch[i].tenant)
+        registry_.AnswerCacheFor(batch[i].tenant)
             .Upsert(batch[i].embedding, std::move(entry));
       }
     }
@@ -766,15 +740,13 @@ void BatchingDriver::ProcessBatch(std::vector<Pending> batch) {
   kObsCoalesced.Inc(coalesced);
   kObsExpired.Inc(expired);
   kObsMutations.Inc(mutations);
-  if (registry_ != nullptr) {
-    for (const auto& [tenant, delta] : deltas) {
-      registry_->Record(tenant, delta);
-    }
-    // Every batch entry was admitted at Enqueue; release the inflight
-    // slots now that each has completed (whatever the status).
-    for (const Pending& entry : batch) {
-      registry_->OnDone(entry.tenant);
-    }
+  for (const auto& [tenant, delta] : deltas) {
+    registry_.Record(tenant, delta);
+  }
+  // Every batch entry was admitted; release the inflight slots now that
+  // each has completed (whatever the status).
+  for (const Pending& entry : batch) {
+    registry_.OnDone(entry.tenant);
   }
   {
     std::lock_guard lock(mu_);
@@ -808,7 +780,7 @@ void BatchingDriver::ProcessBatch(std::vector<Pending> batch) {
 
 ConcurrentRunResult RunStreamBatched(
     const Workload& workload, const VectorIndex& index,
-    ProximityCache& cache, const AnswerModel& answer_model,
+    TenantRegistry& registry, const AnswerModel& answer_model,
     std::uint64_t answer_seed, const std::vector<StreamEntry>& stream,
     const Matrix& embeddings, std::size_t threads,
     const BatchingDriverOptions& options,
@@ -824,7 +796,7 @@ ConcurrentRunResult RunStreamBatched(
   const std::vector<double> difficulties =
       MakeDifficultyTable(workload.questions.size(), answer_seed);
 
-  BatchingDriver driver(index, cache, nullptr, options);
+  BatchingDriver driver(index, registry, nullptr, options);
 
   std::atomic<std::size_t> cursor{0};
   std::atomic<std::size_t> processed{0};
@@ -878,7 +850,7 @@ ConcurrentRunResult RunStreamBatched(
   if (driver_stats != nullptr) *driver_stats = driver.stats();
 
   ConcurrentRunResult result;
-  result.cache_stats = cache.stats();
+  result.cache_stats = registry.CacheFor(kDefaultTenant).stats();
   // An interrupted run (stop flag) reports over the queries it actually
   // served, so partial metrics stay meaningful instead of diluted.
   const std::size_t served = processed.load();

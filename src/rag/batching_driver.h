@@ -1,23 +1,29 @@
 // Dynamic microbatching serving driver (DESIGN.md §8, §10).
 //
-// Many users query the RAG service at once, but a claim loop that hands
-// each worker one query at a time only ever shows the database batch
-// size 1. This driver is an admission queue instead: callers Submit
-// queries (text or pre-computed embeddings) and get a future; a flusher
-// thread drains the queue whenever `max_batch` queries are pending or the
-// oldest has waited `max_wait_us` (flush-on-full / flush-on-timer), embeds
-// queued text in one EmbedBatch call, probes the cache, and issues the
-// remaining misses as ONE grouped SearchBatch against the index —
-// which, for a ShardedIndex, fans shard×query legs across the thread
-// pool so the fused batch kernels see real batch shapes.
+// The one engine every query runs through — served requests, the
+// figures' sequential streams (Retriever, via Serve) and the multi-user
+// stream runner alike. Many users query the RAG service at once, but a
+// claim loop that hands each worker one query at a time only ever shows
+// the database batch size 1. This driver is an admission queue instead:
+// callers Submit queries (text or pre-computed embeddings) and get a
+// future; a flusher thread drains the queue whenever `max_batch` queries
+// are pending or the oldest has waited `max_wait_us` (flush-on-full /
+// flush-on-timer), embeds queued text in one EmbedBatch call, probes the
+// cache, and issues the remaining misses as ONE grouped SearchBatch
+// against the index — which, for a ShardedIndex, fans shard×query legs
+// across the thread pool so the fused batch kernels see real batch
+// shapes.
 //
 // Within a flush, misses that are τ-similar to an earlier miss of the
 // same batch coalesce onto that leader's retrieval. Across flushes the
 // one flusher thread serializes batches, so a τ-similar query in a later
-// batch hits what an earlier batch inserted. Every submitted
-// query is exactly one of {hit, retrieved, coalesced, shed, expired,
-// quota_shed}; Shutdown drains the queue, so no query is dropped
-// mid-batch.
+// batch hits what an earlier batch inserted. Serve runs the same
+// admission and batch processing for a batch of one on the caller's
+// thread (no queue, no timer, no thread hop), concurrently with the
+// flusher; the caches and the registry carry their own locks. Every
+// submitted query is exactly one of {hit, retrieved, coalesced, shed,
+// expired, quota_shed}; Shutdown drains the queue, so no query is
+// dropped mid-batch.
 //
 // The driver is also the admission queue of the network front-end
 // (DESIGN.md §9): SubmitAsync/SubmitTextAsync attach a completion
@@ -27,16 +33,17 @@
 // enforced at flush time — an entry whose deadline has already passed
 // completes with DEADLINE_EXCEEDED without being embedded or searched.
 //
-// Multi-tenant mode (DESIGN.md §10): constructed over a TenantRegistry,
-// the driver keeps one admission queue per tenant and flushes them with
-// weighted deficit-round-robin, so a flooding tenant cannot starve the
-// others of batch slots — while embedding and search still run as one
-// fused batch across tenants. Cache probes/inserts route to the
-// submitting tenant's private cache, τ-coalescing only joins entries of
-// the SAME tenant (cross-tenant reuse of approximate answers is an
-// isolation leak, not a hit), and the registry's token-bucket quota is
-// consulted at Enqueue — over-quota work completes RESOURCE_EXHAUSTED
-// before any embedding is spent on it (`quota_shed`).
+// Tenancy (DESIGN.md §10): the driver runs over a TenantRegistry (a
+// single tenant is a registry of one) and keeps one admission queue per
+// tenant, flushing them with weighted deficit-round-robin, so a flooding
+// tenant cannot starve the others of batch slots — while embedding and
+// search still run as one fused batch across tenants. Cache
+// probes/inserts route to the submitting tenant's private cache,
+// τ-coalescing only joins entries of the SAME tenant (cross-tenant reuse
+// of approximate answers is an isolation leak, not a hit), and the
+// registry's token-bucket quota is consulted at admission — over-quota
+// work completes RESOURCE_EXHAUSTED before any embedding is spent on it
+// (`quota_shed`).
 //
 // Live-corpus mode (DESIGN.md §13): EnableMutation arms an INSERT/
 // DELETE path over a mutation-capable index. Mutations ride the same
@@ -61,7 +68,6 @@
 #include <vector>
 
 #include "cache/approx_cache.h"
-#include "cache/reuse_router.h"
 #include "common/types.h"
 #include "embed/hash_embedder.h"
 #include "index/vector_index.h"
@@ -103,14 +109,11 @@ struct BatchingDriverOptions {
   /// behavior, kept for the noisy-neighbor contrast bench).
   bool fair = true;
   /// Answer-reuse tier (DESIGN.md §15): probe the submitting tenant's
-  /// answer cache before its retrieval cache and serve
-  /// current-generation τ-hits without embedding-search work. Stale
-  /// τ-hits fall through to the normal path; the router audits them
-  /// against the fresh result and the entry is refreshed. Registry
-  /// mode only — single-cache drivers ignore this flag.
+  /// answer cache before its retrieval cache and serve a τ-hit stamped
+  /// with the current generation from its cached evidence, with no
+  /// retrieval. A stale τ-hit is a miss; the next retrieval of a
+  /// τ-close query refreshes the entry.
   bool answer_reuse = false;
-  /// Grounding thresholds for the stale-hit routing audit.
-  ReuseRouterOptions router;
 };
 
 /// Counters over the driver's lifetime. After Shutdown (queue drained,
@@ -118,8 +121,9 @@ struct BatchingDriverOptions {
 ///   hits + answer_hits + retrieved + coalesced + shed + expired
 ///       + quota_shed + mutations == submitted
 /// and completed == submitted - shed - quota_shed (both shed kinds
-/// finish inline at Submit, everything else through a flush) — no query
-/// is dropped. The same invariant holds per tenant (tenant_stats()).
+/// finish inline at admission, everything else through a flush or a
+/// Serve) — no query is dropped. The same invariant holds per tenant
+/// (tenant_stats()).
 struct BatchingDriverStats {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
@@ -179,8 +183,7 @@ struct SubmitOptions {
   /// without being embedded or searched.
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
-  /// Submitting tenant; ignored (treated as default) unless the driver
-  /// was constructed over a TenantRegistry.
+  /// Submitting tenant, resolved by the registry's unknown-tenant policy.
   TenantId tenant = kDefaultTenant;
   /// Request trace to attribute the driver's work to (obs/trace.h):
   /// queue wait, embed, cache probe, search and insert spans are all
@@ -190,18 +193,16 @@ struct SubmitOptions {
 
 class BatchingDriver {
  public:
-  /// Single-tenant mode: every submission shares `cache`. `index` and
-  /// `cache` are not owned and must outlive the driver. `embedder` may
-  /// be null when only the embedding Submit path is used.
-  BatchingDriver(const VectorIndex& index, ProximityCache& cache,
-                 const HashEmbedder* embedder,
-                 BatchingDriverOptions options = {});
-
-  /// Multi-tenant mode: submissions carry SubmitOptions::tenant, cache
-  /// probes/inserts route to that tenant's cache in `registry`, the
-  /// registry's quotas gate admission, and the flush schedules across
-  /// per-tenant queues (options.fair). `registry` must outlive the
-  /// driver.
+  /// Submissions carry SubmitOptions::tenant, cache probes/inserts
+  /// route to that tenant's caches in `registry`, the registry's quotas
+  /// gate admission, and the flush schedules across per-tenant queues
+  /// (options.fair). A single tenant is a registry of one. `index` and
+  /// `registry` are not owned and must outlive the driver; `embedder`
+  /// may be null when only the embedding paths are used. Throws
+  /// std::invalid_argument when the registry's dimension or the metric
+  /// of a cache tier it probes (the answer tier only with answer_reuse)
+  /// differs from the index's (§3.1: the cache measures proximity in
+  /// the database's own distance function).
   BatchingDriver(const VectorIndex& index, TenantRegistry& registry,
                  const HashEmbedder* embedder,
                  BatchingDriverOptions options = {});
@@ -259,6 +260,16 @@ class BatchingDriver {
   /// Synchronous convenience: Submit + wait.
   std::vector<VectorId> Query(std::span<const float> embedding);
 
+  /// Serves one embedding for the default tenant on the caller's
+  /// thread: the same admission (quota) and batch processing as a
+  /// flushed batch of one, without the queue, the timer or the hop to
+  /// the flusher. Index and cache work therefore runs on this thread
+  /// (a VirtualClock a SlowStorageIndex charges sees it here). Throws
+  /// std::invalid_argument on a dimension mismatch and
+  /// std::runtime_error after Shutdown; any other outcome, shed or
+  /// failed included, is reported in the result's status.
+  BatchResult Serve(std::span<const float> embedding);
+
   /// Flushes everything currently pending without stopping the driver.
   void Flush();
 
@@ -268,8 +279,7 @@ class BatchingDriver {
 
   BatchingDriverStats stats() const;
   /// Per-tenant view of the same counters; the conservation invariant
-  /// holds for every entry. Single-tenant drivers report everything
-  /// under kDefaultTenant.
+  /// holds for every entry.
   std::map<TenantId, BatchingDriverStats> tenant_stats() const;
   const BatchingDriverOptions& options() const noexcept { return options_; }
 
@@ -300,11 +310,16 @@ class BatchingDriver {
     double deficit = 0.0;
   };
 
-  /// Shared admission path. Returns false after Shutdown — the entry is
-  /// left intact (not consumed, callback not invoked) so the caller
-  /// picks throw vs callback. Invokes the callback inline with
-  /// kResourceExhausted when the bounded queue or the tenant quota
-  /// sheds the entry.
+  enum class Admitted { kStopped, kShed, kAccepted };
+
+  /// Shared admission path: resolves the tenant, counts the submission
+  /// and consults the tenant quota and (when `queue`) the queue bound.
+  /// kStopped after Shutdown — the entry is left intact (callback not
+  /// invoked) so the caller picks throw vs callback. kShed after the
+  /// callback ran inline with kResourceExhausted. kAccepted: queued
+  /// when `queue`, otherwise the caller runs it (Serve).
+  Admitted Admit(Pending& entry, bool queue);
+  /// Admit(entry, true); false after Shutdown, as above.
   bool Enqueue(Pending&& entry);
 
   void FlusherLoop();
@@ -314,8 +329,6 @@ class BatchingDriver {
   /// Earliest enqueue time across queue fronts. Caller must hold mu_;
   /// total_pending_ must be > 0.
   std::chrono::steady_clock::time_point OldestEnqueued() const;
-  /// The cache serving `tenant` (the tenant's own in registry mode).
-  ProximityCache& CacheFor(TenantId tenant);
   /// Processes one batch outside the queue lock.
   void ProcessBatch(std::vector<Pending> batch);
   /// Completes `entry` with a non-OK status.
@@ -326,13 +339,9 @@ class BatchingDriver {
   /// path disarmed (SubmitMutationAsync fails with kInvalidArgument).
   /// Atomic: EnableMutation may race the already-running flusher.
   std::atomic<VectorIndex*> mutable_index_{nullptr};
-  ProximityCache* cache_;  // single-tenant mode; else null
-  TenantRegistry* registry_;         // multi-tenant mode; else null
+  TenantRegistry& registry_;
   const HashEmbedder* embedder_;
   BatchingDriverOptions options_;
-  /// Audits stale answer-cache hits against their fresh retrieval
-  /// (answer_reuse mode). Touched by the flusher thread only.
-  ReuseRouter router_;
 
   mutable std::mutex mu_;
   std::mutex shutdown_mu_;  // serializes concurrent Shutdown callers
@@ -364,18 +373,19 @@ struct ConcurrentRunResult {
 
 /// Multi-user stream execution: `threads` client workers claim stream
 /// entries from a shared atomic cursor and submit them to one shared
-/// BatchingDriver over `index` and `cache`, so concurrent in-flight
-/// queries group into real microbatches. The interleaving — and
-/// therefore the exact hit rate — is scheduling-dependent; the driver's
-/// conservation invariant is not. Embeddings must hold one row per
-/// stream entry.
+/// BatchingDriver over `index` and the default tenant of `registry`, so
+/// concurrent in-flight queries group into real microbatches. Each
+/// worker judges whatever evidence its request was served (answer hits
+/// included). The interleaving — and therefore the exact hit rate — is
+/// scheduling-dependent; the driver's conservation invariant is not.
+/// Embeddings must hold one row per stream entry.
 /// `driver_stats`, if non-null, receives the driver counters. A non-null
 /// `stop` flag makes workers stop claiming entries once it reads true
 /// (the SIGINT/SIGTERM drain path: in-flight queries still complete and
 /// the partial metrics are returned, not lost).
 ConcurrentRunResult RunStreamBatched(
     const Workload& workload, const VectorIndex& index,
-    ProximityCache& cache, const AnswerModel& answer_model,
+    TenantRegistry& registry, const AnswerModel& answer_model,
     std::uint64_t answer_seed, const std::vector<StreamEntry>& stream,
     const Matrix& embeddings, std::size_t threads,
     const BatchingDriverOptions& options = {},

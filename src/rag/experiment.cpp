@@ -8,6 +8,7 @@
 
 #include "common/log.h"
 #include "common/stats.h"
+#include "rag/batching_driver.h"
 
 namespace proximity {
 
@@ -81,10 +82,10 @@ RunMetrics SweepRunner::RunOne(std::int64_t capacity, double tolerance,
   copts.metric = search_index_->metric();
   copts.eviction = eviction;
   copts.seed = seed;
-  ProximityCache cache(embedder_.dim(), copts);
-
-  Retriever retriever(search_index_, &cache, &clock_,
-                      RetrieverOptions{.top_k = config_.top_k});
+  TenantRegistry registry(embedder_.dim(), {.cache_defaults = copts});
+  BatchingDriver driver(*search_index_, registry, nullptr,
+                        {.top_k = config_.top_k});
+  Retriever retriever(driver, &clock_);
   RagPipeline pipeline(&workload_, &embedder_, &retriever,
                        AnswerModel(config_.answer_params), seed);
   return pipeline.RunStream(streams_[seed_slot],
@@ -110,10 +111,11 @@ SweepRunner::AdaptiveRunResult SweepRunner::RunAdaptive(
   copts.metric = search_index_->metric();
   copts.eviction = config_.eviction;
   copts.seed = seed;
-  ProximityCache cache(embedder_.dim(), copts);
-
-  Retriever retriever(search_index_, &cache, &clock_,
-                      RetrieverOptions{.top_k = config_.top_k});
+  TenantRegistry registry(embedder_.dim(), {.cache_defaults = copts});
+  BatchingDriver driver(*search_index_, registry, nullptr,
+                        {.top_k = config_.top_k});
+  ProximityCache& cache = registry.CacheFor(kDefaultTenant);
+  Retriever retriever(driver, &clock_);
   RagPipeline pipeline(&workload_, &embedder_, &retriever,
                        AnswerModel(config_.answer_params), seed);
   AdaptiveTau controller(controller_options);

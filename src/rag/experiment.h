@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "cache/adaptive_tau.h"
+#include "cache/eviction_policy.h"
 #include "common/csv.h"
 #include "index/index_factory.h"
 #include "index/slow_storage_index.h"

@@ -5,8 +5,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "cache/approx_cache.h"
-#include "cache/reuse_router.h"
 #include "common/stats.h"
 #include "embed/hash_embedder.h"
 #include "llm/answer_model.h"
@@ -19,14 +17,13 @@ namespace proximity {
 struct QueryResult {
   bool correct = false;
   bool cache_hit = false;
-  /// Served (or patched) from the answer cache after the reuse router
-  /// approved grounding — no full generation ran.
+  /// Served from the answer cache: judged on the cached evidence, and
+  /// no generation ran.
   bool answer_hit = false;
   Nanos retrieval_latency_ns = 0;
   /// Simulated end-to-end time-to-final-token: retrieval latency plus
-  /// the modeled generation cost, overlapped on answer-cache hits (see
-  /// AnswerReuseOptions). Equals retrieval_latency_ns when answer
-  /// reuse is disabled (generation cost is not modeled there).
+  /// the modeled generation cost, which answer hits skip. Equals
+  /// retrieval_latency_ns when no generation cost is modeled.
   Nanos ttft_ns = 0;
   ContextJudgment judgment;
 };
@@ -36,8 +33,8 @@ struct RunMetrics {
   std::size_t queries = 0;
   double accuracy = 0.0;
   double hit_rate = 0.0;
-  /// Fraction of queries served/patched from the answer cache (0 when
-  /// answer reuse is disabled).
+  /// Fraction of queries served from the answer cache (0 unless the
+  /// driver runs the answer tier).
   double answer_hit_rate = 0.0;
   /// Mean retrieval latency in milliseconds.
   double mean_latency_ms = 0.0;
@@ -51,40 +48,15 @@ struct RunMetrics {
   double mean_misleading = 0.0;
 };
 
-/// Knobs for the answer-reuse tier (DESIGN.md §15).
-struct AnswerReuseOptions {
-  /// Overlap retrieval with draft generation on answer-cache hits (the
-  /// RAGCache/RAGO idiom): the draft starts on the cached context while
-  /// the grounding retrieval runs, and is committed only if the router
-  /// approves. Off = the router still runs, but no draft is charged.
-  bool overlap = true;
-  /// Modeled cost of one full generation (simulated, charged into
-  /// ttft_ns). 0 keeps TTFT equal to retrieval latency.
-  Nanos generation_cost_ns = 0;
-  /// Fraction of generation_cost_ns a draft costs before the router's
-  /// verdict lands (prefill + first tokens on the cached context).
-  double draft_fraction = 0.25;
-};
-
-/// Accounting for the answer-reuse tier; drafts == commits + discards.
-struct AnswerReuseStats {
-  std::uint64_t lookups = 0;
-  std::uint64_t answer_hits = 0;  ///< served + patched
-  std::uint64_t served = 0;
-  std::uint64_t patched = 0;
-  std::uint64_t regenerated = 0;
-  std::uint64_t stale_hits = 0;
-  std::uint64_t drafts = 0;
-  std::uint64_t commits = 0;
-  std::uint64_t discards = 0;
-};
-
 class RagPipeline {
  public:
   /// References are not owned and must outlive the pipeline.
+  /// `generation_cost_ns` is the modeled cost of one full generation,
+  /// charged into ttft_ns of every query that is not an answer hit
+  /// (DESIGN.md §15); 0 keeps TTFT equal to retrieval latency.
   RagPipeline(const Workload* workload, const HashEmbedder* embedder,
               Retriever* retriever, AnswerModel answer_model,
-              std::uint64_t answer_seed);
+              std::uint64_t answer_seed, Nanos generation_cost_ns = 0);
 
   /// Processes one stream entry with a pre-computed query embedding.
   /// `position` indexes the entry within its stream; the answer draw is a
@@ -102,35 +74,14 @@ class RagPipeline {
   RunMetrics RunStream(const std::vector<StreamEntry>& stream,
                        const Matrix& embeddings);
 
-  /// Arms the answer-reuse tier: every query first probes `cache`; on a
-  /// τ-hit `router` decides serve / patch / regenerate against the
-  /// fresh retrieval (which still runs — it both grounds the verdict
-  /// and keeps the retrieval cache warm). Neither pointer is owned;
-  /// both must outlive the pipeline. Pass nullptrs to disarm.
-  void EnableAnswerReuse(AnswerCache* cache, ReuseRouter* router,
-                         AnswerReuseOptions options = {});
-
-  const AnswerReuseStats& answer_stats() const noexcept {
-    return reuse_stats_;
-  }
-
  private:
-  QueryResult ProcessWithReuse(const StreamEntry& entry,
-                               std::span<const float> embedding);
-
   const Workload* workload_;
   const HashEmbedder* embedder_;
   Retriever* retriever_;
   AnswerModel answer_model_;
-  std::uint64_t answer_seed_;
+  Nanos generation_cost_ns_;
   /// Stratified per-question difficulty quantiles (see MakeDifficultyTable).
   std::vector<double> difficulties_;
-
-  // Answer-reuse tier (unowned; null = disabled).
-  AnswerCache* answer_cache_ = nullptr;
-  ReuseRouter* reuse_router_ = nullptr;
-  AnswerReuseOptions reuse_options_;
-  AnswerReuseStats reuse_stats_;
 };
 
 }  // namespace proximity

@@ -1,40 +1,42 @@
 // The retriever stage (steps 4-6 of Figure 1) with the Proximity cache
 // interposed between the query and the vector database (Figure 2).
+//
+// A timed client of the serving driver: every query runs the driver's
+// own request path (BatchingDriver::Serve, a batch of one on this
+// thread), so a figure measures exactly the code a served request runs.
+// The no-caching baseline is τ = 0, as in Figure 3.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
-#include "cache/approx_cache.h"
-#include "common/stats.h"
 #include "common/stopwatch.h"
-#include "index/vector_index.h"
+#include "common/types.h"
 
 namespace proximity {
 
-struct RetrieverOptions {
-  /// Documents fetched per query (the top-k of the NNS).
-  std::size_t top_k = 10;
-};
+class BatchingDriver;
 
 struct RetrievalOutcome {
   std::vector<VectorId> documents;
-  /// Distances parallel to `documents`. Empty on a cache hit (the
-  /// retrieval cache stores id lists only); populated on database
-  /// misses. The reuse router's drift check consumes this profile.
+  /// Distances parallel to `documents`. Empty on a document-cache hit
+  /// (that tier stores id lists only); populated on database misses and
+  /// on answer hits whose evidence carried them.
   std::vector<float> distances;
   bool cache_hit = false;
+  /// Served from the answer cache (driver answer_reuse): the cached
+  /// evidence of a current-generation entry, with no retrieval.
+  bool answer_hit = false;
   /// End-to-end retrieval latency: cache lookup plus (on a miss) the
   /// database search, including any simulated storage delay (§4.2
   /// metric iii).
   Nanos latency_ns = 0;
 };
 
-/// Aggregated retrieval statistics for one run.
+/// Retrieval counts for one run (latencies go to the retrieve.*
+/// histograms).
 struct RetrieverStats {
-  LatencyHistogram all;
-  LatencyHistogram hits;
-  LatencyHistogram misses;
   std::uint64_t queries = 0;
   std::uint64_t cache_hits = 0;
 
@@ -47,27 +49,20 @@ struct RetrieverStats {
 
 class Retriever {
  public:
-  /// `cache` may be null (no-cache baseline). `clock` may be null when the
-  /// index charges no simulated latency. Neither is owned; both must
-  /// outlive the retriever.
-  Retriever(const VectorIndex* index, ProximityCache* cache,
-            VirtualClock* clock, RetrieverOptions options = {});
+  /// `clock` may be null when the index charges no simulated latency.
+  /// Neither is owned; both must outlive the retriever.
+  explicit Retriever(BatchingDriver& driver, VirtualClock* clock = nullptr);
 
-  /// Runs Algorithm 1 for one query embedding and times it.
+  /// Runs Algorithm 1 for one query embedding through the driver and
+  /// times it. Throws std::runtime_error when the driver does not serve
+  /// the query (a database failure, a shed or a shutdown).
   RetrievalOutcome Retrieve(std::span<const float> query);
 
   const RetrieverStats& stats() const noexcept { return stats_; }
-  void ResetStats() noexcept { stats_ = {}; }
-
-  const VectorIndex& index() const noexcept { return *index_; }
-  ProximityCache* cache() noexcept { return cache_; }
-  std::size_t top_k() const noexcept { return options_.top_k; }
 
  private:
-  const VectorIndex* index_;
-  ProximityCache* cache_;
+  BatchingDriver& driver_;
   VirtualClock* clock_;
-  RetrieverOptions options_;
   RetrieverStats stats_;
 };
 

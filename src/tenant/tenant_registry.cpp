@@ -125,6 +125,10 @@ TenantId TenantRegistry::Register(const TenantSpec& spec) {
   if (it == tenants_.end()) {
     tenants_.emplace(spec.id, MakeState(spec));
     kObsRegistered.Set(static_cast<double>(tenants_.size()));
+  } else if (it->second->spec != spec) {
+    throw std::invalid_argument(
+        "TenantRegistry: tenant " + std::to_string(spec.id) +
+        " is already registered with a different spec");
   }
   return spec.id;
 }

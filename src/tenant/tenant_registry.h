@@ -70,6 +70,8 @@ struct TenantQuota {
   double burst = 0.0;
   /// Admitted-but-uncompleted cap; 0 = unlimited.
   std::size_t max_inflight = 0;
+
+  bool operator==(const TenantQuota&) const = default;
 };
 
 struct TenantSpec {
@@ -90,6 +92,8 @@ struct TenantSpec {
   /// Steer this tenant's τ with an AdaptiveTau controller.
   bool adaptive_tau = false;
   AdaptiveTauOptions adaptive;
+
+  bool operator==(const TenantSpec&) const = default;
 };
 
 /// What to do with a request naming a tenant never registered.
@@ -103,11 +107,11 @@ enum class UnknownTenantPolicy {
 
 struct TenantRegistryOptions {
   /// Capacity/τ/metric template for tenants that do not override them.
-  ApproxCacheOptions cache_defaults;
+  ApproxCacheOptions cache_defaults{};
   /// Template for the per-tenant answer caches (DESIGN.md §15). The
   /// caches always exist; whether the driver probes them is its own
   /// `answer_reuse` option.
-  AnswerCacheOptions answer_defaults;
+  AnswerCacheOptions answer_defaults{};
   UnknownTenantPolicy unknown_policy = UnknownTenantPolicy::kAutoRegister;
   /// Tenants beyond this count share the `tenant.other.*` metric family.
   std::size_t max_obs_tenants = 8;
@@ -165,8 +169,13 @@ class TenantRegistry {
   TenantRegistry(const TenantRegistry&) = delete;
   TenantRegistry& operator=(const TenantRegistry&) = delete;
 
-  /// Creates (or re-configures, if not yet used) the tenant. Idempotent
-  /// per id; returns the id. Throws on weight <= 0.
+  /// Creates the tenant and returns its id. Registering an existing id
+  /// again with an identical spec is a no-op (so concurrent Resolve
+  /// auto-registrations stay benign); with a different spec it throws
+  /// std::invalid_argument naming the id — a tenant is never silently
+  /// re-configured. The default tenant exists from construction with
+  /// the default spec, configured through the registry options. Throws
+  /// std::invalid_argument on weight <= 0.
   TenantId Register(const TenantSpec& spec);
 
   std::size_t tenant_count() const;

@@ -27,6 +27,7 @@
 #include "net/server.h"
 #include "obs/trace.h"
 #include "rag/batching_driver.h"
+#include "one_tenant.h"
 
 namespace proximity {
 namespace {
@@ -129,15 +130,14 @@ TEST(AdminHealthTest, TracksServerDrainTransitions) {
   const Matrix corpus = embedder.EmbedBatch(
       {"draining servers answer unavailable", "epoll loops poll"});
   for (std::size_t r = 0; r < corpus.rows(); ++r) index.Add(corpus.Row(r));
-  ProximityCache cache(embedder.dim(), {});
   BatchingDriverOptions dopts;
   // Park queued work so the drain stays observable for a moment.
   dopts.max_batch = 1000;
   dopts.max_wait_us = 100000;
-  BatchingDriver driver(index, cache, &embedder, dopts);
+  OneTenant stack(index, {}, &embedder, dopts);
   net::ServerOptions nopts;
   nopts.drain_timeout_ms = 2000;
-  net::Server server(driver, nopts);
+  net::Server server(stack.driver, nopts);
   server.Start();
 
   net::AdminHooks hooks;
@@ -171,7 +171,7 @@ TEST(AdminHealthTest, TracksServerDrainTransitions) {
   EXPECT_EQ(draining.body, "draining\n");
 
   server.Join();
-  driver.Shutdown();
+  stack.driver.Shutdown();
   const auto stopped = admin.Handle("/healthz");
   EXPECT_EQ(stopped.status, 503);
   EXPECT_EQ(stopped.body, "unavailable\n");

@@ -1,12 +1,10 @@
-// Answer-level semantic cache and grounded reuse routing (DESIGN.md
-// §15): the answer tier's Upsert (τ-lookup, FIFO eviction and staleness
-// stamping are shared with the document tier and tested over both in
-// cache_test), ReuseRouter threshold math,
-// the pipeline's serve/patch/regenerate paths with overlap-draft
-// accounting (drafts == commits + discards), and the BatchingDriver's
-// answer tier — hit short-circuit, deleted-source-doc forced
-// regeneration, cross-tenant isolation, and the extended conservation
-// equation:
+// Answer-level semantic cache (DESIGN.md §15): the answer tier's Upsert
+// (τ-lookup, FIFO eviction and staleness stamping are shared with the
+// document tier and tested over both in cache_test), the pipeline's
+// answer-hit path (judged on the cached evidence, no generation cost),
+// and the BatchingDriver's answer tier — hit short-circuit, a stale hit
+// as a miss after its source doc is deleted, cross-tenant isolation,
+// and the extended conservation equation:
 //   hits + answer_hits + retrieved + coalesced + shed + expired
 //       + quota_shed + mutations == submitted
 #include <gtest/gtest.h>
@@ -17,7 +15,6 @@
 #include <vector>
 
 #include "cache/approx_cache.h"
-#include "cache/reuse_router.h"
 #include "embed/hash_embedder.h"
 #include "index/flat_index.h"
 #include "index/index_factory.h"
@@ -36,13 +33,10 @@ std::vector<float> Key(float x, std::size_t dim = 4) {
   return std::vector<float>(dim, x);
 }
 
-CachedAnswer Answer(double relevance, bool correct,
-                    std::vector<VectorId> docs = {1, 2, 3}) {
+CachedAnswer Answer(std::vector<VectorId> docs) {
   CachedAnswer a;
   a.source_docs = std::move(docs);
-  a.source_distances = {0.1f, 0.2f, 0.3f};
-  a.relevance = relevance;
-  a.correct = correct;
+  a.source_distances.assign(a.source_docs.size(), 0.1f);
   return a;
 }
 
@@ -54,8 +48,8 @@ TEST(AnswerCacheTest, InsertUpsertsTauCloseEntryInPlace) {
   opts.tolerance = 0.5f;
   AnswerCache cache(4, opts);
 
-  cache.Upsert(Key(0.0f), Answer(0.1, false, {7}));
-  cache.Upsert(Key(0.05f), Answer(0.8, true, {8, 9}));  // within τ
+  cache.Upsert(Key(0.0f), Answer({7}));
+  cache.Upsert(Key(0.05f), Answer({8, 9}));  // within τ
 
   EXPECT_EQ(cache.size(), 1u);  // refreshed, not appended
   EXPECT_EQ(cache.stats().insertions, 2u);
@@ -64,7 +58,6 @@ TEST(AnswerCacheTest, InsertUpsertsTauCloseEntryInPlace) {
 
   const auto hit = cache.Lookup(Key(0.05f));
   ASSERT_TRUE(hit.hit);
-  EXPECT_TRUE(hit.value.correct);
   EXPECT_EQ(hit.value.source_docs, (std::vector<VectorId>{8, 9}));
 }
 
@@ -75,15 +68,15 @@ TEST(AnswerCacheTest, UpsertRefreshKeepsFifoVictimOrder) {
   opts.capacity = 3;
   opts.tolerance = 0.5f;
   AnswerCache cache(4, opts);
-  cache.Upsert(Key(0.0f), Answer(0.1, false, {0}));   // slot 0
-  cache.Upsert(Key(10.0f), Answer(0.1, false, {1}));  // slot 1
-  cache.Upsert(Key(20.0f), Answer(0.1, false, {2}));  // slot 2
-  cache.Upsert(Key(10.1f), Answer(0.9, true, {3}));   // refreshes slot 1
+  cache.Upsert(Key(0.0f), Answer({0}));   // slot 0
+  cache.Upsert(Key(10.0f), Answer({1}));  // slot 1
+  cache.Upsert(Key(20.0f), Answer({2}));  // slot 2
+  cache.Upsert(Key(10.1f), Answer({3}));  // refreshes slot 1
   ASSERT_EQ(cache.stats().refreshes, 1u);
 
   // capacity + 1 appends: victims run round-robin over slots 0, 1, 2, 0.
   for (const float x : {30.0f, 40.0f, 50.0f, 60.0f}) {
-    cache.Upsert(Key(x), Answer(0.5, true, {static_cast<VectorId>(x)}));
+    cache.Upsert(Key(x), Answer({static_cast<VectorId>(x)}));
   }
   EXPECT_EQ(cache.stats().evictions, 4u);
   for (const float gone : {0.0f, 10.0f, 20.0f, 30.0f}) {
@@ -94,63 +87,6 @@ TEST(AnswerCacheTest, UpsertRefreshKeepsFifoVictimOrder) {
     ASSERT_TRUE(hit.hit) << kept;
     EXPECT_EQ(hit.value.source_docs[0], static_cast<VectorId>(kept));
   }
-}
-
-// ---------------------------------------------------------- ReuseRouter --
-
-TEST(ReuseRouterTest, RoutesByOverlapAndDriftThresholds) {
-  ReuseRouter router;  // serve >= 0.6, patch >= 0.3, drift <= 0.5
-  const std::vector<VectorId> cached = {1, 2, 3};
-  const std::vector<float> dists = {1.0f, 1.0f, 1.0f};
-
-  // Identical evidence: serve.
-  auto v = router.Route(false, cached, dists, cached, dists);
-  EXPECT_EQ(v.decision, ReuseDecision::kServe);
-  EXPECT_DOUBLE_EQ(v.overlap, 1.0);
-  EXPECT_DOUBLE_EQ(v.drift, 0.0);
-
-  // One of three ids survives (overlap 1/3): patch.
-  v = router.Route(false, cached, dists, std::vector<VectorId>{3, 4, 5},
-                   dists);
-  EXPECT_EQ(v.decision, ReuseDecision::kPatch);
-  EXPECT_NEAR(v.overlap, 1.0 / 3.0, 1e-9);
-
-  // Disjoint evidence: regenerate.
-  v = router.Route(false, cached, dists, std::vector<VectorId>{7, 8, 9},
-                   dists);
-  EXPECT_EQ(v.decision, ReuseDecision::kRegenerate);
-  EXPECT_DOUBLE_EQ(v.overlap, 0.0);
-
-  // Full id overlap but the distance profile doubled (drift 1.0 > 0.5):
-  // the serve downgrades to patch.
-  v = router.Route(false, cached, dists, cached,
-                   std::vector<float>{2.0f, 2.0f, 2.0f});
-  EXPECT_EQ(v.decision, ReuseDecision::kPatch);
-  EXPECT_NEAR(v.drift, 1.0, 1e-9);
-
-  const ReuseRouter::Stats& s = router.stats();
-  EXPECT_EQ(s.routed, 4u);
-  EXPECT_EQ(s.served, 1u);
-  EXPECT_EQ(s.patched, 2u);
-  EXPECT_EQ(s.regenerated, 1u);
-  EXPECT_EQ(s.stale_forced, 0u);
-}
-
-TEST(ReuseRouterTest, StaleStampForcesRegenerateAtFullOverlap) {
-  ReuseRouter router;
-  const std::vector<VectorId> docs = {1, 2, 3};
-  const std::vector<float> dists = {1.0f, 1.0f, 1.0f};
-  const auto v = router.Route(true, docs, dists, docs, dists);
-  EXPECT_EQ(v.decision, ReuseDecision::kRegenerate);
-  EXPECT_TRUE(v.stale_forced);
-  EXPECT_EQ(router.stats().stale_forced, 1u);
-}
-
-TEST(ReuseRouterTest, RejectsInvertedThresholds) {
-  ReuseRouterOptions opts;
-  opts.serve_overlap = 0.3;
-  opts.patch_overlap = 0.6;  // patch > serve is a contradiction
-  EXPECT_THROW(ReuseRouter{opts}, std::invalid_argument);
 }
 
 // ------------------------------------------------- pipeline answer path --
@@ -179,94 +115,45 @@ struct ReuseFixture {
   Matrix stream_embeddings;
 };
 
-TEST(PipelineAnswerReuseTest, RepeatQueryServesCachedVerdictFaster) {
+// An answer hit is judged on the evidence its entry holds — planted
+// here so it differs from what a retrieval would return — and is
+// charged no generation cost.
+TEST(PipelineAnswerHitTest, JudgedOnCachedEvidenceWithoutGeneration) {
   ReuseFixture fx;
-  Retriever retriever(fx.index.get(), nullptr, nullptr, {.top_k = 5});
+  TenantRegistryOptions topts;
+  topts.cache_defaults.tolerance = 0.0f;
+  topts.answer_defaults.capacity = 64;
+  topts.answer_defaults.tolerance = 0.5f;
+  TenantRegistry registry(fx.embedder.dim(), topts);
+  BatchingDriver driver(*fx.index, registry, nullptr,
+                        {.top_k = 5, .answer_reuse = true});
+  Retriever retriever(driver);
+  constexpr Nanos kGenerationNs = 1'000'000'000;  // dwarfs any scan
   RagPipeline pipeline(&fx.workload, &fx.embedder, &retriever,
-                       AnswerModel(MmluAnswerParams()), 1);
-  AnswerCache acache(fx.embedder.dim(), {.capacity = 64, .tolerance = 0.5f});
-  ReuseRouter router;
-  AnswerReuseOptions ropts;
-  ropts.generation_cost_ns = 1'000'000'000;  // dwarfs any real scan time
-  ropts.draft_fraction = 0.0;                // the draft is free
-  pipeline.EnableAnswerReuse(&acache, &router, ropts);
+                       AnswerModel(MmluAnswerParams()), 1, kGenerationNs);
 
-  const auto first = pipeline.ProcessQuery(fx.stream[0],
-                                           fx.stream_embeddings.Row(0), 0);
+  const auto q = fx.stream_embeddings.Row(0);
+  const auto first = pipeline.ProcessQuery(fx.stream[0], q, 0);
   EXPECT_FALSE(first.answer_hit);
-  EXPECT_GE(first.ttft_ns, ropts.generation_cost_ns);
+  EXPECT_EQ(first.ttft_ns, first.retrieval_latency_ns + kGenerationNs);
 
-  // The identical embedding τ-hits; identical evidence serves.
-  const auto second = pipeline.ProcessQuery(fx.stream[0],
-                                            fx.stream_embeddings.Row(0), 1);
+  // Replace the entry's evidence with another question's gold passages.
+  const Question& asked = fx.workload.questions[fx.stream[0].question];
+  const Question& other = fx.workload.questions[
+      (fx.stream[0].question + 1) % fx.workload.questions.size()];
+  registry.AnswerCacheFor(kDefaultTenant)
+      .Upsert(q, Answer(other.gold_ids));
+
+  const auto second = pipeline.ProcessQuery(fx.stream[0], q, 1);
   EXPECT_TRUE(second.answer_hit);
-  EXPECT_EQ(second.correct, first.correct);
-  EXPECT_DOUBLE_EQ(second.judgment.relevance, first.judgment.relevance);
-  EXPECT_LT(second.ttft_ns, first.ttft_ns);
-
-  const AnswerReuseStats& s = pipeline.answer_stats();
-  EXPECT_EQ(s.lookups, 2u);
-  EXPECT_EQ(s.answer_hits, 1u);
-  EXPECT_EQ(s.served, 1u);
-  EXPECT_EQ(s.regenerated, 0u);
-  EXPECT_EQ(s.drafts, 1u);
-  EXPECT_EQ(s.commits, 1u);
-  EXPECT_EQ(s.discards, 0u);
-}
-
-TEST(PipelineAnswerReuseTest, RegenerateDiscardsTheOverlapDraft) {
-  ReuseFixture fx;
-  Retriever retriever(fx.index.get(), nullptr, nullptr, {.top_k = 5});
-  RagPipeline pipeline(&fx.workload, &fx.embedder, &retriever,
-                       AnswerModel(MmluAnswerParams()), 1);
-  AnswerCache acache(fx.embedder.dim(), {.capacity = 64, .tolerance = 0.5f});
-  // Unreachable thresholds (overlap is at most 1.0): every hit routes
-  // to regenerate, so every started draft must be discarded.
-  ReuseRouterOptions unreachable;
-  unreachable.serve_overlap = 1.5;
-  unreachable.patch_overlap = 1.5;
-  ReuseRouter router(unreachable);
-  pipeline.EnableAnswerReuse(&acache, &router, {});
-
-  const auto first = pipeline.ProcessQuery(fx.stream[0],
-                                           fx.stream_embeddings.Row(0), 0);
-  const auto second = pipeline.ProcessQuery(fx.stream[0],
-                                            fx.stream_embeddings.Row(0), 1);
-  EXPECT_FALSE(second.answer_hit);
-  // The regenerated answer recomputes the full path: same verdict as
-  // the first run of the identical query.
-  EXPECT_EQ(second.correct, first.correct);
-
-  const AnswerReuseStats& s = pipeline.answer_stats();
-  EXPECT_EQ(s.answer_hits, 0u);
-  EXPECT_EQ(s.regenerated, 1u);
-  EXPECT_EQ(s.drafts, 1u);
-  EXPECT_EQ(s.commits, 0u);
-  EXPECT_EQ(s.discards, 1u);
-  EXPECT_EQ(s.drafts, s.commits + s.discards);
-}
-
-TEST(PipelineAnswerReuseTest, ValidatesTheCacheRouterPair) {
-  ReuseFixture fx;
-  Retriever retriever(fx.index.get(), nullptr, nullptr, {.top_k = 5});
-  RagPipeline pipeline(&fx.workload, &fx.embedder, &retriever,
-                       AnswerModel(MmluAnswerParams()), 1);
-  AnswerCache acache(fx.embedder.dim(), {});
-  ReuseRouter router;
-
-  EXPECT_THROW(pipeline.EnableAnswerReuse(&acache, nullptr),
-               std::invalid_argument);
-  EXPECT_THROW(pipeline.EnableAnswerReuse(nullptr, &router),
-               std::invalid_argument);
-
-  AnswerCache wrong_dim(fx.embedder.dim() / 2, {});
-  EXPECT_THROW(pipeline.EnableAnswerReuse(&wrong_dim, &router),
-               std::invalid_argument);
-
-  AnswerReuseOptions bad;
-  bad.draft_fraction = 1.5;
-  EXPECT_THROW(pipeline.EnableAnswerReuse(&acache, &router, bad),
-               std::invalid_argument);
+  EXPECT_FALSE(second.cache_hit);
+  EXPECT_EQ(second.ttft_ns, second.retrieval_latency_ns);
+  const ContextJudgment planted =
+      JudgeContext(other.gold_ids, asked, fx.workload);
+  EXPECT_DOUBLE_EQ(second.judgment.relevance, planted.relevance);
+  EXPECT_DOUBLE_EQ(second.judgment.misleading, planted.misleading);
+  EXPECT_LT(second.judgment.relevance, first.judgment.relevance);
+  EXPECT_EQ(driver.stats().answer_hits, 1u);
 }
 
 // --------------------------------------------------- driver answer tier --
@@ -468,7 +355,7 @@ TEST(AnswerCacheTest, ParallelLookupUpsertAndStamping) {
     threads.emplace_back([&cache, t] {
       for (int i = 0; i < kIters; ++i) {
         const float x = static_cast<float>((t * kIters + i) % 32);
-        cache.Upsert(Key(x), Answer(0.5, true, {static_cast<VectorId>(t)}));
+        cache.Upsert(Key(x), Answer({static_cast<VectorId>(t)}));
         const auto hit = cache.Lookup(Key(x));
         if (hit.hit) {
           // Copied out: safe to read while other threads insert.

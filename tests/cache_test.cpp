@@ -15,6 +15,7 @@
 #include "common/rng.h"
 #include "index/flat_index.h"
 #include "rag/retriever.h"
+#include "one_tenant.h"
 
 namespace proximity {
 namespace {
@@ -318,8 +319,9 @@ TEST(ProximityCacheTest, RetrieverImplementsAlgorithm1) {
   FlatIndex index(2);
   index.Add(Vec2(0, 0));
   index.Add(Vec2(3, 0));
-  ProximityCache cache(2, SmallCache(3, 1.0f));
-  Retriever retriever(&index, &cache, nullptr, {.top_k = 2});
+  OneTenant stack(index, SmallCache(3, 1.0f), nullptr, {.top_k = 2});
+  const ProximityCache& cache = stack.cache();
+  Retriever retriever(stack.driver);
 
   // Miss: the database answers and its result is cached under the query.
   const auto r1 = retriever.Retrieve(Vec2(0, 0));
@@ -476,7 +478,8 @@ TEST(ProximityCacheTtlTest, MaxAgeSurvivesSerialization) {
   cache.Insert(Vec2(1, 1), {3});
   std::stringstream ss;
   cache.SaveTo(ss);
-  ProximityCache back = ProximityCache::LoadFrom(ss);
+  ProximityCache back(2, {});
+  back.LoadFrom(ss);
   EXPECT_TRUE(back.Lookup(Vec2(1, 1)).hit);
   for (int i = 0; i < 10; ++i) back.Lookup(Vec2(9, 9));
   EXPECT_FALSE(back.Lookup(Vec2(1, 1)).hit);  // expiry still enforced

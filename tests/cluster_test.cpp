@@ -33,6 +33,7 @@
 #include "net/protocol.h"
 #include "net/server.h"
 #include "rag/batching_driver.h"
+#include "one_tenant.h"
 
 namespace proximity {
 namespace {
@@ -131,8 +132,7 @@ std::vector<std::string> TestCorpus(std::size_t n) {
 struct BackendStack {
   HashEmbedder embedder;
   std::unique_ptr<ShardedIndex> index;
-  std::unique_ptr<ProximityCache> cache;
-  std::unique_ptr<BatchingDriver> driver;
+  std::unique_ptr<OneTenant> tenant;
   std::unique_ptr<net::Server> server;
 
   BackendStack(const Matrix& corpus, std::size_t part, std::size_t parts,
@@ -144,13 +144,11 @@ struct BackendStack {
     ApproxCacheOptions copts;
     copts.capacity = 64;
     copts.tolerance = tolerance;
-    cache = std::make_unique<ProximityCache>(embedder.dim(), copts);
     BatchingDriverOptions dopts;
     dopts.top_k = 5;
     dopts.max_batch = 8;
-    driver = std::make_unique<BatchingDriver>(*index, *cache, &embedder,
-                                              dopts);
-    server = std::make_unique<net::Server>(*driver, nopts);
+    tenant = std::make_unique<OneTenant>(*index, copts, &embedder, dopts);
+    server = std::make_unique<net::Server>(tenant->driver, nopts);
     server->Start();
   }
 
@@ -158,7 +156,7 @@ struct BackendStack {
 
   ~BackendStack() {
     server->Stop();
-    driver->Shutdown();
+    tenant->driver.Shutdown();
   }
 };
 
@@ -383,8 +381,7 @@ TEST(ClusterRouterTest, MutationsRouteToOneGroupAndRoundTrip) {
   struct MutableStack {
     HashEmbedder embedder{SmallEmbedder()};
     std::unique_ptr<ShardedIndex> index;
-    std::unique_ptr<ProximityCache> cache;
-    std::unique_ptr<BatchingDriver> driver;
+    std::unique_ptr<OneTenant> tenant;
     std::unique_ptr<net::Server> server;
   };
   std::vector<MutableStack> backends(2);
@@ -395,13 +392,12 @@ TEST(ClusterRouterTest, MutationsRouteToOneGroupAndRoundTrip) {
     ApproxCacheOptions copts;
     copts.capacity = 16;
     copts.tolerance = 0.0f;
-    b.cache = std::make_unique<ProximityCache>(b.embedder.dim(), copts);
     BatchingDriverOptions dopts;
     dopts.top_k = 3;
-    b.driver = std::make_unique<BatchingDriver>(*b.index, *b.cache,
-                                                &b.embedder, dopts);
-    b.driver->EnableMutation(*b.index);
-    b.server = std::make_unique<net::Server>(*b.driver);
+    b.tenant = std::make_unique<OneTenant>(*b.index, copts, &b.embedder,
+                                           dopts);
+    b.tenant->driver.EnableMutation(*b.index);
+    b.server = std::make_unique<net::Server>(b.tenant->driver);
     b.server->Start();
     map_text += MapLine(static_cast<std::uint32_t>(p), b.server->port());
   }
@@ -448,7 +444,7 @@ TEST(ClusterRouterTest, MutationsRouteToOneGroupAndRoundTrip) {
   router.Stop();
   for (auto& b : backends) {
     b.server->Stop();
-    b.driver->Shutdown();
+    b.tenant->driver.Shutdown();
   }
 }
 

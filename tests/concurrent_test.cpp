@@ -1,10 +1,11 @@
 // Tests for the cache's own lock and the multi-user stream driver:
-// linearizable counters under racing Lookup/Insert, and end-to-end
-// invariants under racing client threads.
+// linearizable counters under racing Lookup/Insert, Serve racing the
+// flusher, and end-to-end invariants under racing client threads.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <barrier>
+#include <future>
 #include <thread>
 
 #include "cache/approx_cache.h"
@@ -15,6 +16,7 @@
 #include "rag/batching_driver.h"
 #include "rag/retriever.h"
 #include "workload/benchmark_spec.h"
+#include "one_tenant.h"
 
 namespace proximity {
 namespace {
@@ -46,28 +48,50 @@ TEST(ConcurrentCacheTest, RetrieverCachesResultAcrossThreads) {
   index.Add(Vec4(5));
   index.Add(Vec4(9));
   index.Add(Vec4(0));
-  ProximityCache cache(4, CacheOpts(10, 1.0f));
-  Retriever first(&index, &cache, nullptr, {.top_k = 3});
+  OneTenant stack(index, CacheOpts(64, 1.0f), nullptr, {.top_k = 3});
+  BatchingDriver& driver = stack.driver;
+  Retriever first(driver);
   const auto filled = first.Retrieve(Vec4(5));
   EXPECT_FALSE(filled.cache_hit);
   EXPECT_EQ(filled.documents, (std::vector<VectorId>{0, 1, 2}));
 
-  // Every thread's retriever serves its τ-similar query from the one
-  // shared cache; none reaches the database.
+  // Four threads Serve their τ-similar query on their own thread while
+  // a fifth keeps Submit traffic flowing through the flusher, so Serve
+  // and the flusher run batches at the same time over the one tenant
+  // cache. Every Serve is a hit; none reaches the database.
   constexpr int kThreads = 4;
+  constexpr int kSubmits = 16;  // distinct, mutually far misses
+  std::barrier start(kThreads + 1);
   std::atomic<int> served{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
-      Retriever retriever(&index, &cache, nullptr, {.top_k = 3});
+      Retriever retriever(driver);
+      start.arrive_and_wait();
       const auto r = retriever.Retrieve(Vec4(5.1f));
       if (r.cache_hit && r.documents == filled.documents) ++served;
     });
   }
+  threads.emplace_back([&] {
+    start.arrive_and_wait();
+    std::vector<std::future<std::vector<VectorId>>> futures;
+    for (int i = 0; i < kSubmits; ++i) {
+      futures.push_back(driver.Submit(Vec4(100.0f + 10.0f * i)));
+    }
+    for (auto& f : futures) EXPECT_EQ(f.get().size(), 3u);
+  });
   for (auto& t : threads) t.join();
+  driver.Shutdown();
+
   EXPECT_EQ(served.load(), kThreads);
-  EXPECT_EQ(cache.stats().insertions, 1u);
-  EXPECT_EQ(cache.stats().hits, static_cast<std::uint64_t>(kThreads));
+  const ApproxCacheStats cs = stack.cache().stats();
+  EXPECT_EQ(cs.insertions, static_cast<std::uint64_t>(1 + kSubmits));
+  EXPECT_EQ(cs.hits, static_cast<std::uint64_t>(kThreads));
+  const BatchingDriverStats ds = driver.stats();
+  EXPECT_EQ(ds.submitted, static_cast<std::uint64_t>(1 + kThreads + kSubmits));
+  EXPECT_EQ(ds.hits, static_cast<std::uint64_t>(kThreads));
+  EXPECT_EQ(ds.retrieved, static_cast<std::uint64_t>(1 + kSubmits));
+  EXPECT_EQ(ds.completed, ds.submitted);
 }
 
 TEST(ConcurrentCacheTest, ParallelHammeringKeepsInvariants) {
@@ -176,10 +200,11 @@ TEST(ConcurrentDriverTest, InvariantsHoldAcrossThreadCounts) {
   const Matrix embeddings = embedder.EmbedBatch(texts);
 
   for (std::size_t threads : {1u, 4u}) {
-    ProximityCache cache(embedder.dim(), CacheOpts(50, 2.0f));
+    TenantRegistry registry(embedder.dim(),
+                            {.cache_defaults = CacheOpts(50, 2.0f)});
     BatchingDriverStats driver;
     const auto result = RunStreamBatched(
-        workload, index, cache, AnswerModel(MmluAnswerParams()), 1, stream,
+        workload, index, registry, AnswerModel(MmluAnswerParams()), 1, stream,
         embeddings, threads, {}, &driver);
     EXPECT_EQ(result.metrics.queries, stream.size());
     EXPECT_EQ(result.cache_stats.lookups, stream.size());
@@ -214,16 +239,17 @@ TEST(ConcurrentDriverTest, SingleThreadMatchesSequentialHitRate) {
   const Matrix embeddings = embedder.EmbedBatch(texts);
 
   // Sequential reference: Algorithm 1 through the Retriever.
-  ProximityCache reference(embedder.dim(), CacheOpts(50, 2.0f));
-  Retriever retriever(&index, &reference, nullptr, {.top_k = 10});
+  OneTenant reference(index, CacheOpts(50, 2.0f));
+  Retriever retriever(reference.driver);
   std::size_t ref_hits = 0;
   for (std::size_t i = 0; i < stream.size(); ++i) {
     ref_hits += retriever.Retrieve(embeddings.Row(i)).cache_hit ? 1 : 0;
   }
 
-  ProximityCache cache(embedder.dim(), CacheOpts(50, 2.0f));
+  TenantRegistry registry(embedder.dim(),
+                          {.cache_defaults = CacheOpts(50, 2.0f)});
   const auto result = RunStreamBatched(
-      workload, index, cache, AnswerModel(MmluAnswerParams()), 2, stream,
+      workload, index, registry, AnswerModel(MmluAnswerParams()), 2, stream,
       embeddings, /*threads=*/1);
   EXPECT_EQ(result.cache_stats.hits, ref_hits);
 }
@@ -237,16 +263,17 @@ TEST(ConcurrentDriverTest, ValidatesArguments) {
   }());
   HashEmbedder embedder;
   FlatIndex index(embedder.dim());
-  ProximityCache cache(embedder.dim(), CacheOpts(10, 1.0f));
+  TenantRegistry registry(embedder.dim(),
+                          {.cache_defaults = CacheOpts(10, 1.0f)});
   const std::vector<StreamEntry> stream(3);
   const Matrix wrong(2, embedder.dim());
   EXPECT_THROW(
-      RunStreamBatched(workload, index, cache,
+      RunStreamBatched(workload, index, registry,
                        AnswerModel(MmluAnswerParams()), 1, stream, wrong, 1),
       std::invalid_argument);
   const Matrix right(3, embedder.dim());
   EXPECT_THROW(
-      RunStreamBatched(workload, index, cache,
+      RunStreamBatched(workload, index, registry,
                        AnswerModel(MmluAnswerParams()), 1, stream, right, 0),
       std::invalid_argument);
 }

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "cache/approx_cache.h"
-#include "cache/reuse_router.h"
 #include "cluster/router.h"
 #include "common/rng.h"
 #include "embed/hash_embedder.h"
@@ -29,7 +28,6 @@
 #include "obs/run_report.h"
 #include "obs/trace.h"
 #include "rag/batching_driver.h"
-#include "rag/pipeline.h"
 #include "rag/retriever.h"
 #include "tenant/tenant_registry.h"
 #include "vecmath/matrix.h"
@@ -113,25 +111,6 @@ void InstantiateTheStack() {
   acache.set_generation(1);
   (void)acache.Lookup(vec);
 
-  // router.* — one grounded serve and one stale-forced regenerate.
-  ReuseRouter reuse_router;
-  const std::vector<VectorId> evidence{1};
-  const std::vector<float> evidence_dists{0.0f};
-  (void)reuse_router.Route(false, evidence, evidence_dists, evidence,
-                           evidence_dists);
-  (void)reuse_router.Route(true, evidence, evidence_dists, evidence,
-                           evidence_dists);
-
-  // overlap.* — the pipeline TU's draft-accounting handles (odr-used,
-  // not run — the volatile store keeps the discarded address from being
-  // elided, which would drop the relocation and skip the archive member).
-  volatile auto overlap_touch = &RagPipeline::RunStream;
-  (void)overlap_touch;
-
-  // retriever.* / retrieve.*
-  Retriever retriever(&index, &cache, nullptr, {});
-  (void)retriever.Retrieve(vec);
-
   // shard.*
   std::vector<std::unique_ptr<VectorIndex>> shards;
   auto shard = std::make_unique<FlatIndex>(kDim);
@@ -160,6 +139,10 @@ void InstantiateTheStack() {
   dopts.top_k = 1;
   BatchingDriver driver(index, registry, nullptr, dopts);
   (void)driver.Query(vec);
+
+  // retriever.* / retrieve.*
+  Retriever retriever(driver);
+  (void)retriever.Retrieve(vec);
   driver.Shutdown();
   volatile auto drain =
       static_cast<void (*)(net::Server*)>(&net::InstallSignalDrain);

@@ -15,6 +15,7 @@
 #include "llm/answer_model.h"
 #include "llm/prompt.h"
 #include "rag/pipeline.h"
+#include "one_tenant.h"
 #include "workload/benchmark_spec.h"
 #include "workload/query_stream.h"
 #include "workload/trace.h"
@@ -100,8 +101,8 @@ TEST(E2eTest, TraceRoundTripReproducesPipelineMetricsExactly) {
     ApproxCacheOptions copts;
     copts.capacity = 32;
     copts.tolerance = 2.0f;
-    ProximityCache cache(fx.embedder.dim(), copts);
-    Retriever retriever(fx.index.get(), &cache, nullptr, {.top_k = 10});
+    OneTenant stack(*fx.index, copts);
+    Retriever retriever(stack.driver);
     RagPipeline pipeline(&fx.workload, &fx.embedder, &retriever,
                          AnswerModel(MmluAnswerParams()), 5);
     std::vector<std::string> texts;
@@ -121,8 +122,8 @@ TEST(E2eTest, MidSessionSnapshotRestoresServingState) {
   ApproxCacheOptions copts;
   copts.capacity = 48;
   copts.tolerance = 2.0f;
-  ProximityCache cache(fx.embedder.dim(), copts);
-  Retriever retriever(fx.index.get(), &cache, nullptr, {.top_k = 10});
+  OneTenant live(*fx.index, copts);
+  Retriever retriever(live.driver);
 
   // Serve half the stream, snapshot index + cache, reload, serve the rest.
   const std::size_t half = fx.stream.size() / 2;
@@ -131,12 +132,14 @@ TEST(E2eTest, MidSessionSnapshotRestoresServingState) {
   }
   std::stringstream index_snap, cache_snap;
   fx.index->SaveTo(index_snap);
-  cache.SaveTo(cache_snap);
+  live.cache().SaveTo(cache_snap);
 
+  // The snapshot restores into the default tenant of a fresh stack.
   auto restored_index = LoadIndex(index_snap);
-  ProximityCache restored_cache = ProximityCache::LoadFrom(cache_snap);
-  Retriever restored(restored_index.get(), &restored_cache, nullptr,
-                     {.top_k = 10});
+  OneTenant restored_stack(*restored_index, {});
+  restored_stack.cache().LoadFrom(cache_snap);
+  EXPECT_EQ(restored_stack.cache().size(), live.cache().size());
+  Retriever restored(restored_stack.driver);
 
   // Both instances serve the second half identically (documents must
   // match query by query; latencies obviously differ).

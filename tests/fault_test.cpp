@@ -12,6 +12,7 @@
 #include "index/slow_storage_index.h"
 #include "rag/experiment.h"
 #include "rag/retriever.h"
+#include "one_tenant.h"
 
 namespace proximity {
 namespace {
@@ -66,7 +67,8 @@ std::unique_ptr<FlakyIndex> MakeFlaky(int fail_every) {
 
 TEST(FaultTest, RetrieverPropagatesDatabaseFailure) {
   auto flaky = MakeFlaky(/*fail_every=*/1);  // always fails
-  Retriever retriever(flaky.get(), nullptr, nullptr, {.top_k = 5});
+  OneTenant stack(*flaky, {.tolerance = 0.0f}, nullptr, {.top_k = 5});
+  Retriever retriever(stack.driver);
   const std::vector<float> q = {0, 0, 0, 0};
   EXPECT_THROW(retriever.Retrieve(q), std::runtime_error);
 }
@@ -76,8 +78,9 @@ TEST(FaultTest, FailedRetrievalDoesNotPolluteCache) {
   ApproxCacheOptions opts;
   opts.capacity = 4;
   opts.tolerance = 100.0f;
-  ProximityCache cache(4, opts);
-  Retriever retriever(flaky.get(), &cache, nullptr, {.top_k = 5});
+  OneTenant stack(*flaky, opts, nullptr, {.top_k = 5});
+  const ProximityCache& cache = stack.cache();
+  Retriever retriever(stack.driver);
   const std::vector<float> q = {1, 1, 1, 1};
   EXPECT_THROW(retriever.Retrieve(q), std::runtime_error);
   EXPECT_EQ(cache.size(), 0u);  // nothing half-inserted
@@ -91,18 +94,20 @@ TEST(FaultTest, CacheAbsorbsIntermittentFailures) {
   ApproxCacheOptions opts;
   opts.capacity = 16;
   opts.tolerance = 0.5f;
-  ProximityCache cache(4, opts);
-  Retriever retriever(flaky.get(), &cache, nullptr, {.top_k = 5});
+  OneTenant stack(*flaky, opts, nullptr, {.top_k = 5});
+  Retriever retriever(stack.driver);
 
   const std::vector<float> q = {0.5f, 0.5f, 0.5f, 0.5f};
   const auto warm = retriever.Retrieve(q);
   EXPECT_FALSE(warm.cache_hit);
 
   // Now the database "goes down" — but the cached neighborhood still
-  // serves.
+  // serves: a driver over the broken index shares the tenant's cache.
   auto broken = std::make_unique<FlakyIndex>(
       std::make_unique<FlatIndex>(4), /*fail_every=*/1);
-  Retriever broken_retriever(broken.get(), &cache, nullptr, {.top_k = 5});
+  BatchingDriver broken_driver(*broken, stack.registry, nullptr,
+                               {.top_k = 5});
+  Retriever broken_retriever(broken_driver);
   const auto hit = broken_retriever.Retrieve(q);
   EXPECT_TRUE(hit.cache_hit);
   EXPECT_EQ(hit.documents, warm.documents);
@@ -129,8 +134,8 @@ TEST(EdgeCaseTest, IndexReturningFewerThanTopK) {
   ApproxCacheOptions opts;
   opts.capacity = 4;
   opts.tolerance = 0.1f;
-  ProximityCache cache(4, opts);
-  Retriever retriever(&tiny, &cache, nullptr, {.top_k = 10});
+  OneTenant stack(tiny, opts, nullptr, {.top_k = 10});
+  Retriever retriever(stack.driver);
   const std::vector<float> q = {0, 0, 0, 0};
   const auto r1 = retriever.Retrieve(q);
   EXPECT_EQ(r1.documents.size(), 1u);  // index only holds one vector
@@ -144,8 +149,8 @@ TEST(EdgeCaseTest, EmptyIndexCachesEmptyResult) {
   ApproxCacheOptions opts;
   opts.capacity = 4;
   opts.tolerance = 0.1f;
-  ProximityCache cache(4, opts);
-  Retriever retriever(&empty, &cache, nullptr, {.top_k = 5});
+  OneTenant stack(empty, opts, nullptr, {.top_k = 5});
+  Retriever retriever(stack.driver);
   const std::vector<float> q = {0, 0, 0, 0};
   EXPECT_TRUE(retriever.Retrieve(q).documents.empty());
   const auto r2 = retriever.Retrieve(q);

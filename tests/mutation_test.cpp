@@ -21,6 +21,7 @@
 #include "index/sharded_index.h"
 #include "rag/batching_driver.h"
 #include "tenant/tenant_registry.h"
+#include "one_tenant.h"
 
 namespace proximity {
 namespace {
@@ -394,7 +395,8 @@ TEST(StalenessPolicy, CacheSerdeCarriesPolicyGenerationAndStamps) {
 
   std::stringstream buf;
   cache.SaveTo(buf);
-  ProximityCache loaded = ProximityCache::LoadFrom(buf);
+  ProximityCache loaded(4, {});
+  loaded.LoadFrom(buf);
   EXPECT_EQ(loaded.staleness(), StalenessPolicy::kRevalidate);
   EXPECT_EQ(loaded.generation(), 5u);
   // The gen-5 entry is fresh, the gen-0 entry stale: only the former
@@ -407,7 +409,6 @@ TEST(StalenessPolicy, CacheSerdeCarriesPolicyGenerationAndStamps) {
 // pull-at-probe stamp reaches the tenant cache, and the conservation
 // invariant extends to the `mutations` outcome.
 TEST(DriverMutation, InsertDeleteRoundTripAndConservation) {
-  const std::size_t dim = HashEmbedder().dim();
   HashEmbedder embedder;
   std::vector<std::string> corpus;
   for (int i = 0; i < 64; ++i) {
@@ -421,10 +422,11 @@ TEST(DriverMutation, InsertDeleteRoundTripAndConservation) {
   copts.capacity = 32;
   copts.tolerance = 0.05f;
   copts.staleness = StalenessPolicy::kRevalidate;
-  ProximityCache cache(dim, copts);
   BatchingDriverOptions dopts;
   dopts.max_batch = 8;
-  BatchingDriver driver(*index, cache, &embedder, dopts);
+  OneTenant stack(*index, copts, &embedder, dopts);
+  BatchingDriver& driver = stack.driver;
+  const ProximityCache& cache = stack.cache();
   driver.EnableMutation(*index);
   ASSERT_TRUE(driver.mutation_enabled());
 
@@ -492,8 +494,8 @@ TEST(DriverMutation, EnableMutationRejectsForeignAndBuildOnceIndexes) {
 
   ApproxCacheOptions copts;
   copts.capacity = 8;
-  ProximityCache cache(dim, copts);
-  BatchingDriver driver(*frozen, cache, nullptr, {});
+  OneTenant stack(*frozen, copts);
+  BatchingDriver& driver = stack.driver;
   EXPECT_THROW(driver.EnableMutation(*frozen), std::invalid_argument);
   EXPECT_THROW(driver.EnableMutation(*other), std::invalid_argument);
   EXPECT_FALSE(driver.mutation_enabled());

@@ -29,6 +29,7 @@
 #include "net/protocol.h"
 #include "net/server.h"
 #include "rag/batching_driver.h"
+#include "one_tenant.h"
 
 namespace proximity {
 namespace {
@@ -154,8 +155,8 @@ TEST(NetProtocolTest, MalformedFramesAreErrors) {
 struct TestStack {
   HashEmbedder embedder;
   FlatIndex index;
-  std::unique_ptr<ProximityCache> cache;
-  std::unique_ptr<BatchingDriver> driver;
+  std::unique_ptr<OneTenant> tenant;
+  BatchingDriver* driver = nullptr;
   std::unique_ptr<net::Server> server;
 
   explicit TestStack(BatchingDriverOptions dopts = {},
@@ -176,10 +177,9 @@ struct TestStack {
     ApproxCacheOptions copts;
     copts.capacity = 16;
     copts.tolerance = 1.0f;
-    cache = std::make_unique<ProximityCache>(embedder.dim(), copts);
     dopts.top_k = 3;
-    driver = std::make_unique<BatchingDriver>(index, *cache, &embedder,
-                                              dopts);
+    tenant = std::make_unique<OneTenant>(index, copts, &embedder, dopts);
+    driver = &tenant->driver;
     server = std::make_unique<net::Server>(*driver, nopts);
     server->Start();
   }

@@ -13,6 +13,7 @@
 #include "rag/pipeline.h"
 #include "rag/retriever.h"
 #include "workload/benchmark_spec.h"
+#include "one_tenant.h"
 
 namespace proximity {
 namespace {
@@ -37,29 +38,14 @@ Matrix RandomMatrix(std::size_t rows, std::size_t dim, std::uint64_t seed) {
 
 // ------------------------------------------------------------ Retriever --
 
-TEST(RetrieverTest, WithoutCacheAlwaysQueriesIndex) {
-  FlatIndex index(4);
-  index.AddBatch(RandomMatrix(100, 4, 1));
-  Retriever retriever(&index, nullptr, nullptr, {.top_k = 5});
-  const std::vector<float> q = {0, 0, 0, 0};
-  const auto r1 = retriever.Retrieve(q);
-  const auto r2 = retriever.Retrieve(q);
-  EXPECT_FALSE(r1.cache_hit);
-  EXPECT_FALSE(r2.cache_hit);
-  EXPECT_EQ(r1.documents, r2.documents);
-  EXPECT_EQ(r1.documents.size(), 5u);
-  EXPECT_EQ(retriever.stats().queries, 2u);
-  EXPECT_EQ(retriever.stats().cache_hits, 0u);
-}
-
 TEST(RetrieverTest, CacheHitBypassesIndexAndIsFaster) {
   FlatIndex index(4);
   index.AddBatch(RandomMatrix(20000, 4, 2));
   ApproxCacheOptions copts;
   copts.capacity = 10;
   copts.tolerance = 0.01f;
-  ProximityCache cache(4, copts);
-  Retriever retriever(&index, &cache, nullptr, {.top_k = 5});
+  OneTenant stack(index, copts, nullptr, {.top_k = 5});
+  Retriever retriever(stack.driver);
   const std::vector<float> q = {0.5f, 0.5f, 0.5f, 0.5f};
   const auto miss = retriever.Retrieve(q);
   const auto hit = retriever.Retrieve(q);
@@ -69,27 +55,38 @@ TEST(RetrieverTest, CacheHitBypassesIndexAndIsFaster) {
   EXPECT_EQ(retriever.stats().HitRate(), 0.5);
 }
 
+// The retriever runs the driver's request path, so the §3.1 checks sit
+// at driver construction: both cache tiers must use the index's metric.
 TEST(RetrieverTest, RejectsMetricMismatch) {
   FlatIndex index(4, {.metric = Metric::kCosine});
-  ApproxCacheOptions copts;
-  copts.metric = Metric::kL2;
-  ProximityCache cache(4, copts);
-  EXPECT_THROW(Retriever(&index, &cache, nullptr, {}),
+  TenantRegistry l2(4, {.cache_defaults = {.metric = Metric::kL2}});
+  EXPECT_THROW(BatchingDriver(index, l2, nullptr), std::invalid_argument);
+
+  // The answer tier is checked when the driver probes it.
+  TenantRegistryOptions topts;
+  topts.cache_defaults.metric = Metric::kCosine;
+  topts.answer_defaults.metric = Metric::kL2;
+  TenantRegistry mixed(4, topts);
+  EXPECT_THROW(BatchingDriver(index, mixed, nullptr, {.answer_reuse = true}),
                std::invalid_argument);
+  EXPECT_NO_THROW(BatchingDriver(index, mixed, nullptr));
 }
 
 TEST(RetrieverTest, RejectsDimensionMismatch) {
   FlatIndex index(4);
-  ProximityCache cache(8, {});
-  EXPECT_THROW(Retriever(&index, &cache, nullptr, {}),
+  TenantRegistry registry(8);
+  EXPECT_THROW(BatchingDriver(index, registry, nullptr),
                std::invalid_argument);
 }
 
+// A null index cannot reach the driver (it takes a reference); a zero
+// top-k, or a zero batch, is refused at construction.
 TEST(RetrieverTest, RejectsNullIndexAndZeroK) {
-  EXPECT_THROW(Retriever(nullptr, nullptr, nullptr, {}),
-               std::invalid_argument);
   FlatIndex index(4);
-  EXPECT_THROW(Retriever(&index, nullptr, nullptr, {.top_k = 0}),
+  TenantRegistry registry(4);
+  EXPECT_THROW(BatchingDriver(index, registry, nullptr, {.top_k = 0}),
+               std::invalid_argument);
+  EXPECT_THROW(BatchingDriver(index, registry, nullptr, {.max_batch = 0}),
                std::invalid_argument);
 }
 
@@ -98,7 +95,8 @@ TEST(RetrieverTest, VirtualClockDelayCountsTowardLatency) {
   auto inner = std::make_unique<FlatIndex>(4);
   inner->AddBatch(RandomMatrix(50, 4, 3));
   SlowStorageIndex slow(std::move(inner), {.fixed_ns = 50'000'000}, &clock);
-  Retriever retriever(&slow, nullptr, &clock, {.top_k = 5});
+  OneTenant stack(slow, {.tolerance = 0.0f}, nullptr, {.top_k = 5});
+  Retriever retriever(stack.driver, &clock);
   const std::vector<float> q = {0, 0, 0, 0};
   const auto outcome = retriever.Retrieve(q);
   EXPECT_GE(outcome.latency_ns, 50'000'000);
@@ -132,9 +130,13 @@ struct PipelineFixture {
   Matrix stream_embeddings;
 };
 
+// τ = 0 is the no-caching baseline of Figure 3.
+ApproxCacheOptions Uncached() { return {.tolerance = 0.0f}; }
+
 TEST(RagPipelineTest, ExactRetrievalIsFullyRelevant) {
   PipelineFixture fx;
-  Retriever retriever(fx.index.get(), nullptr, nullptr, {.top_k = 10});
+  OneTenant stack(*fx.index, Uncached());
+  Retriever retriever(stack.driver);
   RagPipeline pipeline(&fx.workload, &fx.embedder, &retriever,
                        AnswerModel(MmluAnswerParams()), 1);
   const RunMetrics m = pipeline.RunStream(fx.stream, fx.stream_embeddings);
@@ -150,8 +152,8 @@ TEST(RagPipelineTest, LooseCacheProducesHitsAndFasterRetrieval) {
   ApproxCacheOptions copts;
   copts.capacity = 100;
   copts.tolerance = 2.0f;
-  ProximityCache cache(fx.embedder.dim(), copts);
-  Retriever retriever(fx.index.get(), &cache, nullptr, {.top_k = 10});
+  OneTenant stack(*fx.index, copts);
+  Retriever retriever(stack.driver);
   RagPipeline pipeline(&fx.workload, &fx.embedder, &retriever,
                        AnswerModel(MmluAnswerParams()), 1);
   const RunMetrics m = pipeline.RunStream(fx.stream, fx.stream_embeddings);
@@ -165,8 +167,8 @@ TEST(RagPipelineTest, DeterministicAcrossRuns) {
     ApproxCacheOptions copts;
     copts.capacity = 50;
     copts.tolerance = 2.0f;
-    ProximityCache cache(fx.embedder.dim(), copts);
-    Retriever retriever(fx.index.get(), &cache, nullptr, {.top_k = 10});
+    OneTenant stack(*fx.index, copts);
+    Retriever retriever(stack.driver);
     RagPipeline pipeline(&fx.workload, &fx.embedder, &retriever,
                          AnswerModel(MmluAnswerParams()), 1);
     return pipeline.RunStream(fx.stream, fx.stream_embeddings);
@@ -179,7 +181,8 @@ TEST(RagPipelineTest, DeterministicAcrossRuns) {
 
 TEST(RagPipelineTest, ProcessQueryTextMatchesPrecomputed) {
   PipelineFixture fx;
-  Retriever retriever(fx.index.get(), nullptr, nullptr, {.top_k = 10});
+  OneTenant stack(*fx.index, Uncached());
+  Retriever retriever(stack.driver);
   RagPipeline pipeline(&fx.workload, &fx.embedder, &retriever,
                        AnswerModel(MmluAnswerParams()), 1);
   const auto a = pipeline.ProcessQuery(fx.stream[0],
@@ -191,7 +194,8 @@ TEST(RagPipelineTest, ProcessQueryTextMatchesPrecomputed) {
 
 TEST(RagPipelineTest, ValidatesInput) {
   PipelineFixture fx;
-  Retriever retriever(fx.index.get(), nullptr, nullptr, {.top_k = 10});
+  OneTenant stack(*fx.index, Uncached());
+  Retriever retriever(stack.driver);
   EXPECT_THROW(RagPipeline(nullptr, &fx.embedder, &retriever,
                            AnswerModel(MmluAnswerParams()), 1),
                std::invalid_argument);

@@ -450,7 +450,8 @@ TEST(CacheIoTest, RoundTripPreservesEntriesAndOptions) {
 
   std::stringstream ss;
   cache.SaveTo(ss);
-  ProximityCache back = ProximityCache::LoadFrom(ss);
+  ProximityCache back(4, {.metric = Metric::kCosine});
+  back.LoadFrom(ss);
   EXPECT_EQ(back.size(), 5u);
   EXPECT_EQ(back.capacity(), 8u);
   EXPECT_FLOAT_EQ(back.tolerance(), 2.5f);
@@ -465,6 +466,33 @@ TEST(CacheIoTest, RoundTripPreservesEntriesAndOptions) {
   EXPECT_TRUE(back.Lookup(cache.KeyAt(0)).hit);
 }
 
+// A snapshot restores only into a cache of its own dimension and metric
+// (both fixed by the index the cache fronts); a refused load leaves the
+// target cache as it was.
+TEST(CacheIoTest, LoadIntoMismatchedCacheRejected) {
+  ProximityCache cache(4, {});
+  cache.Insert(std::vector<float>{1, 2, 3, 4}, {1});
+  std::stringstream ss;
+  cache.SaveTo(ss);
+  const std::string snapshot = ss.str();
+
+  ProximityCache wider(8, {});
+  wider.Insert(std::vector<float>(8, 0.5f), {9});
+  std::stringstream to_wider(snapshot);
+  EXPECT_THROW(wider.LoadFrom(to_wider), std::runtime_error);
+  EXPECT_EQ(wider.size(), 1u);
+
+  ProximityCache cosine(4, {.metric = Metric::kCosine});
+  std::stringstream to_cosine(snapshot);
+  EXPECT_THROW(cosine.LoadFrom(to_cosine), std::runtime_error);
+  EXPECT_EQ(cosine.size(), 0u);
+
+  ProximityCache same(4, {});
+  std::stringstream to_same(snapshot);
+  same.LoadFrom(to_same);
+  EXPECT_TRUE(same.Lookup(std::vector<float>{1, 2, 3, 4}).hit);
+}
+
 TEST(CacheIoTest, CorruptSnapshotRejected) {
   ProximityCache cache(4, {});
   cache.Insert(std::vector<float>{1, 2, 3, 4}, {1});
@@ -473,7 +501,8 @@ TEST(CacheIoTest, CorruptSnapshotRejected) {
   std::string buf = ss.str();
   buf[buf.size() / 2] ^= 0xff;
   std::stringstream corrupted(buf);
-  EXPECT_THROW(ProximityCache::LoadFrom(corrupted), std::runtime_error);
+  ProximityCache back(4, {});
+  EXPECT_THROW(back.LoadFrom(corrupted), std::runtime_error);
 }
 
 // A checksummed snapshot can still carry an enum value this build does
@@ -492,10 +521,11 @@ TEST(CacheIoTest, UnknownEnumValuesRejected) {
   ASSERT_EQ(PatchU32(snapshot, kMetricOffset, 0), snapshot);    // L2
   ASSERT_EQ(PatchU32(snapshot, kEvictionOffset, 0), snapshot);  // FIFO
 
+  ProximityCache back(4, {});
   std::stringstream bad_metric(PatchU32(snapshot, kMetricOffset, 7));
-  EXPECT_THROW(ProximityCache::LoadFrom(bad_metric), std::runtime_error);
+  EXPECT_THROW(back.LoadFrom(bad_metric), std::runtime_error);
   std::stringstream bad_eviction(PatchU32(snapshot, kEvictionOffset, 9));
-  EXPECT_THROW(ProximityCache::LoadFrom(bad_eviction), std::runtime_error);
+  EXPECT_THROW(back.LoadFrom(bad_eviction), std::runtime_error);
 }
 
 }  // namespace

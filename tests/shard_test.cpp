@@ -25,6 +25,7 @@
 #include "index/sharded_index.h"
 #include "rag/batching_driver.h"
 #include "vecmath/matrix.h"
+#include "one_tenant.h"
 
 namespace proximity {
 namespace {
@@ -256,13 +257,12 @@ TEST(BatchingDriverTest, ConcurrentSubmitsAccountForEveryQuery) {
   ShardedIndexOptions sopts;
   sopts.num_shards = 2;
   const auto index = BuildShardedIndex(spec, corpus, sopts);
-  ProximityCache cache(kDim, SmallCache());
-
   BatchingDriverOptions opts;
   opts.max_batch = 8;
   opts.max_wait_us = 500;
   opts.top_k = 5;
-  BatchingDriver driver(*index, cache, nullptr, opts);
+  OneTenant stack(*index, SmallCache(), nullptr, opts);
+  BatchingDriver& driver = stack.driver;
 
   // A small pool of distinct queries so later submits hit the cache.
   const Matrix pool = RandomMatrix(24, kDim, 42);
@@ -298,13 +298,12 @@ TEST(BatchingDriverTest, ShutdownDrainsPendingQueries) {
   const Matrix corpus = RandomMatrix(200, kDim, 51);
   FlatIndex index(kDim);
   for (std::size_t r = 0; r < corpus.rows(); ++r) index.Add(corpus.Row(r));
-  ProximityCache cache(kDim, SmallCache());
-
   BatchingDriverOptions opts;
   opts.max_batch = 1000;                 // never fills
   opts.max_wait_us = 60ull * 1000000ull; // never times out
   opts.top_k = 3;
-  BatchingDriver driver(index, cache, nullptr, opts);
+  OneTenant stack(index, SmallCache(), nullptr, opts);
+  BatchingDriver& driver = stack.driver;
 
   const Matrix queries = RandomMatrix(10, kDim, 52);
   std::vector<std::future<std::vector<VectorId>>> futures;
@@ -338,13 +337,12 @@ TEST(BatchingDriverTest, IdenticalMissesCoalesceWithinBatch) {
   const Matrix corpus = RandomMatrix(200, kDim, 61);
   FlatIndex index(kDim);
   for (std::size_t r = 0; r < corpus.rows(); ++r) index.Add(corpus.Row(r));
-  ProximityCache cache(kDim, SmallCache());
-
   BatchingDriverOptions opts;
   opts.max_batch = 1000;
   opts.max_wait_us = 60ull * 1000000ull;
   opts.top_k = 4;
-  BatchingDriver driver(index, cache, nullptr, opts);
+  OneTenant stack(index, SmallCache(), nullptr, opts);
+  BatchingDriver& driver = stack.driver;
 
   const std::vector<float> q(kDim, 0.25f);
   std::vector<std::future<std::vector<VectorId>>> futures;
@@ -376,12 +374,11 @@ TEST(BatchingDriverTest, SubmitAfterShutdownFailsFast) {
   FlatIndex index(kDim);
   const Matrix corpus = RandomMatrix(50, kDim, 71);
   for (std::size_t r = 0; r < corpus.rows(); ++r) index.Add(corpus.Row(r));
-  ProximityCache cache(kDim, SmallCache());
-
   HashEmbedderOptions eopts;
   eopts.dim = kDim;
   const HashEmbedder embedder(eopts);
-  BatchingDriver driver(index, cache, &embedder, {});
+  OneTenant stack(index, SmallCache(), &embedder);
+  BatchingDriver& driver = stack.driver;
   driver.Shutdown();
 
   EXPECT_THROW(driver.Submit(std::vector<float>(kDim, 0.1f)),
@@ -404,12 +401,11 @@ TEST(BatchingDriverTest, ConcurrentSubmitVersusShutdownNeverDeadlocks) {
   FlatIndex index(kDim);
   const Matrix corpus = RandomMatrix(50, kDim, 72);
   for (std::size_t r = 0; r < corpus.rows(); ++r) index.Add(corpus.Row(r));
-  ProximityCache cache(kDim, SmallCache());
-
   BatchingDriverOptions opts;
   opts.max_batch = 4;
   opts.top_k = 2;
-  BatchingDriver driver(index, cache, nullptr, opts);
+  OneTenant stack(index, SmallCache(), nullptr, opts);
+  BatchingDriver& driver = stack.driver;
 
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kPerThread = 64;
@@ -464,11 +460,10 @@ TEST(BatchingDriverTest, SubmitTextMatchesEmbeddedSubmit) {
   const Matrix corpus = embedder.EmbedBatch(docs_text);
   FlatIndex index(eopts.dim);
   for (std::size_t r = 0; r < corpus.rows(); ++r) index.Add(corpus.Row(r));
-  ProximityCache cache(eopts.dim, SmallCache());
-
   BatchingDriverOptions opts;
   opts.top_k = 3;
-  BatchingDriver driver(index, cache, &embedder, opts);
+  OneTenant stack(index, SmallCache(), &embedder, opts);
+  BatchingDriver& driver = stack.driver;
 
   const std::string query = "approximate cache neighbors";
   auto via_text = driver.SubmitText(query);

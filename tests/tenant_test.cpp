@@ -14,6 +14,7 @@
 #include <chrono>
 #include <future>
 #include <map>
+#include <string>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -157,6 +158,35 @@ TEST(TenantRegistryTest, RegisterIsIdempotentAndValidatesWeight) {
   spec.id = 8;
   spec.weight = 0.0;
   EXPECT_THROW(registry.Register(spec), std::invalid_argument);
+}
+
+// A tenant is registered once. A differing spec for an existing id — a
+// roster line for tenant 0, or a repeated roster id — throws naming the
+// id instead of being dropped; an identical spec stays a no-op.
+TEST(TenantRegistryTest, ReRegisteringWithADifferentSpecThrows) {
+  TenantRegistry registry(kDim);
+  const std::vector<TenantSpec> roster = ParseTenantSpecs(
+      "id=0 capacity=50 qps=100\n"
+      "id=3 capacity=50\n"
+      "id=3 capacity=60\n");
+  ASSERT_EQ(roster.size(), 3u);
+  try {
+    registry.Register(roster[0]);
+    ADD_FAILURE() << "re-configuring tenant 0 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("tenant 0"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(registry.CacheFor(kDefaultTenant).capacity(), 100u);
+
+  EXPECT_EQ(registry.Register(roster[1]), 3u);
+  EXPECT_THROW(registry.Register(roster[2]), std::invalid_argument);
+  EXPECT_EQ(registry.CacheFor(3).capacity(), 50u);
+
+  EXPECT_EQ(registry.Register(roster[1]), 3u);  // identical: a no-op
+  TenantSpec defaults;                          // tenant 0 as constructed
+  EXPECT_EQ(registry.Register(defaults), kDefaultTenant);
+  EXPECT_EQ(registry.tenant_count(), 2u);
 }
 
 TEST(TenantRegistryTest, ResolvePolicyAutoRegisterVsMapToDefault) {

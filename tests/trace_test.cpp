@@ -20,6 +20,7 @@
 #include "index/sharded_index.h"
 #include "obs/span.h"
 #include "rag/batching_driver.h"
+#include "one_tenant.h"
 
 namespace proximity::obs {
 namespace {
@@ -276,8 +277,8 @@ TEST(TraceDriverTest, SubmitTextAsyncPropagatesContextThroughStages) {
   const auto index =
       BuildShardedIndex(IndexSpec{.kind = "flat"},
                         embedder.EmbedBatch(corpus), {});
-  ProximityCache cache(embedder.dim(), {.capacity = 16, .tolerance = 0.5f});
-  BatchingDriver driver(*index, cache, &embedder, {});
+  OneTenant stack(*index, {.capacity = 16, .tolerance = 0.5f}, &embedder);
+  BatchingDriver& driver = stack.driver;
 
   const TraceContext trace{NewTraceId(), NewSpanId()};
   SubmitOptions opts;

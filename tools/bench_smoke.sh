@@ -37,10 +37,9 @@
 #                          machine-readable skip_reason instead).
 #   8. answer_cache      — --quick answer-tier gates (DESIGN.md §15):
 #                          answer-hit TTFT must be >= 2x better than a
-#                          miss on the same stream, end-to-end accuracy
-#                          must stay within 1 point of the
-#                          no-answer-tier baseline, and the overlap
-#                          draft accounting must balance.
+#                          miss on the same stream, and end-to-end
+#                          accuracy must stay within 1 point of the
+#                          no-answer-tier baseline.
 #
 # Emits BENCH_obs.json, BENCH_kernels.json, BENCH_shard.json,
 # BENCH_net.json, BENCH_tenant.json, BENCH_quant.json, BENCH_churn.json,

@@ -34,7 +34,6 @@
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <set>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -411,9 +410,9 @@ int CmdServe(const Config& cfg) {
         "  staleness=serve-stale|revalidate|invalidate-region (cache\n"
         "  policy when an entry predates the index generation)\n"
         "  storage=float32|sq8|sq4 rerank=N (compressed primary scan)\n"
-        "  answer_cache=N answer_tau=X (per-tenant answer-level cache\n"
-        "  with grounded reuse routing, network mode; N entries, 0 =\n"
-        "  off; DESIGN.md §15, docs/OPERATIONS.md runbook)\n"
+        "  answer_cache=N answer_tau=X (per-tenant answer-level cache:\n"
+        "  current-generation hits serve their cached evidence; N\n"
+        "  entries, 0 = off; DESIGN.md §15, docs/OPERATIONS.md runbook)\n"
         "  max_batch=N max_wait_us=N coalesce=true|false top_k=N\n"
         "  variants=N order=shuffled|grouped|zipf seed=N\n"
         "  --metrics-out FILE[.prom|.json][,FILE...]\n"
@@ -510,7 +509,6 @@ int CmdServe(const Config& cfg) {
                  staleness_name.c_str());
     return 2;
   }
-  ProximityCache cache(embedder.dim(), copts);
 
   // Answer-level semantic cache above the proximity tier (DESIGN.md
   // §15): `answer_cache=N` entries per tenant, τ defaults to half the
@@ -519,6 +517,34 @@ int CmdServe(const Config& cfg) {
       static_cast<std::size_t>(cfg.GetInt("answer_cache", 0));
   const double answer_tau = cfg.GetDouble(
       "answer_tau", cfg.GetDouble("tau", 2.0) / 2.0);
+
+  // Requests are routed through a TenantRegistry: per-tenant caches,
+  // quotas, and fair batching (DESIGN.md §10). The flags above configure
+  // tenant 0, the always-present default tenant every request lands on
+  // without a roster.
+  TenantRegistryOptions topts;
+  topts.cache_defaults = copts;
+  topts.answer_defaults.metric = copts.metric;
+  if (answer_capacity > 0) {
+    topts.answer_defaults.capacity = answer_capacity;
+    topts.answer_defaults.tolerance = static_cast<float>(answer_tau);
+    LogInfo("serve: answer cache enabled (capacity={} tau={})",
+            answer_capacity, answer_tau);
+  }
+  const std::string roster = cfg.GetString("tenants", "");
+  // With an explicit roster, unknown tenant ids fall back to the
+  // default tenant instead of minting unbounded per-tenant state.
+  topts.unknown_policy = roster.empty()
+                             ? UnknownTenantPolicy::kAutoRegister
+                             : UnknownTenantPolicy::kMapToDefault;
+  TenantRegistry registry(embedder.dim(), topts);
+  if (!roster.empty()) {
+    for (const auto& spec : LoadTenantSpecs(roster)) {
+      registry.Register(spec);
+    }
+    LogInfo("serve: {} tenants registered (unknown ids -> tenant 0)",
+            registry.tenant_count());
+  }
 
   BatchingDriverOptions dopts;
   dopts.answer_reuse = answer_capacity > 0;
@@ -536,34 +562,7 @@ int CmdServe(const Config& cfg) {
   const std::string listen = cfg.GetString("listen", "");
   if (!listen.empty()) {
     // Network mode: the microbatching stack fronts the epoll RPC server.
-    // Requests are routed through a TenantRegistry: per-tenant caches,
-    // quotas, and fair batching (DESIGN.md §10). Without a roster every
-    // request lands on the always-present default tenant, which keeps the
-    // single-tenant behaviour.
     const auto [host, port] = ParseHostPort(listen);
-    TenantRegistryOptions topts;
-    topts.cache_defaults = copts;
-    topts.answer_defaults.metric = copts.metric;
-    if (answer_capacity > 0) {
-      topts.answer_defaults.capacity = answer_capacity;
-      topts.answer_defaults.tolerance = static_cast<float>(answer_tau);
-      LogInfo("serve: answer cache enabled (capacity={} tau={})",
-              answer_capacity, answer_tau);
-    }
-    const std::string roster = cfg.GetString("tenants", "");
-    // With an explicit roster, unknown tenant ids fall back to the
-    // default tenant instead of minting unbounded per-tenant state.
-    topts.unknown_policy = roster.empty()
-                               ? UnknownTenantPolicy::kAutoRegister
-                               : UnknownTenantPolicy::kMapToDefault;
-    TenantRegistry registry(embedder.dim(), topts);
-    if (!roster.empty()) {
-      for (const auto& spec : LoadTenantSpecs(roster)) {
-        registry.Register(spec);
-      }
-      LogInfo("serve: {} tenants registered (unknown ids -> tenant 0)",
-              registry.tenant_count());
-    }
     BatchingDriver driver(*index, registry, &embedder, dopts);
     if (index->SupportsMutation()) {
       driver.EnableMutation(*index);
@@ -666,7 +665,7 @@ int CmdServe(const Config& cfg) {
   InstallServeStop(true);
   Stopwatch wall;
   const ConcurrentRunResult result = RunStreamBatched(
-      workload, *index, cache, AnswerModel(AnswerParamsFor(workload_name)),
+      workload, *index, registry, AnswerModel(AnswerParamsFor(workload_name)),
       static_cast<std::uint64_t>(cfg.GetInt("seed", 1)), stream, embeddings,
       threads, dopts, &dstats, &g_serve_stop);
   const double wall_ms = wall.ElapsedMillis();
@@ -1136,10 +1135,11 @@ int CmdReplay(const Config& cfg) {
   copts.capacity = static_cast<std::size_t>(cfg.GetInt("capacity", 100));
   copts.tolerance = static_cast<float>(cfg.GetDouble("tau", 2.0));
   copts.metric = index->metric();
-  ProximityCache cache(embedder.dim(), copts);
-  Retriever retriever(index.get(), &cache, nullptr,
-                      {.top_k = static_cast<std::size_t>(
-                           cfg.GetInt("top_k", 10))});
+  TenantRegistry registry(embedder.dim(), {.cache_defaults = copts});
+  BatchingDriver driver(
+      *index, registry, nullptr,
+      {.top_k = static_cast<std::size_t>(cfg.GetInt("top_k", 10))});
+  Retriever retriever(driver);
   RagPipeline pipeline(&workload, &embedder, &retriever,
                        AnswerModel(AnswerParamsFor(workload_name)),
                        static_cast<std::uint64_t>(cfg.GetInt("seed", 1)));
@@ -1181,12 +1181,14 @@ int CmdInfo(const Config& cfg) {
               static_cast<unsigned>(net::kProtocolVersion));
   // With `--tenants FILE` the roster is parsed (not served) so operators
   // can validate a config and see the resulting tenant count up front.
+  // Registering into a throwaway registry is what `serve` does, so a
+  // conflicting repeated id fails here too.
   std::size_t tenants = 1;  // the default tenant always exists
   const std::string roster = cfg.GetString("tenants", "");
   if (!roster.empty()) {
-    std::set<TenantId> ids{kDefaultTenant};
-    for (const auto& spec : LoadTenantSpecs(roster)) ids.insert(spec.id);
-    tenants = ids.size();
+    TenantRegistry registry(HashEmbedder().dim());
+    for (const auto& spec : LoadTenantSpecs(roster)) registry.Register(spec);
+    tenants = registry.tenant_count();
   }
   std::printf("tenants:    %zu registered (default tenant 0%s)\n", tenants,
               roster.empty() ? "" : ", roster validated");
