@@ -148,7 +148,6 @@ struct PhaseResult {
 BatchingDriverOptions DriverOptions(bool fair) {
   BatchingDriverOptions dopts;
   dopts.max_batch = 32;
-  dopts.max_wait_us = 200;
   dopts.top_k = 10;
   dopts.queue_bound = 2048;
   dopts.fair = fair;

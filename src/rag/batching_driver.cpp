@@ -291,11 +291,10 @@ BatchResult BatchingDriver::Serve(std::span<const float> embedding) {
 }
 
 void BatchingDriver::Flush() {
+  // The flusher never idles while work is pending, so waiting for the
+  // queue to empty is the whole drain; the caller's futures observe
+  // completion of the actual processing.
   std::unique_lock lock(mu_);
-  ++drain_requested_;
-  cv_.notify_all();
-  // Wait until the flusher has taken everything that was pending; the
-  // caller's futures observe completion of the actual processing.
   cv_.wait(lock, [&] { return total_pending_ == 0; });
 }
 
@@ -332,17 +331,6 @@ std::map<TenantId, std::size_t> BatchingDriver::queue_depths() const {
     if (!tq.queue.empty()) depths[id] = tq.queue.size();
   }
   return depths;
-}
-
-std::chrono::steady_clock::time_point BatchingDriver::OldestEnqueued()
-    const {
-  auto oldest = std::chrono::steady_clock::time_point::max();
-  for (const auto& [id, tq] : queues_) {
-    if (!tq.queue.empty()) {
-      oldest = std::min(oldest, tq.queue.front().enqueued);
-    }
-  }
-  return oldest;
 }
 
 std::vector<BatchingDriver::Pending> BatchingDriver::TakeBatch(
@@ -399,45 +387,16 @@ std::vector<BatchingDriver::Pending> BatchingDriver::TakeBatch(
 }
 
 void BatchingDriver::FlusherLoop() {
+  // Work-conserving, no timer (DESIGN.md §8): a batch is whatever
+  // arrived while the previous one ran.
   std::unique_lock lock(mu_);
   for (;;) {
-    if (total_pending_ == 0) {
-      drain_served_ = drain_requested_;  // nothing left to drain
-      if (stop_) return;
-      cv_.wait(lock, [&] { return stop_ || total_pending_ > 0; });
-      cv_.notify_all();  // wake any Flush() waiting on an empty queue
-      continue;
-    }
-
-    const auto deadline =
-        OldestEnqueued() + std::chrono::microseconds(options_.max_wait_us);
-    cv_.wait_until(lock, deadline, [&] {
-      return stop_ || drain_requested_ > drain_served_ ||
-             total_pending_ >= options_.max_batch;
-    });
-
-    if (total_pending_ == 0) continue;
-    const bool full = total_pending_ >= options_.max_batch;
-    const bool drain = stop_ || drain_requested_ > drain_served_;
-    if (!full && !drain &&
-        std::chrono::steady_clock::now() < deadline) {
-      continue;  // spurious wakeup
-    }
-    if (full) {
-      ++stats_.flushes_on_full;
-    } else if (drain) {
-      ++stats_.flushes_on_drain;
-    } else {
-      ++stats_.flushes_on_timer;
-    }
-
+    cv_.wait(lock, [&] { return stop_ || total_pending_ > 0; });
+    if (total_pending_ == 0) return;  // stopped, and nothing left to drain
     std::vector<Pending> batch =
         TakeBatch(std::min(total_pending_, options_.max_batch));
     ++stats_.batches;
-    if (total_pending_ == 0) {
-      drain_served_ = drain_requested_;
-      cv_.notify_all();  // unblock Flush()
-    }
+    if (total_pending_ == 0) cv_.notify_all();  // unblock Flush()
 
     lock.unlock();
     ProcessBatch(std::move(batch));

@@ -6,20 +6,20 @@
 // claim loop that hands each worker one query at a time only ever shows
 // the database batch size 1. This driver is an admission queue instead:
 // callers Submit queries (text or pre-computed embeddings) and get a
-// future; a flusher thread drains the queue whenever `max_batch` queries
-// are pending or the oldest has waited `max_wait_us` (flush-on-full /
-// flush-on-timer), embeds queued text in one EmbedBatch call, probes the
-// cache, and issues the remaining misses as ONE grouped SearchBatch
-// against the index — which, for a ShardedIndex, fans shard×query legs
-// across the thread pool so the fused batch kernels see real batch
-// shapes.
+// future; a work-conserving flusher thread takes everything pending (up
+// to `max_batch`) whenever it is free — no timer, so a batch is what
+// arrived while the previous batch ran and its size follows offered
+// load — embeds queued text in one EmbedBatch call, probes the cache,
+// and issues the remaining misses as ONE grouped SearchBatch against the
+// index — which, for a ShardedIndex, fans shard×query legs across the
+// thread pool so the fused batch kernels see real batch shapes.
 //
 // Within a flush, misses that are τ-similar to an earlier miss of the
 // same batch coalesce onto that leader's retrieval. Across flushes the
 // one flusher thread serializes batches, so a τ-similar query in a later
 // batch hits what an earlier batch inserted. Serve runs the same
 // admission and batch processing for a batch of one on the caller's
-// thread (no queue, no timer, no thread hop), concurrently with the
+// thread (no queue, no thread hop), concurrently with the
 // flusher; the caches and the registry carry their own locks. Every
 // submitted query is exactly one of {hit, retrieved, coalesced, shed,
 // expired, quota_shed}; Shutdown drains the queue, so no query is
@@ -91,10 +91,8 @@ enum class MutationOp : std::uint32_t {
 };
 
 struct BatchingDriverOptions {
-  /// Flush as soon as this many queries are pending.
+  /// Most queries one flush takes; the rest wait for the next flush.
   std::size_t max_batch = 32;
-  /// Flush when the oldest pending query has waited this long.
-  std::uint64_t max_wait_us = 200;
   /// Documents fetched per query (top-k of the NNS).
   std::size_t top_k = 10;
   /// Coalesce τ-similar same-tenant misses within a batch onto one
@@ -144,10 +142,6 @@ struct BatchingDriverStats {
   /// DELETEs of unknown ids, which complete kInvalidArgument).
   std::uint64_t mutations = 0;
   std::uint64_t batches = 0;
-  std::uint64_t flushes_on_full = 0;
-  std::uint64_t flushes_on_timer = 0;
-  /// Batches flushed by Shutdown/Flush rather than size or timer.
-  std::uint64_t flushes_on_drain = 0;
 };
 
 /// Outcome of one submission, delivered to the SubmitAsync callback.
@@ -262,15 +256,16 @@ class BatchingDriver {
 
   /// Serves one embedding for the default tenant on the caller's
   /// thread: the same admission (quota) and batch processing as a
-  /// flushed batch of one, without the queue, the timer or the hop to
-  /// the flusher. Index and cache work therefore runs on this thread
+  /// flushed batch of one, without the queue or the hop to the
+  /// flusher. Index and cache work therefore runs on this thread
   /// (a VirtualClock a SlowStorageIndex charges sees it here). Throws
   /// std::invalid_argument on a dimension mismatch and
   /// std::runtime_error after Shutdown; any other outcome, shed or
   /// failed included, is reported in the result's status.
   BatchResult Serve(std::span<const float> embedding);
 
-  /// Flushes everything currently pending without stopping the driver.
+  /// Waits until the flusher has taken everything currently pending,
+  /// without stopping the driver.
   void Flush();
 
   /// Drains the queue (every pending future completes) and stops the
@@ -326,9 +321,6 @@ class BatchingDriver {
   /// Pops up to `take` entries — DRR across tenant queues in fair mode,
   /// global arrival order otherwise. Caller must hold mu_.
   std::vector<Pending> TakeBatch(std::size_t take);
-  /// Earliest enqueue time across queue fronts. Caller must hold mu_;
-  /// total_pending_ must be > 0.
-  std::chrono::steady_clock::time_point OldestEnqueued() const;
   /// Processes one batch outside the queue lock.
   void ProcessBatch(std::vector<Pending> batch);
   /// Completes `entry` with a non-OK status.
@@ -354,12 +346,6 @@ class BatchingDriver {
   std::size_t total_pending_ = 0;
   std::uint64_t next_seq_ = 0;
   bool stop_ = false;
-  // Drain requests outstanding: Flush() bumps `requested`; the flusher
-  // copies it into `served` once the queue empties. A counter pair (not
-  // an epoch captured at wait entry) so a request issued while the
-  // flusher is between waits is never lost.
-  std::uint64_t drain_requested_ = 0;
-  std::uint64_t drain_served_ = 0;
   BatchingDriverStats stats_;
   std::map<TenantId, BatchingDriverStats> tenant_stats_;
 

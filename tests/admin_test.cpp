@@ -130,11 +130,9 @@ TEST(AdminHealthTest, TracksServerDrainTransitions) {
   const Matrix corpus = embedder.EmbedBatch(
       {"draining servers answer unavailable", "epoll loops poll"});
   for (std::size_t r = 0; r < corpus.rows(); ++r) index.Add(corpus.Row(r));
-  BatchingDriverOptions dopts;
-  // Park queued work so the drain stays observable for a moment.
-  dopts.max_batch = 1000;
-  dopts.max_wait_us = 100000;
-  OneTenant stack(index, {}, &embedder, dopts);
+  OneTenant stack(index, {}, &embedder);
+  // Park queued work so the drain stays observable until released.
+  ParkedFlusher park(stack.driver, index.dim());
   net::ServerOptions nopts;
   nopts.drain_timeout_ms = 2000;
   net::Server server(stack.driver, nopts);
@@ -162,14 +160,16 @@ TEST(AdminHealthTest, TracksServerDrainTransitions) {
   held.id = 1;
   held.text = "held in queue";
   ASSERT_TRUE(client.Send(held));
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  while (stack.driver.pending() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 
   server.RequestDrain();
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
   const auto draining = admin.Handle("/healthz");
   EXPECT_EQ(draining.status, 503);
   EXPECT_EQ(draining.body, "draining\n");
 
+  park.Release();
   server.Join();
   stack.driver.Shutdown();
   const auto stopped = admin.Handle("/healthz");

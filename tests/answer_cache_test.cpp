@@ -170,10 +170,8 @@ FlatIndex MakeIndex() {
   return index;
 }
 
-BatchingDriverOptions ParkedFlusher() {
+BatchingDriverOptions AnswerReuse() {
   BatchingDriverOptions opts;
-  opts.max_batch = 1000;
-  opts.max_wait_us = 60ull * 1000000ull;
   opts.top_k = 3;
   opts.answer_reuse = true;
   return opts;
@@ -212,7 +210,7 @@ TenantRegistryOptions AnswerRegistryOptions() {
 TEST(DriverAnswerReuseTest, RepeatQueryIsAnswerHitAndConserved) {
   FlatIndex index = MakeIndex();
   TenantRegistry registry(kDim, AnswerRegistryOptions());
-  BatchingDriver driver(index, registry, nullptr, ParkedFlusher());
+  BatchingDriver driver(index, registry, nullptr, AnswerReuse());
 
   const std::vector<float> q(kDim, 0.5f);
   auto f1 = SubmitFor(driver, q);
@@ -263,7 +261,7 @@ TEST(DriverAnswerReuseTest, DeletedSourceDocForcesFreshRetrieval) {
   topts.answer_defaults.capacity = 8;
   topts.answer_defaults.tolerance = 0.05f;
   TenantRegistry registry(embedder.dim(), topts);
-  BatchingDriver driver(*index, registry, &embedder, ParkedFlusher());
+  BatchingDriver driver(*index, registry, &embedder, AnswerReuse());
   driver.EnableMutation(*index);
 
   const std::vector<float> q = embedder.Embed("document number 7");
@@ -312,7 +310,7 @@ TEST(DriverAnswerReuseTest, AnswerHitsNeverCrossTenants) {
   beta.id = 2;
   beta.name = "beta";
   registry.Register(beta);
-  BatchingDriver driver(index, registry, nullptr, ParkedFlusher());
+  BatchingDriver driver(index, registry, nullptr, AnswerReuse());
 
   const std::vector<float> q(kDim, 0.5f);
   auto f1 = SubmitFor(driver, q, 1);

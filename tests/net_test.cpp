@@ -253,15 +253,14 @@ TEST(NetServerTest, LoopbackIntegrationAnswersEveryRequestOnce) {
 }
 
 // Overload: the driver's admission queue is bounded at 4 and the flusher
-// is parked (flush-on-full and flush-on-timer out of reach), so of 40
-// pipelined requests exactly 4 can queue — the rest must be shed with
-// RESOURCE_EXHAUSTED while every request still gets an answer.
+// is parked, so of 40 pipelined requests exactly 4 can queue — the rest
+// must be shed with RESOURCE_EXHAUSTED while every request still gets
+// an answer.
 TEST(NetServerTest, OverloadShedsWithResourceExhausted) {
   BatchingDriverOptions dopts;
-  dopts.max_batch = 1000;
-  dopts.max_wait_us = 60ull * 1000000ull;
   dopts.queue_bound = 4;
   TestStack stack(dopts);
+  ParkedFlusher park(*stack.driver, stack.index.dim());
 
   constexpr std::size_t kRequests = 40;
   net::Client client;
@@ -279,7 +278,7 @@ TEST(NetServerTest, OverloadShedsWithResourceExhausted) {
     while (stack.server->stats().requests < kRequests) {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-    stack.driver->Flush();
+    park.Release();
   });
 
   std::size_t ok = 0, shed = 0;
@@ -308,39 +307,51 @@ TEST(NetServerTest, OverloadShedsWithResourceExhausted) {
             ds.submitted);
 }
 
+// Polls `pred` every 5 ms for up to 5 s; true once it holds.
+template <typename Pred>
+bool EventuallyTrue(Pred pred) {
+  for (int i = 0; i < 1000; ++i) {
+    if (pred()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return pred();
+}
+
 // A request whose deadline passes while queued completes with
 // DEADLINE_EXCEEDED without ever being embedded or searched.
 TEST(NetServerTest, DeadlineExpiresInQueueWithoutRunning) {
-  BatchingDriverOptions dopts;
-  dopts.max_batch = 1000;
-  dopts.max_wait_us = 30000;  // flush-on-timer at 30ms
-  TestStack stack(dopts);
+  TestStack stack;
+  ParkedFlusher park(*stack.driver, stack.index.dim());
+  // The decoy (an expired entry itself) is already counted here.
+  const BatchingDriverStats before = stack.driver->stats();
 
   net::Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", stack.server->port()));
   net::Request req;
   req.id = 77;
-  req.deadline_us = 1000;  // 1ms — long gone when the 30ms flush fires
+  req.deadline_us = 1000;  // 1ms — long gone when the parked flush runs
   req.text = "too late";
+  ASSERT_TRUE(client.Send(req));
+  ASSERT_TRUE(EventuallyTrue([&] { return stack.driver->pending() == 1; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  park.Release();
   net::Response resp;
-  ASSERT_TRUE(client.Call(req, &resp));
+  ASSERT_TRUE(client.Recv(&resp));
   EXPECT_EQ(resp.id, 77u);
   EXPECT_EQ(resp.status, RequestStatus::kDeadlineExceeded);
   EXPECT_TRUE(resp.documents.empty());
 
   const BatchingDriverStats ds = stack.driver->stats();
-  EXPECT_EQ(ds.expired, 1u);
-  EXPECT_EQ(ds.retrieved, 0u);  // the index was never touched
-  EXPECT_EQ(ds.hits, 0u);
+  EXPECT_EQ(ds.expired - before.expired, 1u);
+  EXPECT_EQ(ds.retrieved - before.retrieved, 0u);  // index never touched
+  EXPECT_EQ(ds.hits - before.hits, 0u);
 }
 
 // A client that disconnects mid-flight: its completion finds no
 // connection and is discarded (counted), never written to a dead fd.
 TEST(NetServerTest, DisconnectedClientCompletionIsAbandoned) {
-  BatchingDriverOptions dopts;
-  dopts.max_batch = 1000;
-  dopts.max_wait_us = 100000;  // 100ms: long enough to disconnect first
-  TestStack stack(dopts);
+  TestStack stack;
+  ParkedFlusher park(*stack.driver, stack.index.dim());
 
   {
     net::Client client;
@@ -349,20 +360,24 @@ TEST(NetServerTest, DisconnectedClientCompletionIsAbandoned) {
     req.id = 1;
     req.text = "abandon me";
     ASSERT_TRUE(client.Send(req));
+    ASSERT_TRUE(
+        EventuallyTrue([&] { return stack.driver->pending() == 1; }));
   }  // destructor closes the socket with the request still in flight
 
-  // The flush at 100ms completes the request; its connection is gone.
-  for (int i = 0; i < 100; ++i) {
-    if (stack.server->stats().abandoned > 0) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  // Release the flush once the server has seen the disconnect: the
+  // request completes, and its connection is gone.
+  ASSERT_TRUE(
+      EventuallyTrue([&] { return stack.server->stats().closed == 1; }));
+  park.Release();
+  ASSERT_TRUE(
+      EventuallyTrue([&] { return stack.server->stats().abandoned > 0; }));
   const net::ServerStats ns = stack.server->stats();
   EXPECT_EQ(ns.abandoned, 1u);
   EXPECT_EQ(ns.requests, 1u);
   EXPECT_EQ(ns.responses, 0u);
 
   const BatchingDriverStats ds = stack.driver->stats();
-  EXPECT_EQ(ds.completed, 1u);  // the work itself was not dropped
+  EXPECT_EQ(ds.completed, 2u);  // + the decoy: the work was not dropped
 }
 
 // Garbage on the wire is a protocol error: the connection closes and the
@@ -411,12 +426,11 @@ TEST(NetServerTest, MalformedFrameClosesConnectionOnly) {
 // Draining server answers new requests UNAVAILABLE (when they arrive on
 // an existing connection) and refuses new connections.
 TEST(NetServerTest, DrainAnswersUnavailable) {
-  BatchingDriverOptions dopts;
-  dopts.max_batch = 1000;
-  dopts.max_wait_us = 200000;  // park in-flight work during the drain
   net::ServerOptions nopts;
   nopts.drain_timeout_ms = 2000;
-  TestStack stack(dopts, nopts);
+  TestStack stack({}, nopts);
+  // Park in-flight work during the drain.
+  ParkedFlusher park(*stack.driver, stack.index.dim());
 
   net::Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", stack.server->port()));
@@ -425,23 +439,24 @@ TEST(NetServerTest, DrainAnswersUnavailable) {
   held.text = "held in queue";
   ASSERT_TRUE(client.Send(held));
 
-  // Give the event loop a beat to admit the request, then drain.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // Drain once the event loop has admitted the request.
+  ASSERT_TRUE(EventuallyTrue([&] { return stack.driver->pending() == 1; }));
   stack.server->RequestDrain();
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
   net::Request late;
   late.id = 2;
   late.text = "too late to start";
   ASSERT_TRUE(client.Send(late));
 
-  // Both answers arrive: UNAVAILABLE for the late one, then the held
-  // request completes when the 200ms flush fires and the drain ends.
+  // Both answers arrive: UNAVAILABLE for the late one while the held
+  // request is parked, then the held request completes once released
+  // and the drain ends.
   std::map<std::uint64_t, RequestStatus> got;
   for (int i = 0; i < 2; ++i) {
     net::Response resp;
     ASSERT_TRUE(client.Recv(&resp));
     got[resp.id] = resp.status;
+    park.Release();  // after the first answer; idempotent after that
   }
   EXPECT_EQ(got[1], RequestStatus::kOk);
   EXPECT_EQ(got[2], RequestStatus::kUnavailable);

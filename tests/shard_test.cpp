@@ -10,6 +10,7 @@
 // and none is dropped, even when Shutdown lands mid-batch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <future>
 #include <memory>
@@ -259,7 +260,6 @@ TEST(BatchingDriverTest, ConcurrentSubmitsAccountForEveryQuery) {
   const auto index = BuildShardedIndex(spec, corpus, sopts);
   BatchingDriverOptions opts;
   opts.max_batch = 8;
-  opts.max_wait_us = 500;
   opts.top_k = 5;
   OneTenant stack(*index, SmallCache(), nullptr, opts);
   BatchingDriver& driver = stack.driver;
@@ -291,19 +291,20 @@ TEST(BatchingDriverTest, ConcurrentSubmitsAccountForEveryQuery) {
   EXPECT_GT(stats.hits, 0u);
 }
 
-// Shutdown mid-batch: with flush-on-full and flush-on-timer both out of
-// reach, only the drain path can complete these queries.
+// Shutdown with work queued: the flusher is parked while ten queries
+// queue up and is released just before Shutdown, which then races it
+// for the queue. Either way every query completes before Shutdown
+// returns.
 TEST(BatchingDriverTest, ShutdownDrainsPendingQueries) {
   constexpr std::size_t kDim = 8;
   const Matrix corpus = RandomMatrix(200, kDim, 51);
   FlatIndex index(kDim);
   for (std::size_t r = 0; r < corpus.rows(); ++r) index.Add(corpus.Row(r));
   BatchingDriverOptions opts;
-  opts.max_batch = 1000;                 // never fills
-  opts.max_wait_us = 60ull * 1000000ull; // never times out
   opts.top_k = 3;
   OneTenant stack(index, SmallCache(), nullptr, opts);
   BatchingDriver& driver = stack.driver;
+  ParkedFlusher park(driver, kDim);
 
   const Matrix queries = RandomMatrix(10, kDim, 52);
   std::vector<std::future<std::vector<VectorId>>> futures;
@@ -312,6 +313,8 @@ TEST(BatchingDriverTest, ShutdownDrainsPendingQueries) {
     futures.push_back(
         driver.Submit(std::vector<float>(row.begin(), row.end())));
   }
+  EXPECT_EQ(driver.pending(), queries.rows());
+  park.Release();
   driver.Shutdown();
 
   for (auto& f : futures) {
@@ -320,11 +323,10 @@ TEST(BatchingDriverTest, ShutdownDrainsPendingQueries) {
     EXPECT_EQ(f.get().size(), opts.top_k);
   }
   const auto stats = driver.stats();
-  EXPECT_EQ(stats.completed, queries.rows());
+  EXPECT_EQ(stats.completed, queries.rows() + 1);  // + the decoy
+  EXPECT_EQ(stats.expired, 1u);                    // the decoy
   EXPECT_EQ(stats.hits + stats.retrieved + stats.coalesced,
-            stats.completed);
-  EXPECT_GT(stats.flushes_on_drain, 0u);
-  EXPECT_EQ(stats.flushes_on_full, 0u);
+            stats.completed - stats.expired);
 
   EXPECT_THROW(driver.Submit(std::vector<float>(kDim, 0.0f)),
                std::runtime_error);
@@ -338,17 +340,17 @@ TEST(BatchingDriverTest, IdenticalMissesCoalesceWithinBatch) {
   FlatIndex index(kDim);
   for (std::size_t r = 0; r < corpus.rows(); ++r) index.Add(corpus.Row(r));
   BatchingDriverOptions opts;
-  opts.max_batch = 1000;
-  opts.max_wait_us = 60ull * 1000000ull;
   opts.top_k = 4;
   OneTenant stack(index, SmallCache(), nullptr, opts);
   BatchingDriver& driver = stack.driver;
+  ParkedFlusher park(driver, kDim);
 
   const std::vector<float> q(kDim, 0.25f);
   std::vector<std::future<std::vector<VectorId>>> futures;
   for (int i = 0; i < 6; ++i) {
     futures.push_back(driver.Submit(q));
   }
+  park.Release();
   driver.Flush();
 
   std::vector<VectorId> first;
@@ -362,6 +364,39 @@ TEST(BatchingDriverTest, IdenticalMissesCoalesceWithinBatch) {
   const auto stats = driver.stats();
   EXPECT_EQ(stats.retrieved, 1u);
   EXPECT_EQ(stats.coalesced + stats.hits, 5u);
+}
+
+// A lone query on an idle driver flushes as soon as the flusher sees it:
+// nothing holds it back waiting for company that never comes. A flush
+// timer of T makes every such wait at least T; 200 us was the old
+// default.
+TEST(BatchingDriverTest, LoneSubmitNeverWaitsForATimer) {
+  constexpr std::size_t kDim = 8;
+  FlatIndex index(kDim);
+  const Matrix corpus = RandomMatrix(200, kDim, 81);
+  for (std::size_t r = 0; r < corpus.rows(); ++r) index.Add(corpus.Row(r));
+  OneTenant stack(index, SmallCache());
+  BatchingDriver& driver = stack.driver;
+
+  const Matrix queries = RandomMatrix(41, kDim, 82);
+  std::vector<Nanos> waits;
+  for (std::size_t q = 0; q < queries.rows(); ++q) {
+    auto done = std::make_shared<std::promise<BatchResult>>();
+    auto result = done->get_future();
+    const auto row = queries.Row(q);
+    driver.SubmitAsync(std::vector<float>(row.begin(), row.end()), {},
+                       [done](BatchResult r) {
+                         done->set_value(std::move(r));
+                       });
+    const BatchResult r = result.get();
+    ASSERT_EQ(r.status, RequestStatus::kOk);
+    waits.push_back(r.queue_wait_ns);
+  }
+  const auto median = waits.begin() + std::ssize(waits) / 2;
+  std::nth_element(waits.begin(), median, waits.end());
+  EXPECT_LT(*median, Nanos{200'000})
+      << "median queue wait of a lone submit: " << *median << " ns";
+  EXPECT_EQ(driver.stats().batches, queries.rows());
 }
 
 // Post-shutdown submissions fail fast — exception from the future path,

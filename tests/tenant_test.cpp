@@ -22,6 +22,7 @@
 
 #include "common/rng.h"
 #include "index/flat_index.h"
+#include "one_tenant.h"
 #include "rag/batching_driver.h"
 #include "tenant/tenant_registry.h"
 #include "vecmath/matrix.h"
@@ -50,12 +51,9 @@ FlatIndex MakeIndex(std::uint64_t seed = 11) {
   return index;
 }
 
-/// Parks the flusher: the batch never fills, the timer never fires, so
-/// entries accumulate until Flush()/Shutdown() (the net_test idiom).
-BatchingDriverOptions ParkedFlusher() {
+/// Default driver options with top-3 retrieval.
+BatchingDriverOptions TopThree() {
   BatchingDriverOptions opts;
-  opts.max_batch = 1000;
-  opts.max_wait_us = 60ull * 1000000ull;
   opts.top_k = 3;
   return opts;
 }
@@ -261,7 +259,10 @@ TEST(TenantDriverTest, OverQuotaSubmissionsShedBeforeAnyWork) {
   spec.id = 1;
   spec.quota.qps = 1e-9;  // one-token burst, no refill at test timescale
   registry.Register(spec);
-  BatchingDriver driver(index, registry, nullptr, ParkedFlusher());
+  BatchingDriver driver(index, registry, nullptr, TopThree());
+  // The admitted entry stays queued while the rest are refused; the
+  // decoy rides the default tenant, so tenant 1's one token is intact.
+  ParkedFlusher park(driver, kDim);
 
   const Matrix queries = RandomMatrix(5, kDim, 21);
   std::vector<std::future<BatchResult>> futures;
@@ -270,6 +271,7 @@ TEST(TenantDriverTest, OverQuotaSubmissionsShedBeforeAnyWork) {
     futures.push_back(SubmitFor(
         driver, std::vector<float>(row.begin(), row.end()), 1));
   }
+  park.Release();
   driver.Shutdown();
 
   std::size_t ok = 0, exhausted = 0;
@@ -288,7 +290,7 @@ TEST(TenantDriverTest, OverQuotaSubmissionsShedBeforeAnyWork) {
   EXPECT_EQ(exhausted, 4u);
 
   const auto stats = driver.stats();
-  EXPECT_EQ(stats.submitted, 5u);
+  EXPECT_EQ(stats.submitted, 6u);  // five + the decoy
   EXPECT_EQ(stats.quota_shed, 4u);
   EXPECT_EQ(stats.shed, 0u);
   ExpectConserved(stats);
@@ -308,7 +310,7 @@ TEST(TenantDriverTest, CachesDoNotInterfereAcrossTenants) {
   registry.Register(spec);
   spec.id = 2;
   registry.Register(spec);
-  BatchingDriver driver(index, registry, nullptr, ParkedFlusher());
+  BatchingDriver driver(index, registry, nullptr, TopThree());
 
   const std::vector<float> q(kDim, 0.25f);
   // Tenant 1 retrieves, then hits its own cache.
@@ -349,7 +351,8 @@ TEST(TenantDriverTest, CoalescingNeverCrossesTenants) {
   registry.Register(spec);
   spec.id = 2;
   registry.Register(spec);
-  BatchingDriver driver(index, registry, nullptr, ParkedFlusher());
+  BatchingDriver driver(index, registry, nullptr, TopThree());
+  ParkedFlusher park(driver, kDim);
 
   // Six identical queries in ONE batch, three per tenant: within a
   // tenant they coalesce onto one leader; across tenants they must not.
@@ -357,6 +360,7 @@ TEST(TenantDriverTest, CoalescingNeverCrossesTenants) {
   std::vector<std::future<BatchResult>> futures;
   for (int i = 0; i < 3; ++i) futures.push_back(SubmitFor(driver, q, 1));
   for (int i = 0; i < 3; ++i) futures.push_back(SubmitFor(driver, q, 2));
+  park.Release();
   driver.Flush();
   for (auto& f : futures) EXPECT_EQ(f.get().status, RequestStatus::kOk);
   driver.Shutdown();
@@ -378,7 +382,7 @@ TEST(TenantDriverTest, UnknownTenantsFoldIntoDefaultUnderClosedRoster) {
   TenantRegistryOptions opts;
   opts.unknown_policy = UnknownTenantPolicy::kMapToDefault;
   TenantRegistry registry(kDim, opts);
-  BatchingDriver driver(index, registry, nullptr, ParkedFlusher());
+  BatchingDriver driver(index, registry, nullptr, TopThree());
 
   auto f = SubmitFor(driver, std::vector<float>(kDim, 0.1f), 42);
   driver.Flush();
@@ -394,10 +398,10 @@ TEST(TenantDriverTest, UnknownTenantsFoldIntoDefaultUnderClosedRoster) {
 
 // --------------------------------------------- driver: DRR fairness --
 
-// Builds a backlog while the flusher is blocked inside a decoy batch
-// (its callback waits on a shared_future), then releases it and records
-// the order in which the backlog completes. With weighted DRR a 100:4
-// flood cannot push the small tenant to the back; with FIFO it does.
+// Builds a backlog while the flusher is parked (ParkedFlusher), then
+// releases it and records the order in which the backlog completes.
+// With weighted DRR a 100:4 flood cannot push the small tenant to the
+// back; with FIFO it does.
 struct FloodOutcome {
   std::vector<std::size_t> small_positions;  // completion indices
   BatchingDriverStats stats;
@@ -414,25 +418,12 @@ FloodOutcome RunFlood(bool fair) {
 
   BatchingDriverOptions opts;
   opts.max_batch = 8;
-  opts.max_wait_us = 1000;
   opts.top_k = 3;
   opts.coalesce = false;  // one retrieval per entry: order is visible
   opts.fair = fair;
   BatchingDriver driver(index, registry, nullptr, opts);
-
-  // Decoy entry whose completion callback blocks the flusher thread
-  // until the backlog below is fully enqueued.
-  std::promise<void> entered, release;
-  auto entered_future = entered.get_future();
-  auto release_future = release.get_future().share();
-  SubmitOptions decoy_opts;
-  decoy_opts.tenant = 1;
-  driver.SubmitAsync(std::vector<float>(kDim, 0.9f), decoy_opts,
-                     [&entered, release_future](BatchResult) {
-                       entered.set_value();
-                       release_future.wait();
-                     });
-  entered_future.wait();  // the decoy's batch has been taken
+  // The backlog below is fully enqueued before any of it flushes.
+  ParkedFlusher park(driver, kDim);
 
   const Matrix flood = RandomMatrix(100, kDim, 32);
   const Matrix small = RandomMatrix(4, kDim, 33);
@@ -454,7 +445,7 @@ FloodOutcome RunFlood(bool fair) {
   };
   for (std::size_t i = 0; i < 100; ++i) submit(flood, i, 1, &flood_pos[i]);
   for (std::size_t i = 0; i < 4; ++i) submit(small, i, 2, &small_pos[i]);
-  release.set_value();  // un-park the flusher
+  park.Release();
 
   for (auto& f : futures) {
     EXPECT_EQ(f.get().status, RequestStatus::kOk);
@@ -470,8 +461,8 @@ FloodOutcome RunFlood(bool fair) {
 TEST(TenantDriverTest, DeficitRoundRobinShieldsSmallTenantFromFlood) {
   const FloodOutcome outcome = RunFlood(/*fair=*/true);
   // Equal weights: each 8-slot batch alternates tenants, so all four
-  // compliant entries ride the FIRST post-flood batch. Allow slack for
-  // a timer flush racing the enqueue loop: two batches' worth.
+  // compliant entries ride the FIRST post-flood batch. The bound keeps
+  // two batches' worth of slack.
   for (const std::size_t pos : outcome.small_positions) {
     EXPECT_LT(pos, 16u) << "compliant tenant starved by the flood";
   }
@@ -481,9 +472,7 @@ TEST(TenantDriverTest, DeficitRoundRobinShieldsSmallTenantFromFlood) {
 TEST(TenantDriverTest, FifoModeLetsTheFloodStarveSmallTenant) {
   const FloodOutcome outcome = RunFlood(/*fair=*/false);
   // Strict arrival order: the flood's 100 entries were enqueued first,
-  // so every compliant entry completes after them. The decoy and any
-  // timer-flushed prefix shift positions by at most the flood that
-  // remained; the compliant entries must still land in the last batch.
+  // so every compliant entry completes after them, in the last batch.
   for (const std::size_t pos : outcome.small_positions) {
     EXPECT_GE(pos, 100u) << "FIFO contrast lost its starvation";
   }
@@ -503,7 +492,6 @@ TEST(TenantDriverTest, ConcurrentMultiTenantTrafficConserves) {
   }
   BatchingDriverOptions opts;
   opts.max_batch = 8;
-  opts.max_wait_us = 200;
   opts.top_k = 3;
   BatchingDriver driver(index, registry, nullptr, opts);
 

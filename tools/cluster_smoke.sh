@@ -9,16 +9,17 @@
 #   2. Boots `proximity_cli route` over a shard map built from the
 #      published ports, then runs a closed-loop client load through the
 #      router — every request must come back OK.
-#   3. kill -9 one group-0 replica (A) in the middle of a second load.
-#      The load must still see every request answered OK (the router
-#      retries dead legs on the surviving replica) and the router's
-#      /statusz must report the failover.
+#   3. kill -9 one group-0 replica (A) in the middle of a second load,
+#      once the router's /statusz counts a third of that load. The load
+#      must still see every request answered OK (the router retries dead
+#      legs on the surviving replica) and /statusz must report the
+#      failover.
 #   4. Relaunches A on its original ports and waits for the health
 #      probe to bring group 0 back to healthy=2 — replacement capacity
 #      reattaches with zero intervention.
-#   5. Rolling restart: SIGTERM B (graceful drain) during a third load;
-#      again zero failed client requests, and B itself must exit 0 with
-#      a clean drain.
+#   5. Rolling restart: SIGTERM B (graceful drain) a third of the way
+#      into a third load; again zero failed client requests, and B
+#      itself must exit 0 with a clean drain.
 #   6. SIGTERMs the router and asserts the final stats line reports the
 #      failover plus zero frontend protocol errors.
 #
@@ -46,6 +47,10 @@ fi
 N=100
 CONNS=2
 CORPUS=2000
+# The kill and restart loads. Long enough that the fault, fired once a
+# third of a load has been answered, lands mid-load even on a fast
+# multi-core host.
+N2=$((N * 30))
 
 TMP=$(mktemp -d)
 PIDS=()
@@ -121,6 +126,31 @@ PORT=$(cat "$TMP/router.port")
 ADMIN="http://127.0.0.1:$(cat "$TMP/router.admin_port")"
 echo "router up on 127.0.0.1:$PORT"
 
+# router_queries — the router's /statusz query count, empty when the
+# admin plane does not answer.
+router_queries() {
+  curl -fsS "$ADMIN/statusz" 2>/dev/null | grep "^cluster: queries=" |
+    sed 's/^cluster: queries=\([0-9]*\).*/\1/' || true
+}
+
+# wait_progress BASE COUNT LOAD_PID — returns once the router has
+# counted COUNT queries beyond BASE; fails when the load exits first.
+wait_progress() {
+  local target=$(($1 + $2)) load_pid=$3 q
+  for _ in $(seq 1 6000); do
+    q=$(router_queries)
+    [[ -n "$q" && "$q" -ge "$target" ]] && return 0
+    if ! kill -0 "$load_pid" 2>/dev/null; then
+      echo "cluster_smoke: FAIL — the load ended before the router" \
+           "counted $2 of its queries" >&2
+      return 1
+    fi
+    sleep 0.01
+  done
+  echo "cluster_smoke: FAIL — the router never counted $2 load queries" >&2
+  return 1
+}
+
 # check_load LOG — the client must have seen every request answered OK.
 check_load() {
   local log=$1 n=$2
@@ -150,15 +180,17 @@ if ! curl -fsS "$ADMIN/statusz" | grep -q "cluster: groups=2"; then
 fi
 
 echo "== cluster_smoke: phase 2 — kill -9 replica A under load =="
-# Longer load in the background; kill A while it runs. Every request
-# must still be answered OK: the router fails dead legs over to B.
-N2=$((N * 3))
+# Longer load in the background; kill A once a third of it has been
+# answered. Every request must still be answered OK: the router fails
+# dead legs over to B.
+BASE=$(router_queries)
 "$CLI" client "connect=127.0.0.1:$PORT" "n=$N2" "conns=$CONNS" \
   "corpus=$CORPUS" quiet=true >"$TMP/load2.log" 2>&1 &
 LOAD_PID=$!
-sleep 0.3
+wait_progress "$BASE" $((N2 / 3)) "$LOAD_PID"
 kill -9 "$A_PID" 2>/dev/null || true
-echo "killed A (pid $A_PID) mid-load"
+echo "killed A (pid $A_PID) after $(($(router_queries) - BASE)) of $N2" \
+     "load queries"
 LOAD_RC=0
 wait "$LOAD_PID" || LOAD_RC=$?
 cat "$TMP/load2.log"
@@ -197,11 +229,14 @@ fi
 echo "replica A reattached: group 0 healthy=2"
 
 echo "== cluster_smoke: phase 4 — rolling restart of B under load =="
+BASE=$(router_queries)
 "$CLI" client "connect=127.0.0.1:$PORT" "n=$N2" "conns=$CONNS" \
   "corpus=$CORPUS" quiet=true >"$TMP/load3.log" 2>&1 &
 LOAD_PID=$!
-sleep 0.3
+wait_progress "$BASE" $((N2 / 3)) "$LOAD_PID"
 kill -TERM "$B_PID"
+echo "SIGTERM to B (pid $B_PID) after $(($(router_queries) - BASE)) of" \
+     "$N2 load queries"
 B_RC=0
 wait "$B_PID" || B_RC=$?
 LOAD_RC=0

@@ -286,8 +286,7 @@ std::pair<std::string, std::uint16_t> ParseHostPort(
 void PrintDriverStats(const BatchingDriverStats& dstats) {
   std::printf("driver: batches=%llu hits=%llu answer_hits=%llu "
               "retrieved=%llu "
-              "coalesced=%llu shed=%llu expired=%llu quota_shed=%llu "
-              "flushes(full/timer/drain)=%llu/%llu/%llu\n",
+              "coalesced=%llu shed=%llu expired=%llu quota_shed=%llu\n",
               static_cast<unsigned long long>(dstats.batches),
               static_cast<unsigned long long>(dstats.hits),
               static_cast<unsigned long long>(dstats.answer_hits),
@@ -295,10 +294,7 @@ void PrintDriverStats(const BatchingDriverStats& dstats) {
               static_cast<unsigned long long>(dstats.coalesced),
               static_cast<unsigned long long>(dstats.shed),
               static_cast<unsigned long long>(dstats.expired),
-              static_cast<unsigned long long>(dstats.quota_shed),
-              static_cast<unsigned long long>(dstats.flushes_on_full),
-              static_cast<unsigned long long>(dstats.flushes_on_timer),
-              static_cast<unsigned long long>(dstats.flushes_on_drain));
+              static_cast<unsigned long long>(dstats.quota_shed));
 }
 
 // One line per tenant, printed after the global driver stats in the
@@ -413,7 +409,7 @@ int CmdServe(const Config& cfg) {
         "  answer_cache=N answer_tau=X (per-tenant answer-level cache:\n"
         "  current-generation hits serve their cached evidence; N\n"
         "  entries, 0 = off; DESIGN.md §15, docs/OPERATIONS.md runbook)\n"
-        "  max_batch=N max_wait_us=N coalesce=true|false top_k=N\n"
+        "  max_batch=N coalesce=true|false top_k=N\n"
         "  variants=N order=shuffled|grouped|zipf seed=N\n"
         "  --metrics-out FILE[.prom|.json][,FILE...]\n"
         "network mode (--listen HOST:PORT or listen=HOST:PORT):\n"
@@ -429,6 +425,14 @@ int CmdServe(const Config& cfg) {
         "  target_hit_rate=X` per line);\n"
         "  fair=true|false (weighted deficit-round-robin vs FIFO)");
     return 0;
+  }
+  // A retired key fails loudly: ignoring it would let an old config
+  // silently change meaning.
+  if (cfg.Has("max_wait_us")) {
+    throw std::invalid_argument(
+        "serve: max_wait_us= is retired (the batch flush is "
+        "work-conserving: a batch is what arrived while the previous one "
+        "ran, with no timer to set); drop the key");
   }
   const std::string workload_name = cfg.GetString("workload", "mmlu");
   const Workload workload = BuildWorkload(SpecFor(
@@ -549,8 +553,6 @@ int CmdServe(const Config& cfg) {
   BatchingDriverOptions dopts;
   dopts.answer_reuse = answer_capacity > 0;
   dopts.max_batch = static_cast<std::size_t>(cfg.GetInt("max_batch", 32));
-  dopts.max_wait_us =
-      static_cast<std::uint64_t>(cfg.GetInt("max_wait_us", 200));
   dopts.top_k = static_cast<std::size_t>(cfg.GetInt("top_k", 10));
   dopts.coalesce = cfg.GetBool("coalesce", true);
   dopts.queue_bound =
