@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "host_info.h"
 #include "vecmath/kernels.h"
 
 namespace proximity {
@@ -255,6 +256,7 @@ std::vector<SweepResult> RunSweep() {
 void WriteJson(const std::string& path, const std::vector<SweepResult>& rs) {
   std::ofstream os(path);
   os << "{\n  \"bench\": \"distance_kernels\",\n"
+     << "  " << HostJson() << ",\n"
      << "  \"dispatched_level\": \"" << SimdLevelName(ActiveSimdLevel())
      << "\",\n  \"supported_levels\": [";
   bool first = true;

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "host_info.h"
 #include "index/flat_index.h"
 #include "vecmath/kernels.h"
 #include "vecmath/matrix.h"
@@ -98,6 +99,7 @@ void WriteJson(const std::string& path, std::size_t n, std::size_t dim,
                const std::vector<StorageResult>& rows) {
   std::ofstream os(path);
   os << "{\n  \"bench\": \"quantized_scan\",\n"
+     << "  " << HostJson() << ",\n"
      << "  \"simd_level\": \"" << SimdLevelName(ActiveSimdLevel()) << "\",\n"
      << "  \"n\": " << n << ",\n  \"dim\": " << dim << ",\n  \"k\": " << k
      << ",\n  \"rerank_factor\": " << rerank << ",\n  \"results\": [\n";

@@ -1,6 +1,7 @@
-// CompressedStore implementation: portable quantized reference kernels,
-// quantized-kernel dispatch (mirrors dispatch.cpp), per-vector affine
-// encoding, and the prefetched block scan loops.
+// CompressedStore implementation: per-vector affine encoding and the
+// prefetched block scan loops. The quantized kernels the loops call come
+// from the active KernelTable, the same table the float kernels of
+// kernels.h dispatch through (kernel_table.h).
 #include "vecmath/compressed_store.h"
 
 #include <cassert>
@@ -10,143 +11,8 @@
 
 #include "vecmath/kernel_table.h"
 #include "vecmath/kernels.h"
-#include "vecmath/quant_kernel_table.h"
 
 namespace proximity {
-
-namespace detail {
-
-namespace {
-
-// ------------------------------------------ portable reference kernels ----
-// Scalar fmaf loops, 4x unrolled like kernels.cpp. Dequantization stays
-// fused in the accumulation: x̂ = fmaf(scale, c, bias), never a decoded
-// buffer.
-
-float L2U8(const float* q, const std::uint8_t* codes, std::size_t n,
-           float scale, float bias) {
-  float a0 = 0.f, a1 = 0.f, a2 = 0.f, a3 = 0.f;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float d0 =
-        q[i] - std::fmaf(scale, static_cast<float>(codes[i]), bias);
-    a0 = std::fmaf(d0, d0, a0);
-    const float d1 =
-        q[i + 1] - std::fmaf(scale, static_cast<float>(codes[i + 1]), bias);
-    a1 = std::fmaf(d1, d1, a1);
-    const float d2 =
-        q[i + 2] - std::fmaf(scale, static_cast<float>(codes[i + 2]), bias);
-    a2 = std::fmaf(d2, d2, a2);
-    const float d3 =
-        q[i + 3] - std::fmaf(scale, static_cast<float>(codes[i + 3]), bias);
-    a3 = std::fmaf(d3, d3, a3);
-  }
-  for (; i < n; ++i) {
-    const float d = q[i] - std::fmaf(scale, static_cast<float>(codes[i]), bias);
-    a0 = std::fmaf(d, d, a0);
-  }
-  return (a0 + a1) + (a2 + a3);
-}
-
-float IpU8(const float* q, const std::uint8_t* codes, std::size_t n,
-           float scale, float bias) {
-  float a0 = 0.f, a1 = 0.f, a2 = 0.f, a3 = 0.f;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    a0 = std::fmaf(q[i], std::fmaf(scale, static_cast<float>(codes[i]), bias),
-                   a0);
-    a1 = std::fmaf(q[i + 1],
-                   std::fmaf(scale, static_cast<float>(codes[i + 1]), bias),
-                   a1);
-    a2 = std::fmaf(q[i + 2],
-                   std::fmaf(scale, static_cast<float>(codes[i + 2]), bias),
-                   a2);
-    a3 = std::fmaf(q[i + 3],
-                   std::fmaf(scale, static_cast<float>(codes[i + 3]), bias),
-                   a3);
-  }
-  for (; i < n; ++i) {
-    a0 = std::fmaf(q[i], std::fmaf(scale, static_cast<float>(codes[i]), bias),
-                   a0);
-  }
-  return (a0 + a1) + (a2 + a3);
-}
-
-// 4-bit kernels walk the half-split nibble plan (quant_kernel_table.h):
-// the low-nibble plane covers dims [0, h), the high-nibble plane dims
-// [h, n), h = ceil(n/2). Each plane accumulates separately, so vector
-// implementations can process a plane with contiguous query loads.
-
-float L2U4(const float* q, const std::uint8_t* codes, std::size_t n,
-           float scale, float bias) {
-  const std::size_t h = (n + 1) / 2;
-  float lo_acc = 0.f, hi_acc = 0.f;
-  for (std::size_t j = 0; j < h; ++j) {
-    const float c_lo = static_cast<float>(codes[j] & 0x0F);
-    const float d_lo = q[j] - std::fmaf(scale, c_lo, bias);
-    lo_acc = std::fmaf(d_lo, d_lo, lo_acc);
-    if (j + h < n) {
-      const float c_hi = static_cast<float>(codes[j] >> 4);
-      const float d_hi = q[j + h] - std::fmaf(scale, c_hi, bias);
-      hi_acc = std::fmaf(d_hi, d_hi, hi_acc);
-    }
-  }
-  return lo_acc + hi_acc;
-}
-
-float IpU4(const float* q, const std::uint8_t* codes, std::size_t n,
-           float scale, float bias) {
-  const std::size_t h = (n + 1) / 2;
-  float lo_acc = 0.f, hi_acc = 0.f;
-  for (std::size_t j = 0; j < h; ++j) {
-    const float c_lo = static_cast<float>(codes[j] & 0x0F);
-    lo_acc = std::fmaf(q[j], std::fmaf(scale, c_lo, bias), lo_acc);
-    if (j + h < n) {
-      const float c_hi = static_cast<float>(codes[j] >> 4);
-      hi_acc = std::fmaf(q[j + h], std::fmaf(scale, c_hi, bias), hi_acc);
-    }
-  }
-  return lo_acc + hi_acc;
-}
-
-}  // namespace
-
-const QuantKernelTable kPortableQuantTable = {
-    "portable", L2U8, IpU8, L2U4, IpU4,
-};
-
-// Fallback definitions for ISA tables whose translation units are not part
-// of this build (PROXIMITY_NATIVE_SIMD=OFF or foreign architecture).
-#if !defined(PROXIMITY_HAVE_AVX2)
-const QuantKernelTable* QuantAvx2Table() noexcept { return nullptr; }
-#endif
-#if !defined(PROXIMITY_HAVE_AVX512)
-const QuantKernelTable* QuantAvx512Table() noexcept { return nullptr; }
-#endif
-#if !defined(PROXIMITY_HAVE_NEON)
-const QuantKernelTable* QuantNeonTable() noexcept { return nullptr; }
-#endif
-
-const QuantKernelTable* ActiveQuantTable() noexcept {
-  // Follows the float dispatch (including SetActiveSimdLevel overrides);
-  // levels without a quantized TU degrade toward portable.
-  switch (ActiveSimdLevel()) {
-    case SimdLevel::kAvx512:
-      if (const QuantKernelTable* t = QuantAvx512Table()) return t;
-      [[fallthrough]];
-    case SimdLevel::kAvx2:
-      if (const QuantKernelTable* t = QuantAvx2Table()) return t;
-      break;
-    case SimdLevel::kNeon:
-      if (const QuantKernelTable* t = QuantNeonTable()) return t;
-      break;
-    case SimdLevel::kPortable:
-      break;
-  }
-  return &kPortableQuantTable;
-}
-
-}  // namespace detail
 
 namespace {
 
@@ -300,7 +166,7 @@ void CompressedStore::ScanRange(Metric metric, std::span<const float> query,
                                 float* out) const {
   assert(query.size() == dim_);
   assert(row_lo + count <= rows_);
-  const detail::QuantKernelTable* t = detail::ActiveQuantTable();
+  const detail::KernelTable* t = detail::ActiveKernelTable();
   const bool u4 = layout_ == StorageLayout::kSq4;
   const auto l2 = u4 ? t->l2_u4 : t->l2_u8;
   const auto ip = u4 ? t->ip_u4 : t->ip_u8;
@@ -335,7 +201,7 @@ void CompressedStore::GatherScan(Metric metric, std::span<const float> query,
                                  const std::uint32_t* ids, std::size_t count,
                                  float* out) const {
   assert(query.size() == dim_);
-  const detail::QuantKernelTable* t = detail::ActiveQuantTable();
+  const detail::KernelTable* t = detail::ActiveKernelTable();
   const bool u4 = layout_ == StorageLayout::kSq4;
   const auto l2 = u4 ? t->l2_u4 : t->l2_u8;
   const auto ip = u4 ? t->ip_u4 : t->ip_u8;

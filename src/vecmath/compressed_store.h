@@ -12,7 +12,7 @@
 // whole-block software prefetches a fixed number of blocks ahead.
 // Codes are per-vector affine scalar quantization (x̂ = bias + scale*c):
 // 8-bit (one byte per dimension) or 4-bit (half-split nibble layout,
-// see quant_kernel_table.h). `sqnorm` is the float row's squared L2
+// see kernel_table.h). `sqnorm` is the float row's squared L2
 // norm, so cosine needs only one fused code pass plus the shared
 // FinishCosine epilogue.
 //
@@ -94,9 +94,10 @@ class CompressedStore {
 
   /// Distances from `query` to rows [row_lo, row_lo+count) under
   /// `metric` (smaller = closer: inner product negated, cosine finished
-  /// against the stored float norms). Runs the active SIMD level's
-  /// quantized kernels with whole-block prefetch kPrefetchRowsAhead rows
-  /// ahead. Writes `count` results into `out`.
+  /// against the stored float norms). Runs the quantized slots of the
+  /// active KernelTable, the table kernels.h dispatches through, with
+  /// whole-block prefetch kPrefetchRowsAhead rows ahead. Writes `count`
+  /// results into `out`.
   void ScanRange(Metric metric, std::span<const float> query,
                  std::size_t row_lo, std::size_t count, float* out) const;
 

@@ -1,6 +1,7 @@
 // Runtime kernel dispatch: picks the best KernelTable once at startup
 // (CPUID on x86, compile-time on aarch64, PROXIMITY_SIMD env override) and
-// implements the public kernels.h entry points on top of it.
+// implements the public kernels.h entry points on top of it. The same
+// table serves CompressedStore's quantized scans.
 #include <atomic>
 #include <cassert>
 #include <cstdlib>
@@ -13,8 +14,8 @@ namespace proximity {
 
 namespace detail {
 
-// Fallback definitions for ISA tables whose translation units are not part
-// of this build (PROXIMITY_NATIVE_SIMD=OFF or foreign architecture).
+// Fallback definitions for ISA tables whose simd_lanes.cpp instantiation is
+// not part of this build (PROXIMITY_NATIVE_SIMD=OFF or foreign architecture).
 #if !defined(PROXIMITY_HAVE_AVX2)
 const KernelTable* Avx2Table() noexcept { return nullptr; }
 #endif
@@ -80,15 +81,6 @@ SimdLevel StartupLevel() noexcept {
 
 std::atomic<const KernelTable*> g_active{nullptr};
 
-const KernelTable* Active() noexcept {
-  const KernelTable* table = g_active.load(std::memory_order_acquire);
-  if (table != nullptr) return table;
-  // Benign race: concurrent first calls resolve to the same table.
-  table = CompiledTableFor(StartupLevel());
-  g_active.store(table, std::memory_order_release);
-  return table;
-}
-
 SimdLevel LevelOf(const KernelTable* table) noexcept {
   if (table == Avx512Table()) return SimdLevel::kAvx512;
   if (table == Avx2Table()) return SimdLevel::kAvx2;
@@ -97,6 +89,23 @@ SimdLevel LevelOf(const KernelTable* table) noexcept {
 }
 
 }  // namespace
+
+const KernelTable* ActiveKernelTable() noexcept {
+  const KernelTable* table = g_active.load(std::memory_order_acquire);
+  if (table != nullptr) return table;
+  // Benign race: concurrent first calls resolve to the same table.
+  table = CompiledTableFor(StartupLevel());
+  g_active.store(table, std::memory_order_release);
+  return table;
+}
+
+const KernelTable* ExchangeActiveKernelTable(
+    const KernelTable* table) noexcept {
+  const KernelTable* previous = ActiveKernelTable();
+  g_active.store(table, std::memory_order_release);
+  return previous;
+}
+
 }  // namespace detail
 
 std::string_view SimdLevelName(SimdLevel level) noexcept {
@@ -119,36 +128,35 @@ bool SimdLevelSupported(SimdLevel level) noexcept {
 }
 
 SimdLevel ActiveSimdLevel() noexcept {
-  return detail::LevelOf(detail::Active());
+  return detail::LevelOf(detail::ActiveKernelTable());
 }
 
 bool SetActiveSimdLevel(SimdLevel level) noexcept {
   if (!SimdLevelSupported(level)) return false;
-  detail::g_active.store(detail::CompiledTableFor(level),
-                         std::memory_order_release);
+  detail::ExchangeActiveKernelTable(detail::CompiledTableFor(level));
   return true;
 }
 
 float L2SquaredDistance(std::span<const float> a,
                         std::span<const float> b) noexcept {
   assert(a.size() == b.size());
-  return detail::Active()->l2(a.data(), b.data(), a.size());
+  return detail::ActiveKernelTable()->l2(a.data(), b.data(), a.size());
 }
 
 float InnerProduct(std::span<const float> a,
                    std::span<const float> b) noexcept {
   assert(a.size() == b.size());
-  return detail::Active()->ip(a.data(), b.data(), a.size());
+  return detail::ActiveKernelTable()->ip(a.data(), b.data(), a.size());
 }
 
 float SquaredNorm(std::span<const float> a) noexcept {
-  return detail::Active()->sqnorm(a.data(), a.size());
+  return detail::ActiveKernelTable()->sqnorm(a.data(), a.size());
 }
 
 float CosineDistance(std::span<const float> a,
                      std::span<const float> b) noexcept {
   assert(a.size() == b.size());
-  const detail::KernelTable* t = detail::Active();
+  const detail::KernelTable* t = detail::ActiveKernelTable();
   const float dot = t->ip(a.data(), b.data(), a.size());
   const float na = t->sqnorm(a.data(), a.size());
   const float nb = t->sqnorm(b.data(), b.size());
@@ -173,7 +181,7 @@ void BatchDistance(Metric metric, std::span<const float> query,
                    const float* base, std::size_t count, std::size_t dim,
                    float* out) noexcept {
   assert(query.size() == dim);
-  const detail::KernelTable* t = detail::Active();
+  const detail::KernelTable* t = detail::ActiveKernelTable();
   switch (metric) {
     case Metric::kL2:
       t->batch_l2(query.data(), base, count, dim, out);
@@ -197,7 +205,7 @@ void BatchDistanceWithNorms(Metric metric, std::span<const float> query,
     BatchDistance(metric, query, base, count, dim, out);
     return;
   }
-  const detail::KernelTable* t = detail::Active();
+  const detail::KernelTable* t = detail::ActiveKernelTable();
   switch (metric) {
     case Metric::kL2: {
       // ||q-b||^2 = ||q||^2 + ||b||^2 - 2<q,b>; clamp tiny negatives from
@@ -234,7 +242,7 @@ void GatherDistance(Metric metric, std::span<const float> query,
                     const std::uint32_t* ids, std::size_t count,
                     float* out) noexcept {
   assert(query.size() == dim);
-  const detail::KernelTable* t = detail::Active();
+  const detail::KernelTable* t = detail::ActiveKernelTable();
   const float* q = query.data();
   // Hoist the query norm for cosine; rows still need their own norm pass.
   float qnorm = 0.f;

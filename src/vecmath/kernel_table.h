@@ -1,29 +1,46 @@
 // Internal contract between the dispatch layer (dispatch.cpp) and the
-// per-ISA kernel translation units (kernels.cpp portable reference,
-// simd_avx2.cpp, simd_avx512.cpp, simd_neon.cpp).
+// kernel tables: the portable reference (kernels.cpp) and one table per
+// ISA level, each an instantiation of the lane-width template in
+// simd_lanes.h (simd_lanes.cpp, compiled once per ISA).
 //
-// Every implementation of a slot must be a drop-in numeric replacement:
-// the batch kernels of a table are required to be bit-identical to that
-// same table's single-pair kernels (callers rely on it for exact top-k
-// parity between the scan paths), while tables at different SIMD levels
-// may differ by summation order (bounded by ~1e-6 relative).
+// One table per level carries every kernel: the float slots behind
+// kernels.h and the quantized slots behind CompressedStore. Every
+// implementation of a slot must be a drop-in numeric replacement:
+//  - A table's float batch kernels are bit-identical to that table's
+//    single-pair kernels; callers rely on it for exact top-k parity
+//    between the scan paths. Tables at different levels may differ by
+//    summation order (bounded by ~1e-6 relative).
+//  - The quantized slots decode scalar-quantized codes and accumulate a
+//    distance against a float query in one pass; codes never round-trip
+//    through a decoded float buffer. Dequantization is the affine map
+//    x̂[j] = bias + scale * c[j] with per-vector scale/bias (LVQ-style;
+//    DESIGN.md §11). Levels differ from the portable reference by
+//    summation order only.
+//  - 4-bit codes use the half-split nibble plan of CompressedStore: byte
+//    j of a row's code area holds dim j in its low nibble and dim j+h
+//    (h = ceil(n/2)) in its high nibble, so vector kernels run the
+//    low-nibble plane against q[0..h) and the high-nibble plane against
+//    q[h..n) without lane shuffles.
 #pragma once
 
-#include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 namespace proximity::detail {
 
 namespace internal {
 
-inline float SqrtNonNeg(float x) noexcept {
-  return x > 0.f ? std::sqrt(x) : 0.f;
+// Static, so every object, the ISA-flagged ones included, keeps its own
+// copy: a shared inline definition would let the linker pick one
+// object's copy, encoded for that object's ISA, for every caller.
+static inline float SqrtNonNeg(float x) noexcept {
+  return x > 0.f ? __builtin_sqrtf(x) : 0.f;
 }
 
 /// Shared cosine epilogue so every table finishes with identical math:
 /// 1 - dot/(|q||row|), and 1 when either norm is zero.
-inline float FinishCosine(float dot, float query_norm,
-                          float row_sqnorm) noexcept {
+static inline float FinishCosine(float dot, float query_norm,
+                                 float row_sqnorm) noexcept {
   const float denom = query_norm * SqrtNonNeg(row_sqnorm);
   if (denom <= 0.f) return 1.f;
   return 1.f - dot / denom;
@@ -32,8 +49,6 @@ inline float FinishCosine(float dot, float query_norm,
 }  // namespace internal
 
 struct KernelTable {
-  const char* name;  // matches SimdLevelName of the owning level
-
   /// Single-pair reductions over n floats.
   float (*l2)(const float* a, const float* b, std::size_t n);
   float (*ip)(const float* a, const float* b, std::size_t n);
@@ -49,16 +64,40 @@ struct KernelTable {
   /// Cosine distance 1 - <q,row>/(|q||row|); 1 when either norm is zero.
   void (*batch_cos)(const float* q, const float* base, std::size_t count,
                     std::size_t dim, float* out);
+
+  /// Squared L2 / inner product between a float query and one row of
+  /// 8-bit codes (`n` dimensions, one code byte per dimension).
+  float (*l2_u8)(const float* q, const std::uint8_t* codes, std::size_t n,
+                 float scale, float bias);
+  float (*ip_u8)(const float* q, const std::uint8_t* codes, std::size_t n,
+                 float scale, float bias);
+  /// The same over 4-bit codes (`(n+1)/2` code bytes, half-split nibbles).
+  float (*l2_u4)(const float* q, const std::uint8_t* codes, std::size_t n,
+                 float scale, float bias);
+  float (*ip_u4)(const float* q, const std::uint8_t* codes, std::size_t n,
+                 float scale, float bias);
 };
 
 /// Portable reference (auto-vectorized unrolled loops); always present.
 extern const KernelTable kPortableTable;
 
-/// ISA tables; each returns nullptr when its translation unit was not
+/// ISA tables; each returns nullptr when its instantiation was not
 /// compiled in (CMake option PROXIMITY_NATIVE_SIMD / wrong architecture).
 /// Fallback definitions for absent ISAs live in dispatch.cpp.
 const KernelTable* Avx2Table() noexcept;
 const KernelTable* Avx512Table() noexcept;
 const KernelTable* NeonTable() noexcept;
+
+/// The table every kernels.h entry point and CompressedStore scan runs:
+/// the best supported level, unless PROXIMITY_SIMD or SetActiveSimdLevel
+/// pinned another.
+const KernelTable* ActiveKernelTable() noexcept;
+
+/// Installs `table` (non-null) as the active table and returns the one it
+/// replaces. SetActiveSimdLevel is this behind a support check; tests use
+/// it directly to run the public entry points over a table no SimdLevel
+/// names (ActiveSimdLevel() then reports kPortable). Not thread-safe with
+/// concurrent searches, like SetActiveSimdLevel.
+const KernelTable* ExchangeActiveKernelTable(const KernelTable* table) noexcept;
 
 }  // namespace proximity::detail

@@ -1,9 +1,11 @@
-// Portable reference kernels: 4x-unrolled accumulator loops that GCC/Clang
-// auto-vectorize at -O3 (the portable-C++ equivalent of Rust
-// Portable-SIMD, verified to emit packed FMA on x86-64). This translation
-// unit defines the kPortableTable slot of the dispatch layer; the public
-// entry points live in dispatch.cpp.
+// Portable reference kernels, float and quantized: 4x-unrolled accumulator
+// loops that GCC/Clang auto-vectorize at -O3, compiled with the baseline
+// flags. They fill kPortableTable, the table every other level is tested
+// against; the ISA levels are instantiations of simd_lanes.h, and the
+// public entry points live in dispatch.cpp.
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 #include "vecmath/kernel_table.h"
 
@@ -78,10 +80,101 @@ void BatchCos(const float* q, const float* base, std::size_t count,
   }
 }
 
+// ------------------------------------------------------ quantized rows ----
+// Scalar fmaf loops, 4x unrolled like the float kernels. Dequantization
+// stays fused in the accumulation: x̂ = fmaf(scale, c, bias), never a
+// decoded buffer.
+
+float L2U8(const float* q, const std::uint8_t* codes, std::size_t n,
+           float scale, float bias) {
+  float a0 = 0.f, a1 = 0.f, a2 = 0.f, a3 = 0.f;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const float d0 =
+        q[i] - std::fmaf(scale, static_cast<float>(codes[i]), bias);
+    a0 = std::fmaf(d0, d0, a0);
+    const float d1 =
+        q[i + 1] - std::fmaf(scale, static_cast<float>(codes[i + 1]), bias);
+    a1 = std::fmaf(d1, d1, a1);
+    const float d2 =
+        q[i + 2] - std::fmaf(scale, static_cast<float>(codes[i + 2]), bias);
+    a2 = std::fmaf(d2, d2, a2);
+    const float d3 =
+        q[i + 3] - std::fmaf(scale, static_cast<float>(codes[i + 3]), bias);
+    a3 = std::fmaf(d3, d3, a3);
+  }
+  for (; i < n; ++i) {
+    const float d = q[i] - std::fmaf(scale, static_cast<float>(codes[i]), bias);
+    a0 = std::fmaf(d, d, a0);
+  }
+  return (a0 + a1) + (a2 + a3);
+}
+
+float IpU8(const float* q, const std::uint8_t* codes, std::size_t n,
+           float scale, float bias) {
+  float a0 = 0.f, a1 = 0.f, a2 = 0.f, a3 = 0.f;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    a0 = std::fmaf(q[i], std::fmaf(scale, static_cast<float>(codes[i]), bias),
+                   a0);
+    a1 = std::fmaf(q[i + 1],
+                   std::fmaf(scale, static_cast<float>(codes[i + 1]), bias),
+                   a1);
+    a2 = std::fmaf(q[i + 2],
+                   std::fmaf(scale, static_cast<float>(codes[i + 2]), bias),
+                   a2);
+    a3 = std::fmaf(q[i + 3],
+                   std::fmaf(scale, static_cast<float>(codes[i + 3]), bias),
+                   a3);
+  }
+  for (; i < n; ++i) {
+    a0 = std::fmaf(q[i], std::fmaf(scale, static_cast<float>(codes[i]), bias),
+                   a0);
+  }
+  return (a0 + a1) + (a2 + a3);
+}
+
+// 4-bit kernels walk the half-split nibble plan (kernel_table.h): the
+// low-nibble plane covers dims [0, h), the high-nibble plane dims [h, n),
+// h = ceil(n/2). Each plane accumulates separately, as the vector
+// kernels do.
+
+float L2U4(const float* q, const std::uint8_t* codes, std::size_t n,
+           float scale, float bias) {
+  const std::size_t h = (n + 1) / 2;
+  float lo_acc = 0.f, hi_acc = 0.f;
+  for (std::size_t j = 0; j < h; ++j) {
+    const float c_lo = static_cast<float>(codes[j] & 0x0F);
+    const float d_lo = q[j] - std::fmaf(scale, c_lo, bias);
+    lo_acc = std::fmaf(d_lo, d_lo, lo_acc);
+    if (j + h < n) {
+      const float c_hi = static_cast<float>(codes[j] >> 4);
+      const float d_hi = q[j + h] - std::fmaf(scale, c_hi, bias);
+      hi_acc = std::fmaf(d_hi, d_hi, hi_acc);
+    }
+  }
+  return lo_acc + hi_acc;
+}
+
+float IpU4(const float* q, const std::uint8_t* codes, std::size_t n,
+           float scale, float bias) {
+  const std::size_t h = (n + 1) / 2;
+  float lo_acc = 0.f, hi_acc = 0.f;
+  for (std::size_t j = 0; j < h; ++j) {
+    const float c_lo = static_cast<float>(codes[j] & 0x0F);
+    lo_acc = std::fmaf(q[j], std::fmaf(scale, c_lo, bias), lo_acc);
+    if (j + h < n) {
+      const float c_hi = static_cast<float>(codes[j] >> 4);
+      hi_acc = std::fmaf(q[j + h], std::fmaf(scale, c_hi, bias), hi_acc);
+    }
+  }
+  return lo_acc + hi_acc;
+}
+
 }  // namespace
 
 const KernelTable kPortableTable = {
-    "portable", L2One, IpOne, SqNormOne, BatchL2, BatchIp, BatchCos,
+    L2One, IpOne, SqNormOne, BatchL2, BatchIp, BatchCos, L2U8, IpU8, L2U4, IpU4,
 };
 
 }  // namespace proximity::detail

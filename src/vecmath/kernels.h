@@ -1,10 +1,12 @@
 // Scalar-product / distance kernels behind a runtime-dispatched SIMD layer.
 //
 // The original implementation uses Rust Portable-SIMD for vector
-// comparisons (§4.1). Here every kernel exists in explicit AVX2, AVX-512,
-// and NEON variants plus a portable 4x-unrolled fallback; the best level
-// the CPU supports is selected once at startup (CPUID / compile-time on
-// aarch64) and all callers upgrade transparently through this header.
+// comparisons (§4.1). Here every kernel is written once as a lane-width
+// template over GCC/Clang vector extensions (simd_lanes.h), compiled at 8
+// lanes for AVX2, 16 for AVX-512 and 4 for NEON, next to a portable
+// 4x-unrolled reference; the best level the CPU supports is selected once
+// at startup (CPUID / compile-time on aarch64) and all callers upgrade
+// transparently through this header.
 //
 // Guarantees:
 //  - The batch kernels are bit-identical to the single-pair kernels of the

@@ -59,7 +59,6 @@
 #include "tenant/tenant_registry.h"
 #include "vecmath/compressed_store.h"
 #include "vecmath/kernels.h"
-#include "vecmath/quant_kernel_table.h"
 #include "rag/experiment.h"
 #include "rag/pipeline.h"
 #include "workload/benchmark_spec.h"
@@ -329,8 +328,7 @@ std::string ServeStatusz(const std::string& storage,
   char line[320];
   out += "protocol: v" + std::to_string(net::kProtocolVersion) + "\n";
   out += "simd: " + std::string(SimdLevelName(ActiveSimdLevel())) + "\n";
-  out += "storage: " + storage + " (quant kernels: " +
-         detail::ActiveQuantTable()->name + ")\n";
+  out += "storage: " + storage + "\n";
   out += "index: " + index_desc + "\n";
   // The live-corpus line: generation is read live (mutations bump it),
   // staleness/stale_hits come from the default tenant's cache — the one
@@ -1199,16 +1197,14 @@ int CmdInfo(const Config& cfg) {
   std::printf("simd:       %s (runtime-dispatched)\n",
               std::string(SimdLevelName(ActiveSimdLevel())).c_str());
   // Active storage layout: what `storage=` resolves to for this
-  // invocation, plus the quantized-kernel tier the dispatcher picked
-  // (tracks the SIMD tier above, including PROXIMITY_SIMD overrides).
+  // invocation. Quantized scans run the SIMD tier above.
   {
     const std::string storage = cfg.GetString("storage", "float32");
     StorageLayout layout = StorageLayout::kFloat32;
     const std::string name = ParseStorageLayout(storage, &layout)
                                  ? std::string(StorageLayoutName(layout))
                                  : "unknown";
-    std::printf("storage:    %s layout (quant kernels: %s)\n", name.c_str(),
-                detail::ActiveQuantTable()->name);
+    std::printf("storage:    %s layout\n", name.c_str());
   }
   std::printf("cores:      %u hardware threads\n",
               std::thread::hardware_concurrency());
