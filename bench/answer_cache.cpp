@@ -1,28 +1,29 @@
-// A-answer (DESIGN.md §15): acceptance gates for the answer-level
-// semantic cache, machine-readable in BENCH_answer.json.
+// A-answer (DESIGN.md §15): acceptance gates for answer reuse,
+// machine-readable in BENCH_answer.json.
 //
 // Setup: an MMLU-like workload over a storage-latency index (fixed
 // per-search delay on a VirtualClock, the disk-resident regime of
 // §4.3.3 where reuse matters most). Both runs go through the serving
-// driver with the document tier at τ = 0, so every query the answer
-// tier does not serve pays the storage delay and TTFT differences come
-// from the answer tier alone. Generation is modeled at a fixed cost,
-// charged to every query that is not an answer hit; an answer hit is
-// served from the cached evidence of a current-generation entry with
-// no retrieval and no generation.
+// driver over one cache whose document radius is τ = 0, so every query
+// that is not an answer hit pays the storage delay and TTFT differences
+// come from answer reuse alone; the answer run adds the radius
+// τ_answer. Generation is modeled at a fixed cost, charged to every
+// query that is not an answer hit; an answer hit is served from the
+// cached evidence of a current-generation entry with no retrieval and
+// no generation.
 //
 // Two gates, both judged on the SAME shuffled variant stream:
 //
-//   1. TTFT: within the answer-cache run, mean TTFT of answer-hit
+//   1. TTFT: within the answer-reuse run, mean TTFT of answer-hit
 //      queries must be at least 2x better than mean TTFT of the rest
 //      (which pay retrieval plus the full generation cost):
 //      "ttft_speedup" >= 2.
 //
-//   2. Accuracy: end-to-end accuracy of the answer-cache run must stay
+//   2. Accuracy: end-to-end accuracy of the answer-reuse run must stay
 //      within 1 point of a baseline run (same stream, same seeds, no
-//      answer tier): "accuracy_delta_pp" <= 1.
+//      answer reuse): "accuracy_delta_pp" <= 1.
 //
-// Flags: --json=PATH --corpus=N --tau=F --capacity=N --quick
+// Flags: --json=PATH --corpus=N --tau=F (τ_answer) --capacity=N --quick
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -31,10 +32,10 @@
 #include <string>
 #include <vector>
 
-#include "cache/approx_cache.h"
 #include "common/log.h"
 #include "common/stopwatch.h"
 #include "embed/hash_embedder.h"
+#include "host_info.h"
 #include "index/index_factory.h"
 #include "index/slow_storage_index.h"
 #include "llm/answer_model.h"
@@ -97,12 +98,12 @@ int Main(int argc, char** argv) {
   for (const auto& e : stream) texts.push_back(e.text);
   const Matrix embeddings = embedder.EmbedBatch(texts);
 
-  // Both runs: one tenant whose document tier is τ = 0 (exact repeats
-  // only); the answer run adds the answer tier.
+  // Both runs: one tenant whose cache serves documents at τ = 0 (exact
+  // repeats only); the answer run adds answer reuse at τ_answer = tau.
   TenantRegistryOptions topts;
+  topts.cache_defaults.capacity = capacity;
   topts.cache_defaults.tolerance = 0.0f;
   topts.cache_defaults.metric = index.metric();
-  topts.answer_defaults.capacity = capacity;
   topts.answer_defaults.tolerance = static_cast<float>(tau);
   topts.answer_defaults.metric = index.metric();
   const auto run = [&](bool answer_reuse, auto&& on_query) {
@@ -118,14 +119,14 @@ int Main(int argc, char** argv) {
     }
   };
 
-  // --- Baseline: no answer tier, same stream, same answer seed.
+  // --- Baseline: no answer reuse, same stream, same answer seed.
   double base_correct = 0, base_ttft_ns = 0;
   run(false, [&](const QueryResult& r) {
     base_correct += r.correct ? 1 : 0;
     base_ttft_ns += static_cast<double>(r.ttft_ns);
   });
 
-  // --- Answer-cache run: same stream, answer tier armed.
+  // --- Answer-reuse run: same stream, τ_answer armed.
   double correct = 0;
   double hit_ttft_ns = 0, miss_ttft_ns = 0;
   std::size_t hit_n = 0, miss_n = 0;
@@ -165,6 +166,7 @@ int Main(int argc, char** argv) {
 
   std::ofstream os(json_path);
   os << "{\n"
+     << "  " << HostJson() << ",\n"
      << "  \"corpus\": " << corpus << ",\n"
      << "  \"queries\": " << stream.size() << ",\n"
      << "  \"tau\": " << tau << ",\n"

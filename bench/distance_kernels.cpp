@@ -181,20 +181,19 @@ PairedTimes MeasurePair(Metric metric, SimdLevel dispatched_level,
   const std::size_t d_iters =
       CalibrateIters(metric, query, base, batch, dim, out);
 
-  constexpr int kMaxReps = 11;
-  const int kReps = g_quick ? 5 : kMaxReps;
-  double p[kMaxReps], d[kMaxReps], ratio[kMaxReps];
-  for (int rep = 0; rep < kReps; ++rep) {
+  const std::size_t reps = g_quick ? 5 : 11;
+  std::vector<double> p(reps), d(reps), ratio(reps);
+  for (std::size_t rep = 0; rep < reps; ++rep) {
     SetActiveSimdLevel(SimdLevel::kPortable);
     p[rep] = TimedRun(metric, query, base, batch, dim, out, p_iters);
     SetActiveSimdLevel(dispatched_level);
     d[rep] = TimedRun(metric, query, base, batch, dim, out, d_iters);
     ratio[rep] = d[rep] > 0.0 ? p[rep] / d[rep] : 0.0;
   }
-  std::sort(p, p + kReps);
-  std::sort(d, d + kReps);
-  std::sort(ratio, ratio + kReps);
-  return {p[kReps / 2], d[kReps / 2], ratio[kReps / 2]};
+  std::sort(p.begin(), p.end());
+  std::sort(d.begin(), d.end());
+  std::sort(ratio.begin(), ratio.end());
+  return {p[reps / 2], d[reps / 2], ratio[reps / 2]};
 }
 
 std::vector<SweepResult> RunSweep() {

@@ -190,20 +190,21 @@ void RunPhase(const ShardedIndex& index, const Matrix& compliant_pool,
   BatchingDriver driver(index, *registry, nullptr, DriverOptions(fair));
 
   const auto t0 = SteadyClock::now();
-  std::vector<std::thread> senders;
-  senders.emplace_back([&] {
+  std::thread compliant([&] {
     RunSender(driver, kCompliant, compliant_pool, compliant_qps, requests,
               t0, 11, result.compliant);
   });
+  std::thread hostile;
   if (flood_qps > 0) {
     const std::size_t flood_n = static_cast<std::size_t>(
         static_cast<double>(requests) * flood_qps / compliant_qps);
-    senders.emplace_back([&] {
+    hostile = std::thread([&] {
       RunSender(driver, kHostile, hostile_pool, flood_qps, flood_n, t0, 13,
                 result.hostile);
     });
   }
-  for (auto& t : senders) t.join();
+  compliant.join();
+  if (hostile.joinable()) hostile.join();
   driver.Shutdown();
   result.wall_s =
       std::chrono::duration<double>(SteadyClock::now() - t0).count();

@@ -1,7 +1,7 @@
 #include "cache/approx_cache.h"
 
+#include <algorithm>
 #include <stdexcept>
-#include <type_traits>
 
 #include "common/serde.h"
 #include "obs/metrics_registry.h"
@@ -16,42 +16,20 @@ namespace {
 // Cache snapshot magic tag (see index/index_io.h for the index tags).
 constexpr std::uint32_t kCacheMagic = 0x48434350;  // "PCCH"
 
-// Registry mirrors of ApproxCacheStats, one family per tier. The struct
-// fields are guarded by the cache mutex; these counters are per-thread
-// relaxed atomics, safe under any interleaving and visible to the
-// exporters. Gauges are process-level: with several cache instances of a
-// tier the last writer wins.
-struct Telemetry {
-  explicit Telemetry(const std::string& tier)
-      : lookups(tier + ".lookups"),
-        hits(tier + ".hits"),
-        misses(tier + ".misses"),
-        insertions(tier + ".insertions"),
-        refreshes(tier + ".refreshes"),
-        evictions(tier + ".evictions"),
-        keys_scanned(tier + ".keys_scanned"),
-        expired_skips(tier + ".expired_skips"),
-        stale_hits(tier + ".stale_hits"),
-        stale_evictions(tier + ".stale_evictions"),
-        occupancy(tier + ".occupancy"),
-        capacity(tier + ".capacity") {}
-
-  obs::CounterHandle lookups, hits, misses, insertions, refreshes, evictions,
-      keys_scanned, expired_skips, stale_hits, stale_evictions;
-  obs::GaugeHandle occupancy, capacity;
-};
-
-const Telemetry kDocumentTier("cache");
-const Telemetry kAnswerTier("acache");
-
-template <typename Value>
-const Telemetry& Tel() {
-  if constexpr (std::is_same_v<Value, CachedAnswer>) {
-    return kAnswerTier;
-  } else {
-    return kDocumentTier;
-  }
-}
+// Registry mirrors of ApproxCacheStats. The struct fields are guarded by
+// the cache mutex; these counters are per-thread relaxed atomics, safe
+// under any interleaving and visible to the exporters. Gauges are
+// process-level: with several cache instances the last writer wins.
+const obs::CounterHandle kObsLookups("cache.lookups");
+const obs::CounterHandle kObsHits("cache.hits");
+const obs::CounterHandle kObsMisses("cache.misses");
+const obs::CounterHandle kObsInsertions("cache.insertions");
+const obs::CounterHandle kObsEvictions("cache.evictions");
+const obs::CounterHandle kObsKeysScanned("cache.keys_scanned");
+const obs::CounterHandle kObsStaleHits("cache.stale_hits");
+const obs::CounterHandle kObsStaleEvictions("cache.stale_evictions");
+const obs::GaugeHandle kObsOccupancy("cache.occupancy");
+const obs::GaugeHandle kObsCapacity("cache.capacity");
 
 void CheckDim(std::span<const float> query, std::size_t dim,
               const char* what) {
@@ -88,9 +66,8 @@ bool ParseStalenessPolicy(const std::string& name, StalenessPolicy* out) {
   return true;
 }
 
-template <typename Value>
-void ApproxCache<Value>::ValidateOptions(std::size_t dim,
-                                         const ApproxCacheOptions& options) {
+void ApproxCache::ValidateOptions(std::size_t dim,
+                                  const ApproxCacheOptions& options) {
   if (dim == 0) throw std::invalid_argument("ApproxCache: dim must be > 0");
   if (options.capacity == 0) {
     throw std::invalid_argument("ApproxCache: capacity must be > 0");
@@ -103,8 +80,7 @@ void ApproxCache<Value>::ValidateOptions(std::size_t dim,
   }
 }
 
-template <typename Value>
-ApproxCache<Value>::ApproxCache(std::size_t dim, ApproxCacheOptions options)
+ApproxCache::ApproxCache(std::size_t dim, ApproxCacheOptions options)
     : dim_(dim),
       options_(options),
       policy_(MakeEvictionPolicy(options.eviction, options.seed)),
@@ -113,8 +89,7 @@ ApproxCache<Value>::ApproxCache(std::size_t dim, ApproxCacheOptions options)
   ResetArena();
 }
 
-template <typename Value>
-void ApproxCache<Value>::ResetArena() {
+void ApproxCache::ResetArena() {
   keys_ = Matrix(0, dim_);
   keys_.Reserve(options_.capacity);
   // Cosine scans reuse stored per-key squared norms (bit-identical to the
@@ -122,44 +97,36 @@ void ApproxCache<Value>::ResetArena() {
   if (options_.metric == Metric::kCosine) keys_.EnableNormCache();
   values_.clear();
   values_.reserve(options_.capacity);
-  birth_.clear();
   entry_gen_.clear();
-  op_tick_ = 0;
   policy_->Clear();
 }
 
-template <typename Value>
-std::size_t ApproxCache<Value>::size() const {
+std::size_t ApproxCache::size() const {
   std::lock_guard lock(mu_);
   return keys_.rows();
 }
 
-template <typename Value>
-float ApproxCache<Value>::tolerance() const {
+float ApproxCache::tolerance() const {
   std::lock_guard lock(mu_);
   return options_.tolerance;
 }
 
-template <typename Value>
-void ApproxCache<Value>::set_tolerance(float tau) {
+void ApproxCache::set_tolerance(float tau) {
   std::lock_guard lock(mu_);
   options_.tolerance = tau;
 }
 
-template <typename Value>
-void ApproxCache<Value>::set_generation(std::uint64_t gen) {
+void ApproxCache::set_generation(std::uint64_t gen) {
   std::lock_guard lock(mu_);
   generation_ = gen;
 }
 
-template <typename Value>
-std::uint64_t ApproxCache<Value>::generation() const {
+std::uint64_t ApproxCache::generation() const {
   std::lock_guard lock(mu_);
   return generation_;
 }
 
-template <typename Value>
-std::optional<std::pair<std::size_t, float>> ApproxCache<Value>::ScanKeys(
+std::optional<std::pair<std::size_t, float>> ApproxCache::ScanKeys(
     std::span<const float> query) {
   const std::size_t n = keys_.rows();
   if (n == 0) return std::nullopt;
@@ -168,55 +135,42 @@ std::optional<std::pair<std::size_t, float>> ApproxCache<Value>::ScanKeys(
   BatchDistanceWithNorms(options_.metric, query, keys_.data(),
                          keys_.RowNorms(), n, dim_, scan_buffer_.data());
   stats_.keys_scanned += n;
-  Tel<Value>().keys_scanned.Inc(n);
+  kObsKeysScanned.Inc(n);
   // Cache key scans are float primary scans: they feed the same scan.*
   // bandwidth accounting as the index scans (docs/METRICS.md).
   obs::ScanPrimaryBytes(n * dim_ * sizeof(float));
-  std::optional<std::size_t> best;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (options_.max_age != 0 && op_tick_ - birth_[i] > options_.max_age) {
-      // Expired entries are invisible to lookups; count only the ones
-      // that would otherwise have matched, so the stat is meaningful.
-      if (scan_buffer_[i] <= options_.tolerance) {
-        ++stats_.expired_skips;
-        Tel<Value>().expired_skips.Inc();
-      }
-      continue;
-    }
-    if (!best || scan_buffer_[i] < scan_buffer_[*best]) best = i;
-  }
-  if (!best) return std::nullopt;
-  return std::make_pair(*best, scan_buffer_[*best]);
+  const auto best = std::min_element(scan_buffer_.begin(), scan_buffer_.end());
+  return std::make_pair(
+      static_cast<std::size_t>(best - scan_buffer_.begin()), *best);
 }
 
-template <typename Value>
-typename ApproxCache<Value>::LookupResult ApproxCache<Value>::Lookup(
-    std::span<const float> query) {
+ApproxCache::LookupResult ApproxCache::Lookup(
+    std::span<const float> query, std::optional<float> answer_tau) {
   CheckDim(query, dim_, "Lookup");
-  const Telemetry& tel = Tel<Value>();
   // The span covers lock acquisition too, so cache_lookup latency under
   // the serving driver includes contention on the cache mutex.
   const obs::Span span(obs::Stage::kCacheLookup);
   std::lock_guard lock(mu_);
   ++stats_.lookups;
-  ++op_tick_;
-  tel.lookups.Inc();
+  kObsLookups.Inc();
 
   LookupResult result;
   const auto best = ScanKeys(query);
   if (best) result.best_distance = best->second;
-  if (!best || best->second > options_.tolerance) {
+  // Staleness contract (DESIGN.md §13): an entry filled under an older
+  // index generation is never an answer hit; within τ it is a stale hit,
+  // and what happens next is the configured policy's call.
+  const bool stale = best && entry_gen_[best->first] != generation_;
+  const bool answer =
+      best && !stale && answer_tau && best->second <= *answer_tau;
+  if (!answer && (!best || best->second > options_.tolerance)) {
     ++stats_.misses;
-    tel.misses.Inc();
+    kObsMisses.Inc();
     return result;
   }
-  // Staleness contract (DESIGN.md §13): a within-τ match filled under an
-  // older index generation is a stale hit; what happens next is the
-  // configured policy's call.
-  const bool stale = entry_gen_[best->first] != generation_;
   if (stale) {
     ++stats_.stale_hits;
-    tel.stale_hits.Inc();
+    kObsStaleHits.Inc();
     if (options_.staleness != StalenessPolicy::kServeStale) {
       std::vector<std::size_t> drop;
       if (options_.staleness == StalenessPolicy::kRevalidate) {
@@ -231,21 +185,21 @@ typename ApproxCache<Value>::LookupResult ApproxCache<Value>::Lookup(
       }
       RemoveSlots(drop);
       ++stats_.misses;
-      tel.misses.Inc();
+      kObsMisses.Inc();
       return result;
     }
   }
   result.hit = true;
+  result.answer = answer;
   result.stale = stale;
   result.value = values_[best->first];
   ++stats_.hits;
-  tel.hits.Inc();
+  kObsHits.Inc();
   policy_->OnAccess(best->first);
   return result;
 }
 
-template <typename Value>
-void ApproxCache<Value>::RemoveSlots(const std::vector<std::size_t>& slots) {
+void ApproxCache::RemoveSlots(const std::vector<std::size_t>& slots) {
   if (slots.empty()) return;
   // Swap-with-last compaction, highest slot first so earlier swaps never
   // move a slot that is still pending removal.
@@ -255,108 +209,70 @@ void ApproxCache<Value>::RemoveSlots(const std::vector<std::size_t>& slots) {
     if (slot != last) {
       keys_.SetRow(slot, keys_.Row(last));
       values_[slot] = std::move(values_[last]);
-      birth_[slot] = birth_[last];
       entry_gen_[slot] = entry_gen_[last];
     }
     keys_.TruncateRows(last);
     values_.pop_back();
-    birth_.pop_back();
     entry_gen_.pop_back();
     ++stats_.stale_evictions;
-    Tel<Value>().stale_evictions.Inc();
+    kObsStaleEvictions.Inc();
   }
   // Eviction policies track slots, not entries; rebuild their
   // bookkeeping in slot order (the LoadFrom warm-restart approximation).
   policy_->Clear();
   for (std::size_t i = 0; i < keys_.rows(); ++i) policy_->OnInsert(i);
-  Tel<Value>().occupancy.Set(static_cast<double>(keys_.rows()));
+  kObsOccupancy.Set(static_cast<double>(keys_.rows()));
 }
 
-template <typename Value>
-void ApproxCache<Value>::Insert(std::span<const float> query, Value value) {
+void ApproxCache::Insert(std::span<const float> query,
+                         std::vector<VectorId> docs) {
   CheckDim(query, dim_, "Insert");
   const obs::Span span(obs::Stage::kInsert);
   std::lock_guard lock(mu_);
-  InsertLocked(query, std::move(value));
+  InsertLocked(query, std::move(docs));
 }
 
-template <typename Value>
-void ApproxCache<Value>::InsertLocked(std::span<const float> query,
-                                      Value value) {
-  const Telemetry& tel = Tel<Value>();
-  ++op_tick_;
+void ApproxCache::InsertLocked(std::span<const float> query,
+                               std::vector<VectorId> docs) {
   std::size_t slot;
   if (keys_.rows() < options_.capacity) {
     slot = keys_.rows();
     keys_.AppendRow(query);
-    values_.emplace_back(std::move(value));
-    birth_.push_back(op_tick_);
+    values_.emplace_back(std::move(docs));
     entry_gen_.push_back(generation_);
   } else {
     const obs::Span evict_span(obs::Stage::kEvict);
     slot = policy_->SelectVictim();
     ++stats_.evictions;
-    tel.evictions.Inc();
+    kObsEvictions.Inc();
     keys_.SetRow(slot, query);  // keeps the norm cache in sync
-    values_[slot] = std::move(value);
-    birth_[slot] = op_tick_;
+    values_[slot] = std::move(docs);
     entry_gen_[slot] = generation_;
   }
   ++stats_.insertions;
-  tel.insertions.Inc();
-  tel.occupancy.Set(static_cast<double>(keys_.rows()));
-  tel.capacity.Set(static_cast<double>(options_.capacity));
+  kObsInsertions.Inc();
+  kObsOccupancy.Set(static_cast<double>(keys_.rows()));
+  kObsCapacity.Set(static_cast<double>(options_.capacity));
   policy_->OnInsert(slot);
 }
 
-template <typename Value>
-void ApproxCache<Value>::Upsert(std::span<const float> query, Value value) {
-  CheckDim(query, dim_, "Upsert");
-  const obs::Span span(obs::Stage::kInsert);
-  std::lock_guard lock(mu_);
-  const auto best = ScanKeys(query);
-  if (!best || best->second > options_.tolerance) {
-    InsertLocked(query, std::move(value));
-    return;
-  }
-  // The refreshed entry keeps its place in the eviction order: telling
-  // the policy about it again would queue the slot twice.
-  const Telemetry& tel = Tel<Value>();
-  const std::size_t slot = best->first;
-  ++op_tick_;
-  keys_.SetRow(slot, query);
-  values_[slot] = std::move(value);
-  birth_[slot] = op_tick_;
-  entry_gen_[slot] = generation_;
-  ++stats_.insertions;
-  ++stats_.refreshes;
-  tel.insertions.Inc();
-  tel.refreshes.Inc();
-  tel.occupancy.Set(static_cast<double>(keys_.rows()));
-  tel.capacity.Set(static_cast<double>(options_.capacity));
-}
-
-template <typename Value>
-void ApproxCache<Value>::Clear() {
+void ApproxCache::Clear() {
   std::lock_guard lock(mu_);
   ResetArena();
-  Tel<Value>().occupancy.Set(0.0);
+  kObsOccupancy.Set(0.0);
 }
 
-template <typename Value>
-ApproxCacheStats ApproxCache<Value>::stats() const {
+ApproxCacheStats ApproxCache::stats() const {
   std::lock_guard lock(mu_);
   return stats_;
 }
 
-template <typename Value>
-void ApproxCache<Value>::ResetStats() {
+void ApproxCache::ResetStats() {
   std::lock_guard lock(mu_);
   stats_ = {};
 }
 
-template <typename Value>
-std::vector<float> ApproxCache<Value>::KeyAt(std::size_t slot) const {
+std::vector<float> ApproxCache::KeyAt(std::size_t slot) const {
   std::lock_guard lock(mu_);
   if (slot >= keys_.rows()) {
     throw std::out_of_range("ApproxCache::KeyAt: bad slot");
@@ -365,8 +281,7 @@ std::vector<float> ApproxCache<Value>::KeyAt(std::size_t slot) const {
   return {row.begin(), row.end()};
 }
 
-template <typename Value>
-Value ApproxCache<Value>::ValueAt(std::size_t slot) const {
+std::vector<VectorId> ApproxCache::ValueAt(std::size_t slot) const {
   std::lock_guard lock(mu_);
   if (slot >= values_.size()) {
     throw std::out_of_range("ApproxCache::ValueAt: bad slot");
@@ -374,8 +289,7 @@ Value ApproxCache<Value>::ValueAt(std::size_t slot) const {
   return values_[slot];
 }
 
-template <>
-void ProximityCache::SaveTo(std::ostream& os) const {
+void ApproxCache::SaveTo(std::ostream& os) const {
   std::lock_guard lock(mu_);
   BinaryWriter w(os);
   // v2 appends the staleness contract (policy, index generation, per-
@@ -387,7 +301,7 @@ void ProximityCache::SaveTo(std::ostream& os) const {
   w.WriteU32(static_cast<std::uint32_t>(options_.metric));
   w.WriteU32(static_cast<std::uint32_t>(options_.eviction));
   w.WriteU64(options_.seed);
-  w.WriteU64(options_.max_age);
+  w.WriteU64(0);  // the retired entry-age bound; LoadFrom requires 0
   WriteMatrix(w, keys_);
   w.WriteU64(values_.size());
   for (const auto& docs : values_) {
@@ -399,15 +313,14 @@ void ProximityCache::SaveTo(std::ostream& os) const {
   w.Finish();
 }
 
-template <>
-void ProximityCache::LoadFrom(std::istream& is) {
+void ApproxCache::LoadFrom(std::istream& is) {
   // Parse and verify the whole snapshot before touching this cache, so
   // a corrupt one leaves it as it was.
   BinaryReader r(is);
   const std::uint32_t version = ReadHeader(r, kCacheMagic, /*max_version=*/2);
   const std::uint64_t dim = r.ReadU64();
   if (dim != dim_) {
-    throw std::runtime_error("ProximityCache::LoadFrom: snapshot dim " +
+    throw std::runtime_error("ApproxCache::LoadFrom: snapshot dim " +
                              std::to_string(dim) + " != cache dim " +
                              std::to_string(dim_));
   }
@@ -417,12 +330,20 @@ void ProximityCache::LoadFrom(std::istream& is) {
   opts.metric = ReadEnum(r, kLastMetric);
   opts.eviction = ReadEnum(r, EvictionKind::kClock);
   opts.seed = r.ReadU64();
-  opts.max_age = r.ReadU64();
+  // An age-bounded snapshot would silently lose its bound: refuse it.
+  const std::uint64_t age_bound = r.ReadU64();
+  if (age_bound != 0) {
+    throw std::runtime_error(
+        "ApproxCache::LoadFrom: snapshot sets the retired max_age entry "
+        "TTL (" + std::to_string(age_bound) +
+        "); bound staleness with the index generation and a staleness "
+        "policy instead");
+  }
   Matrix keys = ReadMatrix(r);
   const std::uint64_t entries = r.ReadU64();
   if (entries != keys.rows() || entries > opts.capacity ||
       keys.dim() != dim) {
-    throw std::runtime_error("ProximityCache::LoadFrom: shape mismatch");
+    throw std::runtime_error("ApproxCache::LoadFrom: shape mismatch");
   }
   std::vector<std::vector<VectorId>> values;
   values.reserve(entries);
@@ -437,7 +358,7 @@ void ProximityCache::LoadFrom(std::istream& is) {
     entry_gens = r.ReadU64s(entries);
     if (entry_gens.size() != entries) {
       throw std::runtime_error(
-          "ProximityCache::LoadFrom: generation list mismatch");
+          "ApproxCache::LoadFrom: generation list mismatch");
     }
   }
   r.VerifyChecksum();
@@ -446,7 +367,7 @@ void ProximityCache::LoadFrom(std::istream& is) {
   std::lock_guard lock(mu_);
   // The metric is fixed by the index the cache fronts (§3.1), like dim.
   if (opts.metric != options_.metric) {
-    throw std::runtime_error("ProximityCache::LoadFrom: snapshot metric " +
+    throw std::runtime_error("ApproxCache::LoadFrom: snapshot metric " +
                              std::string(MetricName(opts.metric)) +
                              " != cache metric " +
                              std::string(MetricName(options_.metric)));
@@ -462,8 +383,5 @@ void ProximityCache::LoadFrom(std::istream& is) {
   if (!entry_gens.empty()) entry_gen_ = std::move(entry_gens);
   stats_ = {};  // the insertions above are reconstruction, not use
 }
-
-template class ApproxCache<std::vector<VectorId>>;
-template class ApproxCache<CachedAnswer>;
 
 }  // namespace proximity

@@ -1,24 +1,19 @@
-// ApproxCache — the paper's contribution (§3, Algorithm 1), once for both
-// cache tiers.
+// ApproxCache — the paper's contribution (§3, Algorithm 1): one
+// approximate key-value cache per tenant.
 //
 // An approximate key-value cache keyed by query embeddings. A lookup
 // linearly scans all cached keys with the same SIMD distance kernels the
 // flat index uses (§3.2.1: "Our current implementation does a linear scan
 // over the keys"); if the closest key is within the similarity tolerance
-// τ, its value is returned and the database lookup is skipped.
+// τ, its value — the document-id list the database returned for that
+// key — is returned and the database lookup is skipped.
 //
-// Two tiers instantiate it (DESIGN.md §15):
-//  - ProximityCache = ApproxCache<std::vector<VectorId>> reuses
-//    *retrievals*: the value is the document-id list the database
-//    returned for the key.
-//  - AnswerCache = ApproxCache<CachedAnswer> reuses *answers*: the value
-//    is the evidence an answer was generated from. A τ-hit stamped with
-//    the current index generation is served from it with no retrieval
-//    and no generation; the generation stamp is what makes the reuse
-//    safe ("Grounded Cache Routing for RAG", PAPERS.md). The answer
-//    tier fills through Upsert, so a regenerated answer replaces the
-//    τ-close entry that triggered it instead of accumulating
-//    near-duplicates.
+// Answer reuse (DESIGN.md §15) is a second radius on the same scan, not
+// a second cache: a caller that passes τ_answer to Lookup learns whether
+// the nearest key is also close enough, and filled under the current
+// index generation, for the answer generated from its documents to be
+// reused with no generation at all ("Grounded Cache Routing for RAG",
+// PAPERS.md). Either radius may be the larger one.
 //
 // Slot management: entries live in a fixed arena of `capacity` rows that
 // fills append-only; once full, the eviction policy picks a victim slot
@@ -52,10 +47,11 @@ namespace proximity {
 /// What a Lookup does when the best key is within τ but the entry was
 /// filled under an older index generation (the corpus has mutated since;
 /// DESIGN.md §13). Every stale match counts `stale_hits` regardless.
+/// A stale entry is never an answer hit, whatever the policy.
 enum class StalenessPolicy : std::uint32_t {
   /// Serve the entry anyway — the paper's bet that approximate staleness
   /// is acceptable, now made explicit and observable. The hit reports
-  /// `stale`, so the answer tier can treat it as a miss.
+  /// `stale`.
   kServeStale = 0,
   /// Report a miss and drop the stale entry, forcing the pipeline to
   /// re-retrieve and refill under the current generation.
@@ -81,70 +77,24 @@ struct ApproxCacheOptions {
   EvictionKind eviction = EvictionKind::kFifo;
   /// Seed for the random eviction policy.
   std::uint64_t seed = 42;
-  /// Staleness bound (extension): entries older than this many cache
-  /// operations (lookups + insertions) are never served — the lookup
-  /// reports a miss so the pipeline refreshes from the database. Storage
-  /// is reclaimed by the normal eviction policy. 0 disables expiry.
-  /// Rationale: the cached document lists shadow the vector database; if
-  /// the database is updated (new documents indexed), a TTL bounds how
-  /// long the cache can keep serving pre-update results.
-  std::uint64_t max_age = 0;
   /// Hit-time behavior for entries filled under an older index
   /// generation (see set_generation and DESIGN.md §13).
   StalenessPolicy staleness = StalenessPolicy::kServeStale;
 };
 
-/// The answer tier's template (TenantRegistryOptions::answer_defaults).
-/// The tier always runs FIFO and serve-stale with no expiry, so only
-/// these three fields vary; the rest of ApproxCacheOptions keeps its
-/// defaults.
-struct AnswerCacheOptions {
-  /// Arena capacity (entries).
-  std::size_t capacity = 64;
-  /// Similarity tolerance τ for answer reuse. Usually tighter than the
-  /// retrieval cache's τ: reusing a whole answer is a bigger bet than
-  /// reusing a document list.
-  float tolerance = 0.5f;
-  /// Distance function; must equal the embedding space's metric.
-  Metric metric = Metric::kL2;
-
-  operator ApproxCacheOptions() const {
-    ApproxCacheOptions options;
-    options.capacity = capacity;
-    options.tolerance = tolerance;
-    options.metric = metric;
-    return options;
-  }
-};
-
-/// The evidence one cached answer was generated from; an answer hit
-/// serves it in place of a retrieval. (The simulator's answer model is
-/// a function of the evidence, so the evidence stands in for the
-/// generated text a real deployment would also store.)
-struct CachedAnswer {
-  /// Document ids the answer was grounded in, in retrieval order.
-  std::vector<VectorId> source_docs;
-  /// Distances parallel to source_docs.
-  std::vector<float> source_distances;
-};
-
 /// Counters exposed for the evaluation (§4.2: cache hit rate is
 /// hits / lookups). Guarded by the cache mutex; the same counts are
-/// mirrored into the obs MetricsRegistry (`cache.*` for the document
-/// tier, `acache.*` for the answer tier), the exporter-visible copy.
+/// mirrored into the obs MetricsRegistry (`cache.*`), the
+/// exporter-visible copy.
 struct ApproxCacheStats {
   std::uint64_t lookups = 0;
+  /// Answer hits included.
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  /// Entries written, including in-place refreshes.
   std::uint64_t insertions = 0;
-  /// Upserts that refreshed a τ-close existing entry in place.
-  std::uint64_t refreshes = 0;
   std::uint64_t evictions = 0;
   /// Total keys compared across all scans (scan work).
   std::uint64_t keys_scanned = 0;
-  /// Matches that were suppressed because the entry exceeded max_age.
-  std::uint64_t expired_skips = 0;
   /// Within-τ matches whose entry generation trailed the index
   /// generation (counted under every staleness policy).
   std::uint64_t stale_hits = 0;
@@ -157,7 +107,6 @@ struct ApproxCacheStats {
   }
 };
 
-template <typename Value>
 class ApproxCache {
  public:
   ApproxCache(std::size_t dim, ApproxCacheOptions options = {});
@@ -186,27 +135,29 @@ class ApproxCache {
 
   struct LookupResult {
     bool hit = false;
+    /// Hit only: the nearest key is within the caller's τ_answer and was
+    /// filled under the current generation.
+    bool answer = false;
     /// Hit only: the entry predates the current generation (served
     /// because the policy is kServeStale).
     bool stale = false;
     /// Distance to the best-matching key; +inf when the cache is empty.
     float best_distance = std::numeric_limits<float>::infinity();
-    /// Hit only: a copy of the cached value.
-    Value value{};
+    /// Hit only: a copy of the cached document ids.
+    std::vector<VectorId> value;
   };
 
-  /// Algorithm 1 lines 3-6: scans all keys, returns the value of the best
-  /// match if its distance is <= τ. Updates hit/miss statistics and the
-  /// eviction policy's access bookkeeping.
-  LookupResult Lookup(std::span<const float> query);
+  /// Algorithm 1 lines 3-6: scans all keys once and classifies the
+  /// nearest key's distance d. With `answer_tau`, d <= *answer_tau on a
+  /// current-generation entry is an answer hit; otherwise d <= τ is a
+  /// hit under staleness(); anything else is a miss. Updates hit/miss
+  /// statistics and the eviction policy's access bookkeeping.
+  LookupResult Lookup(std::span<const float> query,
+                      std::optional<float> answer_tau = std::nullopt);
 
-  /// Algorithm 1 lines 7-11 (post-database path): stores `value` under
+  /// Algorithm 1 lines 7-11 (post-database path): stores `docs` under
   /// the query key, evicting one entry if the cache is full.
-  void Insert(std::span<const float> query, Value value);
-
-  /// Refreshes the τ-closest entry in place (key, value and generation
-  /// stamp; its eviction order is kept) when one exists, else Insert.
-  void Upsert(std::span<const float> query, Value value);
+  void Insert(std::span<const float> query, std::vector<VectorId> docs);
 
   void Clear();
 
@@ -215,21 +166,21 @@ class ApproxCache {
 
   /// Introspection for tests: copies of slot contents (slot < size()).
   std::vector<float> KeyAt(std::size_t slot) const;
-  Value ValueAt(std::size_t slot) const;
+  std::vector<VectorId> ValueAt(std::size_t slot) const;
 
-  /// Document tier only. Persists options and entries (not statistics).
+  /// Persists options and entries (not statistics).
   void SaveTo(std::ostream& os) const;
-  /// Document tier only. Restores a SaveTo snapshot into this cache in
-  /// place — options, entries and generation stamps replace the current
-  /// ones and statistics restart from zero — so a cache owned elsewhere
-  /// (a registry tenant's) can be warm-started. Eviction bookkeeping is
+  /// Restores a SaveTo snapshot into this cache in place — options,
+  /// entries and generation stamps replace the current ones and
+  /// statistics restart from zero — so a cache owned elsewhere (a
+  /// registry tenant's) can be warm-started. Eviction bookkeeping is
   /// reconstructed by re-inserting entries in slot order — an
   /// approximation of the original age order, which is the usual
   /// warm-restart trade-off for caches. Throws std::runtime_error on a
-  /// corrupt snapshot or one of another dimension or metric (both are
-  /// fixed by the index the cache fronts), std::invalid_argument on
-  /// invalid options, as the constructor does; the cache is left
-  /// unchanged then.
+  /// corrupt snapshot, one of another dimension or metric (both are
+  /// fixed by the index the cache fronts) or one that sets the retired
+  /// entry-age bound; std::invalid_argument on invalid options, as the
+  /// constructor does. The cache is left unchanged then.
   void LoadFrom(std::istream& is);
 
  private:
@@ -238,10 +189,10 @@ class ApproxCache {
 
   // The helpers below run with mu_ held.
 
-  /// Returns (slot, distance) of the closest live key, or nullopt if none.
+  /// Returns (slot, distance) of the closest key, or nullopt if none.
   std::optional<std::pair<std::size_t, float>> ScanKeys(
       std::span<const float> query);
-  void InsertLocked(std::span<const float> query, Value value);
+  void InsertLocked(std::span<const float> query, std::vector<VectorId> docs);
   /// Drops `slots` (swap-with-last compaction) and rebuilds the eviction
   /// policy's bookkeeping in slot order — same age approximation as
   /// LoadFrom's warm restart. `slots` must be sorted ascending.
@@ -253,26 +204,16 @@ class ApproxCache {
   ApproxCacheOptions options_;  // tolerance is written under mu_
   std::unique_ptr<EvictionPolicy> policy_;
 
-  Matrix keys_;                           // one row per slot
-  std::vector<Value> values_;             // parallels keys_ rows
-  std::vector<std::uint64_t> birth_;      // op tick at insertion
-  std::vector<std::uint64_t> entry_gen_;  // index gen at fill time
-  std::vector<float> scan_buffer_;        // distance scratch
-  std::uint64_t op_tick_ = 0;             // advances on every op
-  std::uint64_t generation_ = 0;          // latest index generation
+  Matrix keys_;                                // one row per slot
+  std::vector<std::vector<VectorId>> values_;  // parallels keys_ rows
+  std::vector<std::uint64_t> entry_gen_;       // index gen at fill time
+  std::vector<float> scan_buffer_;             // distance scratch
+  std::uint64_t generation_ = 0;               // latest index generation
 
   ApproxCacheStats stats_;
 };
 
-using ProximityCache = ApproxCache<std::vector<VectorId>>;
-using AnswerCache = ApproxCache<CachedAnswer>;
-
-template <>
-void ProximityCache::SaveTo(std::ostream& os) const;
-template <>
-void ProximityCache::LoadFrom(std::istream& is);
-
-extern template class ApproxCache<std::vector<VectorId>>;
-extern template class ApproxCache<CachedAnswer>;
+/// The paper's name for the cache (§3).
+using ProximityCache = ApproxCache;
 
 }  // namespace proximity

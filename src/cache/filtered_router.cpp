@@ -35,7 +35,6 @@ ApproxCacheStats FilteredCacheRouter::TotalStats() const {
     total.insertions += s.insertions;
     total.evictions += s.evictions;
     total.keys_scanned += s.keys_scanned;
-    total.expired_skips += s.expired_skips;
   }
   return total;
 }

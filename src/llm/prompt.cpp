@@ -12,7 +12,9 @@ std::string BuildPrompt(std::string_view question,
   prompt += options.system_preamble;
   prompt += "\n\n";
   for (std::size_t i = 0; i < passages.size(); ++i) {
-    std::string block = "[" + std::to_string(i + 1) + "] ";
+    std::string block = "[";
+    block += std::to_string(i + 1);
+    block += "] ";
     block += passages[i];
     block += '\n';
     if (prompt.size() + block.size() + question.size() + 16 >

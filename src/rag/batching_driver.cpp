@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -49,13 +50,22 @@ BatchingDriver::BatchingDriver(const VectorIndex& index,
         "BatchingDriver: registry/index dim mismatch");
   }
   // §3.1: proximity is only meaningful in the database's own distance
-  // function. Every tenant's caches take the registry's templates.
+  // function. Every tenant's cache takes the registry's template.
   const TenantRegistryOptions& topts = registry.options();
-  if (topts.cache_defaults.metric != index.metric() ||
-      (options_.answer_reuse &&
-       topts.answer_defaults.metric != index.metric())) {
+  if (topts.cache_defaults.metric != index.metric()) {
     throw std::invalid_argument(
         "BatchingDriver: cache metric differs from index metric");
+  }
+  // Answer reuse is a second radius on that one cache (DESIGN.md §15):
+  // it has no metric or capacity of its own to differ.
+  const AnswerReuseOptions& aopts = topts.answer_defaults;
+  if (options_.answer_reuse &&
+      (aopts.metric != topts.cache_defaults.metric ||
+       (aopts.capacity != 0 &&
+        aopts.capacity != topts.cache_defaults.capacity))) {
+    throw std::invalid_argument(
+        "BatchingDriver: answer_defaults metric/capacity differ from "
+        "cache_defaults (answer reuse is a radius on the one cache)");
   }
   flusher_ = std::thread([this] { FlusherLoop(); });
 }
@@ -421,7 +431,6 @@ void BatchingDriver::ProcessBatch(std::vector<Pending> batch) {
 
   std::uint64_t hits = 0, answer_hits = 0, retrieved = 0, coalesced = 0,
                 expired = 0, mutations = 0, completed = 0;
-  const bool answer_reuse = options_.answer_reuse;
   // Per-tenant view of the same outcome deltas (merged under mu_ at the
   // end, mirrored into tenant.<label>.* via the registry).
   std::map<TenantId, TenantCounters> deltas;
@@ -522,40 +531,14 @@ void BatchingDriver::ProcessBatch(std::vector<Pending> batch) {
         if (done[i]) continue;
         if (!stamped.emplace(batch[i].tenant, true).second) continue;
         registry_.CacheFor(batch[i].tenant).set_generation(gen);
-        // The answer tier honors the same staleness contract: a hit
-        // whose entry predates this stamp must not be served.
-        if (answer_reuse) {
-          registry_.AnswerCacheFor(batch[i].tenant).set_generation(gen);
-        }
       }
     }
 
-    // 1.7 Answer-reuse probe (DESIGN.md §15): a current-generation
-    //     τ-hit in the submitting tenant's answer cache completes here
-    //     with the cached entry's evidence — no retrieval cache probe,
-    //     no search. A stale τ-hit is a miss: it rides the normal path
-    //     and a fresh retrieval refreshes the entry in step 6.
-    if (answer_reuse) {
-      for (const std::size_t i : live) {
-        if (done[i]) continue;
-        const TenantId tenant = batch[i].tenant;
-        const obs::ScopedTraceContext trace_scope(batch[i].trace);
-        auto probe =
-            registry_.AnswerCacheFor(tenant).Lookup(batch[i].embedding);
-        if (!probe.hit || probe.stale) continue;
-        results[i].documents = std::move(probe.value.source_docs);
-        results[i].distances = std::move(probe.value.source_distances);
-        results[i].answer_hit = true;
-        results[i].queue_wait_ns = waited[i];
-        done[i] = true;
-        ++answer_hits;
-        ++completed;
-        ++deltas[tenant].answer_hits;
-      }
-    }
-
-    // 2. Probe each entry's tenant cache. Mutation entries are already
-    //    done and never probe.
+    // 2. Probe each entry's tenant cache: one scan, whose nearest key is
+    //    classified against τ and, with answer reuse, τ_answer too
+    //    (DESIGN.md §15). An answer hit's documents are the evidence the
+    //    cached answer was generated from; either kind of hit skips the
+    //    search. Mutation entries are already done and never probe.
     std::vector<std::size_t> misses;
     for (const std::size_t i : live) {
       if (done[i]) continue;
@@ -563,18 +546,27 @@ void BatchingDriver::ProcessBatch(std::vector<Pending> batch) {
       // The probe runs with the entry's trace as the thread context, so
       // the cache's own spans (kCacheLookup/kCacheScan) join the trace.
       const obs::ScopedTraceContext trace_scope(batch[i].trace);
-      auto cached = registry_.CacheFor(tenant).Lookup(batch[i].embedding);
+      std::optional<float> answer_tau;
+      if (options_.answer_reuse) answer_tau = registry_.AnswerTauFor(tenant);
+      auto cached =
+          registry_.CacheFor(tenant).Lookup(batch[i].embedding, answer_tau);
       registry_.ObserveLookup(tenant, cached.hit);
-      if (cached.hit) {
-        results[i].documents = std::move(cached.value);
-        results[i].cache_hit = true;
-        results[i].queue_wait_ns = waited[i];
-        done[i] = true;
-        ++hits;
-        ++completed;
-        ++deltas[tenant].hits;
-      } else {
+      if (!cached.hit) {
         misses.push_back(i);
+        continue;
+      }
+      results[i].documents = std::move(cached.value);
+      results[i].cache_hit = true;
+      results[i].answer_hit = cached.answer;
+      results[i].queue_wait_ns = waited[i];
+      done[i] = true;
+      ++completed;
+      if (cached.answer) {
+        ++answer_hits;
+        ++deltas[tenant].answer_hits;
+      } else {
+        ++hits;
+        ++deltas[tenant].hits;
       }
     }
 
@@ -667,20 +659,6 @@ void BatchingDriver::ProcessBatch(std::vector<Pending> batch) {
       }
       done[i] = true;
       ++completed;
-    }
-
-    // 6. Answer-tier maintenance: refresh (or seed) the tenant's
-    //    answer entry under the current generation with the fresh
-    //    evidence, so a stale entry τ-close to this query is replaced.
-    if (answer_reuse) {
-      for (const std::size_t i : misses) {
-        if (results[i].status != RequestStatus::kOk) continue;
-        CachedAnswer entry;
-        entry.source_docs = results[i].documents;
-        entry.source_distances = results[i].distances;
-        registry_.AnswerCacheFor(batch[i].tenant)
-            .Upsert(batch[i].embedding, std::move(entry));
-      }
     }
   } catch (...) {
     for (std::size_t i = 0; i < batch.size(); ++i) {

@@ -106,11 +106,10 @@ struct BatchingDriverOptions {
   /// rest); false = strict global FIFO by arrival (the pre-tenancy
   /// behavior, kept for the noisy-neighbor contrast bench).
   bool fair = true;
-  /// Answer-reuse tier (DESIGN.md §15): probe the submitting tenant's
-  /// answer cache before its retrieval cache and serve a τ-hit stamped
-  /// with the current generation from its cached evidence, with no
-  /// retrieval. A stale τ-hit is a miss; the next retrieval of a
-  /// τ-close query refreshes the entry.
+  /// Answer reuse (DESIGN.md §15): the probe also classifies the
+  /// nearest key against the tenant's τ_answer, and a current-generation
+  /// entry that close is an answer hit — its documents are the evidence
+  /// a reusable answer was generated from. A stale entry is never one.
   bool answer_reuse = false;
 };
 
@@ -126,8 +125,7 @@ struct BatchingDriverStats {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
   std::uint64_t hits = 0;
-  /// Served from a tenant's answer cache at flush (answer_reuse mode;
-  /// current-generation τ-hits only — no retrieval ran).
+  /// Answer hits (answer_reuse mode): counted here, not in `hits`.
   std::uint64_t answer_hits = 0;
   std::uint64_t retrieved = 0;
   std::uint64_t coalesced = 0;
@@ -157,8 +155,8 @@ struct BatchResult {
   std::vector<float> distances;
   /// kOk only: served from the cache without touching the index.
   bool cache_hit = false;
-  /// kOk only: served from the tenant's answer cache (answer_reuse
-  /// mode). `documents`/`distances` carry the cached entry's evidence.
+  /// kOk only: a cache hit within τ_answer (answer_reuse mode); the
+  /// cached answer is reused, so no generation runs either.
   bool answer_hit = false;
   /// kOk only: shared a τ-similar leader's retrieval within the batch.
   bool coalesced = false;
@@ -188,15 +186,16 @@ struct SubmitOptions {
 class BatchingDriver {
  public:
   /// Submissions carry SubmitOptions::tenant, cache probes/inserts
-  /// route to that tenant's caches in `registry`, the registry's quotas
+  /// route to that tenant's cache in `registry`, the registry's quotas
   /// gate admission, and the flush schedules across per-tenant queues
   /// (options.fair). A single tenant is a registry of one. `index` and
   /// `registry` are not owned and must outlive the driver; `embedder`
   /// may be null when only the embedding paths are used. Throws
-  /// std::invalid_argument when the registry's dimension or the metric
-  /// of a cache tier it probes (the answer tier only with answer_reuse)
-  /// differs from the index's (§3.1: the cache measures proximity in
-  /// the database's own distance function).
+  /// std::invalid_argument when the registry's dimension or cache
+  /// metric differs from the index's (§3.1: the cache measures proximity
+  /// in the database's own distance function), and, with answer_reuse,
+  /// when the registry's answer_defaults name a metric or a non-zero
+  /// capacity other than cache_defaults'.
   BatchingDriver(const VectorIndex& index, TenantRegistry& registry,
                  const HashEmbedder* embedder,
                  BatchingDriverOptions options = {});

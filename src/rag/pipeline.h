@@ -17,8 +17,8 @@ namespace proximity {
 struct QueryResult {
   bool correct = false;
   bool cache_hit = false;
-  /// Served from the answer cache: judged on the cached evidence, and
-  /// no generation ran.
+  /// A cache hit within τ_answer: judged on the cached evidence, and no
+  /// generation ran. Implies cache_hit.
   bool answer_hit = false;
   Nanos retrieval_latency_ns = 0;
   /// Simulated end-to-end time-to-final-token: retrieval latency plus
@@ -33,8 +33,8 @@ struct RunMetrics {
   std::size_t queries = 0;
   double accuracy = 0.0;
   double hit_rate = 0.0;
-  /// Fraction of queries served from the answer cache (0 unless the
-  /// driver runs the answer tier).
+  /// Fraction of queries that were answer hits (0 unless the driver
+  /// runs answer reuse); a part of hit_rate.
   double answer_hit_rate = 0.0;
   /// Mean retrieval latency in milliseconds.
   double mean_latency_ms = 0.0;

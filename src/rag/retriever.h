@@ -20,13 +20,12 @@ class BatchingDriver;
 
 struct RetrievalOutcome {
   std::vector<VectorId> documents;
-  /// Distances parallel to `documents`. Empty on a document-cache hit
-  /// (that tier stores id lists only); populated on database misses and
-  /// on answer hits whose evidence carried them.
+  /// Distances parallel to `documents`. Empty on a cache hit (the cache
+  /// stores id lists only); populated on database misses.
   std::vector<float> distances;
   bool cache_hit = false;
-  /// Served from the answer cache (driver answer_reuse): the cached
-  /// evidence of a current-generation entry, with no retrieval.
+  /// A cache hit within τ_answer (driver answer_reuse): the entry's
+  /// documents are the evidence of a reusable answer.
   bool answer_hit = false;
   /// End-to-end retrieval latency: cache lookup plus (on a miss) the
   /// database search, including any simulated storage delay (§4.2

@@ -51,23 +51,22 @@ struct ObsFamily {
         expired("tenant." + label + ".expired"),
         quota_shed("tenant." + label + ".quota_shed"),
         mutations("tenant." + label + ".mutations"),
-        occupancy("tenant." + label + ".cache_occupancy"),
-        acache_occupancy("tenant." + label + ".acache_occupancy") {}
+        occupancy("tenant." + label + ".cache_occupancy") {}
 
   obs::CounterHandle submitted, hits, answer_hits, retrieved, coalesced,
       shed, expired, quota_shed, mutations;
-  obs::GaugeHandle occupancy, acache_occupancy;
+  obs::GaugeHandle occupancy;
 };
 
 }  // namespace
 
 struct TenantRegistry::State {
   State(std::size_t dim, const TenantSpec& s,
-        const ApproxCacheOptions& cache_opts,
-        const AnswerCacheOptions& answer_opts, std::string obs_label)
+        const ApproxCacheOptions& cache_opts, float tau_answer,
+        std::string obs_label)
       : spec(s),
         cache(dim, cache_opts),
-        answer_cache(dim, answer_opts),
+        answer_tau(tau_answer),
         obs(std::move(obs_label)),
         bucket(s.quota.qps,
                s.quota.burst > 0 ? s.quota.burst
@@ -77,7 +76,7 @@ struct TenantRegistry::State {
 
   TenantSpec spec;
   ProximityCache cache;
-  AnswerCache answer_cache;
+  float answer_tau;
   ObsFamily obs;
   TokenBucket bucket;
   std::optional<AdaptiveTau> adaptive;
@@ -104,16 +103,14 @@ std::unique_ptr<TenantRegistry::State> TenantRegistry::MakeState(
   if (spec.adaptive_tau) {
     cache_opts.tolerance = static_cast<float>(spec.adaptive.initial_tau);
   }
-  AnswerCacheOptions answer_opts = options_.answer_defaults;
-  if (spec.answer_capacity > 0) answer_opts.capacity = spec.answer_capacity;
-  if (spec.answer_tau >= 0) {
-    answer_opts.tolerance = static_cast<float>(spec.answer_tau);
-  }
+  const float answer_tau = spec.answer_tau >= 0
+                               ? static_cast<float>(spec.answer_tau)
+                               : options_.answer_defaults.tolerance;
   const std::string label =
       tenants_.size() < options_.max_obs_tenants
           ? (spec.name.empty() ? std::to_string(spec.id) : spec.name)
           : "other";
-  return std::make_unique<State>(dim_, spec, cache_opts, answer_opts, label);
+  return std::make_unique<State>(dim_, spec, cache_opts, answer_tau, label);
 }
 
 TenantId TenantRegistry::Register(const TenantSpec& spec) {
@@ -210,11 +207,10 @@ std::vector<TenantInfo> TenantRegistry::Infos() const {
     info.quota = state->spec.quota;
     info.weight = state->spec.weight;
     info.tolerance = state->cache.tolerance();
+    info.answer_tau = state->answer_tau;
     info.cache_entries = state->cache.size();
-    info.answer_entries = state->answer_cache.size();
     info.inflight = state->inflight;
     info.cache = state->cache.stats();
-    info.answer = state->answer_cache.stats();
     out.push_back(std::move(info));
   }
   return out;
@@ -225,9 +221,9 @@ ProximityCache& TenantRegistry::CacheFor(TenantId id) {
   return StateFor(id).cache;
 }
 
-AnswerCache& TenantRegistry::AnswerCacheFor(TenantId id) {
+float TenantRegistry::AnswerTauFor(TenantId id) const {
   std::lock_guard lock(mu_);
-  return StateFor(id).answer_cache;
+  return StateFor(id).answer_tau;
 }
 
 double TenantRegistry::WeightFor(TenantId id) const {
@@ -252,13 +248,11 @@ void TenantRegistry::ObserveLookup(TenantId id, bool hit) {
 void TenantRegistry::Record(TenantId id, const TenantCounters& delta) {
   const ObsFamily* fam = nullptr;
   double occupancy = 0.0;
-  double answer_occupancy = 0.0;
   {
     std::lock_guard lock(mu_);
     State& state = StateFor(id);
     fam = &state.obs;
     occupancy = static_cast<double>(state.cache.size());
-    answer_occupancy = static_cast<double>(state.answer_cache.size());
   }
   if (delta.submitted) fam->submitted.Inc(delta.submitted);
   if (delta.hits) fam->hits.Inc(delta.hits);
@@ -270,7 +264,6 @@ void TenantRegistry::Record(TenantId id, const TenantCounters& delta) {
   if (delta.quota_shed) fam->quota_shed.Inc(delta.quota_shed);
   if (delta.mutations) fam->mutations.Inc(delta.mutations);
   fam->occupancy.Set(occupancy);
-  fam->acache_occupancy.Set(answer_occupancy);
 }
 
 namespace {
@@ -320,8 +313,6 @@ std::vector<TenantSpec> ParseTenantSpecs(const std::string& text) {
           spec.cache_capacity = std::stoul(value);
         } else if (key == "tau") {
           spec.tolerance = std::stod(value);
-        } else if (key == "answer_capacity") {
-          spec.answer_capacity = std::stoul(value);
         } else if (key == "answer_tau") {
           spec.answer_tau = std::stod(value);
         } else if (key == "weight") {

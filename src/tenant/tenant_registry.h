@@ -4,9 +4,9 @@
 // answer you reuse is a correctness decision: an approximate hit served
 // across tenants is an isolation leak, not a win. The registry therefore
 // gives every tenant its own ProximityCache (own capacity, own τ, own
-// optional AdaptiveTau controller) over the ONE shared vector index, so
-// tenants share the corpus and the compute but never each other's cached
-// answers.
+// answer-reuse radius τ_answer, own optional AdaptiveTau controller)
+// over the ONE shared vector index, so tenants share the corpus and the
+// compute but never each other's cached answers.
 //
 // The registry is also the admission authority: each tenant carries a
 // token-bucket QPS quota and an inflight cap, consulted by the
@@ -83,9 +83,8 @@ struct TenantSpec {
   std::size_t cache_capacity = 0;
   /// Initial τ; negative = registry default tolerance.
   double tolerance = -1.0;
-  /// Answer-cache entries; 0 = registry answer_defaults capacity.
-  std::size_t answer_capacity = 0;
-  /// Answer-cache τ; negative = registry answer_defaults tolerance.
+  /// Answer-reuse radius τ_answer on this tenant's cache; negative =
+  /// registry answer_defaults tolerance.
   double answer_tau = -1.0;
   /// Weighted deficit-round-robin share in the batching flush (> 0).
   double weight = 1.0;
@@ -105,13 +104,25 @@ enum class UnknownTenantPolicy {
   kMapToDefault,
 };
 
+/// Registry-wide answer-reuse defaults (DESIGN.md §15). Answer reuse is
+/// a second radius on each tenant's one cache, so only `tolerance`
+/// configures it; whether the driver classifies answer hits at all is
+/// its own `answer_reuse` option, which also requires `metric` to equal
+/// cache_defaults.metric and `capacity` to be 0 or
+/// cache_defaults.capacity.
+struct AnswerReuseOptions {
+  /// Default τ_answer: a nearest key this close, filled under the
+  /// current index generation, is an answer hit.
+  float tolerance = 0.5f;
+  Metric metric = Metric::kL2;
+  /// Entries; 0 = the cache's own capacity, the only one there is.
+  std::size_t capacity = 0;
+};
+
 struct TenantRegistryOptions {
   /// Capacity/τ/metric template for tenants that do not override them.
   ApproxCacheOptions cache_defaults{};
-  /// Template for the per-tenant answer caches (DESIGN.md §15). The
-  /// caches always exist; whether the driver probes them is its own
-  /// `answer_reuse` option.
-  AnswerCacheOptions answer_defaults{};
+  AnswerReuseOptions answer_defaults{};
   UnknownTenantPolicy unknown_policy = UnknownTenantPolicy::kAutoRegister;
   /// Tenants beyond this count share the `tenant.other.*` metric family.
   std::size_t max_obs_tenants = 8;
@@ -133,18 +144,17 @@ struct TenantInfo {
   TenantQuota quota;
   double weight = 1.0;
   float tolerance = 0.0f;
+  float answer_tau = 0.0f;
   std::size_t cache_entries = 0;
-  std::size_t answer_entries = 0;
   std::size_t inflight = 0;
   ApproxCacheStats cache;
-  ApproxCacheStats answer;
 };
 
 /// Per-tenant serve-outcome deltas, mirrored into `tenant.<label>.*`.
 struct TenantCounters {
   std::uint64_t submitted = 0;
   std::uint64_t hits = 0;
-  /// Served from this tenant's answer cache (no search ran).
+  /// Answer hits on this tenant's cache (no search ran).
   std::uint64_t answer_hits = 0;
   std::uint64_t retrieved = 0;
   std::uint64_t coalesced = 0;
@@ -195,8 +205,8 @@ class TenantRegistry {
   /// are never destroyed while the registry lives).
   ProximityCache& CacheFor(TenantId id);
 
-  /// The tenant's private answer cache (same stability guarantee).
-  AnswerCache& AnswerCacheFor(TenantId id);
+  /// The tenant's answer-reuse radius τ_answer.
+  float AnswerTauFor(TenantId id) const;
 
   double WeightFor(TenantId id) const;
 
@@ -208,7 +218,7 @@ class TenantRegistry {
   /// counters and refreshes its cache-occupancy gauge.
   void Record(TenantId id, const TenantCounters& delta);
 
-  /// Snapshot of every tenant (quota, weight, τ, cache stats,
+  /// Snapshot of every tenant (quota, weight, both radii, cache stats,
   /// inflight), ordered by id — the /statusz data source.
   std::vector<TenantInfo> Infos() const;
 
@@ -234,8 +244,8 @@ class TenantRegistry {
 
 /// Parses a tenant roster: one tenant per line of space-separated
 /// key=value pairs (`id=` required; `name= qps= burst= max_inflight=
-/// capacity= tau= answer_capacity= answer_tau= weight= adaptive=
-/// target_hit_rate=` optional; '#' starts a comment). Throws
+/// capacity= tau= answer_tau= weight= adaptive= target_hit_rate=`
+/// optional; '#' starts a comment). Throws
 /// std::invalid_argument on malformed input.
 std::vector<TenantSpec> ParseTenantSpecs(const std::string& text);
 

@@ -1,12 +1,12 @@
-// Answer-level semantic cache (DESIGN.md §15): the answer tier's Upsert
-// (τ-lookup, FIFO eviction and staleness stamping are shared with the
-// document tier and tested over both in cache_test), the pipeline's
-// answer-hit path (judged on the cached evidence, no generation cost),
-// and the BatchingDriver's answer tier — hit short-circuit, a stale hit
-// as a miss after its source doc is deleted, cross-tenant isolation,
-// and the extended conservation equation:
+// Answer reuse (DESIGN.md §15): a second radius on each tenant's one
+// cache. Covers the pipeline's answer hit (judged on the cached
+// evidence, no generation cost); the BatchingDriver's answer path — one
+// scan per probe, an answer hit flagged as a cache hit, a stale entry
+// as a miss after its source doc is deleted, cross-tenant isolation —
+// with the extended conservation equation
 //   hits + answer_hits + retrieved + coalesced + shed + expired
 //       + quota_shed + mutations == submitted
+// and the one cache under racing lookups, inserts and stamps.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -19,6 +19,7 @@
 #include "index/flat_index.h"
 #include "index/index_factory.h"
 #include "llm/answer_model.h"
+#include "obs/metrics_registry.h"
 #include "rag/batching_driver.h"
 #include "rag/pipeline.h"
 #include "rag/retriever.h"
@@ -31,62 +32,6 @@ namespace {
 
 std::vector<float> Key(float x, std::size_t dim = 4) {
   return std::vector<float>(dim, x);
-}
-
-CachedAnswer Answer(std::vector<VectorId> docs) {
-  CachedAnswer a;
-  a.source_docs = std::move(docs);
-  a.source_distances.assign(a.source_docs.size(), 0.1f);
-  return a;
-}
-
-// ---------------------------------------------------------- AnswerCache --
-
-TEST(AnswerCacheTest, InsertUpsertsTauCloseEntryInPlace) {
-  AnswerCacheOptions opts;
-  opts.capacity = 4;
-  opts.tolerance = 0.5f;
-  AnswerCache cache(4, opts);
-
-  cache.Upsert(Key(0.0f), Answer({7}));
-  cache.Upsert(Key(0.05f), Answer({8, 9}));  // within τ
-
-  EXPECT_EQ(cache.size(), 1u);  // refreshed, not appended
-  EXPECT_EQ(cache.stats().insertions, 2u);
-  EXPECT_EQ(cache.stats().refreshes, 1u);
-  EXPECT_EQ(cache.stats().evictions, 0u);
-
-  const auto hit = cache.Lookup(Key(0.05f));
-  ASSERT_TRUE(hit.hit);
-  EXPECT_EQ(hit.value.source_docs, (std::vector<VectorId>{8, 9}));
-}
-
-// A refresh keeps its slot's place in the FIFO order: queueing the slot
-// again would make a later eviction remove an entry just written.
-TEST(AnswerCacheTest, UpsertRefreshKeepsFifoVictimOrder) {
-  AnswerCacheOptions opts;
-  opts.capacity = 3;
-  opts.tolerance = 0.5f;
-  AnswerCache cache(4, opts);
-  cache.Upsert(Key(0.0f), Answer({0}));   // slot 0
-  cache.Upsert(Key(10.0f), Answer({1}));  // slot 1
-  cache.Upsert(Key(20.0f), Answer({2}));  // slot 2
-  cache.Upsert(Key(10.1f), Answer({3}));  // refreshes slot 1
-  ASSERT_EQ(cache.stats().refreshes, 1u);
-
-  // capacity + 1 appends: victims run round-robin over slots 0, 1, 2, 0.
-  for (const float x : {30.0f, 40.0f, 50.0f, 60.0f}) {
-    cache.Upsert(Key(x), Answer({static_cast<VectorId>(x)}));
-  }
-  EXPECT_EQ(cache.stats().evictions, 4u);
-  for (const float gone : {0.0f, 10.0f, 20.0f, 30.0f}) {
-    EXPECT_FALSE(cache.Lookup(Key(gone)).hit) << gone;
-  }
-  for (const float kept : {40.0f, 50.0f, 60.0f}) {
-    const auto hit = cache.Lookup(Key(kept));
-    ASSERT_TRUE(hit.hit) << kept;
-    EXPECT_EQ(hit.value.source_docs[0], static_cast<VectorId>(kept));
-  }
 }
 
 // ------------------------------------------------- pipeline answer path --
@@ -122,7 +67,6 @@ TEST(PipelineAnswerHitTest, JudgedOnCachedEvidenceWithoutGeneration) {
   ReuseFixture fx;
   TenantRegistryOptions topts;
   topts.cache_defaults.tolerance = 0.0f;
-  topts.answer_defaults.capacity = 64;
   topts.answer_defaults.tolerance = 0.5f;
   TenantRegistry registry(fx.embedder.dim(), topts);
   BatchingDriver driver(*fx.index, registry, nullptr,
@@ -141,12 +85,13 @@ TEST(PipelineAnswerHitTest, JudgedOnCachedEvidenceWithoutGeneration) {
   const Question& asked = fx.workload.questions[fx.stream[0].question];
   const Question& other = fx.workload.questions[
       (fx.stream[0].question + 1) % fx.workload.questions.size()];
-  registry.AnswerCacheFor(kDefaultTenant)
-      .Upsert(q, Answer(other.gold_ids));
+  ProximityCache& cache = registry.CacheFor(kDefaultTenant);
+  cache.Clear();
+  cache.Insert(q, other.gold_ids);
 
   const auto second = pipeline.ProcessQuery(fx.stream[0], q, 1);
   EXPECT_TRUE(second.answer_hit);
-  EXPECT_FALSE(second.cache_hit);
+  EXPECT_TRUE(second.cache_hit);
   EXPECT_EQ(second.ttft_ns, second.retrieval_latency_ns);
   const ContextJudgment planted =
       JudgeContext(other.gold_ids, asked, fx.workload);
@@ -156,7 +101,7 @@ TEST(PipelineAnswerHitTest, JudgedOnCachedEvidenceWithoutGeneration) {
   EXPECT_EQ(driver.stats().answer_hits, 1u);
 }
 
-// --------------------------------------------------- driver answer tier --
+// -------------------------------------------------- driver answer reuse --
 
 constexpr std::size_t kDim = 8;
 
@@ -202,7 +147,6 @@ TenantRegistryOptions AnswerRegistryOptions() {
   TenantRegistryOptions topts;
   topts.cache_defaults.capacity = 16;
   topts.cache_defaults.tolerance = 0.05f;
-  topts.answer_defaults.capacity = 8;
   topts.answer_defaults.tolerance = 0.05f;
   return topts;
 }
@@ -217,16 +161,16 @@ TEST(DriverAnswerReuseTest, RepeatQueryIsAnswerHitAndConserved) {
   driver.Flush();
   const BatchResult r1 = f1.get();
   ASSERT_EQ(r1.status, RequestStatus::kOk);
-  EXPECT_FALSE(r1.answer_hit);  // cold: a real retrieval seeds the tier
+  EXPECT_FALSE(r1.answer_hit);  // cold: a real retrieval fills the cache
 
   auto f2 = SubmitFor(driver, q);
   driver.Flush();
   const BatchResult r2 = f2.get();
   ASSERT_EQ(r2.status, RequestStatus::kOk);
   EXPECT_TRUE(r2.answer_hit);
-  EXPECT_FALSE(r2.cache_hit);  // short-circuits before the proximity tier
+  EXPECT_TRUE(r2.cache_hit);  // no search ran
   EXPECT_EQ(r2.documents, r1.documents);
-  EXPECT_EQ(r2.distances, r1.distances);  // cached evidence, not id-only
+  EXPECT_TRUE(r2.distances.empty());  // the cache stores ids alone
 
   driver.Shutdown();
   const BatchingDriverStats s = driver.stats();
@@ -258,7 +202,6 @@ TEST(DriverAnswerReuseTest, DeletedSourceDocForcesFreshRetrieval) {
   // Revalidate: a stale proximity hit degrades to a miss, so the
   // post-mutation query re-retrieves instead of serving stale ids.
   topts.cache_defaults.staleness = StalenessPolicy::kRevalidate;
-  topts.answer_defaults.capacity = 8;
   topts.answer_defaults.tolerance = 0.05f;
   TenantRegistry registry(embedder.dim(), topts);
   BatchingDriver driver(*index, registry, &embedder, AnswerReuse());
@@ -282,9 +225,8 @@ TEST(DriverAnswerReuseTest, DeletedSourceDocForcesFreshRetrieval) {
   driver.Flush();
   ASSERT_EQ(deleted.get_future().get().status, RequestStatus::kOk);
 
-  // Same query again: the answer entry is stale (generation stamp), so
-  // it must NOT be served; the fresh retrieval cannot contain the
-  // deleted id.
+  // Same query again: the entry is stale (generation stamp), so it must
+  // NOT be served; the fresh retrieval cannot contain the deleted id.
   auto f2 = SubmitFor(driver, q);
   driver.Flush();
   const BatchResult r2 = f2.get();
@@ -318,7 +260,7 @@ TEST(DriverAnswerReuseTest, AnswerHitsNeverCrossTenants) {
   ASSERT_EQ(f1.get().status, RequestStatus::kOk);
 
   // Tenant 2 asks the exact question tenant 1 just seeded: its own
-  // answer cache is cold, so it must pay its own retrieval.
+  // cache is cold, so it must pay its own retrieval.
   auto f2 = SubmitFor(driver, q, 2);
   driver.Flush();
   const BatchResult other = f2.get();
@@ -338,13 +280,56 @@ TEST(DriverAnswerReuseTest, AnswerHitsNeverCrossTenants) {
   ExpectConserved(driver.stats());
 }
 
-// ------------------------------------------------- AnswerCache race --
+// One probe is one scan: a document hit — beyond τ_answer, within τ —
+// scans the tenant's cache once, as an answer hit does.
+TEST(DriverAnswerReuseTest, DocumentHitRunsOneScan) {
+  FlatIndex index = MakeIndex();
+  TenantRegistryOptions topts;
+  topts.cache_defaults.capacity = 16;
+  topts.cache_defaults.tolerance = 1.0f;
+  topts.answer_defaults.tolerance = 0.05f;
+  TenantRegistry registry(kDim, topts);
+  BatchingDriver driver(index, registry, nullptr, AnswerReuse());
+  const ProximityCache& cache = registry.CacheFor(kDefaultTenant);
+  const auto scans = [] {
+    const obs::MetricsSnapshot snap =
+        obs::MetricsRegistry::Default().Snapshot();
+    const LatencyHistogram* h = snap.FindHistogram("stage.cache_scan_ns");
+    return h != nullptr ? h->count() : 0;
+  };
 
-TEST(AnswerCacheTest, ParallelLookupUpsertAndStamping) {
-  AnswerCacheOptions opts;
+  std::vector<float> q(kDim, 0.5f);
+  ASSERT_EQ(driver.Serve(q).status, RequestStatus::kOk);  // fills
+  q[0] += 0.5f;  // d = 0.25
+  const ApproxCacheStats before = cache.stats();
+  const std::uint64_t scans_before = scans();
+  const BatchResult hit = driver.Serve(q);
+  ASSERT_EQ(hit.status, RequestStatus::kOk);
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_FALSE(hit.answer_hit);
+
+  const ApproxCacheStats after = cache.stats();
+  EXPECT_EQ(after.lookups, before.lookups + 1);
+  EXPECT_EQ(after.keys_scanned, before.keys_scanned + 1);  // one key
+#if PROXIMITY_OBS_ENABLED
+  EXPECT_EQ(scans(), scans_before + 1);
+#else
+  (void)scans_before;
+#endif
+  driver.Shutdown();
+  EXPECT_EQ(driver.stats().hits, 1u);
+  ExpectConserved(driver.stats());
+}
+
+// ------------------------------------------------------ one cache race --
+
+// Two-radius lookups racing inserts and generation stamps on one cache
+// (TSan-labelled): every hit is a whole copy, the counters add up.
+TEST(OneCacheRaceTest, ParallelLookupInsertAndStamping) {
+  ApproxCacheOptions opts;
   opts.capacity = 16;
   opts.tolerance = 0.25f;
-  AnswerCache cache(4, opts);
+  ApproxCache cache(4, opts);
 
   constexpr int kThreads = 4;
   constexpr int kIters = 500;
@@ -353,11 +338,11 @@ TEST(AnswerCacheTest, ParallelLookupUpsertAndStamping) {
     threads.emplace_back([&cache, t] {
       for (int i = 0; i < kIters; ++i) {
         const float x = static_cast<float>((t * kIters + i) % 32);
-        cache.Upsert(Key(x), Answer({static_cast<VectorId>(t)}));
-        const auto hit = cache.Lookup(Key(x));
+        cache.Insert(Key(x), {static_cast<VectorId>(t)});
+        const auto hit = cache.Lookup(Key(x), 0.1f);
         if (hit.hit) {
           // Copied out: safe to read while other threads insert.
-          EXPECT_FALSE(hit.value.source_docs.empty());
+          EXPECT_FALSE(hit.value.empty());
         }
         if (i % 64 == 0) {
           cache.set_generation(static_cast<std::uint64_t>(i));
@@ -369,7 +354,10 @@ TEST(AnswerCacheTest, ParallelLookupUpsertAndStamping) {
 
   EXPECT_LE(cache.size(), opts.capacity);
   const ApproxCacheStats s = cache.stats();
-  EXPECT_EQ(s.insertions, static_cast<std::uint64_t>(kThreads * kIters));
+  constexpr auto kOps = static_cast<std::uint64_t>(kThreads * kIters);
+  EXPECT_EQ(s.insertions, kOps);
+  EXPECT_EQ(s.lookups, kOps);
+  EXPECT_EQ(s.hits + s.misses, s.lookups);
 }
 
 }  // namespace

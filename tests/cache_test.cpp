@@ -1,12 +1,11 @@
 // Unit tests for src/cache: eviction policies, the approximate cache
-// (Algorithm 1 semantics, for both tiers where they share mechanics), the
-// exact-match baseline, and the adaptive-τ controller.
+// (Algorithm 1 semantics and the answer-reuse radius), the exact-match
+// baseline, and the adaptive-τ controller.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <set>
-#include <sstream>
 
 #include "cache/adaptive_tau.h"
 #include "cache/approx_cache.h"
@@ -160,40 +159,24 @@ ApproxCacheOptions SmallCache(std::size_t capacity = 3,
   return opts;
 }
 
-// ------------------------------------------- Both tiers (ApproxCache) --
+// --------------------------------------------------------- ApproxCache --
 
-// A value of either tier, told apart by one document id.
-template <typename Value>
-Value Tagged(VectorId tag);
-template <>
-std::vector<VectorId> Tagged(VectorId tag) {
-  return {tag};
-}
-template <>
-CachedAnswer Tagged(VectorId tag) {
-  CachedAnswer answer;
-  answer.source_docs = {tag};
-  return answer;
-}
-VectorId TagOf(const std::vector<VectorId>& docs) { return docs.at(0); }
-VectorId TagOf(const CachedAnswer& answer) {
-  return answer.source_docs.at(0);
-}
-
+// Typed over the cached value, the document-id list.
 template <typename Value>
 class ApproxCacheTest : public ::testing::Test {};
-using CacheValues = ::testing::Types<std::vector<VectorId>, CachedAnswer>;
+using CacheValues = ::testing::Types<std::vector<VectorId>>;
 TYPED_TEST_SUITE(ApproxCacheTest, CacheValues);
 
 TYPED_TEST(ApproxCacheTest, HitsWithinTau) {
-  ApproxCache<TypeParam> cache(2, SmallCache(3, 1.0f));
-  cache.Insert(Vec2(0, 0), Tagged<TypeParam>(10));
+  ApproxCache cache(2, SmallCache(3, 1.0f));
+  cache.Insert(Vec2(0, 0), TypeParam{10});
   // Distance 0.25 <= 1.0 -> hit with the stored value.
   const auto hit = cache.Lookup(Vec2(0.5f, 0));
   ASSERT_TRUE(hit.hit);
   EXPECT_FALSE(hit.stale);
+  EXPECT_FALSE(hit.answer);
   EXPECT_FLOAT_EQ(hit.best_distance, 0.25f);
-  EXPECT_EQ(TagOf(hit.value), 10);
+  EXPECT_EQ(hit.value, TypeParam{10});
 
   const ApproxCacheStats s = cache.stats();
   EXPECT_EQ(s.lookups, 1u);
@@ -203,8 +186,8 @@ TYPED_TEST(ApproxCacheTest, HitsWithinTau) {
 }
 
 TYPED_TEST(ApproxCacheTest, MissesBeyondTau) {
-  ApproxCache<TypeParam> cache(2, SmallCache(3, 1.0f));
-  cache.Insert(Vec2(0, 0), Tagged<TypeParam>(10));
+  ApproxCache cache(2, SmallCache(3, 1.0f));
+  cache.Insert(Vec2(0, 0), TypeParam{10});
   // Distance 4 > 1 -> miss, still reporting the best distance.
   const auto miss = cache.Lookup(Vec2(2, 0));
   EXPECT_FALSE(miss.hit);
@@ -218,11 +201,11 @@ TYPED_TEST(ApproxCacheTest, MissesBeyondTau) {
 }
 
 TYPED_TEST(ApproxCacheTest, FifoEvictsOldestOnceFull) {
-  ApproxCache<TypeParam> cache(2, SmallCache(2, 0.1f));
-  cache.Insert(Vec2(0, 0), Tagged<TypeParam>(1));
-  cache.Insert(Vec2(10, 0), Tagged<TypeParam>(2));
+  ApproxCache cache(2, SmallCache(2, 0.1f));
+  cache.Insert(Vec2(0, 0), TypeParam{1});
+  cache.Insert(Vec2(10, 0), TypeParam{2});
   EXPECT_EQ(cache.size(), 2u);
-  cache.Insert(Vec2(20, 0), Tagged<TypeParam>(3));  // evicts (0,0)
+  cache.Insert(Vec2(20, 0), TypeParam{3});  // evicts (0,0)
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_FALSE(cache.Lookup(Vec2(0, 0)).hit);
@@ -231,8 +214,8 @@ TYPED_TEST(ApproxCacheTest, FifoEvictsOldestOnceFull) {
 }
 
 TYPED_TEST(ApproxCacheTest, GenerationStampMarksOlderEntriesStale) {
-  ApproxCache<TypeParam> cache(2, SmallCache(4, 0.5f));
-  cache.Insert(Vec2(0, 0), Tagged<TypeParam>(1));
+  ApproxCache cache(2, SmallCache(4, 0.5f));
+  cache.Insert(Vec2(0, 0), TypeParam{1});
   EXPECT_FALSE(cache.Lookup(Vec2(0, 0)).stale);
 
   cache.set_generation(3);  // the corpus mutated underneath the entry
@@ -241,13 +224,67 @@ TYPED_TEST(ApproxCacheTest, GenerationStampMarksOlderEntriesStale) {
   EXPECT_TRUE(stale.stale);
   EXPECT_EQ(cache.stats().stale_hits, 1u);
 
-  // A refresh re-stamps the entry under the current generation.
-  cache.Upsert(Vec2(0, 0), Tagged<TypeParam>(2));
-  EXPECT_EQ(cache.stats().refreshes, 1u);
-  const auto fresh = cache.Lookup(Vec2(0, 0));
+  // An entry filled after the stamp carries the current generation.
+  cache.Insert(Vec2(0.1f, 0), TypeParam{2});
+  const auto fresh = cache.Lookup(Vec2(0.1f, 0));
   ASSERT_TRUE(fresh.hit);
   EXPECT_FALSE(fresh.stale);
-  EXPECT_EQ(TagOf(fresh.value), 2);
+  EXPECT_EQ(fresh.value, TypeParam{2});
+}
+
+// Answer reuse is a second radius on the same scan (DESIGN.md §15):
+// the nearest key's distance d is an answer hit within τ_answer on a
+// current entry, else a document hit within τ, else a miss — and either
+// radius may be the larger one.
+TEST(AnswerRadiusTest, ClassifiesTheNearestKey) {
+  ApproxCache cache(2, SmallCache(4, 1.0f));
+  cache.Insert(Vec2(0, 0), {7});
+
+  const auto answer = cache.Lookup(Vec2(0.5f, 0), 0.5f);  // d = 0.25
+  ASSERT_TRUE(answer.hit);
+  EXPECT_TRUE(answer.answer);
+  EXPECT_EQ(answer.value, (std::vector<VectorId>{7}));
+
+  const auto doc = cache.Lookup(Vec2(0.9f, 0), 0.5f);  // d = 0.81
+  ASSERT_TRUE(doc.hit);
+  EXPECT_FALSE(doc.answer);
+
+  EXPECT_FALSE(cache.Lookup(Vec2(2, 0), 0.5f).hit);  // d = 4
+
+  // τ_answer wider than τ: an answer hit the document radius misses.
+  const auto wide = cache.Lookup(Vec2(1.5f, 0), 3.0f);  // d = 2.25
+  ASSERT_TRUE(wide.hit);
+  EXPECT_TRUE(wide.answer);
+  // Without τ_answer the same query is a plain miss.
+  EXPECT_FALSE(cache.Lookup(Vec2(1.5f, 0)).hit);
+
+  const ApproxCacheStats s = cache.stats();
+  EXPECT_EQ(s.lookups, 5u);
+  EXPECT_EQ(s.hits, 3u);
+  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.keys_scanned, 5u);  // one scan per lookup
+}
+
+// A stale entry is never an answer hit; within τ it is what the
+// staleness policy makes of it, beyond τ a miss.
+TEST(AnswerRadiusTest, StaleEntryIsNeverAnAnswerHit) {
+  ApproxCache cache(2, SmallCache(4, 1.0f));
+  cache.Insert(Vec2(0, 0), {7});
+  cache.set_generation(1);
+
+  const auto served = cache.Lookup(Vec2(0, 0), 0.5f);
+  ASSERT_TRUE(served.hit);  // serve-stale: a stale document hit
+  EXPECT_TRUE(served.stale);
+  EXPECT_FALSE(served.answer);
+  EXPECT_FALSE(cache.Lookup(Vec2(1.5f, 0), 3.0f).hit);  // d = 2.25 > τ
+
+  ApproxCacheOptions opts = SmallCache(4, 1.0f);
+  opts.staleness = StalenessPolicy::kRevalidate;
+  ApproxCache revalidating(2, opts);
+  revalidating.Insert(Vec2(0, 0), {7});
+  revalidating.set_generation(1);
+  EXPECT_FALSE(revalidating.Lookup(Vec2(0, 0), 0.5f).hit);
+  EXPECT_EQ(revalidating.size(), 0u);  // dropped, as without τ_answer
 }
 
 // ------------------------------------------------------ ProximityCache --
@@ -414,75 +451,6 @@ TEST(ProximityCacheTest, SizeNeverExceedsCapacity) {
   }
   EXPECT_EQ(cache.size(), 5u);
   EXPECT_EQ(cache.stats().evictions, 95u);
-}
-
-// ------------------------------------------------------------- Max age --
-
-TEST(ProximityCacheTtlTest, FreshEntryHitsStaleEntryMisses) {
-  ApproxCacheOptions opts = SmallCache(4, 1.0f);
-  opts.max_age = 3;  // expires after 3 cache operations
-  ProximityCache cache(2, opts);
-  cache.Insert(Vec2(0, 0), {1});  // op 1, birth 1
-  EXPECT_TRUE(cache.Lookup(Vec2(0, 0)).hit);   // op 2, age 1
-  EXPECT_TRUE(cache.Lookup(Vec2(0, 0)).hit);   // op 3, age 2
-  EXPECT_TRUE(cache.Lookup(Vec2(0, 0)).hit);   // op 4, age 3 (boundary)
-  EXPECT_FALSE(cache.Lookup(Vec2(0, 0)).hit);  // op 5, age 4 > 3: expired
-  EXPECT_EQ(cache.stats().expired_skips, 1u);
-}
-
-TEST(ProximityCacheTtlTest, ReinsertionRefreshesAge) {
-  ApproxCacheOptions opts = SmallCache(4, 1.0f);
-  opts.max_age = 2;
-  ProximityCache cache(2, opts);
-  cache.Insert(Vec2(0, 0), {1});
-  cache.Lookup(Vec2(9, 9));  // miss, ages the entry
-  cache.Lookup(Vec2(9, 9));  // entry now at the boundary
-  // The pipeline would now miss and refresh:
-  EXPECT_FALSE(cache.Lookup(Vec2(0, 0)).hit);
-  cache.Insert(Vec2(0, 0), {2});
-  const auto result = cache.Lookup(Vec2(0, 0));
-  ASSERT_TRUE(result.hit);
-  EXPECT_EQ(result.value[0], 2);
-}
-
-TEST(ProximityCacheTtlTest, ExpiredEntryDoesNotShadowLiveOne) {
-  // An expired closer key must not hide a live farther key within tau.
-  ApproxCacheOptions opts = SmallCache(4, 9.0f);
-  opts.max_age = 4;
-  ProximityCache cache(2, opts);
-  cache.Insert(Vec2(0, 0), {1});   // will expire
-  cache.Lookup(Vec2(50, 50));      // age it
-  cache.Lookup(Vec2(50, 50));
-  cache.Lookup(Vec2(50, 50));
-  cache.Insert(Vec2(2, 0), {2});   // fresh, distance 4 from query below
-  // Query at (0,0): expired key at distance 0, live key at distance 4.
-  const auto result = cache.Lookup(Vec2(0, 0));
-  ASSERT_TRUE(result.hit);
-  EXPECT_EQ(result.value[0], 2);
-  EXPECT_FLOAT_EQ(result.best_distance, 4.0f);
-}
-
-TEST(ProximityCacheTtlTest, ZeroMaxAgeDisablesExpiry) {
-  ProximityCache cache(2, SmallCache(4, 1.0f));  // max_age = 0 (default)
-  cache.Insert(Vec2(0, 0), {1});
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(cache.Lookup(Vec2(0, 0)).hit);
-  }
-  EXPECT_EQ(cache.stats().expired_skips, 0u);
-}
-
-TEST(ProximityCacheTtlTest, MaxAgeSurvivesSerialization) {
-  ApproxCacheOptions opts = SmallCache(4, 1.0f);
-  opts.max_age = 7;
-  ProximityCache cache(2, opts);
-  cache.Insert(Vec2(1, 1), {3});
-  std::stringstream ss;
-  cache.SaveTo(ss);
-  ProximityCache back(2, {});
-  back.LoadFrom(ss);
-  EXPECT_TRUE(back.Lookup(Vec2(1, 1)).hit);
-  for (int i = 0; i < 10; ++i) back.Lookup(Vec2(9, 9));
-  EXPECT_FALSE(back.Lookup(Vec2(1, 1)).hit);  // expiry still enforced
 }
 
 // ----------------------------------------------------------- ExactCache --

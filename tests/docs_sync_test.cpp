@@ -35,6 +35,10 @@
 namespace proximity {
 namespace {
 
+// The helpers serve only the checks that run with the metrics compiled
+// in; under PROXIMITY_OBS=OFF every test below skips.
+#if PROXIMITY_OBS_ENABLED
+
 constexpr std::size_t kDim = 8;
 
 /// A documented metric: name plus its documented type column.
@@ -98,18 +102,6 @@ void InstantiateTheStack() {
   const VectorId mid = mutable_index.Insert(vec);
   (void)mutable_index.Delete(mid);
   (void)mutable_index.Consolidate();
-
-  // acache.* — the answer tier (DESIGN.md §15): a miss, an insert, a
-  // fresh hit, and a stale hit after a generation stamp.
-  AnswerCache acache(kDim, {});
-  (void)acache.Lookup(vec);
-  CachedAnswer cached_answer;
-  cached_answer.source_docs = {1};
-  cached_answer.source_distances = {0.0f};
-  acache.Upsert(vec, cached_answer);
-  (void)acache.Lookup(vec);
-  acache.set_generation(1);
-  (void)acache.Lookup(vec);
 
   // shard.*
   std::vector<std::unique_ptr<VectorIndex>> shards;
@@ -178,6 +170,8 @@ void InstantiateTheStack() {
   // run.*
   obs::PublishRunGauges(obs::RunReport{});
 }
+
+#endif  // PROXIMITY_OBS_ENABLED
 
 TEST(DocsSyncTest, MetricsDocMatchesRegistryExactly) {
 #if !PROXIMITY_OBS_ENABLED

@@ -252,6 +252,44 @@ TEST(NetServerTest, LoopbackIntegrationAnswersEveryRequestOnce) {
             ds.submitted);
 }
 
+// An answer hit is a cache hit on the wire: flagged kFlagCacheHit and,
+// like every cache hit, without distances even when the request asks
+// for them, so a router never exact-merges it as a fresh retrieval.
+TEST(NetServerTest, AnswerHitIsFlaggedCacheHitWithoutDistances) {
+  BatchingDriverOptions dopts;
+  dopts.answer_reuse = true;
+  TestStack stack(dopts);
+
+  net::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", stack.server->port()));
+  net::Request req;
+  req.flags = net::kReqFlagWantDistances;
+  req.text = "approximate caching for retrieval augmented generation";
+  net::Response fresh;
+  req.id = 1;
+  ASSERT_TRUE(client.Call(req, &fresh));
+  ASSERT_EQ(fresh.status, RequestStatus::kOk);
+  EXPECT_FALSE(fresh.cache_hit());
+  EXPECT_TRUE(fresh.has_distances());
+
+  net::Response reused;
+  req.id = 2;  // the same text: distance 0, within τ_answer
+  ASSERT_TRUE(client.Call(req, &reused));
+  ASSERT_EQ(reused.status, RequestStatus::kOk);
+  EXPECT_TRUE(reused.cache_hit());
+  EXPECT_FALSE(reused.coalesced());
+  EXPECT_FALSE(reused.has_distances());
+  EXPECT_TRUE(reused.distances.empty());
+  EXPECT_EQ(reused.documents, fresh.documents);
+
+  stack.server->Stop();
+  stack.driver->Shutdown();
+  const BatchingDriverStats ds = stack.driver->stats();
+  EXPECT_EQ(ds.answer_hits, 1u);
+  EXPECT_EQ(ds.hits, 0u);
+  EXPECT_EQ(ds.retrieved, 1u);
+}
+
 // Overload: the driver's admission queue is bounded at 4 and the flusher
 // is parked, so of 40 pipelined requests exactly 4 can queue — the rest
 // must be shed with RESOURCE_EXHAUSTED while every request still gets

@@ -56,13 +56,14 @@ TEST(RetrieverTest, CacheHitBypassesIndexAndIsFaster) {
 }
 
 // The retriever runs the driver's request path, so the §3.1 checks sit
-// at driver construction: both cache tiers must use the index's metric.
+// at driver construction: the cache must use the index's metric.
 TEST(RetrieverTest, RejectsMetricMismatch) {
   FlatIndex index(4, {.metric = Metric::kCosine});
   TenantRegistry l2(4, {.cache_defaults = {.metric = Metric::kL2}});
   EXPECT_THROW(BatchingDriver(index, l2, nullptr), std::invalid_argument);
 
-  // The answer tier is checked when the driver probes it.
+  // Answer reuse is a radius on that cache: with it on, answer_defaults
+  // may name no other metric and no other non-zero capacity.
   TenantRegistryOptions topts;
   topts.cache_defaults.metric = Metric::kCosine;
   topts.answer_defaults.metric = Metric::kL2;
@@ -70,6 +71,17 @@ TEST(RetrieverTest, RejectsMetricMismatch) {
   EXPECT_THROW(BatchingDriver(index, mixed, nullptr, {.answer_reuse = true}),
                std::invalid_argument);
   EXPECT_NO_THROW(BatchingDriver(index, mixed, nullptr));
+
+  topts.answer_defaults.metric = Metric::kCosine;
+  topts.answer_defaults.capacity = topts.cache_defaults.capacity + 1;
+  TenantRegistry resized(4, topts);
+  EXPECT_THROW(
+      BatchingDriver(index, resized, nullptr, {.answer_reuse = true}),
+      std::invalid_argument);
+  EXPECT_NO_THROW(BatchingDriver(index, resized, nullptr));
+  topts.answer_defaults.capacity = topts.cache_defaults.capacity;
+  TenantRegistry same(4, topts);
+  EXPECT_NO_THROW(BatchingDriver(index, same, nullptr, {.answer_reuse = true}));
 }
 
 TEST(RetrieverTest, RejectsDimensionMismatch) {

@@ -528,5 +528,31 @@ TEST(CacheIoTest, UnknownEnumValuesRejected) {
   EXPECT_THROW(back.LoadFrom(bad_eviction), std::runtime_error);
 }
 
+// The cache's retired entry-age bound keeps its snapshot slot, written
+// as 0. A snapshot that sets it is refused by name: loading it would
+// silently drop the bound its entries were saved under.
+TEST(CacheIoTest, RetiredAgeBoundRejectedByName) {
+  ProximityCache cache(4, {});
+  cache.Insert(std::vector<float>{1, 2, 3, 4}, {1});
+  std::stringstream ss;
+  cache.SaveTo(ss);
+  const std::string snapshot = ss.str();
+  // ...[eviction u32][seed u64][age bound u64]...
+  constexpr std::size_t kAgeBoundOffset = 44;
+  ASSERT_EQ(PatchU32(snapshot, kAgeBoundOffset, 0), snapshot);
+
+  ProximityCache back(4, {});
+  std::stringstream aged(PatchU32(snapshot, kAgeBoundOffset, 5));
+  try {
+    back.LoadFrom(aged);
+    FAIL() << "a snapshot with an age bound loaded";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("max_age"), std::string::npos) << what;
+    EXPECT_NE(what.find("retired"), std::string::npos) << what;
+  }
+  EXPECT_EQ(back.size(), 0u);
+}
+
 }  // namespace
 }  // namespace proximity

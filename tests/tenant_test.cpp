@@ -110,7 +110,8 @@ TEST(TenantSpecTest, ParsesRosterWithCommentsAndBlankLines) {
       "# fleet roster\n"
       "id=1 name=search qps=100 burst=20 max_inflight=64 weight=3\n"
       "\n"
-      "id=2 capacity=50 tau=1.5 adaptive=true target_hit_rate=0.7\n"
+      "id=2 capacity=50 tau=1.5 answer_tau=0.5 adaptive=true "
+      "target_hit_rate=0.7\n"
       "id=3  # defaults only\n");
   ASSERT_EQ(specs.size(), 3u);
   EXPECT_EQ(specs[0].id, 1u);
@@ -122,6 +123,7 @@ TEST(TenantSpecTest, ParsesRosterWithCommentsAndBlankLines) {
   EXPECT_EQ(specs[1].id, 2u);
   EXPECT_EQ(specs[1].cache_capacity, 50u);
   EXPECT_DOUBLE_EQ(specs[1].tolerance, 1.5);
+  EXPECT_DOUBLE_EQ(specs[1].answer_tau, 0.5);
   EXPECT_TRUE(specs[1].adaptive_tau);
   EXPECT_DOUBLE_EQ(specs[1].adaptive.target_hit_rate, 0.7);
   EXPECT_EQ(specs[2].id, 3u);
@@ -133,6 +135,10 @@ TEST(TenantSpecTest, RejectsMalformedRosters) {
   EXPECT_THROW(ParseTenantSpecs("id=1 nonsense\n"), std::invalid_argument);
   EXPECT_THROW(ParseTenantSpecs("id=1 qps=fast\n"), std::invalid_argument);
   EXPECT_THROW(ParseTenantSpecs("id=1 color=red\n"), std::invalid_argument);
+  // Answer reuse is a radius on the tenant's one cache: there is no
+  // second capacity to size.
+  EXPECT_THROW(ParseTenantSpecs("id=1 answer_capacity=8\n"),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------- TenantRegistry --
@@ -185,6 +191,19 @@ TEST(TenantRegistryTest, ReRegisteringWithADifferentSpecThrows) {
   TenantSpec defaults;                          // tenant 0 as constructed
   EXPECT_EQ(registry.Register(defaults), kDefaultTenant);
   EXPECT_EQ(registry.tenant_count(), 2u);
+}
+
+TEST(TenantRegistryTest, AnswerTauDefaultsAndOverrides) {
+  TenantRegistryOptions topts;
+  topts.answer_defaults.tolerance = 0.75f;
+  TenantRegistry registry(kDim, topts);
+  TenantSpec strict;
+  strict.id = 1;
+  strict.answer_tau = 0.25;
+  registry.Register(strict);
+  EXPECT_FLOAT_EQ(registry.AnswerTauFor(kDefaultTenant), 0.75f);
+  EXPECT_FLOAT_EQ(registry.AnswerTauFor(1), 0.25f);
+  EXPECT_FLOAT_EQ(registry.Infos().at(1).answer_tau, 0.25f);
 }
 
 TEST(TenantRegistryTest, ResolvePolicyAutoRegisterVsMapToDefault) {

@@ -31,9 +31,9 @@ esac
 # serve_smoke loopback drain check), `tenant` the multi-tenant registry
 # and fair batching, `quant` the compressed scan path (its scan.*
 # telemetry test is OBS-gated, so both matrix legs exercise it),
-# `acache` the answer-level cache tier (racing threads on the cache's
-# own lock and the driver's answer path ride TSan).
-LABELS='^(obs|concurrent|shard|common|net|tenant|quant|acache)$'
+# `reuse` answer reuse on the one cache (racing two-radius lookups on
+# the cache's own lock and the driver's answer path ride TSan).
+LABELS='^(obs|concurrent|shard|common|net|tenant|quant|reuse)$'
 
 run_suite() {
   local build_dir="$1"
@@ -41,7 +41,7 @@ run_suite() {
   cmake -B "$build_dir" -S . "$@" >/dev/null
   cmake --build "$build_dir" -j "$(nproc)" \
     --target obs_test concurrent_test common_test cache_test shard_test \
-    net_test tenant_test quant_test answer_cache_test proximity_cli
+    net_test tenant_test quant_test answer_reuse_test proximity_cli
   (cd "$build_dir" && ctest -L "$LABELS" --no-tests=error --output-on-failure)
 }
 
@@ -53,7 +53,7 @@ run_tsan() {
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" >/dev/null
   cmake --build build-tsan -j "$(nproc)" \
     --target obs_test concurrent_test common_test shard_test net_test \
-    tenant_test quant_test answer_cache_test
+    tenant_test quant_test answer_reuse_test
   (cd build-tsan && ctest -L '^tsan$' --no-tests=error --output-on-failure)
 }
 

@@ -357,35 +357,36 @@ std::string ServeStatusz(const std::string& storage,
   out += "obs: compiled OFF\n";
 #endif
   if (driver == nullptr || registry == nullptr) return out;
-  // The answer-reuse line: whether the driver probes the per-tenant
-  // answer caches, and the registry-default τ/capacity they carry
-  // (OPERATIONS.md "Answer cache & reuse routing").
+  // The answer-reuse line: whether the driver classifies answer hits,
+  // and the registry-default τ_answer (OPERATIONS.md "Answer reuse").
   if (driver->options().answer_reuse) {
-    const AnswerCacheOptions& aopts = registry->options().answer_defaults;
-    std::snprintf(line, sizeof(line),
-                  "answer_cache: enabled capacity=%zu tau=%.3f\n",
-                  aopts.capacity,
-                  static_cast<double>(aopts.tolerance));
+    std::snprintf(
+        line, sizeof(line), "answer_reuse: enabled tau=%.3f\n",
+        static_cast<double>(registry->options().answer_defaults.tolerance));
     out += line;
   } else {
-    out += "answer_cache: disabled\n";
+    out += "answer_reuse: disabled\n";
   }
   const auto depths = driver->queue_depths();
+  const auto served = driver->tenant_stats();
   std::snprintf(line, sizeof(line), "queued: %zu\n", driver->pending());
   out += line;
   for (const auto& info : registry->Infos()) {
     const auto depth_it = depths.find(info.id);
+    const auto served_it = served.find(info.id);
     std::snprintf(
         line, sizeof(line),
         "tenant %u (%s): qps=%.1f burst=%.1f max_inflight=%zu "
-        "weight=%.2f tau=%.3f cache_entries=%zu hit_rate=%.3f "
-        "acache_entries=%zu answer_hits=%llu "
-        "inflight=%zu queued=%zu\n",
+        "weight=%.2f tau=%.3f answer_tau=%.3f cache_entries=%zu "
+        "hit_rate=%.3f answer_hits=%llu inflight=%zu queued=%zu\n",
         static_cast<unsigned>(info.id), info.name.c_str(), info.quota.qps,
         info.quota.burst, info.quota.max_inflight, info.weight,
-        static_cast<double>(info.tolerance), info.cache_entries,
-        info.cache.HitRate(), info.answer_entries,
-        static_cast<unsigned long long>(info.answer.hits), info.inflight,
+        static_cast<double>(info.tolerance),
+        static_cast<double>(info.answer_tau), info.cache_entries,
+        info.cache.HitRate(),
+        static_cast<unsigned long long>(
+            served_it == served.end() ? 0 : served_it->second.answer_hits),
+        info.inflight,
         depth_it == depths.end() ? std::size_t{0} : depth_it->second);
     out += line;
   }
@@ -404,9 +405,9 @@ int CmdServe(const Config& cfg) {
         "  staleness=serve-stale|revalidate|invalidate-region (cache\n"
         "  policy when an entry predates the index generation)\n"
         "  storage=float32|sq8|sq4 rerank=N (compressed primary scan)\n"
-        "  answer_cache=N answer_tau=X (per-tenant answer-level cache:\n"
-        "  current-generation hits serve their cached evidence; N\n"
-        "  entries, 0 = off; DESIGN.md §15, docs/OPERATIONS.md runbook)\n"
+        "  answer_tau=X (turns answer reuse on: a current-generation\n"
+        "  cache entry within X is an answer hit, served with no\n"
+        "  generation; DESIGN.md §15, docs/OPERATIONS.md runbook)\n"
         "  max_batch=N coalesce=true|false top_k=N\n"
         "  variants=N order=shuffled|grouped|zipf seed=N\n"
         "  --metrics-out FILE[.prom|.json][,FILE...]\n"
@@ -419,7 +420,7 @@ int CmdServe(const Config& cfg) {
         "  /healthz /statusz /tracez; admin_port_file=PATH with :0)\n"
         "multi-tenant (network mode): --tenants FILE (tenant roster:\n"
         "  one `id=N name=S qps=X burst=N max_inflight=N capacity=N\n"
-        "  tau=X answer_capacity=N answer_tau=X weight=X adaptive=true\n"
+        "  tau=X answer_tau=X weight=X adaptive=true\n"
         "  target_hit_rate=X` per line);\n"
         "  fair=true|false (weighted deficit-round-robin vs FIFO)");
     return 0;
@@ -431,6 +432,12 @@ int CmdServe(const Config& cfg) {
         "serve: max_wait_us= is retired (the batch flush is "
         "work-conserving: a batch is what arrived while the previous one "
         "ran, with no timer to set); drop the key");
+  }
+  if (cfg.Has("answer_cache")) {
+    throw std::invalid_argument(
+        "serve: answer_cache= is retired (answer reuse is a second radius "
+        "on the one cache, sized by capacity=); set answer_tau= to turn "
+        "it on");
   }
   const std::string workload_name = cfg.GetString("workload", "mmlu");
   const Workload workload = BuildWorkload(SpecFor(
@@ -512,14 +519,6 @@ int CmdServe(const Config& cfg) {
     return 2;
   }
 
-  // Answer-level semantic cache above the proximity tier (DESIGN.md
-  // §15): `answer_cache=N` entries per tenant, τ defaults to half the
-  // proximity τ (answer reuse should be stricter than evidence reuse).
-  const std::size_t answer_capacity =
-      static_cast<std::size_t>(cfg.GetInt("answer_cache", 0));
-  const double answer_tau = cfg.GetDouble(
-      "answer_tau", cfg.GetDouble("tau", 2.0) / 2.0);
-
   // Requests are routed through a TenantRegistry: per-tenant caches,
   // quotas, and fair batching (DESIGN.md §10). The flags above configure
   // tenant 0, the always-present default tenant every request lands on
@@ -527,11 +526,13 @@ int CmdServe(const Config& cfg) {
   TenantRegistryOptions topts;
   topts.cache_defaults = copts;
   topts.answer_defaults.metric = copts.metric;
-  if (answer_capacity > 0) {
-    topts.answer_defaults.capacity = answer_capacity;
-    topts.answer_defaults.tolerance = static_cast<float>(answer_tau);
-    LogInfo("serve: answer cache enabled (capacity={} tau={})",
-            answer_capacity, answer_tau);
+  // Answer reuse (DESIGN.md §15): a second radius on each tenant's cache.
+  const bool answer_reuse = cfg.Has("answer_tau");
+  if (answer_reuse) {
+    topts.answer_defaults.tolerance =
+        static_cast<float>(cfg.GetDouble("answer_tau", 0.0));
+    LogInfo("serve: answer reuse enabled (tau={})",
+            topts.answer_defaults.tolerance);
   }
   const std::string roster = cfg.GetString("tenants", "");
   // With an explicit roster, unknown tenant ids fall back to the
@@ -549,7 +550,7 @@ int CmdServe(const Config& cfg) {
   }
 
   BatchingDriverOptions dopts;
-  dopts.answer_reuse = answer_capacity > 0;
+  dopts.answer_reuse = answer_reuse;
   dopts.max_batch = static_cast<std::size_t>(cfg.GetInt("max_batch", 32));
   dopts.top_k = static_cast<std::size_t>(cfg.GetInt("top_k", 10));
   dopts.coalesce = cfg.GetBool("coalesce", true);
