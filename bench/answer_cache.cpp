@@ -111,11 +111,11 @@ int Main(int argc, char** argv) {
     BatchingDriver driver(index, registry, nullptr,
                           {.answer_reuse = answer_reuse});
     Retriever retriever(driver, &clock);
-    RagPipeline pipeline(&workload, &embedder, &retriever,
+    RagPipeline pipeline(&workload, &retriever,
                          AnswerModel(MmluAnswerParams()), 1,
                          kGenerationCostNs);
     for (std::size_t i = 0; i < stream.size(); ++i) {
-      on_query(pipeline.ProcessQuery(stream[i], embeddings.Row(i), i));
+      on_query(pipeline.ProcessQuery(stream[i], embeddings.Row(i)));
     }
   };
 

@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
       TenantRegistry registry(embedder.dim(), {.cache_defaults = copts});
       BatchingDriver driver(slow, registry, nullptr);
       Retriever retriever(driver, &clock);
-      RagPipeline pipeline(&workload, &embedder, &retriever,
+      RagPipeline pipeline(&workload, &retriever,
                            AnswerModel(MedragAnswerParams()), seed);
       const std::size_t slot = static_cast<std::size_t>(seed - 1);
       return pipeline.RunStream(streams[slot], stream_embeddings[slot]);

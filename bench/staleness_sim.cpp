@@ -95,23 +95,23 @@ int main(int argc, char** argv) {
   auto warm_phase = [&](TenantRegistry& registry) {
     BatchingDriver driver(*index, registry, nullptr);
     Retriever retriever(driver);
-    RagPipeline pipeline(&workload, &embedder, &retriever,
+    RagPipeline pipeline(&workload, &retriever,
                          AnswerModel(MedragAnswerParams()), 1);
     for (std::size_t i = 0; i < half; ++i) {
-      pipeline.ProcessQuery(stream[i], embeddings.Row(i), i);
+      pipeline.ProcessQuery(stream[i], embeddings.Row(i));
     }
   };
 
   auto post_update_phase = [&](TenantRegistry& registry) {
     BatchingDriver driver(*index, registry, nullptr);
     Retriever retriever(driver);
-    RagPipeline pipeline(&workload, &embedder, &retriever,
+    RagPipeline pipeline(&workload, &retriever,
                          AnswerModel(MedragAnswerParams()), 1);
     std::size_t correct = 0, hits = 0;
     double relevance = 0;
     for (std::size_t i = half; i < stream.size(); ++i) {
       const QueryResult r =
-          pipeline.ProcessQuery(stream[i], embeddings.Row(i), i);
+          pipeline.ProcessQuery(stream[i], embeddings.Row(i));
       correct += r.correct ? 1 : 0;
       hits += r.cache_hit ? 1 : 0;
       relevance += r.judgment.relevance;

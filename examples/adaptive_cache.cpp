@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   ProximityCache& cache = registry.CacheFor(kDefaultTenant);
   BatchingDriver driver(*index, registry, nullptr);
   Retriever retriever(driver);
-  RagPipeline pipeline(&workload, &embedder, &retriever,
+  RagPipeline pipeline(&workload, &retriever,
                        AnswerModel(MmluAnswerParams()), seed);
 
   AdaptiveTauOptions aopts;
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < stream.size(); ++i) {
     cache.set_tolerance(static_cast<float>(controller.tau()));
     const QueryResult r = pipeline.ProcessQuery(stream[i],
-                                                stream_embeddings.Row(i), i);
+                                                stream_embeddings.Row(i));
     controller.Observe(r.cache_hit);
     hits += r.cache_hit;
     correct += r.correct;

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
     TenantRegistry registry(embedder.dim(), {.cache_defaults = copts});
     BatchingDriver driver(*index, registry, nullptr);
     Retriever retriever(driver);
-    RagPipeline pipeline(&workload, &embedder, &retriever,
+    RagPipeline pipeline(&workload, &retriever,
                          AnswerModel(MedragAnswerParams()), seed);
     const RunMetrics m = pipeline.RunStream(stream, stream_embeddings);
 

@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   auto run = [&](TenantRegistry& registry, const char* label) {
     BatchingDriver driver(*index, registry, nullptr);
     Retriever retriever(driver);
-    RagPipeline pipeline(&workload, &embedder, &retriever,
+    RagPipeline pipeline(&workload, &retriever,
                          AnswerModel(MmluAnswerParams()), seed);
     const RunMetrics m = pipeline.RunStream(stream, stream_embeddings);
     std::printf("%-12s accuracy=%.3f hit_rate=%.3f latency=%.3fms\n", label,

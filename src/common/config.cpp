@@ -123,11 +123,4 @@ std::vector<std::int64_t> Config::GetIntList(
   return out;
 }
 
-std::vector<std::string> Config::Keys() const {
-  std::vector<std::string> keys;
-  keys.reserve(values_.size());
-  for (const auto& [k, _] : values_) keys.push_back(k);
-  return keys;
-}
-
 }  // namespace proximity

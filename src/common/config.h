@@ -44,9 +44,6 @@ class Config {
     return positional_;
   }
 
-  /// All keys in sorted order (for echoing the effective config).
-  std::vector<std::string> Keys() const;
-
  private:
   std::optional<std::string> Find(const std::string& key) const;
 

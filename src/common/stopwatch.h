@@ -19,8 +19,6 @@ class Stopwatch {
  public:
   Stopwatch() noexcept : start_(Clock::now()) {}
 
-  void Restart() noexcept { start_ = Clock::now(); }
-
   Nanos ElapsedNanos() const noexcept {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                                 start_)

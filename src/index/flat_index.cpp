@@ -130,42 +130,6 @@ std::vector<Neighbor> FlatIndex::Search(std::span<const float> query,
   return merged.Take();
 }
 
-std::vector<Neighbor> FlatIndex::SearchFiltered(std::span<const float> query,
-                                                std::size_t k,
-                                                const Filter& filter) const {
-  if (!filter) return Search(query, k);
-  CheckDim(query);
-  if (k == 0 || vectors_.rows() == 0) return {};
-  const obs::Span span(obs::Stage::kIndexSearch);
-  // Predicated scan through the gather kernel: evaluate the filter tile by
-  // tile, then batch-compute distances for the passing rows only.
-  const std::size_t n = vectors_.rows();
-  const std::size_t d = vectors_.dim();
-  TopK top(k);
-  constexpr std::size_t kTile = 4096;
-  std::vector<std::uint32_t> sel;
-  std::vector<float> dist;
-  sel.reserve(std::min(n, kTile));
-  dist.reserve(std::min(n, kTile));
-  for (std::size_t lo = 0; lo < n; lo += kTile) {
-    const std::size_t hi = std::min(n, lo + kTile);
-    sel.clear();
-    for (std::size_t r = lo; r < hi; ++r) {
-      if (filter(static_cast<VectorId>(r))) {
-        sel.push_back(static_cast<std::uint32_t>(r - lo));
-      }
-    }
-    if (sel.empty()) continue;
-    dist.resize(sel.size());
-    GatherDistance(options_.metric, query, vectors_.data() + lo * d, d,
-                   sel.data(), sel.size(), dist.data());
-    for (std::size_t j = 0; j < sel.size(); ++j) {
-      top.Push(static_cast<VectorId>(lo + sel[j]), dist[j]);
-    }
-  }
-  return top.Take();
-}
-
 std::string FlatIndex::Describe() const {
   std::string desc = "flat(" + std::string(MetricName(options_.metric));
   if (quantized()) {

@@ -41,11 +41,6 @@ class FlatIndex final : public VectorIndex {
   void SaveTo(std::ostream& os) const override;
   static FlatIndex LoadFrom(std::istream& is);
 
-  /// Exact filtered search: one predicated scan (no over-fetch).
-  std::vector<Neighbor> SearchFiltered(std::span<const float> query,
-                                       std::size_t k,
-                                       const Filter& filter) const override;
-
   /// Direct access to a stored vector (used by tests and by IVF training).
   std::span<const float> Vector(VectorId id) const noexcept {
     return vectors_.Row(static_cast<std::size_t>(id));

@@ -230,41 +230,6 @@ std::vector<std::vector<Neighbor>> ShardedIndex::SearchBatch(
   return results;
 }
 
-std::vector<Neighbor> ShardedIndex::SearchFiltered(
-    std::span<const float> query, std::size_t k, const Filter& filter) const {
-  if (!filter) return Search(query, k);
-  CheckDim(query);
-  if (k == 0 || size() == 0) return {};
-  const obs::Span span(obs::Stage::kIndexSearch);
-  const std::size_t S = shards_.size();
-  std::vector<std::vector<Neighbor>> parts(S);
-  auto search_shard = [&](std::size_t s) {
-    // Snapshot the shard's id list: the filter lambda runs inside the
-    // shard's search (under its internal lock), where taking map_mu_
-    // would invert Insert's map-then-shard lock order.
-    std::vector<VectorId> ids;
-    {
-      std::shared_lock lock(map_mu_);
-      ids = global_ids_[s];
-    }
-    Stopwatch watch;
-    parts[s] = shards_[s]->SearchFiltered(
-        query, k, [&](VectorId local) {
-          const auto l = static_cast<std::size_t>(local);
-          return l < ids.size() && filter(ids[l]);
-        });
-    ToGlobal(s, parts[s]);
-    kObsSearchNs.Record(watch.ElapsedNanos());
-    kObsSearches.Inc();
-  };
-  if (options_.parallel && S > 1) {
-    ThreadPool::Shared().ParallelFor(0, S, search_shard);
-  } else {
-    for (std::size_t s = 0; s < S; ++s) search_shard(s);
-  }
-  return MergeSorted(parts, k);
-}
-
 std::string ShardedIndex::Describe() const {
   return "sharded(" + shards_[0]->Describe() +
          ",shards=" + std::to_string(shards_.size()) +

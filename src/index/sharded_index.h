@@ -97,11 +97,6 @@ class ShardedIndex final : public VectorIndex {
   std::vector<std::vector<Neighbor>> SearchBatch(
       const Matrix& queries, std::size_t k) const override;
 
-  /// Filtered scatter-gather; the filter sees global ids.
-  std::vector<Neighbor> SearchFiltered(std::span<const float> query,
-                                       std::size_t k,
-                                       const Filter& filter) const override;
-
   std::string Describe() const override;
 
   /// Exact k-way merge of per-shard sorted lists, ordered by
@@ -121,9 +116,9 @@ class ShardedIndex final : public VectorIndex {
   ShardedIndexOptions options_;
   std::vector<std::unique_ptr<VectorIndex>> shards_;
 
-  // Guards the id maps. Readers (ToGlobal, filter lambdas) take the
-  // shared side briefly and never while holding a shard's internal
-  // lock, so scatter-gather legs cannot deadlock against mutators.
+  // Guards the id maps. Readers (ToGlobal) take the shared side briefly
+  // and never while holding a shard's internal lock, so scatter-gather
+  // legs cannot deadlock against mutators.
   mutable std::shared_mutex map_mu_;
   std::vector<std::vector<VectorId>> global_ids_;
   /// global id → (shard, local slot); kInvalidOwner for never-assigned.

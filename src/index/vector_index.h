@@ -56,11 +56,11 @@ class VectorIndex {
   /// Predicate over vector ids (metadata filter). Must be pure.
   using Filter = std::function<bool(VectorId)>;
 
-  /// Filtered search: the k closest vectors satisfying `filter`. The
-  /// default implementation over-fetches (k, 4k, 16k, ... up to size())
-  /// and post-filters — correct for any index, with graph/IVF indexes
-  /// paying extra traversal on selective filters. FlatIndex overrides
-  /// with a single predicated scan.
+  /// Filtered search: the k closest vectors satisfying `filter`. It
+  /// over-fetches (k, 4k, 16k, ... up to size()) and post-filters, which
+  /// is exact on an exact index. No served path calls it; it stays
+  /// virtual because the benchmark's `TimedIndex` (perfbench/src/layers.h)
+  /// overrides it.
   virtual std::vector<Neighbor> SearchFiltered(std::span<const float> query,
                                                std::size_t k,
                                                const Filter& filter) const;

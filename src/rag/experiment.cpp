@@ -86,7 +86,7 @@ RunMetrics SweepRunner::RunOne(std::int64_t capacity, double tolerance,
   BatchingDriver driver(*search_index_, registry, nullptr,
                         {.top_k = config_.top_k});
   Retriever retriever(driver, &clock_);
-  RagPipeline pipeline(&workload_, &embedder_, &retriever,
+  RagPipeline pipeline(&workload_, &retriever,
                        AnswerModel(config_.answer_params), seed);
   return pipeline.RunStream(streams_[seed_slot],
                             stream_embeddings_[seed_slot]);
@@ -116,7 +116,7 @@ SweepRunner::AdaptiveRunResult SweepRunner::RunAdaptive(
                         {.top_k = config_.top_k});
   ProximityCache& cache = registry.CacheFor(kDefaultTenant);
   Retriever retriever(driver, &clock_);
-  RagPipeline pipeline(&workload_, &embedder_, &retriever,
+  RagPipeline pipeline(&workload_, &retriever,
                        AnswerModel(config_.answer_params), seed);
   AdaptiveTau controller(controller_options);
 
@@ -130,7 +130,7 @@ SweepRunner::AdaptiveRunResult SweepRunner::RunAdaptive(
     tau_sum += controller.tau();
     result.tau_trajectory.push_back(controller.tau());
     const QueryResult r =
-        pipeline.ProcessQuery(stream[i], embeddings.Row(i), i);
+        pipeline.ProcessQuery(stream[i], embeddings.Row(i));
     controller.Observe(r.cache_hit);
     correct += r.correct ? 1 : 0;
     hits += r.cache_hit ? 1 : 0;

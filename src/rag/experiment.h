@@ -17,6 +17,7 @@
 #include "cache/adaptive_tau.h"
 #include "cache/eviction_policy.h"
 #include "common/csv.h"
+#include "embed/hash_embedder.h"
 #include "index/index_factory.h"
 #include "index/slow_storage_index.h"
 #include "llm/answer_model.h"

@@ -7,16 +7,14 @@
 
 namespace proximity {
 
-RagPipeline::RagPipeline(const Workload* workload,
-                         const HashEmbedder* embedder, Retriever* retriever,
+RagPipeline::RagPipeline(const Workload* workload, Retriever* retriever,
                          AnswerModel answer_model, std::uint64_t answer_seed,
                          Nanos generation_cost_ns)
     : workload_(workload),
-      embedder_(embedder),
       retriever_(retriever),
       answer_model_(answer_model),
       generation_cost_ns_(generation_cost_ns) {
-  if (workload_ == nullptr || embedder_ == nullptr || retriever_ == nullptr) {
+  if (workload_ == nullptr || retriever_ == nullptr) {
     throw std::invalid_argument("RagPipeline: null dependency");
   }
   difficulties_ =
@@ -24,17 +22,10 @@ RagPipeline::RagPipeline(const Workload* workload,
 }
 
 QueryResult RagPipeline::ProcessQuery(const StreamEntry& entry,
-                                      std::span<const float> embedding,
-                                      std::size_t position) {
+                                      std::span<const float> embedding) {
   if (entry.question >= workload_->questions.size()) {
     throw std::out_of_range("RagPipeline: bad question index");
   }
-  // Deterministic LLM behaviour: the outcome depends on the question's
-  // fixed difficulty quantile and the served context only, never on the
-  // stream position — two runs over the same stream differ exactly where
-  // the served context differs.
-  (void)position;
-
   QueryResult result;
   auto outcome = retriever_->Retrieve(embedding);
   result.cache_hit = outcome.cache_hit;
@@ -60,16 +51,6 @@ QueryResult RagPipeline::ProcessQuery(const StreamEntry& entry,
   return result;
 }
 
-QueryResult RagPipeline::ProcessQueryText(const StreamEntry& entry,
-                                          std::size_t position) {
-  std::vector<float> embedding;
-  {
-    const obs::Span embed_span(obs::Stage::kEmbed);
-    embedding = embedder_->Embed(entry.text);
-  }
-  return ProcessQuery(entry, embedding, position);
-}
-
 RunMetrics RagPipeline::RunStream(const std::vector<StreamEntry>& stream,
                                   const Matrix& embeddings) {
   if (embeddings.rows() != stream.size()) {
@@ -82,7 +63,6 @@ RunMetrics RagPipeline::RunStream(const std::vector<StreamEntry>& stream,
 
   std::size_t correct = 0;
   std::size_t hits = 0;
-  std::size_t answer_hits = 0;
   LatencyHistogram latencies;
   double relevance_sum = 0.0;
   double misleading_sum = 0.0;
@@ -90,10 +70,9 @@ RunMetrics RagPipeline::RunStream(const std::vector<StreamEntry>& stream,
   double total_ttft_ns = 0.0;
 
   for (std::size_t i = 0; i < stream.size(); ++i) {
-    const QueryResult r = ProcessQuery(stream[i], embeddings.Row(i), i);
+    const QueryResult r = ProcessQuery(stream[i], embeddings.Row(i));
     correct += r.correct ? 1 : 0;
     hits += r.cache_hit ? 1 : 0;
-    answer_hits += r.answer_hit ? 1 : 0;
     latencies.Record(r.retrieval_latency_ns);
     total_latency_ns += static_cast<double>(r.retrieval_latency_ns);
     total_ttft_ns += static_cast<double>(r.ttft_ns);
@@ -104,7 +83,6 @@ RunMetrics RagPipeline::RunStream(const std::vector<StreamEntry>& stream,
   const double n = static_cast<double>(stream.size());
   metrics.accuracy = static_cast<double>(correct) / n;
   metrics.hit_rate = static_cast<double>(hits) / n;
-  metrics.answer_hit_rate = static_cast<double>(answer_hits) / n;
   metrics.mean_ttft_ms = total_ttft_ns / n / kNanosPerMilli;
   metrics.mean_latency_ms = latencies.MeanNanos() / kNanosPerMilli;
   metrics.p50_latency_ms = latencies.QuantileNanos(0.5) / kNanosPerMilli;

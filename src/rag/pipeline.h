@@ -1,14 +1,16 @@
-// End-to-end RAG pipeline (Figure 1): embed -> retrieve (via Proximity) ->
-// prompt -> answer, with the paper's three metrics collected per run.
+// End-to-end RAG pipeline (Figure 1) over pre-computed query embeddings:
+// retrieve (via Proximity) -> prompt -> answer, with the paper's three
+// metrics collected per run.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/stats.h"
-#include "embed/hash_embedder.h"
 #include "llm/answer_model.h"
 #include "rag/retriever.h"
+#include "vecmath/matrix.h"
 #include "workload/corpus.h"
 #include "workload/query_stream.h"
 
@@ -33,9 +35,6 @@ struct RunMetrics {
   std::size_t queries = 0;
   double accuracy = 0.0;
   double hit_rate = 0.0;
-  /// Fraction of queries that were answer hits (0 unless the driver
-  /// runs answer reuse); a part of hit_rate.
-  double answer_hit_rate = 0.0;
   /// Mean retrieval latency in milliseconds.
   double mean_latency_ms = 0.0;
   /// Mean simulated end-to-end latency (QueryResult::ttft_ns) in ms.
@@ -54,20 +53,17 @@ class RagPipeline {
   /// `generation_cost_ns` is the modeled cost of one full generation,
   /// charged into ttft_ns of every query that is not an answer hit
   /// (DESIGN.md §15); 0 keeps TTFT equal to retrieval latency.
-  RagPipeline(const Workload* workload, const HashEmbedder* embedder,
-              Retriever* retriever, AnswerModel answer_model,
-              std::uint64_t answer_seed, Nanos generation_cost_ns = 0);
+  RagPipeline(const Workload* workload, Retriever* retriever,
+              AnswerModel answer_model, std::uint64_t answer_seed,
+              Nanos generation_cost_ns = 0);
 
-  /// Processes one stream entry with a pre-computed query embedding.
-  /// `position` indexes the entry within its stream; the answer draw is a
-  /// deterministic function of (answer_seed, position), so runs over the
-  /// same stream are directly comparable across cache configurations.
+  /// Processes one stream entry with a pre-computed query embedding. The
+  /// answer depends only on the question's difficulty (fixed by
+  /// answer_seed) and the served context, never on the stream position:
+  /// two runs over the same stream differ exactly where the served
+  /// context differs.
   QueryResult ProcessQuery(const StreamEntry& entry,
-                           std::span<const float> embedding,
-                           std::size_t position);
-
-  /// Embeds on the fly (the examples use this path; benches pre-embed).
-  QueryResult ProcessQueryText(const StreamEntry& entry, std::size_t position);
+                           std::span<const float> embedding);
 
   /// Runs a whole stream with pre-computed embeddings (one row per entry)
   /// and aggregates the metrics.
@@ -76,7 +72,6 @@ class RagPipeline {
 
  private:
   const Workload* workload_;
-  const HashEmbedder* embedder_;
   Retriever* retriever_;
   AnswerModel answer_model_;
   Nanos generation_cost_ns_;

@@ -35,8 +35,4 @@ void MeanOf(std::span<const std::span<const float>> rows,
   for (auto& x : out) x *= inv;
 }
 
-std::vector<float> ToVector(std::span<const float> v) {
-  return {v.begin(), v.end()};
-}
-
 }  // namespace proximity

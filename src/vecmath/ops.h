@@ -2,7 +2,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 namespace proximity {
 
@@ -19,8 +18,5 @@ void Scale(std::span<float> v, float alpha) noexcept;
 /// non-empty and out must match their dimension.
 void MeanOf(std::span<const std::span<const float>> rows,
             std::span<float> out) noexcept;
-
-/// Returns a copy of `v` as a vector<float>.
-std::vector<float> ToVector(std::span<const float> v);
 
 }  // namespace proximity

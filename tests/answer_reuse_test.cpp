@@ -73,11 +73,11 @@ TEST(PipelineAnswerHitTest, JudgedOnCachedEvidenceWithoutGeneration) {
                         {.top_k = 5, .answer_reuse = true});
   Retriever retriever(driver);
   constexpr Nanos kGenerationNs = 1'000'000'000;  // dwarfs any scan
-  RagPipeline pipeline(&fx.workload, &fx.embedder, &retriever,
+  RagPipeline pipeline(&fx.workload, &retriever,
                        AnswerModel(MmluAnswerParams()), 1, kGenerationNs);
 
   const auto q = fx.stream_embeddings.Row(0);
-  const auto first = pipeline.ProcessQuery(fx.stream[0], q, 0);
+  const auto first = pipeline.ProcessQuery(fx.stream[0], q);
   EXPECT_FALSE(first.answer_hit);
   EXPECT_EQ(first.ttft_ns, first.retrieval_latency_ns + kGenerationNs);
 
@@ -89,7 +89,7 @@ TEST(PipelineAnswerHitTest, JudgedOnCachedEvidenceWithoutGeneration) {
   cache.Clear();
   cache.Insert(q, other.gold_ids);
 
-  const auto second = pipeline.ProcessQuery(fx.stream[0], q, 1);
+  const auto second = pipeline.ProcessQuery(fx.stream[0], q);
   EXPECT_TRUE(second.answer_hit);
   EXPECT_TRUE(second.cache_hit);
   EXPECT_EQ(second.ttft_ns, second.retrieval_latency_ns);

@@ -1,6 +1,6 @@
 // Unit tests for src/cache: eviction policies, the approximate cache
-// (Algorithm 1 semantics and the answer-reuse radius), the exact-match
-// baseline, and the adaptive-τ controller.
+// (Algorithm 1 semantics and the answer-reuse radius), and the adaptive-τ
+// controller.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,6 @@
 #include "cache/adaptive_tau.h"
 #include "cache/approx_cache.h"
 #include "cache/eviction_policy.h"
-#include "cache/exact_cache.h"
 #include "common/rng.h"
 #include "index/flat_index.h"
 #include "rag/retriever.h"
@@ -451,54 +450,6 @@ TEST(ProximityCacheTest, SizeNeverExceedsCapacity) {
   }
   EXPECT_EQ(cache.size(), 5u);
   EXPECT_EQ(cache.stats().evictions, 95u);
-}
-
-// ----------------------------------------------------------- ExactCache --
-
-TEST(ExactCacheTest, HitsOnlyOnBitIdenticalKeys) {
-  ExactCache cache(2, 10);
-  cache.Insert(Vec2(1, 2), {5});
-  EXPECT_NE(cache.Lookup(Vec2(1, 2)), nullptr);
-  EXPECT_EQ(cache.Lookup(Vec2(1.0000001f, 2)), nullptr);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().lookups, 2u);
-}
-
-TEST(ExactCacheTest, FifoEviction) {
-  ExactCache cache(2, 2);
-  cache.Insert(Vec2(1, 0), {1});
-  cache.Insert(Vec2(2, 0), {2});
-  cache.Insert(Vec2(3, 0), {3});  // evicts (1,0)
-  EXPECT_EQ(cache.Lookup(Vec2(1, 0)), nullptr);
-  EXPECT_NE(cache.Lookup(Vec2(2, 0)), nullptr);
-  EXPECT_NE(cache.Lookup(Vec2(3, 0)), nullptr);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-}
-
-TEST(ExactCacheTest, ReinsertReplacesValueWithoutSlot) {
-  ExactCache cache(2, 2);
-  cache.Insert(Vec2(1, 0), {1});
-  cache.Insert(Vec2(1, 0), {9});
-  EXPECT_EQ(cache.size(), 1u);
-  const auto* docs = cache.Lookup(Vec2(1, 0));
-  ASSERT_NE(docs, nullptr);
-  EXPECT_EQ((*docs)[0], 9);
-}
-
-TEST(ExactCacheTest, ClearResets) {
-  ExactCache cache(2, 2);
-  cache.Insert(Vec2(1, 0), {1});
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.Lookup(Vec2(1, 0)), nullptr);
-}
-
-TEST(ExactCacheTest, ValidatesArguments) {
-  EXPECT_THROW(ExactCache(0, 2), std::invalid_argument);
-  EXPECT_THROW(ExactCache(2, 0), std::invalid_argument);
-  ExactCache cache(2, 2);
-  const std::vector<float> wrong = {1};
-  EXPECT_THROW(cache.Lookup(wrong), std::invalid_argument);
 }
 
 // ---------------------------------------------------------- AdaptiveTau --

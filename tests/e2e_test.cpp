@@ -1,13 +1,12 @@
 // End-to-end integration tests: the full Figure-1 workflow driven through
 // text (no precomputed embeddings), combining components the unit suites
-// test in isolation — tiered caching inside a retrieval flow, filtered
-// retrieval with router isolation, trace round-trips through the
-// pipeline, and snapshot/restore of a mid-session state.
+// test in isolation — tiered caching inside a retrieval flow, trace
+// round-trips through the pipeline, and snapshot/restore of a mid-session
+// state.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "cache/filtered_router.h"
 #include "common/log.h"
 #include "embed/hash_embedder.h"
 #include "index/index_factory.h"
@@ -103,7 +102,7 @@ TEST(E2eTest, TraceRoundTripReproducesPipelineMetricsExactly) {
     copts.tolerance = 2.0f;
     OneTenant stack(*fx.index, copts);
     Retriever retriever(stack.driver);
-    RagPipeline pipeline(&fx.workload, &fx.embedder, &retriever,
+    RagPipeline pipeline(&fx.workload, &retriever,
                          AnswerModel(MmluAnswerParams()), 5);
     std::vector<std::string> texts;
     for (const auto& e : entries) texts.push_back(e.text);
@@ -150,41 +149,6 @@ TEST(E2eTest, MidSessionSnapshotRestoresServingState) {
     EXPECT_EQ(a.documents, b.documents) << "query " << i;
     EXPECT_EQ(a.cache_hit, b.cache_hit) << "query " << i;
   }
-}
-
-TEST(E2eTest, FilteredPipelineNeverLeaksAcrossCollections) {
-  E2eFixture fx;
-  // Two collections split by passage id parity; queries alternate
-  // between them with a shared router.
-  ApproxCacheOptions copts;
-  copts.capacity = 32;
-  copts.tolerance = 5.0f;  // loose: would leak without per-tag isolation
-  FilteredCacheRouter router(fx.embedder.dim(), copts);
-
-  for (std::size_t i = 0; i < fx.stream.size(); ++i) {
-    const FilterTag tag = 1 + (i % 2);
-    const bool want_even = tag == 1;
-    const auto embedding = fx.embedder.Embed(fx.stream[i].text);
-
-    std::vector<VectorId> documents;
-    auto cached = router.Lookup(tag, embedding);
-    if (cached.hit) {
-      documents = std::move(cached.value);
-    } else {
-      const auto results = fx.index->SearchFiltered(
-          embedding, 5, [want_even](VectorId id) {
-            return (id % 2 == 0) == want_even;
-          });
-      for (const auto& n : results) documents.push_back(n.id);
-      router.Insert(tag, embedding, documents);
-    }
-    for (VectorId id : documents) {
-      EXPECT_EQ(id % 2 == 0, want_even) << "filter leak at query " << i;
-    }
-  }
-  // With loose tau and alternating tags, both caches must have seen hits
-  // (the test would be vacuous otherwise).
-  EXPECT_GT(router.TotalStats().hits, 0u);
 }
 
 TEST(E2eTest, HnswAndFlatPipelinesAgreeOnHighRecallSettings) {

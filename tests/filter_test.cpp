@@ -1,8 +1,8 @@
-// Tests for filtered search (predicate NNS + the filter-aware cache
-// router).
+// Tests for filtered search: VectorIndex::SearchFiltered's over-fetch and
+// post-filter, run on Flat and HNSW indexes. On an exact index it must
+// equal a predicated brute-force scan.
 #include <gtest/gtest.h>
 
-#include "cache/filtered_router.h"
 #include "common/rng.h"
 #include "index/flat_index.h"
 #include "index/hnsw_index.h"
@@ -70,7 +70,6 @@ TEST(FilteredSearchTest, FewerMatchesThanKReturnsAllMatches) {
   const auto only_three = [](VectorId id) { return id < 3; };
   const auto q = RandomVec(4, 102);
   EXPECT_EQ(index.SearchFiltered(q, 10, only_three).size(), 3u);
-  // Default (over-fetch) implementation through the base class too.
   HnswIndex hnsw(4);
   hnsw.AddBatch(corpus);
   EXPECT_EQ(hnsw.SearchFiltered(q, 10, only_three).size(), 3u);
@@ -98,63 +97,6 @@ TEST(FilteredSearchTest, HnswOverFetchRecallIsHigh) {
                         exact.SearchFiltered(q, 10, third));
   }
   EXPECT_GT(recall / 10, 0.8);
-}
-
-// --------------------------------------------------------- FilterRouter --
-
-ApproxCacheOptions RouterOpts() {
-  ApproxCacheOptions opts;
-  opts.capacity = 4;
-  opts.tolerance = 1.0f;
-  return opts;
-}
-
-TEST(FilteredRouterTest, TagsAreIsolated) {
-  FilteredCacheRouter router(2, RouterOpts());
-  const std::vector<float> q = {1, 1};
-  router.Insert(/*tag=*/7, q, {100});
-  // Same embedding, different filter: must MISS (the guarded bug class).
-  EXPECT_FALSE(router.Lookup(/*tag=*/8, q).hit);
-  EXPECT_FALSE(router.Lookup(kNoFilter, q).hit);
-  // Same tag: hit with the right documents.
-  const auto hit = router.Lookup(7, q);
-  ASSERT_TRUE(hit.hit);
-  EXPECT_EQ(hit.value[0], 100);
-  EXPECT_EQ(router.tag_count(), 3u);  // 7, 8, and kNoFilter were touched
-}
-
-TEST(FilteredRouterTest, PerTagCapacity) {
-  FilteredCacheRouter router(2, RouterOpts());  // capacity 4 per tag
-  for (int i = 0; i < 10; ++i) {
-    router.Insert(1, std::vector<float>{static_cast<float>(i * 10), 0},
-                  {i});
-    router.Insert(2, std::vector<float>{static_cast<float>(i * 10), 1},
-                  {i});
-  }
-  EXPECT_EQ(router.CacheFor(1).size(), 4u);
-  EXPECT_EQ(router.CacheFor(2).size(), 4u);
-}
-
-TEST(FilteredRouterTest, InvalidateDropsOneTagOnly) {
-  FilteredCacheRouter router(2, RouterOpts());
-  const std::vector<float> q = {0, 0};
-  router.Insert(1, q, {1});
-  router.Insert(2, q, {2});
-  router.Invalidate(1);
-  EXPECT_FALSE(router.Lookup(1, q).hit);
-  EXPECT_TRUE(router.Lookup(2, q).hit);
-}
-
-TEST(FilteredRouterTest, TotalStatsAggregates) {
-  FilteredCacheRouter router(2, RouterOpts());
-  const std::vector<float> q = {0, 0};
-  router.Insert(1, q, {1});
-  router.Lookup(1, q);  // hit
-  router.Lookup(2, q);  // miss (different tag)
-  const auto total = router.TotalStats();
-  EXPECT_EQ(total.insertions, 1u);
-  EXPECT_EQ(total.hits, 1u);
-  EXPECT_EQ(total.misses, 1u);
 }
 
 }  // namespace

@@ -149,7 +149,7 @@ TEST(RagPipelineTest, ExactRetrievalIsFullyRelevant) {
   PipelineFixture fx;
   OneTenant stack(*fx.index, Uncached());
   Retriever retriever(stack.driver);
-  RagPipeline pipeline(&fx.workload, &fx.embedder, &retriever,
+  RagPipeline pipeline(&fx.workload, &retriever,
                        AnswerModel(MmluAnswerParams()), 1);
   const RunMetrics m = pipeline.RunStream(fx.stream, fx.stream_embeddings);
   EXPECT_EQ(m.queries, fx.stream.size());
@@ -166,7 +166,7 @@ TEST(RagPipelineTest, LooseCacheProducesHitsAndFasterRetrieval) {
   copts.tolerance = 2.0f;
   OneTenant stack(*fx.index, copts);
   Retriever retriever(stack.driver);
-  RagPipeline pipeline(&fx.workload, &fx.embedder, &retriever,
+  RagPipeline pipeline(&fx.workload, &retriever,
                        AnswerModel(MmluAnswerParams()), 1);
   const RunMetrics m = pipeline.RunStream(fx.stream, fx.stream_embeddings);
   EXPECT_GT(m.hit_rate, 0.4);   // variants hit at tau = 2
@@ -181,7 +181,7 @@ TEST(RagPipelineTest, DeterministicAcrossRuns) {
     copts.tolerance = 2.0f;
     OneTenant stack(*fx.index, copts);
     Retriever retriever(stack.driver);
-    RagPipeline pipeline(&fx.workload, &fx.embedder, &retriever,
+    RagPipeline pipeline(&fx.workload, &retriever,
                          AnswerModel(MmluAnswerParams()), 1);
     return pipeline.RunStream(fx.stream, fx.stream_embeddings);
   };
@@ -191,32 +191,19 @@ TEST(RagPipelineTest, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(a.hit_rate, b.hit_rate);
 }
 
-TEST(RagPipelineTest, ProcessQueryTextMatchesPrecomputed) {
-  PipelineFixture fx;
-  OneTenant stack(*fx.index, Uncached());
-  Retriever retriever(stack.driver);
-  RagPipeline pipeline(&fx.workload, &fx.embedder, &retriever,
-                       AnswerModel(MmluAnswerParams()), 1);
-  const auto a = pipeline.ProcessQuery(fx.stream[0],
-                                       fx.stream_embeddings.Row(0), 0);
-  const auto b = pipeline.ProcessQueryText(fx.stream[0], 0);
-  EXPECT_EQ(a.correct, b.correct);
-  EXPECT_EQ(a.judgment.relevance, b.judgment.relevance);
-}
-
 TEST(RagPipelineTest, ValidatesInput) {
   PipelineFixture fx;
   OneTenant stack(*fx.index, Uncached());
   Retriever retriever(stack.driver);
-  EXPECT_THROW(RagPipeline(nullptr, &fx.embedder, &retriever,
+  EXPECT_THROW(RagPipeline(nullptr, &retriever,
                            AnswerModel(MmluAnswerParams()), 1),
                std::invalid_argument);
-  RagPipeline pipeline(&fx.workload, &fx.embedder, &retriever,
+  RagPipeline pipeline(&fx.workload, &retriever,
                        AnswerModel(MmluAnswerParams()), 1);
   StreamEntry bad;
   bad.question = 9999;
   const std::vector<float> q(fx.embedder.dim(), 0.f);
-  EXPECT_THROW(pipeline.ProcessQuery(bad, q, 0), std::out_of_range);
+  EXPECT_THROW(pipeline.ProcessQuery(bad, q), std::out_of_range);
   const Matrix wrong(3, fx.embedder.dim());
   EXPECT_THROW(pipeline.RunStream(fx.stream, wrong), std::invalid_argument);
 }

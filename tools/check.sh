@@ -7,7 +7,8 @@
 #      record path, concurrent cache, thread pool, sharded scatter-gather
 #      + batching driver) under contention.
 #
-# Suites are selected by ctest label (see tests/CMakeLists.txt), so new
+# Every leg builds the whole test suite (the `proximity_tests` target)
+# and selects suites by ctest label (see tests/CMakeLists.txt), so new
 # tests join the matrix by labeling, not by editing this script.
 #
 # Usage: tools/check.sh [--fast|--tsan-only]
@@ -31,17 +32,20 @@ esac
 # serve_smoke loopback drain check), `tenant` the multi-tenant registry
 # and fair batching, `quant` the compressed scan path (its scan.*
 # telemetry test is OBS-gated, so both matrix legs exercise it),
+# `cache` the cache's unit suite (Algorithm 1, eviction, adaptive τ),
 # `reuse` answer reuse on the one cache (racing two-radius lookups on
 # the cache's own lock and the driver's answer path ride TSan).
-LABELS='^(obs|concurrent|shard|common|net|tenant|quant|reuse)$'
+LABELS='^(obs|concurrent|shard|common|net|tenant|quant|cache|reuse)$'
+
+build_all() {
+  cmake --build "$1" -j "$(nproc)" --target proximity_tests proximity_cli
+}
 
 run_suite() {
   local build_dir="$1"
   shift
   cmake -B "$build_dir" -S . "$@" >/dev/null
-  cmake --build "$build_dir" -j "$(nproc)" \
-    --target obs_test concurrent_test common_test cache_test shard_test \
-    net_test tenant_test quant_test answer_reuse_test proximity_cli
+  build_all "$build_dir"
   (cd "$build_dir" && ctest -L "$LABELS" --no-tests=error --output-on-failure)
 }
 
@@ -51,9 +55,7 @@ run_tsan() {
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -O1 -g" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" >/dev/null
-  cmake --build build-tsan -j "$(nproc)" \
-    --target obs_test concurrent_test common_test shard_test net_test \
-    tenant_test quant_test answer_reuse_test
+  build_all build-tsan
   (cd build-tsan && ctest -L '^tsan$' --no-tests=error --output-on-failure)
 }
 

@@ -1141,7 +1141,7 @@ int CmdReplay(const Config& cfg) {
       *index, registry, nullptr,
       {.top_k = static_cast<std::size_t>(cfg.GetInt("top_k", 10))});
   Retriever retriever(driver);
-  RagPipeline pipeline(&workload, &embedder, &retriever,
+  RagPipeline pipeline(&workload, &retriever,
                        AnswerModel(AnswerParamsFor(workload_name)),
                        static_cast<std::uint64_t>(cfg.GetInt("seed", 1)));
   const RunMetrics m = pipeline.RunStream(stream, embeddings);
