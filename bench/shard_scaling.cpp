@@ -11,6 +11,13 @@
 // gate can run on small hosts (4 pool threads over 2 cores still
 // exercises the scatter-gather paths, if not the speedup itself).
 //
+// A second row isolates the multi-query scan from pool parallelism: one
+// FlatIndex with parallel_threshold = 0 over 100k x 768-d rows (--quick:
+// 20k), on the calling thread, times SearchBatch of 32 queries against
+// 32 Search calls. The ratio is "multi_query_speedup" (gate: >= 2, checked
+// by tools/bench_smoke.sh); the bench exits 1 if any batch result differs
+// from its Search result.
+//
 // Flags: --json=PATH --rows=N --dim=N --queries=N --k=N --quick
 //        --threads=N
 #include <algorithm>
@@ -24,6 +31,7 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "host_info.h"
 #include "index/flat_index.h"
 #include "index/sharded_index.h"
 #include "vecmath/matrix.h"
@@ -80,6 +88,52 @@ double MeasureQps(const ShardedIndex& index, const Matrix& queries,
   return runs[1];
 }
 
+struct MultiQueryRow {
+  std::size_t rows = 0;
+  std::size_t dim = 768;
+  std::size_t queries = 32;
+  double search_ns_per_query = 0.0;  // 32 Search calls
+  double batch_ns_per_query = 0.0;   // one SearchBatch of 32
+  bool identical = true;
+};
+
+// Median of 5 interleaved runs of each side, on the calling thread only.
+MultiQueryRow MeasureMultiQuery(std::size_t rows, std::size_t k) {
+  MultiQueryRow row;
+  row.rows = rows;
+  FlatIndexOptions opts;
+  opts.parallel_threshold = 0;
+  FlatIndex index(row.dim, opts);
+  index.AddBatch(RandomMatrix(rows, row.dim, 303));
+  const Matrix queries = RandomMatrix(row.queries, row.dim, 404);
+  const auto per_query = static_cast<double>(row.queries);
+  constexpr int kRuns = 5;
+  double search_ns[kRuns], batch_ns[kRuns];
+  for (int run = 0; run < kRuns; ++run) {
+    std::vector<std::vector<Neighbor>> one(row.queries);
+    double t0 = NowNs();
+    for (std::size_t q = 0; q < row.queries; ++q) {
+      one[q] = index.Search(queries.Row(q), k);
+    }
+    search_ns[run] = (NowNs() - t0) / per_query;
+    t0 = NowNs();
+    const auto batch = index.SearchBatch(queries, k);
+    batch_ns[run] = (NowNs() - t0) / per_query;
+    for (std::size_t q = 0; q < row.queries; ++q) {
+      if (batch[q].size() != one[q].size()) row.identical = false;
+      for (std::size_t i = 0; row.identical && i < one[q].size(); ++i) {
+        row.identical = batch[q][i].id == one[q][i].id &&
+                        batch[q][i].distance == one[q][i].distance;
+      }
+    }
+  }
+  std::sort(search_ns, search_ns + kRuns);
+  std::sort(batch_ns, batch_ns + kRuns);
+  row.search_ns_per_query = search_ns[kRuns / 2];
+  row.batch_ns_per_query = batch_ns[kRuns / 2];
+  return row;
+}
+
 int Main(int argc, char** argv) {
   std::string json_path = "BENCH_shard.json";
   std::size_t threads_override = 0;
@@ -87,6 +141,7 @@ int Main(int argc, char** argv) {
   std::size_t dim = 64;
   std::size_t num_queries = 256;
   std::size_t k = 10;
+  std::size_t multi_rows = 100000;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
@@ -104,6 +159,7 @@ int Main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--quick") == 0) {
       rows = 20000;
       num_queries = 64;
+      multi_rows = 20000;
     } else {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);
       return 2;
@@ -169,13 +225,30 @@ int Main(int argc, char** argv) {
   std::printf("monotonic 1->4 shards at batch=%zu: %s%s\n", batch_sizes[3],
               verdict, gate_runs ? "" : " (skipped: cores<4)");
 
+  const MultiQueryRow multi = MeasureMultiQuery(multi_rows, k);
+  const double speedup = multi.search_ns_per_query / multi.batch_ns_per_query;
+  std::printf("calling thread, flat %zux%zu: %zu Search %.0f ns/query, "
+              "SearchBatch(%zu) %.0f ns/query, multi_query_speedup=%.2f "
+              "(gate >= 2)%s\n",
+              multi.rows, multi.dim, multi.queries,
+              multi.search_ns_per_query, multi.queries,
+              multi.batch_ns_per_query, speedup,
+              multi.identical ? "" : " RESULTS DIFFER");
+
   std::ofstream os(json_path);
-  os << "{\n  \"bench\": \"shard_scaling\",\n"
+  os << "{\n  \"bench\": \"shard_scaling\",\n  " << HostJson() << ",\n"
      << "  \"rows\": " << rows << ",\n  \"dim\": " << dim
      << ",\n  \"queries\": " << num_queries << ",\n  \"k\": " << k
      << ",\n  \"cores\": " << cores << ",\n  \"pool_threads\": " << pool
      << ",\n  \"monotonic_1_to_4\": " << verdict
-     << ",\n  \"skip_reason\": " << skip_reason << ",\n  \"results\": [\n";
+     << ",\n  \"skip_reason\": " << skip_reason
+     << ",\n  \"multi_query\": {\"rows\": " << multi.rows
+     << ", \"dim\": " << multi.dim << ", \"queries\": " << multi.queries
+     << ", \"search_ns_per_query\": " << multi.search_ns_per_query
+     << ", \"batch_ns_per_query\": " << multi.batch_ns_per_query
+     << ", \"bit_identical\": " << (multi.identical ? "true" : "false")
+     << ", \"multi_query_speedup\": " << speedup << "}"
+     << ",\n  \"results\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const auto& c = cells[i];
     os << "    {\"shards\": " << c.shards << ", \"batch\": " << c.batch
@@ -184,7 +257,7 @@ int Main(int argc, char** argv) {
   }
   os << "  ]\n}\n";
   std::printf("wrote %s\n", json_path.c_str());
-  return 0;
+  return multi.identical ? 0 : 1;
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "common/serde.h"
 #include "common/thread_pool.h"
@@ -103,31 +104,60 @@ std::vector<Neighbor> FlatIndex::Search(std::span<const float> query,
     return top.Take();
   }
 
+  return std::move(ScanFloat(query.data(), 1, k)[0]);
+}
+
+std::vector<std::vector<Neighbor>> FlatIndex::SearchBatch(
+    const Matrix& queries, std::size_t k) const {
+  const std::size_t nq = queries.rows();
+  if (nq > 0 && queries.dim() != dim()) {
+    throw std::invalid_argument("FlatIndex::SearchBatch: dimension mismatch");
+  }
+  if (quantized()) return VectorIndex::SearchBatch(queries, k);
+  if (nq == 0 || k == 0 || vectors_.rows() == 0) {
+    return std::vector<std::vector<Neighbor>>(nq);
+  }
+  const obs::Span span(obs::Stage::kIndexSearch);
+  return ScanFloat(queries.data(), nq, k);
+}
+
+std::vector<std::vector<Neighbor>> FlatIndex::ScanFloat(const float* queries,
+                                                        std::size_t nq,
+                                                        std::size_t k) const {
+  const std::size_t n = vectors_.rows();
+  const std::size_t d = vectors_.dim();
   const float* norms = vectors_.RowNorms();
   if (options_.parallel_threshold == 0 || n <= options_.parallel_threshold) {
-    return SelectTopK(options_.metric, query, vectors_.data(), n, d, k,
+    return SelectTopK(options_.metric, queries, nq, vectors_.data(), n, d, k,
                       /*base_id=*/0, norms);
   }
 
-  // Parallel scan: each chunk selects its local top-k, then merge.
+  // Parallel scan: each chunk of rows selects its local top-k for every
+  // query, then each query merges its chunks.
   auto& pool = ThreadPool::Shared();
   const std::size_t parts = pool.size() + 1;
-  std::vector<std::vector<Neighbor>> partial(parts);
+  std::vector<std::vector<std::vector<Neighbor>>> partial(parts);
   const std::size_t chunk = (n + parts - 1) / parts;
   pool.ParallelFor(0, parts, [&](std::size_t p) {
     const std::size_t lo = p * chunk;
     if (lo >= n) return;
     const std::size_t hi = std::min(n, lo + chunk);
-    partial[p] = SelectTopK(options_.metric, query, vectors_.data() + lo * d,
-                            hi - lo, d, k, static_cast<VectorId>(lo),
+    partial[p] = SelectTopK(options_.metric, queries, nq,
+                            vectors_.data() + lo * d, hi - lo, d, k,
+                            static_cast<VectorId>(lo),
                             norms != nullptr ? norms + lo : nullptr);
   });
 
-  TopK merged(k);
-  for (const auto& part : partial) {
-    for (const auto& nb : part) merged.Push(nb.id, nb.distance);
+  std::vector<std::vector<Neighbor>> results(nq);
+  for (std::size_t j = 0; j < nq; ++j) {
+    TopK merged(k);
+    for (const auto& part : partial) {
+      if (part.empty()) continue;
+      for (const auto& nb : part[j]) merged.Push(nb.id, nb.distance);
+    }
+    results[j] = merged.Take();
   }
-  return merged.Take();
+  return results;
 }
 
 std::string FlatIndex::Describe() const {

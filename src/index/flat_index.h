@@ -36,6 +36,12 @@ class FlatIndex final : public VectorIndex {
   VectorId Add(std::span<const float> vec) override;
   std::vector<Neighbor> Search(std::span<const float> query,
                                std::size_t k) const override;
+  /// One scan for the whole block: every row tile is read once and run
+  /// against all the queries (SelectTopK), with one top-k per query. Each
+  /// list equals Search of that query alone, bit for bit. Quantized
+  /// storage keeps the per-query two-level search.
+  std::vector<std::vector<Neighbor>> SearchBatch(
+      const Matrix& queries, std::size_t k) const override;
   std::string Describe() const override;
 
   void SaveTo(std::ostream& os) const override;
@@ -56,6 +62,13 @@ class FlatIndex final : public VectorIndex {
   bool quantized() const noexcept {
     return options_.storage != StorageLayout::kFloat32;
   }
+
+  /// Exact float scan for `nq` queries (`dim` floats apart), one list per
+  /// query: on the calling thread, or above parallel_threshold rows split
+  /// by rows across the shared pool, every chunk taking all the queries.
+  std::vector<std::vector<Neighbor>> ScanFloat(const float* queries,
+                                               std::size_t nq,
+                                               std::size_t k) const;
 
   /// Compressed scan of rows [lo, hi) keeping the best `fetch` rows.
   std::vector<Neighbor> ScanCompressed(std::span<const float> query,

@@ -15,8 +15,8 @@ namespace proximity {
 namespace {
 const obs::CounterHandle kObsSearches("shard.searches");
 const obs::CounterHandle kObsBatchQueries("shard.batch_queries");
-// One sample per (shard, query) search leg; the scatter-gather fan-out
-// cost the serving layer pays per grouped miss.
+// One sample per shard search: a Search leg, or one shard's block of a
+// SearchBatch; the scatter-gather fan-out cost the serving layer pays.
 const obs::HistogramHandle kObsSearchNs("shard.search_ns");
 }  // namespace
 
@@ -203,27 +203,48 @@ std::vector<std::vector<Neighbor>> ShardedIndex::SearchBatch(
   const std::size_t S = shards_.size();
   kObsBatchQueries.Inc(Q);
 
-  // One wave of shard×query tasks (shard-major, so a chunk stays on one
-  // shard's rows), then a per-query merge.
-  std::vector<std::vector<Neighbor>> parts(S * Q);
-  auto search_leg = [&](std::size_t t) {
-    const std::size_t s = t / Q;
-    const std::size_t q = t % Q;
+  // Each shard searches a block of queries at once, so an exact shard
+  // reads its rows once per block. With fewer shards than the pool has
+  // threads plus the caller, each shard's queries split into
+  // (threads + 1) / shards blocks to keep the pool busy; never more,
+  // since every extra block reads the shard's rows again.
+  std::size_t blocks = 1;
+  if (options_.parallel) {
+    blocks = std::clamp<std::size_t>((ThreadPool::Shared().size() + 1) / S,
+                                     1, Q);
+  }
+  std::vector<std::vector<Neighbor>> legs(S * Q);  // [shard * Q + query]
+  auto search_block = [&](std::size_t t) {
+    const std::size_t s = t / blocks;
+    const std::size_t lo = (t % blocks) * Q / blocks;
+    const std::size_t hi = (t % blocks + 1) * Q / blocks;
     Stopwatch watch;
-    parts[t] = shards_[s]->Search(queries.Row(q), k);
-    ToGlobal(s, parts[t]);
+    std::vector<std::vector<Neighbor>> found;
+    if (blocks == 1) {
+      found = shards_[s]->SearchBatch(queries, k);
+    } else {
+      Matrix block(0, dim_);
+      block.Reserve(hi - lo);
+      for (std::size_t q = lo; q < hi; ++q) block.AppendRow(queries.Row(q));
+      found = shards_[s]->SearchBatch(block, k);
+    }
+    for (std::size_t q = lo; q < hi; ++q) {
+      legs[s * Q + q] = std::move(found[q - lo]);
+      ToGlobal(s, legs[s * Q + q]);
+    }
     kObsSearchNs.Record(watch.ElapsedNanos());
     kObsSearches.Inc();
   };
-  if (options_.parallel && S * Q > 1) {
-    ThreadPool::Shared().ParallelFor(0, S * Q, search_leg);
+  const std::size_t tasks = S * blocks;
+  if (options_.parallel && tasks > 1) {
+    ThreadPool::Shared().ParallelFor(0, tasks, search_block);
   } else {
-    for (std::size_t t = 0; t < S * Q; ++t) search_leg(t);
+    for (std::size_t t = 0; t < tasks; ++t) search_block(t);
   }
   std::vector<std::vector<Neighbor>> per_query(S);
   for (std::size_t q = 0; q < Q; ++q) {
     for (std::size_t s = 0; s < S; ++s) {
-      per_query[s] = std::move(parts[s * Q + q]);
+      per_query[s] = std::move(legs[s * Q + q]);
     }
     results[q] = MergeSorted(per_query, k);
   }

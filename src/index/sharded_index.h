@@ -11,8 +11,8 @@
 //
 // This is the database-side scaling substrate for the serving layer
 // (DESIGN.md §8): the batching driver groups cache misses and issues them
-// as one SearchBatch call, fanning shard×query tasks across the pool so
-// the fused batch kernels see real batch shapes.
+// as one SearchBatch call, which hands each shard a block of queries, so
+// an exact shard scans its rows once per block, not once per query.
 #pragma once
 
 #include <atomic>
@@ -31,8 +31,9 @@ namespace proximity {
 struct ShardedIndexOptions {
   /// Number of shards; 0 selects the shared thread-pool width.
   std::size_t num_shards = 0;
-  /// Scatter per-shard (and per-query, for SearchBatch) searches across
-  /// the shared ThreadPool; false searches shards on the calling thread.
+  /// Scatter per-shard searches (shard blocks of queries, for
+  /// SearchBatch) across the shared ThreadPool; false searches shards on
+  /// the calling thread.
   bool parallel = true;
 };
 
@@ -91,9 +92,11 @@ class ShardedIndex final : public VectorIndex {
   std::vector<Neighbor> Search(std::span<const float> query,
                                std::size_t k) const override;
 
-  /// Grouped scatter-gather: fans shard×query tasks across the pool in
-  /// one wave, then merges per query. This is the batch shape the serving
-  /// driver issues grouped cache misses through.
+  /// Grouped scatter-gather: each shard searches a block of the queries
+  /// (one SearchBatch), then each query merges its shards. With fewer
+  /// shards than pool threads + 1, a shard's queries split into
+  /// (threads + 1) / shards blocks so the pool stays busy. This is the
+  /// batch shape the serving driver issues grouped cache misses through.
   std::vector<std::vector<Neighbor>> SearchBatch(
       const Matrix& queries, std::size_t k) const override;
 

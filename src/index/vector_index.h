@@ -47,9 +47,11 @@ class VectorIndex {
                                        std::size_t k) const = 0;
 
   /// Searches every row of `queries` and returns one result list per row.
-  /// The default implementation loops over Search; ShardedIndex overrides
-  /// it with a grouped scatter-gather over its shards so batched callers
-  /// (the microbatching serving driver) amortize fan-out overhead.
+  /// The default implementation loops over Search. FlatIndex overrides it
+  /// with one scan that reads each row once for the whole block, and
+  /// ShardedIndex with a grouped scatter-gather that hands each shard a
+  /// block, so batched callers (the microbatching serving driver) share
+  /// the scan and amortize fan-out overhead.
   virtual std::vector<std::vector<Neighbor>> SearchBatch(
       const Matrix& queries, std::size_t k) const;
 

@@ -67,7 +67,6 @@ RunMetrics RagPipeline::RunStream(const std::vector<StreamEntry>& stream,
   double relevance_sum = 0.0;
   double misleading_sum = 0.0;
   double total_latency_ns = 0.0;
-  double total_ttft_ns = 0.0;
 
   for (std::size_t i = 0; i < stream.size(); ++i) {
     const QueryResult r = ProcessQuery(stream[i], embeddings.Row(i));
@@ -75,7 +74,6 @@ RunMetrics RagPipeline::RunStream(const std::vector<StreamEntry>& stream,
     hits += r.cache_hit ? 1 : 0;
     latencies.Record(r.retrieval_latency_ns);
     total_latency_ns += static_cast<double>(r.retrieval_latency_ns);
-    total_ttft_ns += static_cast<double>(r.ttft_ns);
     relevance_sum += r.judgment.relevance;
     misleading_sum += r.judgment.misleading;
   }
@@ -83,7 +81,6 @@ RunMetrics RagPipeline::RunStream(const std::vector<StreamEntry>& stream,
   const double n = static_cast<double>(stream.size());
   metrics.accuracy = static_cast<double>(correct) / n;
   metrics.hit_rate = static_cast<double>(hits) / n;
-  metrics.mean_ttft_ms = total_ttft_ns / n / kNanosPerMilli;
   metrics.mean_latency_ms = latencies.MeanNanos() / kNanosPerMilli;
   metrics.p50_latency_ms = latencies.QuantileNanos(0.5) / kNanosPerMilli;
   metrics.p99_latency_ms = latencies.QuantileNanos(0.99) / kNanosPerMilli;

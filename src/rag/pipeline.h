@@ -37,8 +37,6 @@ struct RunMetrics {
   double hit_rate = 0.0;
   /// Mean retrieval latency in milliseconds.
   double mean_latency_ms = 0.0;
-  /// Mean simulated end-to-end latency (QueryResult::ttft_ns) in ms.
-  double mean_ttft_ms = 0.0;
   double p50_latency_ms = 0.0;
   double p99_latency_ms = 0.0;
   double total_latency_ms = 0.0;

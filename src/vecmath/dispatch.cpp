@@ -237,6 +237,40 @@ void BatchDistanceWithNorms(Metric metric, std::span<const float> query,
   }
 }
 
+void BatchDistanceMulti(Metric metric, const float* queries, std::size_t nq,
+                        const float* base, const float* row_norms,
+                        std::size_t count, std::size_t dim,
+                        float* out) noexcept {
+  const detail::KernelTable* t = detail::ActiveKernelTable();
+  switch (metric) {
+    case Metric::kL2:
+      t->multi_l2(queries, nq, base, count, dim, out);
+      return;
+    case Metric::kInnerProduct:
+      t->multi_ip(queries, nq, base, count, dim, out);
+      for (std::size_t i = 0; i < nq * count; ++i) out[i] = -out[i];
+      return;
+    case Metric::kCosine:
+      if (row_norms == nullptr) {
+        for (std::size_t j = 0; j < nq; ++j) {
+          t->batch_cos(queries + j * dim, base, count, dim, out + j * count);
+        }
+        return;
+      }
+      // BatchDistanceWithNorms' cosine, one shared ip scan for all queries.
+      t->multi_ip(queries, nq, base, count, dim, out);
+      for (std::size_t j = 0; j < nq; ++j) {
+        const float qnorm = detail::internal::SqrtNonNeg(
+            t->sqnorm(queries + j * dim, dim));
+        float* row = out + j * count;
+        for (std::size_t r = 0; r < count; ++r) {
+          row[r] = detail::internal::FinishCosine(row[r], qnorm, row_norms[r]);
+        }
+      }
+      return;
+  }
+}
+
 void GatherDistance(Metric metric, std::span<const float> query,
                     const float* base, std::size_t dim,
                     const std::uint32_t* ids, std::size_t count,

@@ -6,9 +6,9 @@
 // One table per level carries every kernel: the float slots behind
 // kernels.h and the quantized slots behind CompressedStore. Every
 // implementation of a slot must be a drop-in numeric replacement:
-//  - A table's float batch kernels are bit-identical to that table's
-//    single-pair kernels; callers rely on it for exact top-k parity
-//    between the scan paths. Tables at different levels may differ by
+//  - A table's float batch and multi-query kernels are bit-identical to
+//    that table's single-pair kernels; callers rely on it for exact top-k
+//    parity between the scan paths. Tables at different levels may differ by
 //    summation order (bounded by ~1e-6 relative).
 //  - The quantized slots decode scalar-quantized codes and accumulate a
 //    distance against a float query in one pass; codes never round-trip
@@ -64,6 +64,15 @@ struct KernelTable {
   /// Cosine distance 1 - <q,row>/(|q||row|); 1 when either norm is zero.
   void (*batch_cos)(const float* q, const float* base, std::size_t count,
                     std::size_t dim, float* out);
+  /// Multi-query batch kernels: `nq` queries (row-major, `dim` floats
+  /// apart) against the same rows, out[j * count + r] for query j. Each
+  /// query's results are bit-identical to batch_l2/batch_ip for that query
+  /// alone; a vector level shares every row load across a block of
+  /// queries. Cosine has no slot: it runs multi_ip against stored norms.
+  void (*multi_l2)(const float* queries, std::size_t nq, const float* base,
+                   std::size_t count, std::size_t dim, float* out);
+  void (*multi_ip)(const float* queries, std::size_t nq, const float* base,
+                   std::size_t count, std::size_t dim, float* out);
 
   /// Squared L2 / inner product between a float query and one row of
   /// 8-bit codes (`n` dimensions, one code byte per dimension).

@@ -80,6 +80,21 @@ void BatchCos(const float* q, const float* base, std::size_t count,
   }
 }
 
+// The portable multi-query kernels run the batch kernel once per query.
+void MultiL2(const float* queries, std::size_t nq, const float* base,
+             std::size_t count, std::size_t dim, float* out) {
+  for (std::size_t j = 0; j < nq; ++j) {
+    BatchL2(queries + j * dim, base, count, dim, out + j * count);
+  }
+}
+
+void MultiIp(const float* queries, std::size_t nq, const float* base,
+             std::size_t count, std::size_t dim, float* out) {
+  for (std::size_t j = 0; j < nq; ++j) {
+    BatchIp(queries + j * dim, base, count, dim, out + j * count);
+  }
+}
+
 // ------------------------------------------------------ quantized rows ----
 // Scalar fmaf loops, 4x unrolled like the float kernels. Dequantization
 // stays fused in the accumulation: x̂ = fmaf(scale, c, bias), never a
@@ -174,7 +189,8 @@ float IpU4(const float* q, const std::uint8_t* codes, std::size_t n,
 }  // namespace
 
 const KernelTable kPortableTable = {
-    L2One, IpOne, SqNormOne, BatchL2, BatchIp, BatchCos, L2U8, IpU8, L2U4, IpU4,
+    L2One, IpOne, SqNormOne, BatchL2, BatchIp, BatchCos,
+    MultiL2, MultiIp, L2U8, IpU8, L2U4, IpU4,
 };
 
 }  // namespace proximity::detail

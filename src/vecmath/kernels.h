@@ -10,8 +10,8 @@
 //
 // Guarantees:
 //  - The batch kernels are bit-identical to the single-pair kernels of the
-//    active level, so routing a scan through BatchDistance/GatherDistance
-//    never changes top-k results.
+//    active level, so routing a scan through BatchDistance/
+//    BatchDistanceMulti/GatherDistance never changes top-k results.
 //  - Levels differ from each other only by floating-point summation order
 //    (~1e-6 relative); the portable table is the reference.
 //  - `PROXIMITY_SIMD=portable|avx2|avx512|neon` in the environment pins the
@@ -84,6 +84,19 @@ void BatchDistanceWithNorms(Metric metric, std::span<const float> query,
                             const float* base, const float* row_norms,
                             std::size_t count, std::size_t dim,
                             float* out) noexcept;
+
+/// BatchDistance for `nq` queries at once (row-major, `dim` floats apart):
+/// out[j * count + r] is the distance from query j to row r, bit-identical
+/// to BatchDistance for that query alone (BatchDistanceWithNorms for
+/// cosine with norms). The vector levels share every row load across a
+/// block of queries, so a batch of queries reads each row once. Cosine
+/// runs the inner-product kernel against `row_norms` (per-row squared
+/// norms, e.g. Matrix::RowNorms()); without them it scans once per query.
+/// L2 and inner product ignore `row_norms`.
+void BatchDistanceMulti(Metric metric, const float* queries, std::size_t nq,
+                        const float* base, const float* row_norms,
+                        std::size_t count, std::size_t dim,
+                        float* out) noexcept;
 
 /// Distances from `query` to the scattered rows base[ids[j]*dim .. +dim)
 /// for j in [0, count), with software prefetch of upcoming rows. Results

@@ -139,64 +139,120 @@ struct CosOp {
   }
 };
 
-// In-loop prefetch distance of the row blocks, in floats (1 KiB). Rows of
+/// v, pinned in a vector register. A tile reuses each row load for every
+/// query and each query load for every row; left alone, GCC 12 folds the
+/// reuses into memory operands and loads the same chunk again for each
+/// one. The empty asm emits nothing; it only makes v a register value.
+template <class V>
+[[gnu::always_inline]] inline V InRegister(V v) noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  asm("" : "+v"(v));
+#elif defined(__aarch64__)
+  asm("" : "+w"(v));
+#endif
+  return v;
+}
+
+// In-loop prefetch distance of the row tiles, in floats (1 KiB). Rows of
 // a batch are contiguous, so running past a row's end prefetches the next
-// block's rows; prefetch hints never fault.
+// tile's rows; prefetch hints never fault.
 constexpr std::size_t kPfAhead = 256;
 
-/// R rows starting at `rows` (`stride` floats apart) against one query of
-/// n floats, sharing the query loads; writes R * Op::kAccs sums to `out`.
+/// An R-rows x Q-queries register tile: R rows starting at `rows`
+/// (`stride` floats apart) against Q queries starting at `q` (`qstride`
+/// floats apart), n floats each. Each row load is shared by the Q queries
+/// and each query load by the R rows; every (row, query) pair keeps its
+/// own accumulators, so it sees the single-pair order. Writes
+/// R * Q * Op::kAccs sums to `out`: pair (r, j) at out[(r * Q + j) * K].
 /// Always inlined: as a call, per block or per single row, it costs ~10%
 /// at 64-d.
-template <int W, class Op, int R>
-[[gnu::always_inline]] inline void Rows(const float* q, const float* rows,
-                                        std::size_t stride, std::size_t n,
-                                        float* out) noexcept {
+template <int W, class Op, int R, int Q>
+[[gnu::always_inline]] inline void Tile(const float* q, std::size_t qstride,
+                                        const float* rows, std::size_t stride,
+                                        std::size_t n, float* out) noexcept {
   using V = typename Lanes<W>::F;
   constexpr int K = Op::kAccs;
   // Zeroed by loop, not by `= {}`: GCC 12 lowers that to a memset and then
   // keeps the accumulators in memory. The unroll pragmas let it keep every
   // accumulator in a register.
-  V a0[R][K], a1[R][K];
+  V a0[R][Q][K], a1[R][Q][K];
 #pragma GCC unroll 16
   for (int r = 0; r < R; ++r) {
 #pragma GCC unroll 16
-    for (int k = 0; k < K; ++k) a0[r][k] = a1[r][k] = V{};
+    for (int j = 0; j < Q; ++j) {
+#pragma GCC unroll 16
+      for (int k = 0; k < K; ++k) a0[r][j][k] = a1[r][j][k] = V{};
+    }
   }
   std::size_t i = 0;
   for (; i + 2 * W <= n; i += 2 * W) {
-    if constexpr (R > 1) {
+    if constexpr (R * Q > 1) {
       for (int r = 0; r < R; ++r) {
         for (std::size_t l = 0; l < 2 * W; l += 16) {
           __builtin_prefetch(rows + r * stride + i + kPfAhead + l, 0, 3);
         }
       }
     }
-    const V q0 = Load<W>(q + i), q1 = Load<W>(q + i + W);
+    // Loads are pinned only where GCC would reload them: in multi-query
+    // tiles and under cosine's two sums. A plain single-query tile keeps
+    // its query chunks in registers unaided, and pinning its four rows at
+    // W = 8 would spill.
+    constexpr bool kPin = Q > 1 || K > 1;
+    V x0[R], x1[R];
 #pragma GCC unroll 16
     for (int r = 0; r < R; ++r) {
-      Op::Step(a0[r], q0, Load<W>(rows + r * stride + i));
-      Op::Step(a1[r], q1, Load<W>(rows + r * stride + i + W));
+      x0[r] = Load<W>(rows + r * stride + i);
+      x1[r] = Load<W>(rows + r * stride + i + W);
+      if constexpr (kPin) {
+        x0[r] = InRegister(x0[r]);
+        x1[r] = InRegister(x1[r]);
+      }
+    }
+#pragma GCC unroll 16
+    for (int j = 0; j < Q; ++j) {
+      V q0 = Load<W>(q + j * qstride + i);
+      V q1 = Load<W>(q + j * qstride + i + W);
+      if constexpr (kPin) {
+        q0 = InRegister(q0);
+        q1 = InRegister(q1);
+      }
+#pragma GCC unroll 16
+      for (int r = 0; r < R; ++r) {
+        Op::Step(a0[r][j], q0, x0[r]);
+        Op::Step(a1[r][j], q1, x1[r]);
+      }
     }
   }
   if (i + W <= n) {
-    const V q0 = Load<W>(q + i);
 #pragma GCC unroll 16
-    for (int r = 0; r < R; ++r) {
-      Op::Step(a0[r], q0, Load<W>(rows + r * stride + i));
+    for (int j = 0; j < Q; ++j) {
+      const V q0 = Load<W>(q + j * qstride + i);
+#pragma GCC unroll 16
+      for (int r = 0; r < R; ++r) {
+        Op::Step(a0[r][j], q0, Load<W>(rows + r * stride + i));
+      }
     }
     i += W;
   }
-  float tail[R][K] = {};
+  float tail[R][Q][K] = {};
   for (; i < n; ++i) {
 #pragma GCC unroll 16
-    for (int r = 0; r < R; ++r) Op::Step(tail[r], q[i], rows[r * stride + i]);
+    for (int j = 0; j < Q; ++j) {
+#pragma GCC unroll 16
+      for (int r = 0; r < R; ++r) {
+        Op::Step(tail[r][j], q[j * qstride + i], rows[r * stride + i]);
+      }
+    }
   }
 #pragma GCC unroll 16
   for (int r = 0; r < R; ++r) {
 #pragma GCC unroll 16
-    for (int k = 0; k < K; ++k) {
-      out[r * K + k] = Reduce<W>(a0[r][k] + a1[r][k]) + tail[r][k];
+    for (int j = 0; j < Q; ++j) {
+#pragma GCC unroll 16
+      for (int k = 0; k < K; ++k) {
+        out[(r * Q + j) * K + k] =
+            Reduce<W>(a0[r][j][k] + a1[r][j][k]) + tail[r][j][k];
+      }
     }
   }
 }
@@ -204,7 +260,7 @@ template <int W, class Op, int R>
 template <int W, class Op>
 float One(const float* a, const float* b, std::size_t n) noexcept {
   float sum = 0.f;
-  Rows<W, Op, 1>(a, b, 0, n, &sum);
+  Tile<W, Op, 1, 1>(a, 0, b, 0, n, &sum);
   return sum;
 }
 
@@ -213,32 +269,90 @@ float SqNorm(const float* a, std::size_t n) noexcept {
   return One<W, NormOp>(a, a, n);
 }
 
-/// Blocks of rows sharing the query loads (4 accumulator pairs in flight),
-/// then single rows; every row sees the single-pair order.
+// Queries per multi-query block, and rows per tile for a block of Q
+// queries. A single query runs 4 rows per tile (2 for cosine, which
+// carries two sums per row), as Batch always has. A multi-query tile
+// holds kTilePairs (row, query) pairs, two accumulators each: 8 of 16 ymm
+// at W = 8 and 16 of 32 zmm at W = 16, leaving room for the row chunks
+// and the L2 differences.
+constexpr int kBlockQueries = 4;
+template <int W, class Op, int Q>
+constexpr int TileRows() noexcept {
+  constexpr int kTilePairs = W >= 16 ? 8 : 4;
+  if constexpr (Q == 1) {
+    return 4 / Op::kAccs;
+  } else {
+    return kTilePairs / Q > 1 ? kTilePairs / Q : 1;
+  }
+}
+
+/// Q queries (`dim` floats apart) against `count` rows, in tiles of
+/// TileRows rows, then single rows; out[j * count + r] is Op::Finish of
+/// pair (r, j). Every pair sees the single-pair order.
+template <int W, class Op, int Q>
+void Block(const float* qs, const float* base, std::size_t count,
+           std::size_t dim, float qnorm, float* out) noexcept {
+  constexpr int R = TileRows<W, Op, Q>();
+  constexpr int K = Op::kAccs;
+  float acc[R * Q * K] = {};
+  std::size_t r = 0;
+  for (; r + R <= count; r += R) {
+    if (r + 2 * R <= count) {
+      const float* next = base + (r + R) * dim;
+      __builtin_prefetch(next, 0, 3);
+      __builtin_prefetch(next + 16, 0, 3);
+    }
+    Tile<W, Op, R, Q>(qs, dim, base + r * dim, dim, dim, acc);
+    for (int t = 0; t < R; ++t) {
+      for (int j = 0; j < Q; ++j) {
+        out[j * count + r + t] = Op::Finish(acc + (t * Q + j) * K, qnorm);
+      }
+    }
+  }
+  for (; r < count; ++r) {
+    Tile<W, Op, 1, Q>(qs, dim, base + r * dim, dim, dim, acc);
+    for (int j = 0; j < Q; ++j) {
+      out[j * count + r] = Op::Finish(acc + j * K, qnorm);
+    }
+  }
+}
+
+/// One query against `count` rows: the Q = 1 case of the tile.
 template <int W, class Op>
 void Batch(const float* q, const float* base, std::size_t count,
            std::size_t dim, float* out) noexcept {
-  constexpr int kRows = 4 / Op::kAccs;
   float qnorm = 0.f;
   if constexpr (std::is_same_v<Op, CosOp>) {
     qnorm = internal::SqrtNonNeg(SqNorm<W>(q, dim));
   }
-  float acc[kRows * Op::kAccs] = {};
-  std::size_t r = 0;
-  for (; r + kRows <= count; r += kRows) {
-    if (r + 2 * kRows <= count) {
-      const float* next = base + (r + kRows) * dim;
-      __builtin_prefetch(next, 0, 3);
-      __builtin_prefetch(next + 16, 0, 3);
-    }
-    Rows<W, Op, kRows>(q, base + r * dim, dim, dim, acc);
-    for (int j = 0; j < kRows; ++j) {
-      out[r + j] = Op::Finish(acc + j * Op::kAccs, qnorm);
-    }
-  }
-  for (; r < count; ++r) {
-    Rows<W, Op, 1>(q, base + r * dim, dim, dim, acc);
-    out[r] = Op::Finish(acc, qnorm);
+  Block<W, Op, 1>(q, base, count, dim, qnorm, out);
+}
+
+/// Block<W, Op, Q> for the Q in [1, kBlockQueries] that is `nq`.
+template <int W, class Op, int... Q>
+void BlockOf(std::size_t nq, const float* qs, const float* base,
+             std::size_t count, std::size_t dim, float* out,
+             std::integer_sequence<int, Q...>) noexcept {
+  ((nq == static_cast<std::size_t>(Q + 1)
+        ? Block<W, Op, Q + 1>(qs, base, count, dim, 0.f, out)
+        : void()),
+   ...);
+}
+
+/// `nq` queries (`dim` floats apart) against `count` rows; out[j * count +
+/// r]. The queries split into ceil(nq / kBlockQueries) blocks whose sizes
+/// differ by at most one, so no block is a lone query unless nq is 1.
+/// Each result is bit-identical to Batch for query j alone.
+template <int W, class Op>
+void Multi(const float* qs, std::size_t nq, const float* base,
+           std::size_t count, std::size_t dim, float* out) noexcept {
+  static_assert(Op::kAccs == 1, "cosine runs the ip scan with stored norms");
+  const std::size_t blocks = (nq + kBlockQueries - 1) / kBlockQueries;
+  for (std::size_t b = 0, j = 0; b < blocks; ++b) {
+    const std::size_t size = (nq - j) / (blocks - b);
+    BlockOf<W, Op>(size, qs + j * dim, base, count, dim, out + j * count,
+                   std::make_integer_sequence<int, kBlockQueries>());
+    j += size;
   }
 }
 
@@ -317,6 +431,8 @@ constexpr KernelTable MakeKernelTable() noexcept {
   t.batch_l2 = Batch<W, L2Op>;
   t.batch_ip = Batch<W, IpOp>;
   t.batch_cos = Batch<W, CosOp>;
+  t.multi_l2 = Multi<W, L2Op>;
+  t.multi_ip = Multi<W, IpOp>;
   t.l2_u8 = U8<W, L2Op>;
   t.ip_u8 = U8<W, IpOp>;
   t.l2_u4 = U4<W, L2Op>;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "vecmath/kernels.h"
 
@@ -58,31 +59,45 @@ std::vector<Neighbor> TopK::Sorted() const {
   return out;
 }
 
+std::vector<std::vector<Neighbor>> SelectTopK(
+    Metric metric, const float* queries, std::size_t nq, const float* base,
+    std::size_t count, std::size_t dim, std::size_t k, VectorId base_id,
+    const float* row_norms) {
+  // Rows per tile. A lone query streams every row once whatever the tile,
+  // so its tile only bounds the distance buffer; with several queries the
+  // tile's rows (kTileFloats, 192 KiB) stay in L2 while each query scans
+  // them.
+  constexpr std::size_t kMaxTile = 4096, kTileFloats = 48 * 1024;
+  const std::size_t rows_in_l2 = kTileFloats / std::max<std::size_t>(dim, 1);
+  const std::size_t tile =
+      nq == 1 ? kMaxTile : std::clamp<std::size_t>(rows_in_l2, 1, kMaxTile);
+  std::vector<TopK> top;  // built in place: a copy would drop the reserve
+  top.reserve(nq);
+  for (std::size_t j = 0; j < nq; ++j) top.emplace_back(k);
+  std::vector<float> dist(nq * std::min(count, tile));
+  for (std::size_t lo = 0; lo < count; lo += tile) {
+    const std::size_t m = std::min(tile, count - lo);
+    BatchDistanceMulti(metric, queries, nq, base + lo * dim,
+                       row_norms != nullptr ? row_norms + lo : nullptr, m,
+                       dim, dist.data());
+    for (std::size_t j = 0; j < nq; ++j) {
+      const float* d = dist.data() + j * m;
+      for (std::size_t r = 0; r < m; ++r) {
+        top[j].Push(base_id + static_cast<VectorId>(lo + r), d[r]);
+      }
+    }
+  }
+  std::vector<std::vector<Neighbor>> out(nq);
+  for (std::size_t j = 0; j < nq; ++j) out[j] = top[j].Take();
+  return out;
+}
+
 std::vector<Neighbor> SelectTopK(Metric metric, std::span<const float> query,
                                  const float* base, std::size_t count,
                                  std::size_t dim, std::size_t k,
                                  VectorId base_id, const float* row_norms) {
-  // The L2 decomposition is not bit-identical to the direct kernel, so only
-  // cosine (where stored norms reproduce the single-pair math exactly)
-  // takes the norm-assisted path.
-  if (metric != Metric::kCosine) row_norms = nullptr;
-
-  TopK top(k);
-  constexpr std::size_t kTile = 4096;
-  std::vector<float> dist(std::min(count, kTile));
-  for (std::size_t lo = 0; lo < count; lo += kTile) {
-    const std::size_t m = std::min(kTile, count - lo);
-    if (row_norms != nullptr) {
-      BatchDistanceWithNorms(metric, query, base + lo * dim, row_norms + lo,
-                             m, dim, dist.data());
-    } else {
-      BatchDistance(metric, query, base + lo * dim, m, dim, dist.data());
-    }
-    for (std::size_t r = 0; r < m; ++r) {
-      top.Push(base_id + static_cast<VectorId>(lo + r), dist[r]);
-    }
-  }
-  return top.Take();
+  return std::move(SelectTopK(metric, query.data(), 1, base, count, dim, k,
+                              base_id, row_norms)[0]);
 }
 
 }  // namespace proximity

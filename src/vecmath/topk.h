@@ -40,12 +40,21 @@ class TopK {
   std::vector<Neighbor> heap_;  // max-heap by (distance, id)
 };
 
-/// Convenience: selects the k closest rows of a contiguous row-major block.
-/// `base` holds `count` vectors of dimension `dim`; returned ids are
-/// base_id + row. Distances run through the fused batch kernels tile by
-/// tile. `row_norms` (per-row squared norms, e.g. Matrix::RowNorms())
-/// enables the pre-normalized cosine path; it is ignored for L2, which
-/// keeps the direct kernel for exact parity with Distance().
+/// Selects the k closest rows of a contiguous row-major block for each of
+/// `nq` queries (row-major, `dim` floats apart): one sorted list per
+/// query. `base` holds `count` vectors of dimension `dim`; returned ids are
+/// base_id + row. Rows run through BatchDistanceMulti tile by tile, and
+/// with several queries a tile stays in L2 while every query scans it, so
+/// each row is read from memory once per call. Each query's list is the
+/// one the query gets alone. `row_norms` (per-row squared norms, e.g.
+/// Matrix::RowNorms()) enables the pre-normalized cosine path; L2 and
+/// inner product ignore it.
+std::vector<std::vector<Neighbor>> SelectTopK(
+    Metric metric, const float* queries, std::size_t nq, const float* base,
+    std::size_t count, std::size_t dim, std::size_t k, VectorId base_id = 0,
+    const float* row_norms = nullptr);
+
+/// The one-query case of the above.
 std::vector<Neighbor> SelectTopK(Metric metric, std::span<const float> query,
                                  const float* base, std::size_t count,
                                  std::size_t dim, std::size_t k,

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <set>
 #include <string_view>
 
@@ -52,6 +54,32 @@ std::vector<Neighbor> BruteForce(const Matrix& corpus,
 
 // ----------------------------------------------------------------- Flat --
 
+// ids and float bits, rank by rank.
+void ExpectSameBits(const std::vector<Neighbor>& want,
+                    const std::vector<Neighbor>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].id, got[i].id) << "rank " << i;
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(want[i].distance),
+              std::bit_cast<std::uint32_t>(got[i].distance))
+        << "rank " << i;
+  }
+}
+
+// SearchBatch must return, for every query of the block, exactly what
+// Search returns for it alone.
+void ExpectBatchMatchesSearch(const FlatIndex& index, const Matrix& queries,
+                              std::size_t k) {
+  const auto batch = index.SearchBatch(queries, k);
+  ASSERT_EQ(batch.size(), queries.rows());
+  for (std::size_t q = 0; q < queries.rows(); ++q) {
+    SCOPED_TRACE(testing::Message() << "query " << q << " of "
+                                    << queries.rows());
+    ExpectSameBits(index.Search(queries.Row(q), k), batch[q]);
+  }
+}
+
+
 TEST(FlatIndexTest, ExactMatchesBruteForce) {
   const Matrix corpus = RandomMatrix(500, 16, 1);
   FlatIndex index(16);
@@ -72,6 +100,15 @@ TEST(FlatIndexTest, ParallelScanMatchesSerial) {
     const auto q = RandomVec(8, 200 + s);
     EXPECT_EQ(serial.Search(q, 10), parallel.Search(q, 10));
   }
+  // The pooled SearchBatch gives every row chunk the whole block.
+  const Matrix queries = RandomMatrix(8, 8, 210);
+  const auto want = serial.SearchBatch(queries, 10);
+  const auto got = parallel.SearchBatch(queries, 10);
+  ASSERT_EQ(got.size(), queries.rows());
+  for (std::size_t q = 0; q < queries.rows(); ++q) {
+    ExpectSameBits(want[q], got[q]);
+    ExpectSameBits(parallel.Search(queries.Row(q), 10), got[q]);
+  }
 }
 
 TEST(FlatIndexTest, AddAssignsSequentialIds) {
@@ -87,6 +124,7 @@ TEST(FlatIndexTest, RejectsWrongDimension) {
   const std::vector<float> bad = {1, 2};
   EXPECT_THROW(index.Add(bad), std::invalid_argument);
   EXPECT_THROW(index.Search(bad, 1), std::invalid_argument);
+  EXPECT_THROW(index.SearchBatch(Matrix(2, 2), 1), std::invalid_argument);
 }
 
 TEST(FlatIndexTest, EmptyIndexReturnsNothing) {
@@ -94,6 +132,15 @@ TEST(FlatIndexTest, EmptyIndexReturnsNothing) {
   const std::vector<float> q = {1, 2, 3, 4};
   EXPECT_TRUE(index.Search(q, 5).empty());
   EXPECT_TRUE(index.Search(q, 0).empty());
+  // SearchBatch: one empty list per query, none for no queries.
+  EXPECT_TRUE(index.SearchBatch(Matrix(0, 4), 5).empty());
+  const auto none = index.SearchBatch(Matrix(2, 4), 5);
+  ASSERT_EQ(none.size(), 2u);
+  EXPECT_TRUE(none[0].empty() && none[1].empty());
+  index.Add(q);
+  const auto zero_k = index.SearchBatch(Matrix(2, 4), 0);
+  ASSERT_EQ(zero_k.size(), 2u);
+  EXPECT_TRUE(zero_k[0].empty() && zero_k[1].empty());
 }
 
 TEST(FlatIndexTest, KLargerThanSizeReturnsAll) {
@@ -112,6 +159,42 @@ TEST(FlatIndexTest, InnerProductMetricPrefersLargerDot) {
   const auto result = index.Search(q, 1);
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].id, 1);
+}
+
+// 1100 rows at 96-d: the scan's row tiles (512 rows at this dim) and the
+// kernel's row blocks both leave remainders. Also: duplicate rows, which
+// tie on distance and must come back in id order, with k above the row
+// count; and sq8 storage, which keeps its per-query two-level search.
+TEST(FlatIndexTest, SearchBatchIsBitIdenticalToSearch) {
+  constexpr std::size_t kDim = 96;
+  const Matrix corpus = RandomMatrix(1100, kDim, 3);
+  const Matrix distinct = RandomMatrix(4, kDim, 5);
+  for (const Metric metric :
+       {Metric::kL2, Metric::kInnerProduct, Metric::kCosine}) {
+    FlatIndex index(kDim, {.metric = metric, .parallel_threshold = 0});
+    index.AddBatch(corpus);
+    for (const std::size_t nq : {1u, 2u, 3u, 4u, 5u, 8u, 33u}) {
+      SCOPED_TRACE(testing::Message() << MetricName(metric) << " nq=" << nq);
+      ExpectBatchMatchesSearch(index, RandomMatrix(nq, kDim, 40 + nq), 10);
+    }
+
+    FlatIndex dups(kDim, {.metric = metric, .parallel_threshold = 0});
+    for (std::size_t copy = 0; copy < 3; ++copy) dups.AddBatch(distinct);
+    const Matrix queries = RandomMatrix(5, kDim, 6);
+    ExpectBatchMatchesSearch(dups, queries, 20);
+    for (const auto& list : dups.SearchBatch(queries, 20)) {
+      ASSERT_EQ(list.size(), 12u);
+      for (std::size_t i = 1; i < list.size(); ++i) {
+        if (list[i].distance == list[i - 1].distance) {
+          EXPECT_LT(list[i - 1].id, list[i].id);
+        }
+      }
+    }
+  }
+  FlatIndex sq8(kDim, {.parallel_threshold = 0,
+                       .storage = StorageLayout::kSq8});
+  sq8.AddBatch(corpus);
+  ExpectBatchMatchesSearch(sq8, RandomMatrix(5, kDim, 9), 10);
 }
 
 TEST(FlatIndexTest, DescribeMentionsKind) {

@@ -114,9 +114,15 @@ TEST(ShardedIndexTest, SequentialMatchesParallel) {
   seq.parallel = false;
   const auto a = BuildShardedIndex(spec, corpus, par);
   const auto b = BuildShardedIndex(spec, corpus, seq);
+  const auto a_batch = a->SearchBatch(queries, 5);
+  const auto b_batch = b->SearchBatch(queries, 5);
+  ASSERT_EQ(a_batch.size(), queries.rows());
+  ASSERT_EQ(b_batch.size(), queries.rows());
   for (std::size_t q = 0; q < queries.rows(); ++q) {
-    ExpectBitIdentical(a->Search(queries.Row(q), 5),
-                       b->Search(queries.Row(q), 5));
+    const auto single = b->Search(queries.Row(q), 5);
+    ExpectBitIdentical(a->Search(queries.Row(q), 5), single);
+    ExpectBitIdentical(a_batch[q], single);
+    ExpectBitIdentical(b_batch[q], single);
   }
 }
 

@@ -141,6 +141,47 @@ void ExpectActiveBatchBitIdentical(const std::string& label) {
   }
 }
 
+// The multi-query kernels: for 1-9 queries over the batch helper's dims
+// and 13 rows, each query's distances are bit-identical to BatchDistance
+// of that query alone (cosine also through stored norms, which must come
+// from the same level's sqnorm kernel).
+void ExpectActiveMultiQueryBitIdentical(const std::string& label) {
+  for (const std::size_t dim : {1u, 5u, 16u, 31u, 64u, 100u, 768u}) {
+    constexpr std::size_t kRows = 13;
+    Rng rng(41 + dim);
+    std::vector<float> base(kRows * dim);
+    for (auto& x : base) x = static_cast<float>(rng.Gaussian(0, 1));
+    std::vector<float> norms(kRows);
+    for (std::size_t r = 0; r < kRows; ++r) {
+      norms[r] = SquaredNorm({base.data() + r * dim, dim});
+    }
+    for (std::size_t nq = 1; nq <= 9; ++nq) {
+      std::vector<float> queries(nq * dim);
+      for (auto& x : queries) x = static_cast<float>(rng.Gaussian(0, 1));
+      std::vector<float> multi(nq * kRows), one(kRows);
+      for (const Metric metric :
+           {Metric::kL2, Metric::kInnerProduct, Metric::kCosine}) {
+        const float* with_norms = norms.data();
+        const float* without_norms = nullptr;
+        for (const float* row_norms : {with_norms, without_norms}) {
+          BatchDistanceMulti(metric, queries.data(), nq, base.data(),
+                             row_norms, kRows, dim, multi.data());
+          for (std::size_t j = 0; j < nq; ++j) {
+            BatchDistance(metric, {queries.data() + j * dim, dim},
+                          base.data(), kRows, dim, one.data());
+            for (std::size_t r = 0; r < kRows; ++r) {
+              EXPECT_EQ(Bits(one[r]), Bits(multi[j * kRows + r]))
+                  << label << " metric=" << MetricName(metric)
+                  << " dim=" << dim << " nq=" << nq << " query=" << j
+                  << " row=" << r << (row_norms ? " norms" : "");
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 void ExpectActiveGatherBitIdentical(const std::string& label) {
   constexpr std::size_t kDim = 48, kRows = 64;
   Rng rng(91);
@@ -245,6 +286,7 @@ TEST_F(SimdKernelsTest, BatchIsBitIdenticalToSinglePairAtEveryLevel) {
   for (const SimdLevel lvl : SupportedLevels()) {
     ASSERT_TRUE(SetActiveSimdLevel(lvl));
     ExpectActiveBatchBitIdentical(std::string(SimdLevelName(lvl)));
+    ExpectActiveMultiQueryBitIdentical(std::string(SimdLevelName(lvl)));
   }
 }
 
@@ -345,6 +387,7 @@ TEST_F(FourLaneKernelsTest, MatchesScalarReferenceAcrossDims) {
 
 TEST_F(FourLaneKernelsTest, BatchGatherAndNormsAreBitIdenticalToSinglePair) {
   ExpectActiveBatchBitIdentical("four lanes");
+  ExpectActiveMultiQueryBitIdentical("four lanes");
   ExpectActiveGatherBitIdentical("four lanes");
   ExpectActiveNormAssistedMatchesPlain("four lanes");
 }

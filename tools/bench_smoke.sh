@@ -13,7 +13,13 @@
 #                          monotonic-qps gate is forced to run anyway via
 #                          --threads=4 (the bench records the pool size
 #                          and a machine-readable skip_reason when the
-#                          gate genuinely cannot run).
+#                          gate genuinely cannot run). This script fails
+#                          if the calling-thread multi-query row (one
+#                          FlatIndex, 20k x 768 rows under --quick:
+#                          SearchBatch of 32 queries vs 32 Search calls)
+#                          reports multi_query_speedup < 2, or if the
+#                          bench exits non-zero (a batch result differs
+#                          from its Search result).
 #   4. serve_load        — --quick closed/open-loop sweep against the
 #                          epoll serving front-end over loopback; fails
 #                          by itself if any request goes unanswered.
@@ -117,7 +123,7 @@ section_distance_kernels() {
 }
 
 section_shard_scaling() {
-  echo "== bench_smoke: shard_scaling --quick (monotonic-qps gate) =="
+  echo "== bench_smoke: shard_scaling --quick (shard + multi-query gates) =="
   # Small hosts force a 4-thread pool so the gate still runs; the verdict
   # is informational here (timing on loaded runners is noisy) but the
   # bench must complete and the JSON must carry either a verdict or a
@@ -132,6 +138,20 @@ section_shard_scaling() {
     echo "bench_smoke: FAIL — shard gate neither ran nor recorded a" \
          "skip_reason" >&2
     grep -q '"skip_reason": "' "$OUT_DIR/BENCH_shard.json" || exit 1
+  fi
+
+  MULTI=$(awk -F'"multi_query_speedup": ' '
+    NF > 1 { split($2, a, "}"); print a[1]; exit }
+  ' "$OUT_DIR/BENCH_shard.json")
+  if [[ -z "$MULTI" ]]; then
+    echo "bench_smoke: FAIL — multi_query_speedup missing from" \
+         "BENCH_shard.json" >&2
+    exit 1
+  fi
+  echo "calling-thread SearchBatch(32) vs 32 Search: multi_query_speedup=$MULTI"
+  if ! awk -v s="$MULTI" 'BEGIN { exit !(s >= 2.0) }'; then
+    echo "bench_smoke: FAIL — multi-query scan speedup $MULTI below 2x" >&2
+    exit 1
   fi
 }
 
