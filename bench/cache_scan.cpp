@@ -59,7 +59,7 @@ BENCHMARK(BM_CacheLookup)->RangeMultiplier(10)->Range(10, 100000);
 // Database query latency: exact flat scan.
 void BM_FlatSearch(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  FlatIndex index(kDim, {.metric = Metric::kL2, .parallel_threshold = 0});
+  FlatIndex index(kDim, {.metric = Metric::kL2});
   index.AddBatch(RandomMatrix(n, kDim, 13));
   const auto query = RandomQuery(17);
   for (auto _ : state) {

@@ -9,8 +9,9 @@
 // 0.95 on the full 1M x 768-d run (>= 1.5x under --quick, which is what
 // tools/bench_smoke.sh checks on 100k vectors).
 //
-// All scans run single-threaded (parallel_threshold = 0): the point is
-// per-core bytes-per-query, not pool scaling (shard_scaling covers that).
+// All scans run on the calling thread, as every FlatIndex scan does: the
+// point is per-core bytes-per-query, not pool scaling (shard_scaling
+// covers that).
 //
 // Flags: --quick (100k corpus, CI budget), --json=PATH (default
 // BENCH_quant.json), --n=N, --dim=N.
@@ -139,7 +140,6 @@ int Run(std::size_t n, std::size_t dim, const std::string& json_path) {
   for (const StorageLayout layout : layouts) {
     FlatIndexOptions opts;
     opts.metric = Metric::kL2;
-    opts.parallel_threshold = 0;  // single-threaded: per-core bandwidth
     opts.storage = layout;
     opts.rerank_factor = kRerank;
     FlatIndex index(dim, opts);

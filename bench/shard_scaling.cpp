@@ -12,9 +12,9 @@
 // exercises the scatter-gather paths, if not the speedup itself).
 //
 // A second row isolates the multi-query scan from pool parallelism: one
-// FlatIndex with parallel_threshold = 0 over 100k x 768-d rows (--quick:
-// 20k), on the calling thread, times SearchBatch of 32 queries against
-// 32 Search calls. The ratio is "multi_query_speedup" (gate: >= 2, checked
+// FlatIndex (which always scans on its calling thread) over 100k x 768-d
+// rows (--quick: 20k) times SearchBatch of 32 queries against 32 Search
+// calls. The ratio is "multi_query_speedup" (gate: >= 2, checked
 // by tools/bench_smoke.sh); the bench exits 1 if any batch result differs
 // from its Search result.
 //
@@ -101,9 +101,7 @@ struct MultiQueryRow {
 MultiQueryRow MeasureMultiQuery(std::size_t rows, std::size_t k) {
   MultiQueryRow row;
   row.rows = rows;
-  FlatIndexOptions opts;
-  opts.parallel_threshold = 0;
-  FlatIndex index(row.dim, opts);
+  FlatIndex index(row.dim);
   index.AddBatch(RandomMatrix(rows, row.dim, 303));
   const Matrix queries = RandomMatrix(row.queries, row.dim, 404);
   const auto per_query = static_cast<double>(row.queries);

@@ -1,8 +1,11 @@
 // Fixed-size thread pool with a ParallelFor helper.
 //
-// Used for index construction (k-means, HNSW inserts are serial by design,
-// but flat scans and corpus embedding parallelize well). The pool is
-// deliberately simple: one global queue, condition-variable wakeups.
+// The one shared pool runs the sharded index's scatter-gather (one task
+// per shard block of queries) and its parallel shard builds, k-means
+// assignment steps and batch embedding. Within the index layer only
+// ShardedIndex spreads a vector scan over it; every other index scans on
+// its calling thread. The pool is deliberately simple: one global queue,
+// condition-variable wakeups.
 #pragma once
 
 #include <condition_variable>
@@ -35,8 +38,8 @@ class ThreadPool {
   /// when the queue is empty. This is the help-while-waiting primitive
   /// that makes nested ParallelFor calls deadlock-free: a blocked caller
   /// drains the queue instead of occupying a worker slot idle (the
-  /// sharded index fans per-shard searches onto the pool while a large
-  /// flat shard may fan its scan onto the same pool underneath).
+  /// sharded index builds its shards on the pool, and an IVF shard's
+  /// Train runs k-means on the same pool underneath).
   bool TryRunOne();
 
   /// Runs fn(i) for i in [begin, end), partitioned into contiguous chunks

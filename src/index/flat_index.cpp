@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/serde.h"
-#include "common/thread_pool.h"
 #include "index/index_io.h"
 #include "obs/scan_stats.h"
 #include "obs/span.h"
@@ -32,22 +31,6 @@ VectorId FlatIndex::Add(std::span<const float> vec) {
   return id;
 }
 
-std::vector<Neighbor> FlatIndex::ScanCompressed(std::span<const float> query,
-                                                std::size_t lo, std::size_t hi,
-                                                std::size_t fetch) const {
-  TopK top(fetch);
-  constexpr std::size_t kTile = 4096;
-  std::vector<float> dist(std::min(hi - lo, kTile));
-  for (std::size_t t = lo; t < hi; t += kTile) {
-    const std::size_t len = std::min(kTile, hi - t);
-    store_.ScanRange(options_.metric, query, t, len, dist.data());
-    for (std::size_t i = 0; i < len; ++i) {
-      top.Push(static_cast<VectorId>(t + i), dist[i]);
-    }
-  }
-  return top.Take();
-}
-
 std::vector<Neighbor> FlatIndex::Search(std::span<const float> query,
                                         std::size_t k) const {
   CheckDim(query);
@@ -64,30 +47,20 @@ std::vector<Neighbor> FlatIndex::Search(std::span<const float> query,
         std::min(n, std::max(k * std::max<std::size_t>(options_.rerank_factor,
                                                        1),
                              k));
-    std::vector<Neighbor> coarse;
-    if (options_.parallel_threshold == 0 ||
-        n <= options_.parallel_threshold) {
-      coarse = ScanCompressed(query, 0, n, fetch);
-    } else {
-      auto& pool = ThreadPool::Shared();
-      const std::size_t parts = pool.size() + 1;
-      std::vector<std::vector<Neighbor>> partial(parts);
-      const std::size_t chunk = (n + parts - 1) / parts;
-      pool.ParallelFor(0, parts, [&](std::size_t p) {
-        const std::size_t lo = p * chunk;
-        if (lo >= n) return;
-        partial[p] = ScanCompressed(query, lo, std::min(n, lo + chunk), fetch);
-      });
-      TopK merged(fetch);
-      for (const auto& part : partial) {
-        for (const auto& nb : part) merged.Push(nb.id, nb.distance);
+    TopK coarse(fetch);
+    constexpr std::size_t kTile = 4096;
+    std::vector<float> dist(std::min(n, kTile));
+    for (std::size_t t = 0; t < n; t += kTile) {
+      const std::size_t len = std::min(kTile, n - t);
+      store_.ScanRange(options_.metric, query, t, len, dist.data());
+      for (std::size_t i = 0; i < len; ++i) {
+        coarse.Push(static_cast<VectorId>(t + i), dist[i]);
       }
-      coarse = merged.Take();
     }
 
     std::vector<std::uint32_t> ids;
-    ids.reserve(coarse.size());
-    for (const auto& nb : coarse) {
+    ids.reserve(fetch);
+    for (const auto& nb : coarse.Take()) {
       ids.push_back(static_cast<std::uint32_t>(nb.id));
     }
     std::vector<float> exact(ids.size());
@@ -124,40 +97,9 @@ std::vector<std::vector<Neighbor>> FlatIndex::SearchBatch(
 std::vector<std::vector<Neighbor>> FlatIndex::ScanFloat(const float* queries,
                                                         std::size_t nq,
                                                         std::size_t k) const {
-  const std::size_t n = vectors_.rows();
-  const std::size_t d = vectors_.dim();
-  const float* norms = vectors_.RowNorms();
-  if (options_.parallel_threshold == 0 || n <= options_.parallel_threshold) {
-    return SelectTopK(options_.metric, queries, nq, vectors_.data(), n, d, k,
-                      /*base_id=*/0, norms);
-  }
-
-  // Parallel scan: each chunk of rows selects its local top-k for every
-  // query, then each query merges its chunks.
-  auto& pool = ThreadPool::Shared();
-  const std::size_t parts = pool.size() + 1;
-  std::vector<std::vector<std::vector<Neighbor>>> partial(parts);
-  const std::size_t chunk = (n + parts - 1) / parts;
-  pool.ParallelFor(0, parts, [&](std::size_t p) {
-    const std::size_t lo = p * chunk;
-    if (lo >= n) return;
-    const std::size_t hi = std::min(n, lo + chunk);
-    partial[p] = SelectTopK(options_.metric, queries, nq,
-                            vectors_.data() + lo * d, hi - lo, d, k,
-                            static_cast<VectorId>(lo),
-                            norms != nullptr ? norms + lo : nullptr);
-  });
-
-  std::vector<std::vector<Neighbor>> results(nq);
-  for (std::size_t j = 0; j < nq; ++j) {
-    TopK merged(k);
-    for (const auto& part : partial) {
-      if (part.empty()) continue;
-      for (const auto& nb : part[j]) merged.Push(nb.id, nb.distance);
-    }
-    results[j] = merged.Take();
-  }
-  return results;
+  return SelectTopK(options_.metric, queries, nq, vectors_.data(),
+                    vectors_.rows(), vectors_.dim(), k, /*base_id=*/0,
+                    vectors_.RowNorms());
 }
 
 std::string FlatIndex::Describe() const {
@@ -177,7 +119,9 @@ void FlatIndex::SaveTo(std::ostream& os) const {
   // re-derived deterministically from the float rows on load.
   WriteHeader(w, io_magic::kFlatIndex, /*version=*/quantized() ? 2 : 1);
   w.WriteU32(static_cast<std::uint32_t>(options_.metric));
-  w.WriteU64(options_.parallel_threshold);
+  // The slot of the retired parallel_threshold (rows above which a scan
+  // was split across the pool): written as 0, ignored by LoadFrom.
+  w.WriteU64(0);
   if (quantized()) {
     w.WriteU32(static_cast<std::uint32_t>(options_.storage));
     w.WriteU64(options_.rerank_factor);
@@ -192,7 +136,7 @@ FlatIndex FlatIndex::LoadFrom(std::istream& is) {
       ReadHeader(r, io_magic::kFlatIndex, /*max_version=*/2);
   FlatIndexOptions opts;
   opts.metric = ReadEnum(r, kLastMetric);
-  opts.parallel_threshold = r.ReadU64();
+  (void)r.ReadU64();  // the retired slot (see SaveTo)
   if (version >= 2) {
     opts.storage = ReadEnum(r, StorageLayout::kSq4);
     opts.rerank_factor = r.ReadU64();

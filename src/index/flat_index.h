@@ -1,4 +1,6 @@
 // Exact brute-force index (the FAISS-FLAT stand-in used for MedRAG, §4.2).
+// A search scans on its calling thread; ShardedIndex is what spreads an
+// exact scan over the shared pool (DESIGN.md §8).
 #pragma once
 
 #include <cstddef>
@@ -8,13 +10,8 @@
 
 namespace proximity {
 
-class ThreadPool;
-
 struct FlatIndexOptions {
   Metric metric = Metric::kL2;
-  /// Scans with more than this many vectors are split across the shared
-  /// thread pool; 0 disables parallel scan.
-  std::size_t parallel_threshold = 65536;
   /// Primary-scan representation (DESIGN.md §11). kFloat32 keeps the
   /// exact single-level scan; sq8/sq4 scan cache-line-blocked quantized
   /// codes first and rerank the survivors against the float rows.
@@ -64,16 +61,10 @@ class FlatIndex final : public VectorIndex {
   }
 
   /// Exact float scan for `nq` queries (`dim` floats apart), one list per
-  /// query: on the calling thread, or above parallel_threshold rows split
-  /// by rows across the shared pool, every chunk taking all the queries.
+  /// query.
   std::vector<std::vector<Neighbor>> ScanFloat(const float* queries,
                                                std::size_t nq,
                                                std::size_t k) const;
-
-  /// Compressed scan of rows [lo, hi) keeping the best `fetch` rows.
-  std::vector<Neighbor> ScanCompressed(std::span<const float> query,
-                                       std::size_t lo, std::size_t hi,
-                                       std::size_t fetch) const;
 
   FlatIndexOptions options_;
   Matrix vectors_;

@@ -105,11 +105,7 @@ KMeansResult RunKMeans(const Matrix& data, std::size_t k,
         dists[i] = L2SquaredDistance(result.centroids.Row(c), data.Row(i));
       }
     };
-    if (options.parallel) {
-      ThreadPool::Shared().ParallelForChunked(0, n, assign_range);
-    } else {
-      assign_range(0, n);
-    }
+    ThreadPool::Shared().ParallelForChunked(0, n, assign_range);
 
     double inertia = 0.0;
     for (std::size_t i = 0; i < n; ++i) inertia += dists[i];
@@ -156,11 +152,7 @@ KMeansResult RunKMeans(const Matrix& data, std::size_t k,
       result.assignment[i] = NearestCentroid(result.centroids, data.Row(i));
     }
   };
-  if (options.parallel) {
-    ThreadPool::Shared().ParallelForChunked(0, n, final_assign);
-  } else {
-    final_assign(0, n);
-  }
+  ThreadPool::Shared().ParallelForChunked(0, n, final_assign);
   return result;
 }
 

@@ -1,8 +1,9 @@
 // Lloyd's k-means with k-means++ seeding.
 //
-// Training substrate for the IVF coarse quantizer and the product
-// quantizer codebooks (the quantization-based indexing the paper cites
-// in §2.2 [18]).
+// Training substrate for the IVF coarse quantizer (the quantization-based
+// indexing the paper cites in §2.2 [18]) and for the cache warm-up's
+// representative queries (src/rag/warmup). The assignment steps run on
+// the shared thread pool.
 #pragma once
 
 #include <cstdint>
@@ -18,8 +19,6 @@ struct KMeansOptions {
   /// iterations falls below this.
   double tolerance = 1e-4;
   std::uint64_t seed = 42;
-  /// Use the shared thread pool for the assignment step.
-  bool parallel = true;
 };
 
 struct KMeansResult {

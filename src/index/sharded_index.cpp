@@ -15,17 +15,14 @@ namespace proximity {
 namespace {
 const obs::CounterHandle kObsSearches("shard.searches");
 const obs::CounterHandle kObsBatchQueries("shard.batch_queries");
-// One sample per shard search: a Search leg, or one shard's block of a
-// SearchBatch; the scatter-gather fan-out cost the serving layer pays.
+// One sample per shard block of a SearchBatch (a Search is a batch of
+// one); the scatter-gather fan-out cost the serving layer pays.
 const obs::HistogramHandle kObsSearchNs("shard.search_ns");
 }  // namespace
 
 ShardedIndex::ShardedIndex(std::vector<std::unique_ptr<VectorIndex>> shards,
-                           std::vector<std::vector<VectorId>> global_ids,
-                           ShardedIndexOptions options)
-    : options_(options),
-      shards_(std::move(shards)),
-      global_ids_(std::move(global_ids)) {
+                           std::vector<std::vector<VectorId>> global_ids)
+    : shards_(std::move(shards)), global_ids_(std::move(global_ids)) {
   if (shards_.empty()) {
     throw std::invalid_argument("ShardedIndex: needs at least one shard");
   }
@@ -171,23 +168,8 @@ std::vector<Neighbor> ShardedIndex::MergeSorted(
 std::vector<Neighbor> ShardedIndex::Search(std::span<const float> query,
                                            std::size_t k) const {
   CheckDim(query);
-  if (k == 0 || size() == 0) return {};
-  const obs::Span span(obs::Stage::kIndexSearch);
-  const std::size_t S = shards_.size();
-  std::vector<std::vector<Neighbor>> parts(S);
-  auto search_shard = [&](std::size_t s) {
-    Stopwatch watch;
-    parts[s] = shards_[s]->Search(query, k);
-    ToGlobal(s, parts[s]);
-    kObsSearchNs.Record(watch.ElapsedNanos());
-    kObsSearches.Inc();
-  };
-  if (options_.parallel && S > 1) {
-    ThreadPool::Shared().ParallelFor(0, S, search_shard);
-  } else {
-    for (std::size_t s = 0; s < S; ++s) search_shard(s);
-  }
-  return MergeSorted(parts, k);
+  const Matrix one(std::vector<float>(query.begin(), query.end()), dim_);
+  return std::move(SearchBatch(one, k)[0]);
 }
 
 std::vector<std::vector<Neighbor>> ShardedIndex::SearchBatch(
@@ -208,13 +190,11 @@ std::vector<std::vector<Neighbor>> ShardedIndex::SearchBatch(
   // threads plus the caller, each shard's queries split into
   // (threads + 1) / shards blocks to keep the pool busy; never more,
   // since every extra block reads the shard's rows again.
-  std::size_t blocks = 1;
-  if (options_.parallel) {
-    blocks = std::clamp<std::size_t>((ThreadPool::Shared().size() + 1) / S,
-                                     1, Q);
-  }
+  auto& pool = ThreadPool::Shared();
+  const std::size_t blocks =
+      std::clamp<std::size_t>((pool.size() + 1) / S, 1, Q);
   std::vector<std::vector<Neighbor>> legs(S * Q);  // [shard * Q + query]
-  auto search_block = [&](std::size_t t) {
+  pool.ParallelFor(0, S * blocks, [&](std::size_t t) {
     const std::size_t s = t / blocks;
     const std::size_t lo = (t % blocks) * Q / blocks;
     const std::size_t hi = (t % blocks + 1) * Q / blocks;
@@ -234,13 +214,7 @@ std::vector<std::vector<Neighbor>> ShardedIndex::SearchBatch(
     }
     kObsSearchNs.Record(watch.ElapsedNanos());
     kObsSearches.Inc();
-  };
-  const std::size_t tasks = S * blocks;
-  if (options_.parallel && tasks > 1) {
-    ThreadPool::Shared().ParallelFor(0, tasks, search_block);
-  } else {
-    for (std::size_t t = 0; t < tasks; ++t) search_block(t);
-  }
+  });
   std::vector<std::vector<Neighbor>> per_query(S);
   for (std::size_t q = 0; q < Q; ++q) {
     for (std::size_t s = 0; s < S; ++s) {
@@ -257,37 +231,6 @@ std::string ShardedIndex::Describe() const {
          ",n=" + std::to_string(size()) + ")";
 }
 
-std::unique_ptr<ShardedIndex> BuildShardedIndex(const IndexSpec& spec,
-                                                const Matrix& corpus,
-                                                ShardedIndexOptions options) {
-  const std::size_t rows = corpus.rows();
-  std::size_t S = options.num_shards != 0 ? options.num_shards
-                                          : ThreadPool::Shared().size();
-  S = std::max<std::size_t>(1, std::min(S, std::max<std::size_t>(1, rows)));
-  options.num_shards = S;
-
-  const std::size_t chunk = (rows + S - 1) / S;
-  std::vector<std::unique_ptr<VectorIndex>> shards(S);
-  std::vector<std::vector<VectorId>> global_ids(S);
-  // Shards build in parallel: construction of distinct indexes is
-  // independent, and any nested pool use (k-means, flat scans) is safe
-  // because blocked ParallelFor callers help drain the queue.
-  ThreadPool::Shared().ParallelFor(0, S, [&](std::size_t s) {
-    const std::size_t lo = std::min(rows, s * chunk);
-    const std::size_t hi = std::min(rows, lo + chunk);
-    Matrix stripe(0, corpus.dim());
-    stripe.Reserve(hi - lo);
-    for (std::size_t r = lo; r < hi; ++r) stripe.AppendRow(corpus.Row(r));
-    shards[s] = BuildIndex(spec, stripe);
-    global_ids[s].reserve(hi - lo);
-    for (std::size_t r = lo; r < hi; ++r) {
-      global_ids[s].push_back(static_cast<VectorId>(r));
-    }
-  });
-  return std::make_unique<ShardedIndex>(std::move(shards),
-                                        std::move(global_ids), options);
-}
-
 std::unique_ptr<ShardedIndex> BuildPartitionedIndex(const IndexSpec& spec,
                                                     const Matrix& corpus,
                                                     std::size_t part,
@@ -300,9 +243,9 @@ std::unique_ptr<ShardedIndex> BuildPartitionedIndex(const IndexSpec& spec,
                                 std::to_string(part) + " of " +
                                 std::to_string(parts));
   }
-  // The same ceiling-division striping as BuildShardedIndex(parts), so
-  // partition boundaries line up between the cluster and the
-  // single-process reference.
+  // Ceiling-division striping, the same cut at both levels: partition
+  // boundaries equal the shard boundaries of BuildShardedIndex(parts), so
+  // they line up between the cluster and the single-process reference.
   const std::size_t chunk = (rows + parts - 1) / parts;
   const std::size_t lo = std::min(rows, part * chunk);
   const std::size_t hi = std::min(rows, lo + chunk);
@@ -319,10 +262,12 @@ std::unique_ptr<ShardedIndex> BuildPartitionedIndex(const IndexSpec& spec,
   std::size_t S = options.num_shards != 0 ? options.num_shards
                                           : ThreadPool::Shared().size();
   S = std::max<std::size_t>(1, std::min(S, rows_local));
-  options.num_shards = S;
   const std::size_t sub_chunk = (rows_local + S - 1) / S;
   std::vector<std::unique_ptr<VectorIndex>> shards(S);
   std::vector<std::vector<VectorId>> global_ids(S);
+  // Shards build in parallel: construction of distinct indexes is
+  // independent, and nested pool use (k-means in an IVF shard's Train)
+  // is safe because blocked ParallelFor callers help drain the queue.
   ThreadPool::Shared().ParallelFor(0, S, [&](std::size_t s) {
     const std::size_t sub_lo = std::min(rows_local, s * sub_chunk);
     const std::size_t sub_hi = std::min(rows_local, sub_lo + sub_chunk);
@@ -338,7 +283,13 @@ std::unique_ptr<ShardedIndex> BuildPartitionedIndex(const IndexSpec& spec,
     }
   });
   return std::make_unique<ShardedIndex>(std::move(shards),
-                                        std::move(global_ids), options);
+                                        std::move(global_ids));
+}
+
+std::unique_ptr<ShardedIndex> BuildShardedIndex(const IndexSpec& spec,
+                                                const Matrix& corpus,
+                                                ShardedIndexOptions options) {
+  return BuildPartitionedIndex(spec, corpus, /*part=*/0, /*parts=*/1, options);
 }
 
 }  // namespace proximity

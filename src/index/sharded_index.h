@@ -12,7 +12,9 @@
 // This is the database-side scaling substrate for the serving layer
 // (DESIGN.md §8): the batching driver groups cache misses and issues them
 // as one SearchBatch call, which hands each shard a block of queries, so
-// an exact shard scans its rows once per block, not once per query.
+// an exact shard scans its rows once per block, not once per query. It
+// is the one index that spreads a scan over the pool: every shard
+// searches on the pool thread that runs its block.
 #pragma once
 
 #include <atomic>
@@ -28,13 +30,10 @@
 
 namespace proximity {
 
+/// How BuildShardedIndex / BuildPartitionedIndex (below) cut a stripe.
 struct ShardedIndexOptions {
   /// Number of shards; 0 selects the shared thread-pool width.
   std::size_t num_shards = 0;
-  /// Scatter per-shard searches (shard blocks of queries, for
-  /// SearchBatch) across the shared ThreadPool; false searches shards on
-  /// the calling thread.
-  bool parallel = true;
 };
 
 class ShardedIndex final : public VectorIndex {
@@ -44,8 +43,7 @@ class ShardedIndex final : public VectorIndex {
   /// All shards must share dim and metric. Prefer BuildShardedIndex below
   /// for the common build-from-corpus path.
   ShardedIndex(std::vector<std::unique_ptr<VectorIndex>> shards,
-               std::vector<std::vector<VectorId>> global_ids,
-               ShardedIndexOptions options = {});
+               std::vector<std::vector<VectorId>> global_ids);
 
   std::size_t dim() const noexcept override { return dim_; }
   Metric metric() const noexcept override { return metric_; }
@@ -89,6 +87,7 @@ class ShardedIndex final : public VectorIndex {
     return shards_[s]->generation();
   }
 
+  /// SearchBatch of the one query.
   std::vector<Neighbor> Search(std::span<const float> query,
                                std::size_t k) const override;
 
@@ -116,7 +115,6 @@ class ShardedIndex final : public VectorIndex {
 
   std::size_t dim_ = 0;
   Metric metric_ = Metric::kL2;
-  ShardedIndexOptions options_;
   std::vector<std::unique_ptr<VectorIndex>> shards_;
 
   // Guards the id maps. Readers (ToGlobal) take the shared side briefly
@@ -131,24 +129,25 @@ class ShardedIndex final : public VectorIndex {
   std::atomic<std::size_t> total_{0};  // live vectors across shards
 };
 
-/// Partitions `corpus` into contiguous stripes and builds one sub-index
-/// per stripe according to `spec` (shards build in parallel on the shared
-/// pool). `options.num_shards` is clamped to the corpus size so no shard
-/// is empty.
-std::unique_ptr<ShardedIndex> BuildShardedIndex(
-    const IndexSpec& spec, const Matrix& corpus,
-    ShardedIndexOptions options = {});
-
 /// Builds a sharded index over stripe `part` of `parts` of `corpus`,
 /// with global ids equal to the stripe's corpus row numbers. The stripe
-/// boundaries are exactly the ones BuildShardedIndex(parts) would use,
-/// so N backend processes each serving one partition return the same
-/// global ids as a single process sharded N ways — the property the
-/// cluster router's exact merge builds on (`serve partition=I/N`).
-/// Throws std::invalid_argument when `part >= parts` or the stripe is
-/// empty (more partitions than corpus rows).
+/// cuts into `options.num_shards` contiguous sub-stripes (clamped to its
+/// row count), one sub-index each per `spec`, built in parallel on the
+/// shared pool. Stripe boundaries are exactly the ones
+/// BuildShardedIndex(parts) would use, so N backend processes each
+/// serving one partition return the same global ids as a single process
+/// sharded N ways — the property the cluster router's exact merge builds
+/// on (`serve partition=I/N`). Throws std::invalid_argument when
+/// `part >= parts` or the stripe is empty (more partitions than corpus
+/// rows).
 std::unique_ptr<ShardedIndex> BuildPartitionedIndex(
     const IndexSpec& spec, const Matrix& corpus, std::size_t part,
     std::size_t parts, ShardedIndexOptions options = {});
+
+/// The whole corpus as one partition: BuildPartitionedIndex(spec, corpus,
+/// 0, 1, options). Throws std::invalid_argument on an empty corpus.
+std::unique_ptr<ShardedIndex> BuildShardedIndex(
+    const IndexSpec& spec, const Matrix& corpus,
+    ShardedIndexOptions options = {});
 
 }  // namespace proximity

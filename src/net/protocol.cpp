@@ -43,6 +43,7 @@ class Cursor {
   }
 
   bool AtEnd() const noexcept { return pos_ == buf_.size(); }
+  std::size_t Remaining() const noexcept { return buf_.size() - pos_; }
 
  private:
   bool ReadRaw(void* v, std::size_t n) {
@@ -210,6 +211,9 @@ ParseResult ParseFrame(std::span<const std::uint8_t> buf,
     return ParseResult::kError;
   }
   out->status = static_cast<RequestStatus>(status);
+  // A count the payload cannot hold is corrupt; checking it first keeps
+  // a damaged count word from reserving up to 32 GiB below.
+  if (ndocs > c.Remaining() / sizeof(std::int64_t)) return ParseResult::kError;
   out->documents.clear();
   out->documents.reserve(ndocs);
   for (std::uint32_t i = 0; i < ndocs; ++i) {

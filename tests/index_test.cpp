@@ -90,27 +90,6 @@ TEST(FlatIndexTest, ExactMatchesBruteForce) {
   }
 }
 
-TEST(FlatIndexTest, ParallelScanMatchesSerial) {
-  const Matrix corpus = RandomMatrix(3000, 8, 2);
-  FlatIndex serial(8, {.parallel_threshold = 0});
-  FlatIndex parallel(8, {.parallel_threshold = 100});
-  serial.AddBatch(corpus);
-  parallel.AddBatch(corpus);
-  for (std::uint64_t s = 0; s < 5; ++s) {
-    const auto q = RandomVec(8, 200 + s);
-    EXPECT_EQ(serial.Search(q, 10), parallel.Search(q, 10));
-  }
-  // The pooled SearchBatch gives every row chunk the whole block.
-  const Matrix queries = RandomMatrix(8, 8, 210);
-  const auto want = serial.SearchBatch(queries, 10);
-  const auto got = parallel.SearchBatch(queries, 10);
-  ASSERT_EQ(got.size(), queries.rows());
-  for (std::size_t q = 0; q < queries.rows(); ++q) {
-    ExpectSameBits(want[q], got[q]);
-    ExpectSameBits(parallel.Search(queries.Row(q), 10), got[q]);
-  }
-}
-
 TEST(FlatIndexTest, AddAssignsSequentialIds) {
   FlatIndex index(4);
   const std::vector<float> v = {1, 2, 3, 4};
@@ -171,14 +150,14 @@ TEST(FlatIndexTest, SearchBatchIsBitIdenticalToSearch) {
   const Matrix distinct = RandomMatrix(4, kDim, 5);
   for (const Metric metric :
        {Metric::kL2, Metric::kInnerProduct, Metric::kCosine}) {
-    FlatIndex index(kDim, {.metric = metric, .parallel_threshold = 0});
+    FlatIndex index(kDim, {.metric = metric});
     index.AddBatch(corpus);
     for (const std::size_t nq : {1u, 2u, 3u, 4u, 5u, 8u, 33u}) {
       SCOPED_TRACE(testing::Message() << MetricName(metric) << " nq=" << nq);
       ExpectBatchMatchesSearch(index, RandomMatrix(nq, kDim, 40 + nq), 10);
     }
 
-    FlatIndex dups(kDim, {.metric = metric, .parallel_threshold = 0});
+    FlatIndex dups(kDim, {.metric = metric});
     for (std::size_t copy = 0; copy < 3; ++copy) dups.AddBatch(distinct);
     const Matrix queries = RandomMatrix(5, kDim, 6);
     ExpectBatchMatchesSearch(dups, queries, 20);
@@ -191,8 +170,7 @@ TEST(FlatIndexTest, SearchBatchIsBitIdenticalToSearch) {
       }
     }
   }
-  FlatIndex sq8(kDim, {.parallel_threshold = 0,
-                       .storage = StorageLayout::kSq8});
+  FlatIndex sq8(kDim, {.storage = StorageLayout::kSq8});
   sq8.AddBatch(corpus);
   ExpectBatchMatchesSearch(sq8, RandomMatrix(5, kDim, 9), 10);
 }
@@ -231,7 +209,6 @@ TEST(KMeansTest, DeterministicForSameSeed) {
   const Matrix data = RandomMatrix(200, 8, 4);
   KMeansOptions opts;
   opts.seed = 77;
-  opts.parallel = false;
   const auto a = RunKMeans(data, 8, opts);
   const auto b = RunKMeans(data, 8, opts);
   EXPECT_EQ(a.assignment, b.assignment);

@@ -3,7 +3,7 @@
 // parity of the quantized kernels, the recall@10 gate of the two-level
 // search against exact float results, serialization round-trips
 // (including float32 back-compat), factory wiring, scan.* telemetry,
-// and the parallel quantized scan (the TSan workout of this suite).
+// and concurrent quantized searches (the TSan workout of this suite).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "index/flat_index.h"
 #include "index/hnsw_index.h"
 #include "index/index_factory.h"
@@ -237,12 +238,10 @@ TEST(QuantRecall, FlatSq8RecallGateOn100k) {
   const Matrix corpus = RandomMatrix(n, dim, 5151);
   const Matrix queries = RandomMatrix(10, dim, 5252);
 
-  FlatIndexOptions fopts;
-  fopts.parallel_threshold = 0;
-  FlatIndex exact(dim, fopts);
+  FlatIndex exact(dim);
   exact.AddBatch(corpus);
 
-  FlatIndexOptions qopts = fopts;
+  FlatIndexOptions qopts;
   qopts.storage = StorageLayout::kSq8;
   qopts.rerank_factor = 4;
   FlatIndex quant(dim, qopts);
@@ -260,11 +259,9 @@ TEST(QuantRecall, FlatSq4KeepsUsableRecall) {
   const std::size_t n = 20'000, dim = 64, k = 10;
   const Matrix corpus = RandomMatrix(n, dim, 6161);
   const Matrix queries = RandomMatrix(10, dim, 6262);
-  FlatIndexOptions fopts;
-  fopts.parallel_threshold = 0;
-  FlatIndex exact(dim, fopts);
+  FlatIndex exact(dim);
   exact.AddBatch(corpus);
-  FlatIndexOptions qopts = fopts;
+  FlatIndexOptions qopts;
   qopts.storage = StorageLayout::kSq4;
   FlatIndex quant(dim, qopts);
   quant.AddBatch(corpus);
@@ -431,7 +428,6 @@ TEST(QuantMetrics, ScanCountersAdvanceOnQuantizedSearch) {
   const std::size_t dim = 32;
   const Matrix corpus = RandomMatrix(2000, dim, 404);
   FlatIndexOptions opts;
-  opts.parallel_threshold = 0;
   opts.storage = StorageLayout::kSq8;
   FlatIndex index(dim, opts);
   index.AddBatch(corpus);
@@ -456,32 +452,34 @@ TEST(QuantMetrics, ScanCountersAdvanceOnQuantizedSearch) {
 
 // -------------------------------------------------------- concurrency ----
 
-// Forces the pooled quantized scan (parallel_threshold = 1) and checks
-// it against the serial path; concurrent Search calls from the pool are
-// the TSan surface of the compressed read path.
+// Concurrent Search calls on one sq8 index, from every pool thread and
+// the caller, must each return what a serial Search returned: the TSan
+// surface of the compressed read path (codes, the rerank gather and the
+// scan.* telemetry).
 TEST(QuantConcurrent, ParallelQuantizedScanMatchesSerial) {
   const std::size_t dim = 48, n = 8000, k = 10;
   const Matrix corpus = RandomMatrix(n, dim, 321);
-  const Matrix queries = RandomMatrix(8, dim, 322);
+  const Matrix queries = RandomMatrix(32, dim, 322);
 
-  FlatIndexOptions serial_opts;
-  serial_opts.parallel_threshold = 0;
-  serial_opts.storage = StorageLayout::kSq8;
-  FlatIndex serial(dim, serial_opts);
-  serial.AddBatch(corpus);
+  FlatIndexOptions opts;
+  opts.storage = StorageLayout::kSq8;
+  FlatIndex index(dim, opts);
+  index.AddBatch(corpus);
 
-  FlatIndexOptions par_opts = serial_opts;
-  par_opts.parallel_threshold = 1;
-  FlatIndex parallel(dim, par_opts);
-  parallel.AddBatch(corpus);
-
+  std::vector<std::vector<Neighbor>> serial(queries.rows());
   for (std::size_t qi = 0; qi < queries.rows(); ++qi) {
-    const auto a = serial.Search(queries.Row(qi), k);
-    const auto b = parallel.Search(queries.Row(qi), k);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t j = 0; j < a.size(); ++j) {
-      EXPECT_EQ(a[j].id, b[j].id) << "query " << qi << " rank " << j;
-      EXPECT_EQ(a[j].distance, b[j].distance);
+    serial[qi] = index.Search(queries.Row(qi), k);
+  }
+  std::vector<std::vector<Neighbor>> concurrent(queries.rows());
+  ThreadPool::Shared().ParallelFor(0, queries.rows(), [&](std::size_t qi) {
+    concurrent[qi] = index.Search(queries.Row(qi), k);
+  });
+  for (std::size_t qi = 0; qi < queries.rows(); ++qi) {
+    ASSERT_EQ(serial[qi].size(), concurrent[qi].size());
+    for (std::size_t j = 0; j < serial[qi].size(); ++j) {
+      EXPECT_EQ(serial[qi][j].id, concurrent[qi][j].id)
+          << "query " << qi << " rank " << j;
+      EXPECT_EQ(serial[qi][j].distance, concurrent[qi][j].distance);
     }
   }
 }

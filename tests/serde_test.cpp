@@ -309,7 +309,7 @@ TEST(IndexIoTest, UnknownStorageLayoutRejected) {
 
   FlatIndex flat(8, {.storage = StorageLayout::kSq8});
   flat.AddBatch(corpus);
-  // [magic][version][metric u32][parallel_threshold u64][storage u32]
+  // [magic][version][metric u32][retired u64][storage u32]
   const std::string flat_bytes = Snapshot(flat);
   ASSERT_EQ(U32At(flat_bytes, 4), 2u);
   ASSERT_EQ(U32At(flat_bytes, 20), 1u);  // sq8
@@ -331,6 +331,33 @@ TEST(IndexIoTest, UnknownStorageLayoutRejected) {
   ASSERT_EQ(U32At(hnsw_bytes, 4), 2u);
   ASSERT_EQ(U32At(hnsw_bytes, 44), 1u);
   EXPECT_THROW(LoadBytes(PatchU32(hnsw_bytes, 44, 7)), std::runtime_error);
+}
+
+// A flat snapshot keeps the u64 slot of the retired scan-split threshold:
+// written as 0 and ignored on load. Every default index saved before the
+// threshold's retirement wrote 65536 there; such a file loads and
+// searches as it did, at either version.
+TEST(IndexIoTest, FlatRetiredThresholdSlotIgnored) {
+  const Matrix corpus = RandomMatrix(300, 8, 15);
+  const Matrix queries = RandomMatrix(4, 8, 16);
+  for (const StorageLayout storage :
+       {StorageLayout::kFloat32, StorageLayout::kSq8}) {
+    FlatIndex flat(8, {.storage = storage});
+    flat.AddBatch(corpus);
+    // [magic][version][metric u32][retired u64]...
+    constexpr std::size_t kSlotOffset = 12;
+    const std::string bytes = Snapshot(flat);
+    ASSERT_EQ(PatchU32(bytes, kSlotOffset, 0), bytes);
+    ASSERT_EQ(PatchU32(bytes, kSlotOffset + 4, 0), bytes);
+    // 65536 fits the slot's low word; the high word stays 0.
+    const auto loaded = LoadBytes(PatchU32(bytes, kSlotOffset, 65536));
+    ASSERT_EQ(loaded->size(), corpus.rows());
+    for (std::size_t q = 0; q < queries.rows(); ++q) {
+      EXPECT_EQ(loaded->Search(queries.Row(q), 10),
+                flat.Search(queries.Row(q), 10));
+    }
+    EXPECT_EQ(Snapshot(*loaded), bytes);  // re-saves the slot as 0
+  }
 }
 
 // Every HNSW search starts at the stored entry point, so an id past the

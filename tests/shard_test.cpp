@@ -15,6 +15,7 @@
 #include <future>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -100,30 +101,73 @@ TEST(ShardedIndexTest, FlatBitIdenticalAcrossShardCounts) {
   }
 }
 
-// The sequential fallback (parallel=false) must agree with the
-// scattered path — the pool is an execution detail, not a semantic one.
-TEST(ShardedIndexTest, SequentialMatchesParallel) {
-  const Matrix corpus = RandomMatrix(5000, 16, 11);
+// The pool is an execution detail, not a semantic one: at every shard
+// count, whether a shard's queries run as one block (Search, or enough
+// shards to fill the pool) or split into several (SearchBatch on few
+// shards), the answer is the unsharded FlatIndex's, bit for bit. 5001
+// rows leave the last stripe short.
+TEST(ShardedIndexTest, QueryBlocksMatchUnshardedFlat) {
+  const Matrix corpus = RandomMatrix(5001, 16, 11);
   const Matrix queries = RandomMatrix(8, 16, 12);
   IndexSpec spec;
   spec.kind = "flat";
+  FlatIndex unsharded(16);
+  unsharded.AddBatch(corpus);
 
-  ShardedIndexOptions par;
-  par.num_shards = 4;
-  ShardedIndexOptions seq = par;
-  seq.parallel = false;
-  const auto a = BuildShardedIndex(spec, corpus, par);
-  const auto b = BuildShardedIndex(spec, corpus, seq);
-  const auto a_batch = a->SearchBatch(queries, 5);
-  const auto b_batch = b->SearchBatch(queries, 5);
-  ASSERT_EQ(a_batch.size(), queries.rows());
-  ASSERT_EQ(b_batch.size(), queries.rows());
-  for (std::size_t q = 0; q < queries.rows(); ++q) {
-    const auto single = b->Search(queries.Row(q), 5);
-    ExpectBitIdentical(a->Search(queries.Row(q), 5), single);
-    ExpectBitIdentical(a_batch[q], single);
-    ExpectBitIdentical(b_batch[q], single);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
+                                   std::size_t{4}, std::size_t{8}}) {
+    SCOPED_TRACE(testing::Message() << "shards=" << shards);
+    ShardedIndexOptions opts;
+    opts.num_shards = shards;
+    const auto sharded = BuildShardedIndex(spec, corpus, opts);
+    ASSERT_EQ(sharded->num_shards(), shards);
+    const auto batch = sharded->SearchBatch(queries, 5);
+    ASSERT_EQ(batch.size(), queries.rows());
+    for (std::size_t q = 0; q < queries.rows(); ++q) {
+      const auto truth = unsharded.Search(queries.Row(q), 5);
+      ExpectBitIdentical(sharded->Search(queries.Row(q), 5), truth);
+      ExpectBitIdentical(batch[q], truth);
+    }
   }
+}
+
+// BuildShardedIndex is the one-partition case of BuildPartitionedIndex:
+// both cut ceil(rows / shards)-row stripes in corpus order, so shard s
+// holds rows [s * chunk, ...) and a row's global id is its row number.
+TEST(ShardedIndexTest, ShardedBuildIsTheOnePartitionCase) {
+  const Matrix corpus = RandomMatrix(10, 4, 13);
+  IndexSpec spec;
+  spec.kind = "flat";
+  ShardedIndexOptions opts;
+  opts.num_shards = 4;
+  const auto sharded = BuildShardedIndex(spec, corpus, opts);
+  const auto partition = BuildPartitionedIndex(spec, corpus, 0, 1, opts);
+  for (const ShardedIndex* index : {sharded.get(), partition.get()}) {
+    ASSERT_EQ(index->num_shards(), 4u);
+    std::size_t row = 0;
+    for (std::size_t s = 0; s < 4; ++s) {
+      EXPECT_EQ(index->shard(s).size(), s < 3 ? 3u : 1u) << "shard " << s;
+      for (std::size_t j = 0; j < index->shard(s).size(); ++j, ++row) {
+        EXPECT_EQ(index->shard(s).Search(corpus.Row(row), 1)[0].id,
+                  static_cast<VectorId>(j));
+        const auto found = index->Search(corpus.Row(row), 1);
+        EXPECT_EQ(found[0].id, static_cast<VectorId>(row));
+        EXPECT_EQ(found[0].distance, 0.0f);
+      }
+    }
+    EXPECT_EQ(row, corpus.rows());
+  }
+}
+
+// An empty corpus has no stripe to shard: BuildShardedIndex refuses it
+// as BuildPartitionedIndex refuses an empty partition.
+TEST(ShardedIndexTest, EmptyCorpusThrows) {
+  IndexSpec spec;
+  spec.kind = "flat";
+  const Matrix empty(0, 8);
+  EXPECT_THROW(BuildShardedIndex(spec, empty), std::invalid_argument);
+  EXPECT_THROW(BuildPartitionedIndex(spec, empty, 0, 1),
+               std::invalid_argument);
 }
 
 TEST(ShardedIndexTest, FilteredSearchSeesGlobalIds) {
