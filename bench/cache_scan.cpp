@@ -3,14 +3,31 @@
 // binary quantifies that: cache lookup cost as a function of capacity c,
 // against flat and HNSW database query cost at harness scale — and shows
 // where the claim breaks (c approaching the corpus size).
+//
+// The BM_StreamScan rows compare the full key scan (BatchDistance plus
+// argmin) with the early-abandon NearestL2 on the keys a served stream
+// leaves in a capacity-300 cache: an MMLU-like Zipf stream (mostly hits)
+// and a MedRAG-like stream of distinct questions (mostly misses), each
+// with the arena hot in the CPU caches and flushed from them before every
+// scan. Each iteration scans one query both ways, in alternating order,
+// and checks that both return the same slot and float bits. The custom
+// context lists the host.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cstring>
 #include <memory>
 
 #include "cache/approx_cache.h"
 #include "common/rng.h"
+#include "embed/hash_embedder.h"
+#include "host_info.h"
 #include "index/flat_index.h"
 #include "index/hnsw_index.h"
+#include "vecmath/kernels.h"
+#include "workload/benchmark_spec.h"
+#include "workload/query_stream.h"
 
 namespace proximity {
 namespace {
@@ -106,6 +123,160 @@ void BM_CacheHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CacheHit)->RangeMultiplier(10)->Range(10, 10000);
+
+// ---------------------------------------------- served-stream key scans --
+
+constexpr std::size_t kStreamCapacity = 300;
+constexpr float kStreamTau = 2.0f;        // perfbench's document radius
+constexpr float kStreamAnswerTau = 1.0f;  // and its answer radius
+constexpr std::size_t kProbeQueries = 2000;
+
+/// A capacity-300 cache's keys after perfbench's warm-up share of a
+/// stream (3000 MMLU-like or 600 MedRAG-like queries), and up to
+/// `kProbeQueries` of the queries after it, embedded.
+struct StreamArena {
+  Matrix keys;
+  Matrix probes;
+};
+
+StreamArena BuildArena(bool mmlu) {
+  WorkloadSpec spec = mmlu ? MmluLikeSpec(6000) : MedragLikeSpec(12000);
+  if (!mmlu) spec.num_questions = 2000;
+  const Workload workload = BuildWorkload(spec);
+  QueryStreamOptions sopts;
+  sopts.seed = 5;
+  sopts.variants_per_question = mmlu ? 4 : 1;
+  if (mmlu) {
+    sopts.order = StreamOrder::kZipf;
+    sopts.zipf_length = 20000;
+  }
+  const std::vector<StreamEntry> stream = BuildQueryStream(workload, sopts);
+  const std::size_t warm = mmlu ? 3000 : 600;
+  const HashEmbedder embedder;
+  ApproxCacheOptions copts;
+  copts.capacity = kStreamCapacity;
+  copts.tolerance = kStreamTau;
+  ProximityCache cache(embedder.dim(), copts);
+  Matrix probes(0, embedder.dim());
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    const std::vector<float> q = embedder.Embed(stream[i].text);
+    if (i >= warm) {
+      probes.AppendRow(q);
+      if (probes.rows() == kProbeQueries) break;
+    } else if (!cache.Lookup(q, kStreamAnswerTau).hit) {
+      cache.Insert(q, {static_cast<VectorId>(i)});
+    }
+  }
+  Matrix keys(0, embedder.dim());
+  for (std::size_t slot = 0; slot < cache.size(); ++slot) {
+    keys.AppendRow(cache.KeyAt(slot));
+  }
+  return {std::move(keys), std::move(probes)};
+}
+
+/// Evicts `bytes` at `p` from every CPU cache level.
+void FlushFromCaches(const void* p, std::size_t bytes) {
+  const char* c = static_cast<const char*>(p);
+  for (std::size_t off = 0; off < bytes; off += 64) {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_clflush(c + off);
+#elif defined(__aarch64__)
+    asm volatile("dc civac, %0" ::"r"(c + off) : "memory");
+#endif
+  }
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_mfence();
+#elif defined(__aarch64__)
+  asm volatile("dsb ish" ::: "memory");
+#endif
+}
+
+std::uint32_t FloatBits(float f) {
+  std::uint32_t b;
+  std::memcpy(&b, &f, sizeof b);
+  return b;
+}
+
+// Range(0): 1 = MMLU-like stream, 0 = MedRAG-like; range(1): 1 = cold.
+void BM_StreamScan(benchmark::State& state) {
+  const bool mmlu = state.range(0) == 1;
+  const bool cold = state.range(1) == 1;
+#if !defined(__x86_64__) && !defined(__i386__) && !defined(__aarch64__)
+  if (cold) {
+    state.SkipWithError("no cache-line flush on this architecture");
+    return;
+  }
+#endif
+  static const StreamArena mmlu_arena = BuildArena(true);
+  static const StreamArena medrag_arena = BuildArena(false);
+  const StreamArena& arena = mmlu ? mmlu_arena : medrag_arena;
+  const Matrix& keys = arena.keys;
+  const std::size_t n = keys.rows();
+  const std::size_t dim = keys.dim();
+  std::vector<float> scratch(n);
+  double full_ns = 0.0, abandon_ns = 0.0, floats_read = 0.0, hits = 0.0;
+  std::size_t probe = 0;
+  using Clock = std::chrono::steady_clock;
+  for (auto _ : state) {
+    const auto q = arena.probes.Row(probe % arena.probes.rows());
+    std::size_t full_row = 0;
+    float full_dist = 0.f;
+    NearestRow abandon;
+    Clock::duration iteration{};
+    for (int pass = 0; pass < 2; ++pass) {
+      // Alternate which variant goes first, so neither always runs on
+      // caches the other warmed (hot) or on the first clock read.
+      const bool run_full = (pass == 0) == (probe % 2 == 0);
+      if (cold) FlushFromCaches(keys.data(), n * dim * sizeof(float));
+      const auto start = Clock::now();
+      if (run_full) {
+        BatchDistance(Metric::kL2, q, keys.data(), n, dim, scratch.data());
+        const auto best = std::min_element(scratch.begin(), scratch.end());
+        full_row = static_cast<std::size_t>(best - scratch.begin());
+        full_dist = *best;
+      } else {
+        abandon = NearestL2(q, keys.data(), n, dim, kStreamTau,
+                            scratch.data());
+      }
+      const auto took = Clock::now() - start;
+      iteration += took;
+      (run_full ? full_ns : abandon_ns) +=
+          std::chrono::duration<double, std::nano>(took).count();
+    }
+    if (abandon.row != full_row ||
+        FloatBits(abandon.distance) != FloatBits(full_dist)) {
+      state.SkipWithError("early abandon differs from the full scan");
+      return;
+    }
+    floats_read += static_cast<double>(abandon.floats_read);
+    if (full_dist <= kStreamTau) hits += 1.0;
+    state.SetIterationTime(std::chrono::duration<double>(iteration).count());
+    ++probe;
+  }
+  const double it = static_cast<double>(probe);
+  state.counters["keys"] = static_cast<double>(n);
+  state.counters["hit_rate"] = hits / it;
+  state.counters["full_us"] = full_ns / it / 1e3;
+  state.counters["abandon_us"] = abandon_ns / it / 1e3;
+  state.counters["speedup"] = full_ns / abandon_ns;
+  state.counters["bytes_read"] =
+      floats_read / (it * static_cast<double>(n * dim));
+}
+BENCHMARK(BM_StreamScan)
+    ->ArgNames({"mmlu", "cold"})
+    ->ArgsProduct({{1, 0}, {0, 1}})
+    ->Iterations(kProbeQueries)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
+
+[[maybe_unused]] const bool kHostContext = [] {
+  benchmark::AddCustomContext(
+      "host_cores", std::to_string(std::thread::hardware_concurrency()));
+  benchmark::AddCustomContext("host_cpu_model", CpuModel());
+  benchmark::AddCustomContext(
+      "simd_level", std::string(SimdLevelName(ActiveSimdLevel())));
+  return true;
+}();
 
 }  // namespace
 }  // namespace proximity

@@ -99,6 +99,7 @@ void ApproxCache::ResetArena() {
   values_.reserve(options_.capacity);
   entry_gen_.clear();
   policy_->Clear();
+  ++version_;
 }
 
 std::size_t ApproxCache::size() const {
@@ -113,11 +114,13 @@ float ApproxCache::tolerance() const {
 
 void ApproxCache::set_tolerance(float tau) {
   std::lock_guard lock(mu_);
+  if (tau != options_.tolerance) ++version_;
   options_.tolerance = tau;
 }
 
 void ApproxCache::set_generation(std::uint64_t gen) {
   std::lock_guard lock(mu_);
+  if (gen != generation_) ++version_;
   generation_ = gen;
 }
 
@@ -127,17 +130,27 @@ std::uint64_t ApproxCache::generation() const {
 }
 
 std::optional<std::pair<std::size_t, float>> ApproxCache::ScanKeys(
-    std::span<const float> query) {
+    std::span<const float> query, float radius) {
   const std::size_t n = keys_.rows();
   if (n == 0) return std::nullopt;
   const obs::Span span(obs::Stage::kCacheScan);
   scan_buffer_.resize(n);
-  BatchDistanceWithNorms(options_.metric, query, keys_.data(),
-                         keys_.RowNorms(), n, dim_, scan_buffer_.data());
   stats_.keys_scanned += n;
   kObsKeysScanned.Inc(n);
-  // Cache key scans are float primary scans: they feed the same scan.*
-  // bandwidth accounting as the index scans (docs/METRICS.md).
+  // Early abandon needs non-negative terms (squared L2 only) and wants
+  // only the nearest key; invalidate-region reads every distance.
+  if (options_.metric == Metric::kL2 &&
+      options_.staleness != StalenessPolicy::kInvalidateRegion) {
+    const NearestRow best =
+        NearestL2(query, keys_.data(), n, dim_, radius, scan_buffer_.data());
+    // Cache key scans are float primary scans: they feed the same scan.*
+    // bandwidth accounting as the index scans, with the bytes actually
+    // read (docs/METRICS.md).
+    obs::ScanPrimaryBytes(best.floats_read * sizeof(float));
+    return std::make_pair(best.row, best.distance);
+  }
+  BatchDistanceWithNorms(options_.metric, query, keys_.data(),
+                         keys_.RowNorms(), n, dim_, scan_buffer_.data());
   obs::ScanPrimaryBytes(n * dim_ * sizeof(float));
   const auto best = std::min_element(scan_buffer_.begin(), scan_buffer_.end());
   return std::make_pair(
@@ -151,11 +164,38 @@ ApproxCache::LookupResult ApproxCache::Lookup(
   // the serving driver includes contention on the cache mutex.
   const obs::Span span(obs::Stage::kCacheLookup);
   std::lock_guard lock(mu_);
-  ++stats_.lookups;
-  kObsLookups.Inc();
+  return LookupLocked(query, answer_tau, /*count_miss=*/true);
+}
 
+ApproxCache::LookupResult ApproxCache::Probe(
+    std::span<const float> query, std::optional<float> answer_tau) {
+  CheckDim(query, dim_, "Probe");
+  const obs::Span span(obs::Stage::kCacheLookup);
+  std::lock_guard lock(mu_);
+  return LookupLocked(query, answer_tau, /*count_miss=*/false);
+}
+
+bool ApproxCache::SettleMiss(std::uint64_t version) {
+  std::lock_guard lock(mu_);
+  if (version != version_) return false;
+  CountMiss();
+  return true;
+}
+
+void ApproxCache::CountMiss() {
+  ++stats_.lookups;
+  ++stats_.misses;
+  kObsLookups.Inc();
+  kObsMisses.Inc();
+}
+
+ApproxCache::LookupResult ApproxCache::LookupLocked(
+    std::span<const float> query, std::optional<float> answer_tau,
+    bool count_miss) {
   LookupResult result;
-  const auto best = ScanKeys(query);
+  const auto best = ScanKeys(
+      query, answer_tau ? std::max(options_.tolerance, *answer_tau)
+                        : options_.tolerance);
   if (best) result.best_distance = best->second;
   // Staleness contract (DESIGN.md §13): an entry filled under an older
   // index generation is never an answer hit; within τ it is a stale hit,
@@ -163,12 +203,8 @@ ApproxCache::LookupResult ApproxCache::Lookup(
   const bool stale = best && entry_gen_[best->first] != generation_;
   const bool answer =
       best && !stale && answer_tau && best->second <= *answer_tau;
-  if (!answer && (!best || best->second > options_.tolerance)) {
-    ++stats_.misses;
-    kObsMisses.Inc();
-    return result;
-  }
-  if (stale) {
+  result.hit = answer || (best && best->second <= options_.tolerance);
+  if (result.hit && stale) {
     ++stats_.stale_hits;
     kObsStaleHits.Inc();
     if (options_.staleness != StalenessPolicy::kServeStale) {
@@ -184,17 +220,21 @@ ApproxCache::LookupResult ApproxCache::Lookup(
         }
       }
       RemoveSlots(drop);
-      ++stats_.misses;
-      kObsMisses.Inc();
-      return result;
+      result.hit = false;
     }
   }
-  result.hit = true;
+  result.version = version_;
+  if (!result.hit) {
+    if (count_miss) CountMiss();
+    return result;
+  }
+  ++stats_.lookups;
+  ++stats_.hits;
+  kObsLookups.Inc();
+  kObsHits.Inc();
   result.answer = answer;
   result.stale = stale;
   result.value = values_[best->first];
-  ++stats_.hits;
-  kObsHits.Inc();
   policy_->OnAccess(best->first);
   return result;
 }
@@ -217,6 +257,7 @@ void ApproxCache::RemoveSlots(const std::vector<std::size_t>& slots) {
     ++stats_.stale_evictions;
     kObsStaleEvictions.Inc();
   }
+  ++version_;
   // Eviction policies track slots, not entries; rebuild their
   // bookkeeping in slot order (the LoadFrom warm-restart approximation).
   policy_->Clear();
@@ -249,6 +290,7 @@ void ApproxCache::InsertLocked(std::span<const float> query,
     values_[slot] = std::move(docs);
     entry_gen_[slot] = generation_;
   }
+  ++version_;
   ++stats_.insertions;
   kObsInsertions.Inc();
   kObsOccupancy.Set(static_cast<double>(keys_.rows()));

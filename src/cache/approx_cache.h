@@ -6,7 +6,10 @@
 // flat index uses (§3.2.1: "Our current implementation does a linear scan
 // over the keys"); if the closest key is within the similarity tolerance
 // τ, its value — the document-id list the database returned for that
-// key — is returned and the database lookup is skipped.
+// key — is returned and the database lookup is skipped. Under L2 the
+// scan stops reading a key once its partial sum proves it cannot be the
+// nearest (NearestL2, DESIGN.md §5); the nearest key and its distance
+// are exactly those of the full scan.
 //
 // Answer reuse (DESIGN.md §15) is a second radius on the same scan, not
 // a second cache: a caller that passes τ_answer to Lookup learns whether
@@ -145,6 +148,8 @@ class ApproxCache {
     float best_distance = std::numeric_limits<float>::infinity();
     /// Hit only: a copy of the cached document ids.
     std::vector<VectorId> value;
+    /// The cache's change count when the scan ran (see SettleMiss).
+    std::uint64_t version = 0;
   };
 
   /// Algorithm 1 lines 3-6: scans all keys once and classifies the
@@ -154,6 +159,19 @@ class ApproxCache {
   /// statistics and the eviction policy's access bookkeeping.
   LookupResult Lookup(std::span<const float> query,
                       std::optional<float> answer_tau = std::nullopt);
+
+  /// Lookup that leaves a miss uncounted, for a caller that settles it
+  /// later (the serving driver's admission probe, DESIGN.md §8): hits,
+  /// scan work and stale drops count as in Lookup, lookups and misses do
+  /// not until SettleMiss, so each request still counts one lookup.
+  LookupResult Probe(std::span<const float> query,
+                     std::optional<float> answer_tau = std::nullopt);
+
+  /// Counts the miss of a Probe whose result carried `version` and
+  /// returns true when nothing has changed since: no insert or removal,
+  /// no τ or generation change, so the scan would miss again. Returns
+  /// false and counts nothing otherwise; the caller then looks up again.
+  bool SettleMiss(std::uint64_t version);
 
   /// Algorithm 1 lines 7-11 (post-database path): stores `docs` under
   /// the query key, evicting one entry if the cache is full.
@@ -189,9 +207,14 @@ class ApproxCache {
 
   // The helpers below run with mu_ held.
 
+  /// Lookup and Probe; `count_miss` false leaves a miss uncounted.
+  LookupResult LookupLocked(std::span<const float> query,
+                            std::optional<float> answer_tau, bool count_miss);
+  void CountMiss();
   /// Returns (slot, distance) of the closest key, or nullopt if none.
+  /// `radius` is the widest hit radius of the lookup (NearestL2).
   std::optional<std::pair<std::size_t, float>> ScanKeys(
-      std::span<const float> query);
+      std::span<const float> query, float radius);
   void InsertLocked(std::span<const float> query, std::vector<VectorId> docs);
   /// Drops `slots` (swap-with-last compaction) and rebuilds the eviction
   /// policy's bookkeeping in slot order — same age approximation as
@@ -209,6 +232,7 @@ class ApproxCache {
   std::vector<std::uint64_t> entry_gen_;       // index gen at fill time
   std::vector<float> scan_buffer_;             // distance scratch
   std::uint64_t generation_ = 0;               // latest index generation
+  std::uint64_t version_ = 0;  // bumped by every change a lookup could see
 
   ApproxCacheStats stats_;
 };

@@ -47,6 +47,10 @@ Nanos SinceNs(std::chrono::steady_clock::time_point from,
       .count();
 }
 
+// The server whose event loop runs on this thread, if any: a completion
+// delivered here is written in the same loop iteration.
+thread_local const Server* tl_loop_server = nullptr;
+
 void SetNonBlocking(int fd) {
   // accept4/SOCK_NONBLOCK cover the common paths; this is the fallback.
   const int flags = fcntl(fd, F_GETFL, 0);
@@ -203,6 +207,7 @@ bool Server::DrainComplete() const {
 }
 
 void Server::Loop() {
+  tl_loop_server = this;
   std::array<epoll_event, 64> events;
   bool drain_initiated = false;
   for (;;) {
@@ -270,6 +275,7 @@ void Server::Loop() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
+  tl_loop_server = nullptr;
   loop_exited_.store(true, std::memory_order_release);
 }
 
@@ -426,19 +432,24 @@ void Server::HandleRequest(Conn& conn, Request request,
   sopts.deadline = deadline;
   sopts.tenant = request.tenant;
   sopts.trace = trace;
-  // The callback runs on the flusher thread (or inline right here when
-  // the driver sheds): it only posts to the completion queue and rings
-  // the eventfd, so neither thread ever blocks on the other.
+  // The callback runs inline right here on a cache hit or a shed: the
+  // response is then written in this loop iteration. From the flusher
+  // thread it only posts to the completion queue and rings the eventfd,
+  // so neither thread ever blocks on the other.
   const bool want_distances =
       (request.flags & kReqFlagWantDistances) != 0;
   auto done = [this, conn_id = conn.id, request_id = request.id, received,
                deadline, trace, trace_parent,
                want_distances](BatchResult result) {
+    Completion c{conn_id, request_id,   received,       deadline,
+                 trace,   trace_parent, want_distances, std::move(result)};
+    if (tl_loop_server == this) {
+      Complete(c, std::chrono::steady_clock::now());
+      return;
+    }
     {
       std::lock_guard lock(completions_mu_);
-      completions_.push_back(Completion{conn_id, request_id, received,
-                                        deadline, trace, trace_parent,
-                                        want_distances, std::move(result)});
+      completions_.push_back(std::move(c));
     }
     const std::uint64_t one = 1;
     [[maybe_unused]] const auto n = ::write(wake_fd_, &one, sizeof(one));
@@ -458,81 +469,84 @@ void Server::ProcessCompletions() {
   }
   if (batch.empty()) return;
   const auto now = std::chrono::steady_clock::now();
-  for (auto& c : batch) {
-    if (inflight_ > 0) --inflight_;
-    const auto it = conns_by_id_.find(c.conn_id);
-    if (it == conns_by_id_.end()) {
-      // The client is gone; the work still completed in the driver and
-      // is simply discarded — never leaked, never written to a dead fd.
-      stats_.abandoned.fetch_add(1);
-      kObsAbandoned.Inc();
-      continue;
-    }
-    Conn& conn = *it->second;
-    if (conn.inflight > 0) --conn.inflight;
+  for (auto& c : batch) Complete(c, now);
+}
 
-    Response resp;
-    resp.id = c.request_id;
-    resp.status = c.result.status;
-    resp.queue_ns = static_cast<std::uint64_t>(c.result.queue_wait_ns);
-    resp.server_ns = static_cast<std::uint64_t>(SinceNs(c.received, now));
-    // Response-time deadline check: a reply that would arrive after the
-    // deadline degrades to DEADLINE_EXCEEDED even though the work ran.
-    if (resp.status == RequestStatus::kOk && now > c.deadline) {
-      resp.status = RequestStatus::kDeadlineExceeded;
-    }
-    if (resp.status == RequestStatus::kOk) {
-      resp.documents = std::move(c.result.documents);
-      if (c.result.cache_hit) resp.flags |= kFlagCacheHit;
-      if (c.result.coalesced) resp.flags |= kFlagCoalesced;
-      // v5 distance side-channel, opt-in per request. Cache hits carry
-      // no distances (the cache stores bare ids), so the field — and
-      // kFlagHasDistances — appears only on fresh retrievals; the
-      // router's merge falls back to rank interleave without it.
-      if (c.want_distances && !c.result.distances.empty()) {
-        resp.distances = std::move(c.result.distances);
-      }
-      const Nanos served_ns = SinceNs(c.received, now);
-      (c.result.cache_hit ? kObsHitNs : kObsMissNs).Record(served_ns);
-    }
-    switch (resp.status) {
-      case RequestStatus::kResourceExhausted:
-        stats_.shed.fetch_add(1);
-        kObsShed.Inc();
-        break;
-      case RequestStatus::kDeadlineExceeded:
-        stats_.deadline_exceeded.fetch_add(1);
-        kObsDeadline.Inc();
-        break;
-      case RequestStatus::kUnavailable:
-        stats_.unavailable.fetch_add(1);
-        break;
-      default:
-        break;
-    }
-    kObsRequestNs.Record(static_cast<Nanos>(resp.server_ns));
-    // The request's root span closes here (receipt -> serialization);
-    // only now is the outcome known, so this is also where the trace
-    // meets the tail sampler.
-    if (c.trace.active()) {
-      obs::TraceSpanRecord rec;
-      rec.trace_id = c.trace.trace_id;
-      rec.span_id = c.trace.span_id;
-      rec.parent_id = c.trace_parent;
-      rec.op = obs::TraceOp::kRequest;
-      rec.start_ns = obs::TraceRelNanos(c.received);
-      rec.duration_ns = static_cast<Nanos>(resp.server_ns);
-      obs::EmitTraceSpan(rec);
-      obs::TraceCollector::Default().Complete(c.trace, resp.status,
-                                              rec.duration_ns);
-    }
-    if (options_.debug_stall_every != 0 &&
-        ++stall_tick_ % options_.debug_stall_every == 0) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(options_.debug_stall_us));
-    }
-    QueueResponse(conn, resp);
+void Server::Complete(Completion& c,
+                      std::chrono::steady_clock::time_point now) {
+  if (inflight_ > 0) --inflight_;
+  const auto it = conns_by_id_.find(c.conn_id);
+  if (it == conns_by_id_.end()) {
+    // The client is gone; the work still completed in the driver and
+    // is simply discarded — never leaked, never written to a dead fd.
+    stats_.abandoned.fetch_add(1);
+    kObsAbandoned.Inc();
+    return;
   }
+  Conn& conn = *it->second;
+  if (conn.inflight > 0) --conn.inflight;
+
+  Response resp;
+  resp.id = c.request_id;
+  resp.status = c.result.status;
+  resp.queue_ns = static_cast<std::uint64_t>(c.result.queue_wait_ns);
+  resp.server_ns = static_cast<std::uint64_t>(SinceNs(c.received, now));
+  // Response-time deadline check: a reply that would arrive after the
+  // deadline degrades to DEADLINE_EXCEEDED even though the work ran.
+  if (resp.status == RequestStatus::kOk && now > c.deadline) {
+    resp.status = RequestStatus::kDeadlineExceeded;
+  }
+  if (resp.status == RequestStatus::kOk) {
+    resp.documents = std::move(c.result.documents);
+    if (c.result.cache_hit) resp.flags |= kFlagCacheHit;
+    if (c.result.coalesced) resp.flags |= kFlagCoalesced;
+    // v5 distance side-channel, opt-in per request. Cache hits carry
+    // no distances (the cache stores bare ids), so the field — and
+    // kFlagHasDistances — appears only on fresh retrievals; the
+    // router's merge falls back to rank interleave without it.
+    if (c.want_distances && !c.result.distances.empty()) {
+      resp.distances = std::move(c.result.distances);
+    }
+    const Nanos served_ns = SinceNs(c.received, now);
+    (c.result.cache_hit ? kObsHitNs : kObsMissNs).Record(served_ns);
+  }
+  switch (resp.status) {
+    case RequestStatus::kResourceExhausted:
+      stats_.shed.fetch_add(1);
+      kObsShed.Inc();
+      break;
+    case RequestStatus::kDeadlineExceeded:
+      stats_.deadline_exceeded.fetch_add(1);
+      kObsDeadline.Inc();
+      break;
+    case RequestStatus::kUnavailable:
+      stats_.unavailable.fetch_add(1);
+      break;
+    default:
+      break;
+  }
+  kObsRequestNs.Record(static_cast<Nanos>(resp.server_ns));
+  // The request's root span closes here (receipt -> serialization);
+  // only now is the outcome known, so this is also where the trace
+  // meets the tail sampler.
+  if (c.trace.active()) {
+    obs::TraceSpanRecord rec;
+    rec.trace_id = c.trace.trace_id;
+    rec.span_id = c.trace.span_id;
+    rec.parent_id = c.trace_parent;
+    rec.op = obs::TraceOp::kRequest;
+    rec.start_ns = obs::TraceRelNanos(c.received);
+    rec.duration_ns = static_cast<Nanos>(resp.server_ns);
+    obs::EmitTraceSpan(rec);
+    obs::TraceCollector::Default().Complete(c.trace, resp.status,
+                                            rec.duration_ns);
+  }
+  if (options_.debug_stall_every != 0 &&
+      ++stall_tick_ % options_.debug_stall_every == 0) {
+    std::this_thread::sleep_for(
+        std::chrono::microseconds(options_.debug_stall_us));
+  }
+  QueueResponse(conn, resp);
 }
 
 void Server::QueueResponse(Conn& conn, const Response& response) {

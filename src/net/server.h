@@ -2,10 +2,12 @@
 //
 // One event-loop thread owns every socket: it accepts connections,
 // reassembles length-prefixed request frames from partial reads, and
-// admits each request into the BatchingDriver's bounded queue via the
-// callback Submit path. Completions are posted back from the flusher
-// thread through a mutex-protected queue plus an eventfd wakeup, so the
-// event loop never blocks on a future and the driver never touches a
+// hands each request to the BatchingDriver via the callback Submit path.
+// A completion delivered on the loop thread itself — a cache hit the
+// driver's probe step served inline, or a shed — is encoded and written
+// in the same loop iteration. Completions from the flusher thread are
+// posted back through a mutex-protected queue plus an eventfd wakeup, so
+// the event loop never blocks on a future and the driver never touches a
 // socket. Responses are written with partial-write handling (EPOLLOUT
 // is armed only while a connection has unflushed bytes).
 //
@@ -53,8 +55,10 @@ class RequestSink {
  public:
   virtual ~RequestSink() = default;
 
-  /// Dispatches one admitted request. `done` may be invoked from any
-  /// thread, or inline; it must be called exactly once. The sink
+  /// Dispatches one admitted request. `done` must be called exactly
+  /// once, from any thread or inline before Submit returns (the driver
+  /// completes a cache hit inline; the server then writes its response
+  /// without a thread hop). The sink
   /// receives the request exactly as parsed off the wire (flags
   /// included), which is what lets a relaying sink forward it
   /// byte-identically.
@@ -193,6 +197,9 @@ class Server {
   void HandleRequest(Conn& conn, Request request,
                      std::chrono::steady_clock::time_point received);
   void ProcessCompletions();
+  /// Answers one completion on the loop thread: its connection gets the
+  /// encoded response (a gone connection counts `abandoned`).
+  void Complete(Completion& c, std::chrono::steady_clock::time_point now);
   /// Serializes `response` into the connection's write buffer and
   /// flushes as much as the socket accepts.
   void QueueResponse(Conn& conn, const Response& response);

@@ -89,6 +89,18 @@ BatchCallback PromiseCallback(
   };
 }
 
+// Adds the outcome counts of `delta` (not its admission counts, which
+// Admit keeps) into `stats`.
+template <class Counts>
+void AddOutcomes(const Counts& delta, BatchingDriverStats& stats) {
+  stats.hits += delta.hits;
+  stats.answer_hits += delta.answer_hits;
+  stats.retrieved += delta.retrieved;
+  stats.coalesced += delta.coalesced;
+  stats.expired += delta.expired;
+  stats.mutations += delta.mutations;
+}
+
 }  // namespace
 
 void BatchingDriver::Fail(Pending& entry, RequestStatus status,
@@ -100,7 +112,6 @@ void BatchingDriver::Fail(Pending& entry, RequestStatus status,
 }
 
 BatchingDriver::Admitted BatchingDriver::Admit(Pending& entry, bool queue) {
-  entry.enqueued = std::chrono::steady_clock::now();
   enum class Outcome { kAccepted, kShed, kQuotaShed };
   Outcome outcome = Outcome::kAccepted;
   TenantId tenant = kDefaultTenant;
@@ -118,20 +129,8 @@ BatchingDriver::Admitted BatchingDriver::Admit(Pending& entry, bool queue) {
       ++stats_.quota_shed;
       ++tstats.quota_shed;
       outcome = Outcome::kQuotaShed;
-    } else if (queue && options_.queue_bound != 0 &&
-               total_pending_ >= options_.queue_bound) {
-      ++stats_.shed;
-      ++tstats.shed;
+    } else if (queue && !PushLocked(entry)) {
       outcome = Outcome::kShed;
-      // The quota token stays spent (rate counts admission attempts)
-      // but the inflight slot is released: the entry never runs.
-      registry_.OnDone(tenant);
-    } else if (queue) {
-      entry.seq = next_seq_++;
-      TenantQueue& tq = queues_[tenant];
-      if (tq.queue.empty()) rr_.push_back(tenant);
-      tq.queue.push_back(std::move(entry));
-      ++total_pending_;
     }
   }
   kObsSubmitted.Inc();
@@ -149,8 +148,129 @@ BatchingDriver::Admitted BatchingDriver::Admit(Pending& entry, bool queue) {
   return Admitted::kAccepted;
 }
 
-bool BatchingDriver::Enqueue(Pending&& entry) {
-  return Admit(entry, /*queue=*/true) != Admitted::kStopped;
+bool BatchingDriver::PushLocked(Pending& entry) {
+  if (options_.queue_bound != 0 && total_pending_ >= options_.queue_bound) {
+    ++stats_.shed;
+    ++tenant_stats_[entry.tenant].shed;
+    // The quota token stays spent (rate counts admission attempts)
+    // but the inflight slot is released: the entry never runs.
+    registry_.OnDone(entry.tenant);
+    return false;
+  }
+  entry.enqueued = std::chrono::steady_clock::now();
+  entry.seq = next_seq_++;
+  TenantQueue& tq = queues_[entry.tenant];
+  if (tq.queue.empty()) rr_.push_back(entry.tenant);
+  tq.queue.push_back(std::move(entry));
+  ++total_pending_;
+  return true;
+}
+
+bool BatchingDriver::Run(Pending& entry, bool here) {
+  // A mutation-armed driver queues every request: generation stamps are
+  // pushed at flush, so a read sent after a write sees it. An entry
+  // already past its deadline expires at flush without being probed.
+  const bool probe =
+      !mutation_enabled() &&
+      entry.deadline >= std::chrono::steady_clock::now();
+  if (!probe && !here) {
+    return Admit(entry, /*queue=*/true) != Admitted::kStopped;
+  }
+  switch (Admit(entry, /*queue=*/false)) {
+    case Admitted::kStopped:
+      return false;
+    case Admitted::kShed:
+      return true;
+    case Admitted::kAccepted:
+      break;
+  }
+  if (probe && ProbeAtAdmission(entry)) return true;
+  if (here) {
+    RunHere(entry);
+    return true;
+  }
+  bool stopped = false;
+  bool queued = false;
+  {
+    std::lock_guard lock(mu_);
+    stopped = stop_;
+    if (!stopped) queued = PushLocked(entry);
+  }
+  if (stopped) {
+    // Shutdown came between admission and the queue, so the flusher may
+    // be gone: the admitted entry runs here instead.
+    RunHere(entry);
+  } else if (!queued) {
+    TenantCounters delta;
+    delta.shed = 1;
+    registry_.Record(entry.tenant, delta);
+    kObsShed.Inc();
+    Fail(entry, RequestStatus::kResourceExhausted, 0);
+  } else {
+    cv_.notify_all();
+  }
+  return true;
+}
+
+bool BatchingDriver::ProbeAtAdmission(Pending& entry) {
+  BatchResult result;
+  std::map<TenantId, TenantCounters> deltas;
+  try {
+    if (!entry.text.empty()) Embed(entry);
+    if (!Probe(entry, /*admission=*/true, result, deltas[entry.tenant])) {
+      return false;
+    }
+  } catch (const std::exception&) {
+    // The flush runs the entry again and reports kInternal if it fails
+    // there too.
+    return false;
+  }
+  Deliver({&entry, 1}, {&result, 1}, deltas);
+  return true;
+}
+
+void BatchingDriver::RunHere(Pending& entry) {
+  entry.enqueued = std::chrono::steady_clock::now();
+  std::vector<Pending> batch;
+  batch.push_back(std::move(entry));
+  ProcessBatch(std::move(batch));
+}
+
+void BatchingDriver::Embed(Pending& entry) const {
+  const obs::ScopedTraceContext trace_scope(entry.trace);
+  const obs::Span span(obs::Stage::kEmbed);
+  entry.embedding.resize(embedder_->dim());
+  embedder_->EmbedInto(entry.text, entry.embedding);
+  entry.text.clear();
+}
+
+bool BatchingDriver::Probe(Pending& entry, bool admission, BatchResult& result,
+                           TenantCounters& delta) {
+  ProximityCache& cache = registry_.CacheFor(entry.tenant);
+  // The admission probe's miss stands while the cache is unchanged; once
+  // it took an insert (say, a τ-twin's retrieval) the entry looks again.
+  if (entry.probed && cache.SettleMiss(*entry.probed)) {
+    registry_.ObserveLookup(entry.tenant, false);
+    return false;
+  }
+  // The probe runs with the entry's trace as the thread context, so the
+  // cache's own spans (kCacheLookup/kCacheScan) join the trace.
+  const obs::ScopedTraceContext trace_scope(entry.trace);
+  std::optional<float> answer_tau;
+  if (options_.answer_reuse) answer_tau = registry_.AnswerTauFor(entry.tenant);
+  auto cached = admission ? cache.Probe(entry.embedding, answer_tau)
+                          : cache.Lookup(entry.embedding, answer_tau);
+  if (admission && !cached.hit) {
+    entry.probed = cached.version;  // the flush settles this miss
+    return false;
+  }
+  registry_.ObserveLookup(entry.tenant, cached.hit);
+  if (!cached.hit) return false;
+  result.documents = std::move(cached.value);
+  result.cache_hit = true;
+  result.answer_hit = cached.answer;
+  ++(cached.answer ? delta.answer_hits : delta.hits);
+  return true;
 }
 
 std::future<std::vector<VectorId>> BatchingDriver::Submit(
@@ -164,7 +284,7 @@ std::future<std::vector<VectorId>> BatchingDriver::Submit(
   entry.embedding = std::move(embedding);
   entry.done = PromiseCallback(std::move(promise));
   entry.deadline = std::chrono::steady_clock::time_point::max();
-  if (!Enqueue(std::move(entry))) {
+  if (!Run(entry, /*here=*/false)) {
     throw std::runtime_error("BatchingDriver: Submit after Shutdown");
   }
   return future;
@@ -177,8 +297,7 @@ std::future<std::vector<VectorId>> BatchingDriver::SubmitText(
   }
   if (text.empty()) {
     // Empty text embeds to the zero vector; route it through the
-    // embedding path so the flush loop can key the text path on
-    // non-emptiness.
+    // embedding path so the text path can key on non-emptiness.
     return Submit(std::vector<float>(index_.dim(), 0.0f));
   }
   auto promise = std::make_shared<std::promise<std::vector<VectorId>>>();
@@ -187,7 +306,7 @@ std::future<std::vector<VectorId>> BatchingDriver::SubmitText(
   entry.text = std::move(text);
   entry.done = PromiseCallback(std::move(promise));
   entry.deadline = std::chrono::steady_clock::time_point::max();
-  if (!Enqueue(std::move(entry))) {
+  if (!Run(entry, /*here=*/false)) {
     throw std::runtime_error("BatchingDriver: Submit after Shutdown");
   }
   return future;
@@ -206,7 +325,7 @@ void BatchingDriver::SubmitAsync(std::vector<float> embedding,
     return;
   }
   entry.embedding = std::move(embedding);
-  if (!Enqueue(std::move(entry))) {
+  if (!Run(entry, /*here=*/false)) {
     Fail(entry, RequestStatus::kUnavailable, 0);
   }
 }
@@ -248,7 +367,7 @@ void BatchingDriver::SubmitMutationAsync(MutationOp op, std::string text,
   } else {
     entry.target = target;
   }
-  if (!Enqueue(std::move(entry))) {
+  if (!Run(entry, /*here=*/false)) {
     Fail(entry, RequestStatus::kUnavailable, 0);
   }
 }
@@ -269,7 +388,7 @@ void BatchingDriver::SubmitTextAsync(std::string text,
   } else {
     entry.text = std::move(text);
   }
-  if (!Enqueue(std::move(entry))) {
+  if (!Run(entry, /*here=*/false)) {
     Fail(entry, RequestStatus::kUnavailable, 0);
   }
 }
@@ -283,19 +402,12 @@ BatchResult BatchingDriver::Serve(std::span<const float> embedding) {
     throw std::invalid_argument("BatchingDriver::Serve: dim mismatch");
   }
   BatchResult result;
-  std::vector<Pending> batch(1);
-  Pending& entry = batch.front();
+  Pending entry;
   entry.embedding.assign(embedding.begin(), embedding.end());
   entry.deadline = std::chrono::steady_clock::time_point::max();
   entry.done = [&result](BatchResult r) { result = std::move(r); };
-  switch (Admit(entry, /*queue=*/false)) {
-    case Admitted::kStopped:
-      throw std::runtime_error("BatchingDriver: Serve after Shutdown");
-    case Admitted::kShed:
-      break;
-    case Admitted::kAccepted:
-      ProcessBatch(std::move(batch));
-      break;
+  if (!Run(entry, /*here=*/true)) {
+    throw std::runtime_error("BatchingDriver: Serve after Shutdown");
   }
   return result;
 }
@@ -429,15 +541,8 @@ void BatchingDriver::ProcessBatch(std::vector<Pending> batch) {
                        obs::TraceRelNanos(batch[i].enqueued), waited[i]);
   }
 
-  std::uint64_t hits = 0, answer_hits = 0, retrieved = 0, coalesced = 0,
-                expired = 0, mutations = 0, completed = 0;
-  // Per-tenant view of the same outcome deltas (merged under mu_ at the
-  // end, mirrored into tenant.<label>.* via the registry).
+  // Per-tenant outcome counts, merged into the stats by Deliver.
   std::map<TenantId, TenantCounters> deltas;
-  // Outcomes are buffered and delivered only AFTER the stats merge: a
-  // caller that has seen its completion must find the entry already
-  // accounted in stats()/tenant_stats() — bench/serve_load reads the
-  // counters the moment its last response lands.
   std::vector<BatchResult> results(batch.size());
   std::vector<bool> done(batch.size(), false);
   try {
@@ -451,49 +556,23 @@ void BatchingDriver::ProcessBatch(std::vector<Pending> batch) {
         results[i].status = RequestStatus::kDeadlineExceeded;
         results[i].queue_wait_ns = waited[i];
         done[i] = true;
-        ++expired;
-        ++completed;
         ++deltas[batch[i].tenant].expired;
       } else {
         live.push_back(i);
       }
     }
 
-    // 1. Embed queued text in one batch call — one fused EmbedBatch
-    //    across every tenant in the flush.
-    std::vector<std::size_t> text_ids;
-    std::vector<std::string> texts;
+    // 1. Embed text not embedded at admission (mutation inserts, and the
+    //    queries of a mutation-armed driver) on this thread, never the
+    //    pool: a pooled batch call waits behind other work's tasks.
     for (const std::size_t i : live) {
-      if (!batch[i].text.empty()) {
-        text_ids.push_back(i);
-        texts.push_back(batch[i].text);
-      }
-    }
-    if (!texts.empty()) {
-      const Nanos embed_start = obs::TraceNowNs();
-      {
-        const obs::Span span(obs::Stage::kEmbed);
-        const Matrix embedded = embedder_->EmbedBatch(texts);
-        for (std::size_t j = 0; j < text_ids.size(); ++j) {
-          const auto row = embedded.Row(j);
-          batch[text_ids[j]].embedding.assign(row.begin(), row.end());
-        }
-      }
-      // One EmbedBatch call serves many requests: attribute the shared
-      // timing to every traced entry that contributed text.
-      const Nanos embed_ns = obs::TraceNowNs() - embed_start;
-      for (const std::size_t i : text_ids) {
-        obs::EmitChildSpan(batch[i].trace, obs::TraceOp::kEmbed,
-                           embed_start, embed_ns);
-      }
+      if (!batch[i].text.empty()) Embed(batch[i]);
     }
 
     // 1.5 Apply live-corpus mutations in arrival order, BEFORE any of
     //     this flush's cache probes: queries batched alongside a
     //     mutation observe the post-mutation index, and the generation
-    //     stamp pushed below reflects it. Insert embeddings came out of
-    //     the shared EmbedBatch above (mutation text is text like any
-    //     other).
+    //     stamp pushed below reflects it.
     VectorIndex* mindex = mutable_index_.load(std::memory_order_acquire);
     std::vector<std::size_t> muts;
     for (const std::size_t i : live) {
@@ -516,8 +595,6 @@ void BatchingDriver::ProcessBatch(std::vector<Pending> batch) {
         results[i].status = RequestStatus::kInvalidArgument;
       }
       done[i] = true;
-      ++mutations;
-      ++completed;
       ++deltas[batch[i].tenant].mutations;
     }
 
@@ -534,40 +611,19 @@ void BatchingDriver::ProcessBatch(std::vector<Pending> batch) {
       }
     }
 
-    // 2. Probe each entry's tenant cache: one scan, whose nearest key is
-    //    classified against τ and, with answer reuse, τ_answer too
-    //    (DESIGN.md §15). An answer hit's documents are the evidence the
-    //    cached answer was generated from; either kind of hit skips the
-    //    search. Mutation entries are already done and never probe.
+    // 2. Probe each entry's tenant cache (the admission probe's helper).
+    //    Either kind of hit skips the search. Mutation entries are
+    //    already done and never probe.
     std::vector<std::size_t> misses;
     for (const std::size_t i : live) {
       if (done[i]) continue;
-      const TenantId tenant = batch[i].tenant;
-      // The probe runs with the entry's trace as the thread context, so
-      // the cache's own spans (kCacheLookup/kCacheScan) join the trace.
-      const obs::ScopedTraceContext trace_scope(batch[i].trace);
-      std::optional<float> answer_tau;
-      if (options_.answer_reuse) answer_tau = registry_.AnswerTauFor(tenant);
-      auto cached =
-          registry_.CacheFor(tenant).Lookup(batch[i].embedding, answer_tau);
-      registry_.ObserveLookup(tenant, cached.hit);
-      if (!cached.hit) {
+      if (!Probe(batch[i], /*admission=*/false, results[i],
+                 deltas[batch[i].tenant])) {
         misses.push_back(i);
         continue;
       }
-      results[i].documents = std::move(cached.value);
-      results[i].cache_hit = true;
-      results[i].answer_hit = cached.answer;
       results[i].queue_wait_ns = waited[i];
       done[i] = true;
-      ++completed;
-      if (cached.answer) {
-        ++answer_hits;
-        ++deltas[tenant].answer_hits;
-      } else {
-        ++hits;
-        ++deltas[tenant].hits;
-      }
     }
 
     // 3. Coalesce τ-similar misses onto one leader retrieval per
@@ -623,7 +679,7 @@ void BatchingDriver::ProcessBatch(std::vector<Pending> batch) {
       const Nanos search_start = obs::TraceNowNs();
       const auto search_results = index_.SearchBatch(queries, options_.top_k);
       const Nanos search_ns = obs::TraceNowNs() - search_start;
-      // The grouped search is shared work too: every miss — leader or
+      // The grouped search is shared work: every miss — leader or
       // coalesced follower — sees the same index-search span.
       for (const std::size_t i : misses) {
         obs::EmitChildSpan(batch[i].trace, obs::TraceOp::kIndexSearch,
@@ -650,15 +706,12 @@ void BatchingDriver::ProcessBatch(std::vector<Pending> batch) {
       results[i].distances = leader_dists[rank];
       results[i].queue_wait_ns = waited[i];
       if (leaders[rank] == i) {
-        ++retrieved;
         ++deltas[batch[i].tenant].retrieved;
       } else {
         results[i].coalesced = true;
-        ++coalesced;
         ++deltas[batch[i].tenant].coalesced;
       }
       done[i] = true;
-      ++completed;
     }
   } catch (...) {
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -666,52 +719,47 @@ void BatchingDriver::ProcessBatch(std::vector<Pending> batch) {
       results[i] = BatchResult{};
       results[i].status = RequestStatus::kInternal;
       results[i].queue_wait_ns = waited[i];
-      done[i] = true;
-      ++completed;
     }
   }
+  Deliver(batch, results, deltas);
+}
 
-  kObsHits.Inc(hits);
-  kObsAnswerHits.Inc(answer_hits);
-  kObsRetrieved.Inc(retrieved);
-  kObsCoalesced.Inc(coalesced);
-  kObsExpired.Inc(expired);
-  kObsMutations.Inc(mutations);
+void BatchingDriver::Deliver(std::span<Pending> entries,
+                             std::span<BatchResult> results,
+                             const std::map<TenantId, TenantCounters>& deltas) {
+  BatchingDriverStats total;
   for (const auto& [tenant, delta] : deltas) {
     registry_.Record(tenant, delta);
+    AddOutcomes(delta, total);
   }
-  // Every batch entry was admitted; release the inflight slots now that
-  // each has completed (whatever the status).
-  for (const Pending& entry : batch) {
+  kObsHits.Inc(total.hits);
+  kObsAnswerHits.Inc(total.answer_hits);
+  kObsRetrieved.Inc(total.retrieved);
+  kObsCoalesced.Inc(total.coalesced);
+  kObsExpired.Inc(total.expired);
+  kObsMutations.Inc(total.mutations);
+  // Every entry was admitted; release the inflight slots now that each
+  // has completed (whatever the status).
+  for (const Pending& entry : entries) {
     registry_.OnDone(entry.tenant);
   }
   {
     std::lock_guard lock(mu_);
-    stats_.hits += hits;
-    stats_.answer_hits += answer_hits;
-    stats_.retrieved += retrieved;
-    stats_.coalesced += coalesced;
-    stats_.expired += expired;
-    stats_.mutations += mutations;
-    stats_.completed += completed;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      ++tenant_stats_[batch[i].tenant].completed;
+    AddOutcomes(total, stats_);
+    stats_.completed += entries.size();
+    for (const Pending& entry : entries) {
+      ++tenant_stats_[entry.tenant].completed;
     }
     for (const auto& [tenant, delta] : deltas) {
-      BatchingDriverStats& tstats = tenant_stats_[tenant];
-      tstats.hits += delta.hits;
-      tstats.answer_hits += delta.answer_hits;
-      tstats.retrieved += delta.retrieved;
-      tstats.coalesced += delta.coalesced;
-      tstats.expired += delta.expired;
-      tstats.mutations += delta.mutations;
+      AddOutcomes(delta, tenant_stats_[tenant]);
     }
   }
-
-  // Deliver completions last (outside mu_ — callbacks must not run
-  // under the queue lock).
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    batch[i].done(std::move(results[i]));
+  // Completions are delivered only AFTER the stats merge, outside mu_: a
+  // caller that has seen its completion must find the entry already
+  // accounted in stats()/tenant_stats() — bench/serve_load reads the
+  // counters the moment its last response lands.
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    entries[i].done(std::move(results[i]));
   }
 }
 

@@ -2,28 +2,33 @@
 //
 // The one engine every query runs through — served requests, the
 // figures' sequential streams (Retriever, via Serve) and the multi-user
-// stream runner alike. Many users query the RAG service at once, but a
-// claim loop that hands each worker one query at a time only ever shows
-// the database batch size 1. This driver is an admission queue instead:
-// callers Submit queries (text or pre-computed embeddings) and get a
-// future; a work-conserving flusher thread takes everything pending (up
-// to `max_batch`) whenever it is free — no timer, so a batch is what
-// arrived while the previous batch ran and its size follows offered
-// load — embeds queued text in one EmbedBatch call, probes the cache,
-// and issues the remaining misses as ONE grouped SearchBatch against the
-// index — which, for a ShardedIndex, fans shard×query legs across the
-// thread pool so the fused batch kernels see real batch shapes.
+// stream runner alike. Every submission starts with the probe step, on
+// the submitting thread: admission (quota), then embedding its text,
+// then one lookup of its tenant's cache. A hit — the paper's cheap path,
+// a linear scan over the keys (§3.2.1) — completes right there, with no
+// queue and no thread hop. Only a miss joins the admission queue, with
+// its embedding. Many users query the RAG service at once, but a claim
+// loop that hands each worker one query at a time only ever shows the
+// database batch size 1, so a work-conserving flusher thread takes
+// everything pending (up to `max_batch`) whenever it is free — no timer,
+// so a batch is what missed while the previous batch ran and its size
+// follows offered load — and issues the misses as ONE grouped
+// SearchBatch against the index — which, for a ShardedIndex, fans
+// shard×query legs across the thread pool so the fused batch kernels see
+// real batch shapes.
 //
 // Within a flush, misses that are τ-similar to an earlier miss of the
 // same batch coalesce onto that leader's retrieval. Across flushes the
-// one flusher thread serializes batches, so a τ-similar query in a later
-// batch hits what an earlier batch inserted. Serve runs the same
-// admission and batch processing for a batch of one on the caller's
-// thread (no queue, no thread hop), concurrently with the
-// flusher; the caches and the registry carry their own locks. Every
-// submitted query is exactly one of {hit, retrieved, coalesced, shed,
-// expired, quota_shed}; Shutdown drains the queue, so no query is
-// dropped mid-batch.
+// one flusher thread serializes batches. A τ-similar query that missed
+// while its twin's search was in flight finds the twin's insert at
+// flush: the flush re-probes an entry whose cache changed since its
+// admission probe (and otherwise settles that probe's miss), so the pair
+// still ends as one retrieval plus one hit, and each request counts one
+// cache lookup. Serve is the probe step plus, on a miss, a batch of one
+// on the caller's thread, concurrently with the flusher; the caches and
+// the registry carry their own locks. Every submitted query is exactly
+// one of {hit, retrieved, coalesced, shed, expired, quota_shed};
+// Shutdown drains the queue, so no query is dropped mid-batch.
 //
 // The driver is also the admission queue of the network front-end
 // (DESIGN.md §9): SubmitAsync/SubmitTextAsync attach a completion
@@ -46,12 +51,13 @@
 // (`quota_shed`).
 //
 // Live-corpus mode (DESIGN.md §13): EnableMutation arms an INSERT/
-// DELETE path over a mutation-capable index. Mutations ride the same
-// admission queue (quota and queue_bound apply), their text joins the
-// flush's one EmbedBatch call, and they are applied in arrival order
-// BEFORE the flush's cache probes — then the index's bumped generation
-// is pushed into every tenant cache touched by the flush, which is what
-// makes the cache-staleness contract observable at hit time.
+// DELETE path over a mutation-capable index. A mutation-armed driver
+// skips the probe step: every request rides the admission queue (quota
+// and queue_bound apply), is embedded by the flusher, and mutations are
+// applied in arrival order BEFORE the flush's cache probes — then the
+// index's bumped generation is pushed into every tenant cache touched by
+// the flush, which is what makes the cache-staleness contract observable
+// at hit time, and a read sent after a write sees the write.
 #pragma once
 
 #include <atomic>
@@ -63,6 +69,8 @@
 #include <future>
 #include <map>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -164,15 +172,17 @@ struct BatchResult {
   Nanos queue_wait_ns = 0;
 };
 
-/// Completion callback; invoked exactly once, from the flusher thread
-/// (or inline from Submit* on shed/shutdown). Must not block: the net
-/// front-end completes futures back onto the event loop from here.
+/// Completion callback; invoked exactly once: inline from Submit* on a
+/// cache hit and on shed/shutdown, otherwise from the flusher thread.
+/// Must not block: the net front-end writes an inline completion's
+/// response on its event loop and posts a flusher completion back to it.
 using BatchCallback = std::function<void(BatchResult)>;
 
 struct SubmitOptions {
-  /// Absolute deadline; max() means none. Entries whose deadline has
-  /// passed when their batch flushes complete with kDeadlineExceeded
-  /// without being embedded or searched.
+  /// Absolute deadline; max() means none. An entry whose deadline has
+  /// passed at submission skips the probe step; one whose deadline has
+  /// passed when its batch flushes completes with kDeadlineExceeded
+  /// without being embedded, probed or searched.
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
   /// Submitting tenant, resolved by the registry's unknown-tenant policy.
@@ -205,20 +215,22 @@ class BatchingDriver {
   BatchingDriver(const BatchingDriver&) = delete;
   BatchingDriver& operator=(const BatchingDriver&) = delete;
 
-  /// Queues a pre-computed query embedding. Throws std::runtime_error
-  /// after Shutdown; the returned future carries an exception when the
-  /// entry is shed or expires (see BatchResult statuses).
+  /// Runs the probe step for a pre-computed query embedding: a hit has
+  /// completed the future on return, a miss is queued. Throws
+  /// std::runtime_error after Shutdown; the returned future carries an
+  /// exception when the entry is shed or expires (see BatchResult
+  /// statuses).
   std::future<std::vector<VectorId>> Submit(std::vector<float> embedding);
 
-  /// Queues raw query text; the flush embeds all queued text in one
-  /// EmbedBatch call. Requires an embedder.
+  /// Text flavor: the text is embedded on the calling thread. Requires
+  /// an embedder.
   std::future<std::vector<VectorId>> SubmitText(std::string text);
 
   /// Callback flavor for event-loop callers: never throws for
-  /// flow-control reasons. `done` is invoked exactly once — inline with
-  /// kResourceExhausted when the bounded queue or the tenant quota
-  /// sheds the entry, inline with kUnavailable after Shutdown,
-  /// otherwise from the flusher thread.
+  /// flow-control reasons. `done` is invoked exactly once — inline on a
+  /// cache hit, inline with kResourceExhausted when the tenant quota or
+  /// the bounded queue sheds the entry, inline with kUnavailable after
+  /// Shutdown, otherwise from the flusher thread.
   void SubmitAsync(std::vector<float> embedding, const SubmitOptions& opts,
                    BatchCallback done);
 
@@ -254,10 +266,10 @@ class BatchingDriver {
   std::vector<VectorId> Query(std::span<const float> embedding);
 
   /// Serves one embedding for the default tenant on the caller's
-  /// thread: the same admission (quota) and batch processing as a
-  /// flushed batch of one, without the queue or the hop to the
-  /// flusher. Index and cache work therefore runs on this thread
-  /// (a VirtualClock a SlowStorageIndex charges sees it here). Throws
+  /// thread: the probe step and, on a miss, the batch processing of a
+  /// flushed batch of one, without the queue or the hop to the flusher.
+  /// Index and cache work therefore runs on this thread (a VirtualClock
+  /// a SlowStorageIndex charges sees it here). Throws
   /// std::invalid_argument on a dimension mismatch and
   /// std::runtime_error after Shutdown; any other outcome, shed or
   /// failed included, is reported in the result's status.
@@ -285,8 +297,11 @@ class BatchingDriver {
 
  private:
   struct Pending {
-    std::string text;              // non-empty: embed at flush
+    std::string text;              // non-empty: not embedded yet
     std::vector<float> embedding;  // used when text is empty
+    /// Set when the admission probe missed: the cache version it saw
+    /// (ApproxCache::SettleMiss).
+    std::optional<std::uint64_t> probed;
     BatchCallback done;
     std::chrono::steady_clock::time_point enqueued;
     std::chrono::steady_clock::time_point deadline;
@@ -311,10 +326,31 @@ class BatchingDriver {
   /// kStopped after Shutdown — the entry is left intact (callback not
   /// invoked) so the caller picks throw vs callback. kShed after the
   /// callback ran inline with kResourceExhausted. kAccepted: queued
-  /// when `queue`, otherwise the caller runs it (Serve).
+  /// when `queue`, otherwise the caller runs it.
   Admitted Admit(Pending& entry, bool queue);
-  /// Admit(entry, true); false after Shutdown, as above.
-  bool Enqueue(Pending&& entry);
+  /// Queues an admitted entry unless the queue bound sheds it (counted,
+  /// inflight slot released; returns false). Caller must hold mu_.
+  bool PushLocked(Pending& entry);
+  /// The probe step (DESIGN.md §8): Admit, then ProbeAtAdmission; a miss
+  /// is queued, or with `here` runs as a batch of one on this thread.
+  /// An entry past its deadline, and every entry of a mutation-armed
+  /// driver, is admitted unprobed. False after Shutdown (entry intact,
+  /// callback not invoked).
+  bool Run(Pending& entry, bool here);
+  /// Embeds and probes an admitted entry on this thread; a hit completes
+  /// it here (true).
+  bool ProbeAtAdmission(Pending& entry);
+  /// Processes an admitted entry as a batch of one on this thread.
+  void RunHere(Pending& entry);
+  /// Embeds the entry's text on this thread, with its embed span.
+  void Embed(Pending& entry) const;
+  /// One lookup of the entry's tenant cache, classified against τ and,
+  /// with answer reuse, τ_answer (DESIGN.md §15); shared by the
+  /// admission probe and the flush. A hit fills `result` and counts into
+  /// `delta`. At admission a miss stays open (`probed`); at flush it is
+  /// settled, or looked up again when the cache changed since.
+  bool Probe(Pending& entry, bool admission, BatchResult& result,
+             TenantCounters& delta);
 
   void FlusherLoop();
   /// Pops up to `take` entries — DRR across tenant queues in fair mode,
@@ -322,6 +358,12 @@ class BatchingDriver {
   std::vector<Pending> TakeBatch(std::size_t take);
   /// Processes one batch outside the queue lock.
   void ProcessBatch(std::vector<Pending> batch);
+  /// Counts the outcomes of completed, admitted entries (`deltas`, per
+  /// tenant; each entry one completion), releases their inflight slots,
+  /// then runs their callbacks, so a caller that has seen its completion
+  /// finds it accounted.
+  void Deliver(std::span<Pending> entries, std::span<BatchResult> results,
+               const std::map<TenantId, TenantCounters>& deltas);
   /// Completes `entry` with a non-OK status.
   static void Fail(Pending& entry, RequestStatus status, Nanos queue_wait_ns);
 

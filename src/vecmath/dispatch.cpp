@@ -271,6 +271,14 @@ void BatchDistanceMulti(Metric metric, const float* queries, std::size_t nq,
   }
 }
 
+NearestRow NearestL2(std::span<const float> query, const float* base,
+                     std::size_t count, std::size_t dim, float radius,
+                     float* scratch) noexcept {
+  assert(query.size() == dim && count > 0);
+  return detail::ActiveKernelTable()->nearest_l2(query.data(), base, count,
+                                                 dim, radius, scratch);
+}
+
 void GatherDistance(Metric metric, std::span<const float> query,
                     const float* base, std::size_t dim,
                     const std::uint32_t* ids, std::size_t count,

@@ -6,10 +6,10 @@
 // One table per level carries every kernel: the float slots behind
 // kernels.h and the quantized slots behind CompressedStore. Every
 // implementation of a slot must be a drop-in numeric replacement:
-//  - A table's float batch and multi-query kernels are bit-identical to
-//    that table's single-pair kernels; callers rely on it for exact top-k
-//    parity between the scan paths. Tables at different levels may differ by
-//    summation order (bounded by ~1e-6 relative).
+//  - A table's float batch, multi-query and nearest-row kernels are
+//    bit-identical to that table's single-pair kernels; callers rely on it
+//    for exact top-k parity between the scan paths. Tables at different
+//    levels may differ by summation order (bounded by ~1e-6 relative).
 //  - The quantized slots decode scalar-quantized codes and accumulate a
 //    distance against a float query in one pass; codes never round-trip
 //    through a decoded float buffer. Dequantization is the affine map
@@ -25,6 +25,8 @@
 
 #include <cstddef>
 #include <cstdint>
+
+#include "vecmath/kernels.h"
 
 namespace proximity::detail {
 
@@ -73,6 +75,13 @@ struct KernelTable {
                    std::size_t count, std::size_t dim, float* out);
   void (*multi_ip)(const float* queries, std::size_t nq, const float* base,
                    std::size_t count, std::size_t dim, float* out);
+  /// The squared-L2 nearest row (kernels.h NearestL2): the row and bits
+  /// of batch_l2 plus a first-minimum argmin. `scratch` holds `count`
+  /// floats; a vector level may leave rows that cannot be nearest
+  /// partly unread.
+  NearestRow (*nearest_l2)(const float* q, const float* base,
+                           std::size_t count, std::size_t dim, float radius,
+                           float* scratch);
 
   /// Squared L2 / inner product between a float query and one row of
   /// 8-bit codes (`n` dimensions, one code byte per dimension).

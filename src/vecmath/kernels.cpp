@@ -95,6 +95,20 @@ void MultiIp(const float* queries, std::size_t nq, const float* base,
   }
 }
 
+// The portable nearest row: the full scan plus a first-minimum argmin.
+NearestRow NearestL2(const float* q, const float* base, std::size_t count,
+                     std::size_t dim, float /*radius*/, float* scratch) {
+  BatchL2(q, base, count, dim, scratch);
+  NearestRow best{0, scratch[0], count * dim};
+  for (std::size_t r = 1; r < count; ++r) {
+    if (scratch[r] < best.distance) {
+      best.row = r;
+      best.distance = scratch[r];
+    }
+  }
+  return best;
+}
+
 // ------------------------------------------------------ quantized rows ----
 // Scalar fmaf loops, 4x unrolled like the float kernels. Dequantization
 // stays fused in the accumulation: x̂ = fmaf(scale, c, bias), never a
@@ -189,8 +203,8 @@ float IpU4(const float* q, const std::uint8_t* codes, std::size_t n,
 }  // namespace
 
 const KernelTable kPortableTable = {
-    L2One, IpOne, SqNormOne, BatchL2, BatchIp, BatchCos,
-    MultiL2, MultiIp, L2U8, IpU8, L2U4, IpU4,
+    L2One, IpOne, SqNormOne, BatchL2, BatchIp, BatchCos, MultiL2, MultiIp,
+    NearestL2, L2U8, IpU8, L2U4, IpU4,
 };
 
 }  // namespace proximity::detail

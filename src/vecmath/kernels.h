@@ -98,6 +98,32 @@ void BatchDistanceMulti(Metric metric, const float* queries, std::size_t nq,
                         std::size_t count, std::size_t dim,
                         float* out) noexcept;
 
+/// What NearestL2 found.
+struct NearestRow {
+  /// The lowest index among the rows at the minimum distance.
+  std::size_t row = 0;
+  /// Its squared L2 distance: the bits BatchDistance gives that row.
+  float distance = 0.f;
+  /// Row floats the scan loaded; count * dim when every row was read in full.
+  std::size_t floats_read = 0;
+};
+
+/// The squared-L2 nearest of `count` (> 0) contiguous rows to `query`: the
+/// row and float bits of BatchDistance(kL2, ...) followed by
+/// std::min_element, for finite inputs. The vector levels stop reading a
+/// row once its partial sum, taken in the kernel's own accumulation
+/// order, exceeds the distance of the nearest row so far. Every term is a
+/// square, so such a partial sum never exceeds the row's full distance and
+/// a dropped row cannot be the nearest. A prepass over the first 64 floats
+/// of every row picks the first candidate; when its full distance is
+/// farther than `radius` (the caller's widest hit radius: a miss in the
+/// making, whose far bound drops little), every row is read in full
+/// instead. `scratch` holds `count` floats. The portable level always reads
+/// every row.
+NearestRow NearestL2(std::span<const float> query, const float* base,
+                     std::size_t count, std::size_t dim, float radius,
+                     float* scratch) noexcept;
+
 /// Distances from `query` to the scattered rows base[ids[j]*dim .. +dim)
 /// for j in [0, count), with software prefetch of upcoming rows. Results
 /// are bit-identical to Distance() at the active level. This is the batch

@@ -356,6 +356,110 @@ void Multi(const float* qs, std::size_t nq, const float* base,
   }
 }
 
+// ------------------------------------------------- nearest row, L2 only ----
+
+/// Floats between two early-abandon checks; also the prepass's head. A
+/// multiple of 2W at every width, so each check falls between two steps
+/// of the main loop.
+constexpr std::size_t kAbandonChunk = 64;
+
+/// One row's squared L2 sum, run a chunk at a time in the single-pair
+/// order (Tile<W, L2Op, 1, 1>): the same steps on the same two
+/// accumulators, so Finish returns the bits the batch kernel gives the
+/// row. Bound() sums the accumulators so far; every step adds a square,
+/// and float addition of non-negative terms is monotone, so Bound() never
+/// exceeds the row's finished distance.
+template <int W>
+struct L2Run {
+  typename Lanes<W>::F a0{}, a1{};
+  std::size_t i = 0;  // floats consumed
+
+  /// Main-loop steps up to `end`, a multiple of 2W within the main loop.
+  void StepTo(const float* q, const float* row, std::size_t end) noexcept {
+    for (; i < end; i += 2 * W) {
+      L2Op::Step(&a0, Load<W>(q + i), Load<W>(row + i));
+      L2Op::Step(&a1, Load<W>(q + i + W), Load<W>(row + i + W));
+    }
+  }
+  float Bound() const noexcept { return Reduce<W>(a0 + a1); }
+  /// The rest of the row: main loop, mop-up step, scalar tail.
+  float Finish(const float* q, const float* row, std::size_t n) noexcept {
+    StepTo(q, row, n / (2 * W) * (2 * W));
+    if (i + W <= n) {
+      L2Op::Step(&a0, Load<W>(q + i), Load<W>(row + i));
+      i += W;
+    }
+    float tail = 0.f;
+    for (; i < n; ++i) L2Op::Step(&tail, q[i], row[i]);
+    return Reduce<W>(a0 + a1) + tail;
+  }
+};
+
+/// The nearest_l2 slot (kernels.h NearestL2). A prepass runs every row's
+/// head and picks the smallest partial sum as the candidate, whose full
+/// distance bounds the rest. A candidate farther than `radius` bounds too
+/// little to pay for the chunked loop, so then every row streams through
+/// Batch. Otherwise each other row runs a chunk at a time and is dropped
+/// once its partial sum exceeds the nearest distance so far; a row that
+/// finishes at a smaller distance, or at an equal one in a lower slot,
+/// becomes the nearest. Heads are re-read by the rows that survive them.
+template <int W>
+NearestRow NearestL2(const float* q, const float* base, std::size_t count,
+                     std::size_t dim, float radius, float* scratch) noexcept {
+  static_assert(kAbandonChunk % (2 * W) == 0);
+  const std::size_t main = dim / (2 * W) * (2 * W);
+  const std::size_t head = main < kAbandonChunk ? main : kAbandonChunk;
+  // Heads through the 4-row tile: the same steps, so the same partial
+  // sums as L2Run::Bound, with each query load shared by four rows.
+  std::size_t r = 0;
+  for (; r + 4 <= count; r += 4) {
+    Tile<W, L2Op, 4, 1>(q, 0, base + r * dim, dim, head, scratch + r);
+  }
+  for (; r < count; ++r) {
+    Tile<W, L2Op, 1, 1>(q, 0, base + r * dim, dim, head, scratch + r);
+  }
+  std::size_t cand = 0;
+  for (r = 1; r < count; ++r) {
+    if (scratch[r] < scratch[cand]) cand = r;
+  }
+  NearestRow best{cand, L2Run<W>{}.Finish(q, base + cand * dim, dim),
+                  count * head + dim};
+  if (!(best.distance <= radius)) {
+    Batch<W, L2Op>(q, base, count, dim, scratch);
+    best.floats_read += count * dim;
+    best.row = 0;
+    best.distance = scratch[0];
+    for (r = 1; r < count; ++r) {
+      if (scratch[r] < best.distance) {
+        best.row = r;
+        best.distance = scratch[r];
+      }
+    }
+    return best;
+  }
+  for (r = 0; r < count; ++r) {
+    if (r == cand || scratch[r] > best.distance) continue;
+    const float* row = base + r * dim;
+    L2Run<W> run;
+    run.StepTo(q, row, head);
+    bool dropped = false;
+    while (run.i < main && !dropped) {
+      run.StepTo(q, row, run.i + kAbandonChunk < main ? run.i + kAbandonChunk
+                                                      : main);
+      dropped = run.Bound() > best.distance;
+    }
+    if (!dropped) {
+      const float d = run.Finish(q, row, dim);
+      if (d < best.distance || (d == best.distance && r < best.row)) {
+        best.row = r;
+        best.distance = d;
+      }
+    }
+    best.floats_read += run.i;
+  }
+  return best;
+}
+
 // ------------------------------------------------------ quantized rows ----
 
 /// Which part of each code byte a plane reads: the whole byte (8-bit
@@ -433,6 +537,7 @@ constexpr KernelTable MakeKernelTable() noexcept {
   t.batch_cos = Batch<W, CosOp>;
   t.multi_l2 = Multi<W, L2Op>;
   t.multi_ip = Multi<W, IpOp>;
+  t.nearest_l2 = NearestL2<W>;
   t.l2_u8 = U8<W, L2Op>;
   t.ip_u8 = U8<W, IpOp>;
   t.l2_u4 = U4<W, L2Op>;

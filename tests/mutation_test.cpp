@@ -19,6 +19,8 @@
 #include "index/index_io.h"
 #include "index/mutable_index.h"
 #include "index/sharded_index.h"
+#include "net/client.h"
+#include "net/server.h"
 #include "rag/batching_driver.h"
 #include "tenant/tenant_registry.h"
 #include "one_tenant.h"
@@ -480,6 +482,62 @@ TEST(DriverMutation, InsertDeleteRoundTripAndConservation) {
   EXPECT_EQ(s.hits + s.retrieved + s.coalesced + s.shed + s.expired +
                 s.quota_shed + s.mutations,
             s.submitted);
+}
+
+// On a mutation-armed server a read pipelined right behind a write on
+// one connection sees the write: every request of such a driver rides
+// the queue, so the read cannot be answered from the cache ahead of it.
+// The write deletes the read's nearest document, which the read cached.
+TEST(DriverMutation, PipelinedReadAfterWriteSeesTheWrite) {
+  HashEmbedder embedder;
+  std::vector<std::string> corpus;
+  for (int i = 0; i < 64; ++i) {
+    corpus.push_back("seed document number " + std::to_string(i));
+  }
+  IndexSpec spec;
+  spec.kind = "mutable";
+  const auto index = BuildIndex(spec, embedder.EmbedBatch(corpus));
+  ApproxCacheOptions copts;
+  copts.capacity = 32;
+  copts.tolerance = 0.05f;
+  copts.staleness = StalenessPolicy::kRevalidate;
+  OneTenant stack(*index, copts, &embedder);
+  stack.driver.EnableMutation(*index);
+  net::Server server(stack.driver);
+  server.Start();
+
+  net::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
+  net::Request read;
+  read.text = "what is document forty two";
+  read.id = 1;
+  net::Response before;
+  ASSERT_TRUE(client.Call(read, &before));  // cached before the write
+  ASSERT_EQ(before.status, RequestStatus::kOk);
+  ASSERT_FALSE(before.documents.empty());
+  const VectorId nearest = before.documents.front();
+
+  net::Request write;
+  write.id = 2;
+  write.mutation_op = net::kMutationDelete;
+  write.mutation_target = static_cast<std::uint64_t>(nearest);
+  read.id = 3;
+  ASSERT_TRUE(client.Send(write));
+  ASSERT_TRUE(client.Send(read));
+  net::Response written, after;
+  ASSERT_TRUE(client.Recv(&written));
+  ASSERT_TRUE(client.Recv(&after));
+  ASSERT_EQ(written.id, 2u);
+  EXPECT_EQ(written.status, RequestStatus::kOk);
+  ASSERT_EQ(after.id, 3u);
+  ASSERT_EQ(after.status, RequestStatus::kOk);
+  EXPECT_FALSE(after.cache_hit());
+  EXPECT_EQ(std::find(after.documents.begin(), after.documents.end(),
+                      nearest),
+            after.documents.end());
+
+  server.Stop();
+  stack.driver.Shutdown();
 }
 
 TEST(DriverMutation, EnableMutationRejectsForeignAndBuildOnceIndexes) {

@@ -15,6 +15,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <csignal>
 #include <cstring>
 #include <map>
@@ -281,6 +282,7 @@ TEST(NetServerTest, AnswerHitIsFlaggedCacheHitWithoutDistances) {
   EXPECT_FALSE(reused.has_distances());
   EXPECT_TRUE(reused.distances.empty());
   EXPECT_EQ(reused.documents, fresh.documents);
+  EXPECT_EQ(reused.queue_ns, 0u);  // served by the probe step, unqueued
 
   stack.server->Stop();
   stack.driver->Shutdown();
@@ -288,6 +290,97 @@ TEST(NetServerTest, AnswerHitIsFlaggedCacheHitWithoutDistances) {
   EXPECT_EQ(ds.answer_hits, 1u);
   EXPECT_EQ(ds.hits, 0u);
   EXPECT_EQ(ds.retrieved, 1u);
+}
+
+// A cache hit never queues: with the flusher parked, a cached text sent
+// after a miss on the same connection is answered first, from the event
+// loop (queue_ns 0, kFlagCacheHit); the miss waits in the queue until the
+// flusher runs.
+TEST(NetServerTest, CacheHitCompletesWhileTheFlusherIsParked) {
+  TestStack stack;
+  const std::string cached =
+      "approximate caching for retrieval augmented generation";
+  const std::vector<VectorId> cached_docs = {0, 1, 2};
+  stack.tenant->cache().Insert(stack.embedder.Embed(cached), cached_docs);
+  ParkedFlusher park(*stack.driver, stack.index.dim());
+
+  net::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", stack.server->port()));
+  net::Request miss;
+  miss.id = 1;
+  miss.text = "epoll event loops serve many sockets";
+  ASSERT_TRUE(client.Send(miss));
+  net::Request hit;
+  hit.id = 2;
+  hit.text = cached;
+  ASSERT_TRUE(client.Send(hit));
+
+  net::Response resp;
+  ASSERT_TRUE(client.Recv(&resp));
+  EXPECT_EQ(resp.id, 2u);
+  EXPECT_EQ(resp.status, RequestStatus::kOk);
+  EXPECT_TRUE(resp.cache_hit());
+  EXPECT_EQ(resp.queue_ns, 0u);
+  EXPECT_EQ(resp.documents, cached_docs);
+  EXPECT_EQ(stack.driver->pending(), 1u);
+
+  park.Release();
+  ASSERT_TRUE(client.Recv(&resp));
+  EXPECT_EQ(resp.id, 1u);
+  EXPECT_EQ(resp.status, RequestStatus::kOk);
+  EXPECT_FALSE(resp.cache_hit());
+  EXPECT_EQ(resp.documents.size(), 3u);
+}
+
+// The event loop's inline probes race the flusher's inserts and a
+// concurrent Serve caller on one tenant cache (TSan-labelled): every
+// request is answered, the driver conserves, and each request counts
+// exactly one cache lookup.
+TEST(NetServerTest, InlineHitsRaceFlushInsertsAndServe) {
+  BatchingDriverOptions dopts;
+  dopts.answer_reuse = true;
+  TestStack stack(dopts);
+  constexpr std::size_t kConns = 3;
+  constexpr std::size_t kPerConn = 60;
+  constexpr std::size_t kServes = 60;
+  const auto text = [](std::size_t i) {
+    return "racing query number " + std::to_string(i % 9);
+  };
+
+  std::vector<std::thread> threads;
+  std::atomic<std::size_t> ok{0};
+  for (std::size_t c = 0; c < kConns; ++c) {
+    threads.emplace_back([&, c] {
+      net::Client client;
+      ASSERT_TRUE(client.Connect("127.0.0.1", stack.server->port()));
+      for (std::size_t i = 0; i < kPerConn; ++i) {
+        net::Request req;
+        req.id = i + 1;
+        req.text = text(i * (c + 1));
+        net::Response resp;
+        ASSERT_TRUE(client.Call(req, &resp));
+        if (resp.status == RequestStatus::kOk) ++ok;
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (std::size_t i = 0; i < kServes; ++i) {
+      const BatchResult r = stack.driver->Serve(stack.embedder.Embed(text(i)));
+      if (r.status == RequestStatus::kOk) ++ok;
+    }
+  });
+  for (auto& t : threads) t.join();
+  stack.server->Stop();
+  stack.driver->Shutdown();
+
+  constexpr std::size_t kTotal = kConns * kPerConn + kServes;
+  EXPECT_EQ(ok.load(), kTotal);
+  const BatchingDriverStats ds = stack.driver->stats();
+  EXPECT_EQ(ds.submitted, kTotal);
+  EXPECT_EQ(ds.hits + ds.answer_hits + ds.retrieved + ds.coalesced,
+            ds.submitted);
+  EXPECT_GT(ds.hits + ds.answer_hits, 0u);
+  EXPECT_EQ(stack.tenant->cache().stats().lookups, kTotal);
 }
 
 // Overload: the driver's admission queue is bounded at 4 and the flusher

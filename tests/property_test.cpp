@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <limits>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -132,46 +133,53 @@ INSTANTIATE_TEST_SUITE_P(
                       CacheModelParams{64, 8.0f, EvictionKind::kFifo},
                       CacheModelParams{128, 100.0f, EvictionKind::kFifo}));
 
-// Hit correctness (distance <= tau) must hold for every policy, even
-// where the shadow model's eviction order does not apply.
 class CacheHitInvariantTest
     : public ::testing::TestWithParam<EvictionKind> {};
 
-TEST_P(CacheHitInvariantTest, HitsAreWithinToleranceAndSizeBounded) {
-  constexpr std::size_t kDim = 6;
+// One policy at one (dim, τ): every fourth query repeats an earlier one,
+// so τ = 0 hits too. Past 64-d the L2 scan abandons keys
+// part-way; its nearest distance must still be the smallest full one.
+void CheckHitInvariant(EvictionKind eviction, std::size_t dim, float tau) {
+  SCOPED_TRACE(testing::Message() << "dim=" << dim << " tau=" << tau);
   constexpr std::size_t kCapacity = 10;
-  constexpr float kTau = 3.0f;
   ApproxCacheOptions opts;
   opts.capacity = kCapacity;
-  opts.tolerance = kTau;
-  opts.eviction = GetParam();
-  ProximityCache cache(kDim, opts);
+  opts.tolerance = tau;
+  opts.eviction = eviction;
+  ProximityCache cache(dim, opts);
 
   Rng rng(7);
+  std::vector<std::vector<float>> seen;
   for (int step = 0; step < 500; ++step) {
-    std::vector<float> q(kDim);
+    std::vector<float> q(dim);
     for (auto& x : q) x = static_cast<float>(rng.Gaussian(0, 2));
+    if (step % 4 == 3) q = seen[rng.Below(seen.size())];
+    seen.push_back(q);
+    float nearest = std::numeric_limits<float>::infinity();
+    for (std::size_t s = 0; s < cache.size(); ++s) {
+      nearest = std::min(nearest, L2SquaredDistance(q, cache.KeyAt(s)));
+    }
     const auto result = cache.Lookup(q);
+    EXPECT_EQ(result.best_distance, nearest);
     if (result.hit) {
-      EXPECT_LE(result.best_distance, kTau);
-      // The matched key must actually exist in the cache at that distance.
-      bool found = false;
-      for (std::size_t s = 0; s < cache.size(); ++s) {
-        if (std::abs(L2SquaredDistance(q, cache.KeyAt(s)) -
-                     result.best_distance) < 1e-4f) {
-          found = true;
-          break;
-        }
-      }
-      EXPECT_TRUE(found);
+      EXPECT_LE(result.best_distance, tau);
     } else {
       // Miss implies *no* key within tolerance.
-      for (std::size_t s = 0; s < cache.size(); ++s) {
-        EXPECT_GT(L2SquaredDistance(q, cache.KeyAt(s)), kTau);
-      }
+      EXPECT_GT(nearest, tau);
       cache.Insert(q, {static_cast<VectorId>(step)});
     }
     EXPECT_LE(cache.size(), kCapacity);
+  }
+}
+
+// Hit correctness (distance <= tau) must hold for every policy, even
+// where the shadow model's eviction order does not apply; at τ ∈ {3, 0,
+// 0.5, 2} and at 6-d and 100-d.
+TEST_P(CacheHitInvariantTest, HitsAreWithinToleranceAndSizeBounded) {
+  for (const std::size_t dim : {6u, 100u}) {
+    for (const float tau : {3.0f, 0.0f, 0.5f, 2.0f}) {
+      CheckHitInvariant(GetParam(), dim, tau);
+    }
   }
 }
 
@@ -225,38 +233,46 @@ TEST(CacheEquivalenceTest, ZeroToleranceMatchesExactCacheOnHits) {
   // Drive both caches with the same operation sequence over a small key
   // universe (so exact repeats occur) and compare hit outcomes. Both use
   // FIFO with the same capacity, so their contents stay identical.
-  constexpr std::size_t kDim = 4;
-  constexpr std::size_t kCapacity = 8;
-  ApproxCacheOptions opts;
-  opts.capacity = kCapacity;
-  opts.tolerance = 0.0f;
-  ProximityCache approx(kDim, opts);
-  ExactFifoMap exact(kCapacity);
+  // Distinct keys sit more than 2 apart, so τ ∈ {0.5, 2} must match the
+  // exact cache too (and 100-d keys run the L2 scan's abandon path).
+  for (const std::size_t kDim : {4u, 100u}) {
+    for (const float tau : {0.0f, 0.5f, 2.0f}) {
+      SCOPED_TRACE(testing::Message() << "dim=" << kDim << " tau=" << tau);
+      constexpr std::size_t kCapacity = 8;
+      ApproxCacheOptions opts;
+      opts.capacity = kCapacity;
+      opts.tolerance = tau;
+      ProximityCache approx(kDim, opts);
+      ExactFifoMap exact(kCapacity);
 
-  Rng rng(17);
-  std::vector<std::vector<float>> universe;
-  for (int i = 0; i < 24; ++i) {
-    std::vector<float> v(kDim);
-    for (auto& x : v) x = static_cast<float>(rng.Gaussian(0, 1));
-    universe.push_back(std::move(v));
-  }
+      Rng rng(17);
+      std::vector<std::vector<float>> universe;
+      while (universe.size() < 24) {
+        std::vector<float> v(kDim);
+        for (auto& x : v) x = static_cast<float>(rng.Gaussian(0, 1));
+        bool apart = true;
+        for (const auto& u : universe) apart &= L2SquaredDistance(u, v) > 2.0f;
+        if (apart) universe.push_back(std::move(v));
+      }
 
-  for (int step = 0; step < 600; ++step) {
-    const auto& q = universe[rng.Below(universe.size())];
-    const auto a = approx.Lookup(q);
-    const auto* e = exact.Lookup(q);
-    ASSERT_EQ(a.hit, e != nullptr) << "step " << step;
-    if (a.hit) {
-      EXPECT_TRUE(std::equal(a.value.begin(), a.value.end(), e->begin(),
-                             e->end()));
-    } else {
-      const std::vector<VectorId> docs = {step};
-      approx.Insert(q, docs);
-      exact.Insert(q, docs);
+      for (int step = 0; step < 600; ++step) {
+        const auto& q = universe[rng.Below(universe.size())];
+        const auto a = approx.Lookup(q);
+        const auto* e = exact.Lookup(q);
+        ASSERT_EQ(a.hit, e != nullptr) << "step " << step;
+        if (a.hit) {
+          EXPECT_TRUE(std::equal(a.value.begin(), a.value.end(), e->begin(),
+                                 e->end()));
+        } else {
+          const std::vector<VectorId> docs = {step};
+          approx.Insert(q, docs);
+          exact.Insert(q, docs);
+        }
+      }
+      // Both saw the same traffic and must agree on aggregate hits.
+      EXPECT_EQ(approx.stats().hits, exact.hits());
     }
   }
-  // Both saw the same traffic and must agree on aggregate hits.
-  EXPECT_EQ(approx.stats().hits, exact.hits());
 }
 
 // -------------------------------------------------- TopK vs full sort --

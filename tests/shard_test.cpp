@@ -416,10 +416,11 @@ TEST(BatchingDriverTest, IdenticalMissesCoalesceWithinBatch) {
   EXPECT_EQ(stats.coalesced + stats.hits, 5u);
 }
 
-// A lone query on an idle driver flushes as soon as the flusher sees it:
+// A lone miss on an idle driver flushes as soon as the flusher sees it:
 // nothing holds it back waiting for company that never comes. A flush
 // timer of T makes every such wait at least T; 200 us was the old
-// default.
+// default. A hit never queues at all: the probe step serves it on the
+// submitting thread.
 TEST(BatchingDriverTest, LoneSubmitNeverWaitsForATimer) {
   constexpr std::size_t kDim = 8;
   FlatIndex index(kDim);
@@ -440,13 +441,90 @@ TEST(BatchingDriverTest, LoneSubmitNeverWaitsForATimer) {
                        });
     const BatchResult r = result.get();
     ASSERT_EQ(r.status, RequestStatus::kOk);
-    waits.push_back(r.queue_wait_ns);
+    if (r.cache_hit) {
+      EXPECT_EQ(r.queue_wait_ns, 0);
+    } else {
+      waits.push_back(r.queue_wait_ns);
+    }
   }
+  ASSERT_FALSE(waits.empty());
   const auto median = waits.begin() + std::ssize(waits) / 2;
   std::nth_element(waits.begin(), median, waits.end());
   EXPECT_LT(*median, Nanos{200'000})
       << "median queue wait of a lone submit: " << *median << " ns";
-  EXPECT_EQ(driver.stats().batches, queries.rows());
+  // Every miss flushed as its own batch.
+  EXPECT_EQ(driver.stats().batches, waits.size());
+}
+
+// A FlatIndex whose SearchBatch holds the flusher until Release(), so a
+// test can submit while a retrieval is in flight.
+class GatedIndex final : public VectorIndex {
+ public:
+  explicit GatedIndex(const FlatIndex& inner) : inner_(inner) {}
+  std::size_t dim() const noexcept override { return inner_.dim(); }
+  Metric metric() const noexcept override { return inner_.metric(); }
+  std::size_t size() const noexcept override { return inner_.size(); }
+  VectorId Add(std::span<const float>) override {
+    throw std::logic_error("GatedIndex is read-only");
+  }
+  VectorId AddBatch(const Matrix&) override {
+    throw std::logic_error("GatedIndex is read-only");
+  }
+  std::vector<Neighbor> Search(std::span<const float> query,
+                               std::size_t k) const override {
+    return inner_.Search(query, k);
+  }
+  std::vector<std::vector<Neighbor>> SearchBatch(
+      const Matrix& queries, std::size_t k) const override {
+    entered_.set_value();
+    released_.wait();
+    return inner_.SearchBatch(queries, k);
+  }
+  std::string Describe() const override { return "gated"; }
+  void SaveTo(std::ostream& os) const override { inner_.SaveTo(os); }
+
+  /// Blocks until the first SearchBatch is in flight.
+  void AwaitSearch() { entered_future_.wait(); }
+  void Release() { release_.set_value(); }
+
+ private:
+  const FlatIndex& inner_;
+  mutable std::promise<void> entered_;
+  std::shared_future<void> entered_future_ = entered_.get_future().share();
+  std::promise<void> release_;
+  std::shared_future<void> released_ = release_.get_future().share();
+};
+
+// A τ-twin that misses while its twin's search is in flight queues, and
+// the flush finds the twin's insert: one retrieval plus one hit, as when
+// every probe ran at flush, and one cache lookup per request.
+TEST(BatchingDriverTest, TwinMissedDuringSearchHitsAtFlush) {
+  constexpr std::size_t kDim = 8;
+  FlatIndex flat(kDim);
+  const Matrix corpus = RandomMatrix(100, kDim, 91);
+  for (std::size_t r = 0; r < corpus.rows(); ++r) flat.Add(corpus.Row(r));
+  GatedIndex index(flat);
+  OneTenant stack(index, SmallCache());
+  BatchingDriver& driver = stack.driver;
+
+  const Matrix queries = RandomMatrix(1, kDim, 92);
+  const auto q = queries.Row(0);
+  auto first = driver.Submit({q.begin(), q.end()});
+  index.AwaitSearch();
+  auto twin = driver.Submit({q.begin(), q.end()});
+  EXPECT_EQ(driver.pending(), 1u);  // the twin missed and queued
+  index.Release();
+  EXPECT_EQ(first.get(), twin.get());
+  driver.Shutdown();
+
+  const BatchingDriverStats stats = driver.stats();
+  EXPECT_EQ(stats.retrieved, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.coalesced, 0u);
+  const ApproxCacheStats cstats = stack.cache().stats();
+  EXPECT_EQ(cstats.lookups, 2u);
+  EXPECT_EQ(cstats.hits, 1u);
+  EXPECT_EQ(cstats.misses, 1u);
 }
 
 // Post-shutdown submissions fail fast — exception from the future path,

@@ -8,10 +8,12 @@
 // The same contracts hold for simd_lanes.h instantiated at four lanes in
 // this object, compiled with the baseline flags (SSE2 on x86-64): the
 // shape aarch64's NEON table has, checked on hosts that never build it.
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -136,6 +138,71 @@ void ExpectActiveBatchBitIdentical(const std::string& label) {
         EXPECT_EQ(Bits(Distance(metric, query, row)), Bits(out[r]))
             << label << " metric=" << MetricName(metric) << " dim=" << dim
             << " row=" << r;
+      }
+    }
+  }
+}
+
+// NearestL2, the cache's early-abandon scan, against BatchDistance plus
+// std::min_element: the same row and float bits at radii that stream
+// every row (-1, half the nearest distance), abandon (the nearest
+// distance, +inf). Row sets reach the drop and tie branches: random rows;
+// two copies of the query; a zero query over zero rows; two copies of a
+// row near the query (the lower slot wins); and, over an integer query,
+// a lower-slot row whose partial sum equals the nearest distance from its
+// first chunk on and which finishes tied with it.
+void ExpectActiveNearestL2BitIdentical(const std::string& label) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  for (const std::size_t dim : {1u, 5u, 16u, 31u, 64u, 100u, 768u}) {
+    for (const std::size_t count : {1u, 2u, 13u, 300u}) {
+      for (int shape = 0; shape < 5; ++shape) {
+        Rng rng(91 + dim * 7 + count * 3 + shape);
+        std::vector<float> query = RandomVec(dim, 77 + dim);
+        std::vector<float> base(count * dim);
+        for (auto& x : base) x = static_cast<float>(rng.Gaussian(0, 1));
+        const auto row = [&](std::size_t r) { return base.data() + r * dim; };
+        if (shape == 1) {
+          std::copy(query.begin(), query.end(), row(count / 2));
+          std::copy(query.begin(), query.end(), row(count - 1));
+        } else if (shape == 2) {
+          std::fill(query.begin(), query.end(), 0.f);
+          for (std::size_t r = count / 3; r < count; r += 2) {
+            std::fill(row(r), row(r) + dim, 0.f);
+          }
+        } else if (shape == 3) {
+          std::vector<float> near = query;
+          for (auto& x : near) x += static_cast<float>(rng.Gaussian(0, 0.01));
+          std::copy(near.begin(), near.end(), row(count - 1));
+          std::copy(near.begin(), near.end(), row(count / 2));
+        } else if (shape == 4) {
+          for (std::size_t i = 0; i < dim; ++i) {
+            query[i] = static_cast<float>(static_cast<int>(i % 3) - 1);
+          }
+          // Lower slot: off by 1 in dim 0, so its partial sum is 1 from
+          // the first chunk on. Higher slot: off by 1 in the last dim, so
+          // past 64-d it is the prepass candidate, with distance 1.
+          std::copy(query.begin(), query.end(), row(count / 2));
+          row(count / 2)[0] += 1.f;
+          std::copy(query.begin(), query.end(), row(count - 1));
+          row(count - 1)[dim - 1] += 1.f;
+        }
+        std::vector<float> dists(count), scratch(count);
+        BatchDistance(Metric::kL2, query, base.data(), count, dim,
+                      dists.data());
+        const auto best = std::min_element(dists.begin(), dists.end());
+        const auto best_row = static_cast<std::size_t>(best - dists.begin());
+        for (const float radius : {-1.f, *best / 2, *best, kInf}) {
+          const NearestRow got = NearestL2(query, base.data(), count, dim,
+                                           radius, scratch.data());
+          EXPECT_EQ(got.row, best_row)
+              << label << " dim=" << dim << " count=" << count
+              << " shape=" << shape << " radius=" << radius;
+          EXPECT_EQ(Bits(got.distance), Bits(*best))
+              << label << " dim=" << dim << " count=" << count
+              << " shape=" << shape << " radius=" << radius;
+          EXPECT_GT(got.floats_read, 0u);
+          EXPECT_LE(got.floats_read, count * (2 * dim + 64));
+        }
       }
     }
   }
@@ -287,6 +354,7 @@ TEST_F(SimdKernelsTest, BatchIsBitIdenticalToSinglePairAtEveryLevel) {
     ASSERT_TRUE(SetActiveSimdLevel(lvl));
     ExpectActiveBatchBitIdentical(std::string(SimdLevelName(lvl)));
     ExpectActiveMultiQueryBitIdentical(std::string(SimdLevelName(lvl)));
+    ExpectActiveNearestL2BitIdentical(std::string(SimdLevelName(lvl)));
   }
 }
 
@@ -388,6 +456,7 @@ TEST_F(FourLaneKernelsTest, MatchesScalarReferenceAcrossDims) {
 TEST_F(FourLaneKernelsTest, BatchGatherAndNormsAreBitIdenticalToSinglePair) {
   ExpectActiveBatchBitIdentical("four lanes");
   ExpectActiveMultiQueryBitIdentical("four lanes");
+  ExpectActiveNearestL2BitIdentical("four lanes");
   ExpectActiveGatherBitIdentical("four lanes");
   ExpectActiveNormAssistedMatchesPlain("four lanes");
 }

@@ -284,6 +284,9 @@ TEST(TenantDriverTest, OverQuotaSubmissionsShedBeforeAnyWork) {
   ParkedFlusher park(driver, kDim);
 
   const Matrix queries = RandomMatrix(5, kDim, 21);
+  // Query 1 is cached: admitted, it would be an inline hit. Refused, it
+  // must not even be probed.
+  registry.CacheFor(1).Insert(queries.Row(1), {0, 1, 2});
   std::vector<std::future<BatchResult>> futures;
   for (std::size_t q = 0; q < queries.rows(); ++q) {
     const auto row = queries.Row(q);
@@ -317,6 +320,12 @@ TEST(TenantDriverTest, OverQuotaSubmissionsShedBeforeAnyWork) {
   ASSERT_TRUE(per_tenant.count(1));
   EXPECT_EQ(per_tenant.at(1).quota_shed, 4u);
   ExpectConserved(per_tenant.at(1));
+  // Only the admitted query was probed (one key, at admission; the flush
+  // settled its miss without a second scan).
+  const ApproxCacheStats cstats = registry.CacheFor(1).stats();
+  EXPECT_EQ(cstats.keys_scanned, 1u);
+  EXPECT_EQ(cstats.lookups, 1u);
+  EXPECT_EQ(cstats.hits, 0u);
 }
 
 // --------------------------------- driver: conservation + isolation --

@@ -306,6 +306,45 @@ TEST(TraceDriverTest, SubmitTextAsyncPropagatesContextThroughStages) {
   EXPECT_TRUE(ops.count(TraceOp::kIndexSearch));
 }
 
+// The same text again is a cache hit served inline by the probe step: its
+// trace carries embed and cache-lookup spans directly under the request
+// span, and neither a queue wait nor a search.
+TEST(TraceDriverTest, InlineHitTracesEmbedAndLookupUnderTheRequest) {
+  HashEmbedder embedder;
+  std::vector<std::string> corpus;
+  for (int i = 0; i < 64; ++i) {
+    corpus.push_back("passage about topic " + std::to_string(i));
+  }
+  const auto index =
+      BuildShardedIndex(IndexSpec{.kind = "flat"},
+                        embedder.EmbedBatch(corpus), {});
+  OneTenant stack(*index, {.capacity = 16, .tolerance = 0.5f}, &embedder);
+  BatchingDriver& driver = stack.driver;
+  (void)driver.SubmitText("what is topic 7").get();
+
+  const TraceContext trace{NewTraceId(), NewSpanId()};
+  SubmitOptions opts;
+  opts.trace = trace;
+  bool hit = false;
+  driver.SubmitTextAsync("what is topic 7", opts, [&](BatchResult r) {
+    hit = r.status == RequestStatus::kOk && r.cache_hit;
+  });
+  EXPECT_TRUE(hit);  // completed inline, before SubmitTextAsync returned
+  driver.Shutdown();
+
+  std::set<TraceOp> ops;
+  for (const auto& s : CollectTraceSpans(trace.trace_id)) {
+    ops.insert(s.op);
+    if (s.op == TraceOp::kEmbed || s.op == TraceOp::kCacheLookup) {
+      EXPECT_EQ(s.parent_id, trace.span_id) << TraceOpName(s.op);
+    }
+  }
+  EXPECT_TRUE(ops.count(TraceOp::kEmbed));
+  EXPECT_TRUE(ops.count(TraceOp::kCacheLookup));
+  EXPECT_FALSE(ops.count(TraceOp::kQueue));
+  EXPECT_FALSE(ops.count(TraceOp::kIndexSearch));
+}
+
 TEST(TraceExportTest, TraceEventJsonShape) {
   SampledTrace trace;
   trace.trace_id = 0xABCDu;
