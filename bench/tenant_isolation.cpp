@@ -59,6 +59,9 @@ struct TenantLoad {
   LatencyHistogram latency;  // scheduled arrival -> completion, kOk only
   std::uint64_t ok = 0, shed = 0, deadline = 0, other = 0;
   std::uint64_t hits = 0;
+  /// Submissions per second the sender achieved (it falls short of its
+  /// target when SubmitAsync or the host cannot keep pace).
+  double sent_qps = 0;
 
   void Record(const BatchResult& r, Nanos ns) {
     std::lock_guard<std::mutex> lock(mu);
@@ -120,6 +123,9 @@ void RunSender(BatchingDriver& driver, TenantId tenant,
                          load.Record(r, ns);
                        });
   }
+  const double sent_s =
+      std::chrono::duration<double>(SteadyClock::now() - t0).count();
+  if (sent_s > 0) load.sent_qps = static_cast<double>(n) / sent_s;
 }
 
 /// Checks hits + retrieved + coalesced + shed + expired + quota_shed ==
@@ -155,7 +161,8 @@ BatchingDriverOptions DriverOptions(bool fair) {
 }
 
 std::unique_ptr<TenantRegistry> MakeRegistry(const ShardedIndex& index,
-                                             double hostile_qps) {
+                                             double hostile_qps,
+                                             double hostile_burst) {
   ApproxCacheOptions copts;
   copts.capacity = 256;
   copts.tolerance = 2.0f;
@@ -168,6 +175,7 @@ std::unique_ptr<TenantRegistry> MakeRegistry(const ShardedIndex& index,
   hostile.id = kHostile;
   hostile.name = "hostile";
   hostile.quota.qps = hostile_qps;  // 0 = unlimited (fifo contrast)
+  hostile.quota.burst = hostile_burst;
   registry->Register(hostile);
 
   TenantSpec compliant;
@@ -186,7 +194,13 @@ void RunPhase(const ShardedIndex& index, const Matrix& compliant_pool,
               double hostile_quota_qps, double compliant_qps,
               double flood_qps, std::size_t requests,
               PhaseResult& result) {
-  auto registry = MakeRegistry(index, hostile_quota_qps);
+  // The hostile bucket holds a tenth of what its quota refills over the
+  // phase (requests / compliant_qps seconds). The default depth, one
+  // second of quota, outlasts a --quick phase: with a fast enough host it
+  // admits the whole flood and quota_shed reads 0.
+  const double hostile_burst = 0.1 * hostile_quota_qps *
+                               static_cast<double>(requests) / compliant_qps;
+  auto registry = MakeRegistry(index, hostile_quota_qps, hostile_burst);
   BatchingDriver driver(index, *registry, nullptr, DriverOptions(fair));
 
   const auto t0 = SteadyClock::now();
@@ -215,7 +229,7 @@ void RunPhase(const ShardedIndex& index, const Matrix& compliant_pool,
 /// the compliant tenant; returns completed queries per second.
 double MeasureCapacity(const ShardedIndex& index, const Matrix& pool,
                        std::size_t threads, std::size_t per_thread) {
-  auto registry = MakeRegistry(index, 0);
+  auto registry = MakeRegistry(index, 0, 0);
   BatchingDriver driver(index, *registry, nullptr, DriverOptions(true));
   const auto t0 = SteadyClock::now();
   std::vector<std::thread> workers;
@@ -241,7 +255,8 @@ double Ms(double ns) { return ns / 1e6; }
 
 void EmitTenantJson(std::ofstream& os, TenantLoad& load) {
   std::lock_guard<std::mutex> lock(load.mu);
-  os << "{\"ok\": " << load.ok << ", \"cache_hits\": " << load.hits
+  os << "{\"sent_qps\": " << load.sent_qps << ", \"ok\": " << load.ok
+     << ", \"cache_hits\": " << load.hits
      << ", \"shed\": " << load.shed
      << ", \"deadline_exceeded\": " << load.deadline
      << ", \"other\": " << load.other
@@ -335,11 +350,17 @@ int Main(int argc, char** argv) {
   const std::uint64_t quota_shed = fair.per_tenant.count(kHostile)
                                        ? fair.per_tenant[kHostile].quota_shed
                                        : 0;
-  std::printf("solo  compliant p99=%s\n", FormatNanos(solo_p99).c_str());
-  std::printf("fair  compliant p99=%s (hostile quota_shed=%llu)\n",
-              FormatNanos(fair_p99).c_str(),
-              static_cast<unsigned long long>(quota_shed));
-  std::printf("fifo  compliant p99=%s\n", FormatNanos(fifo_p99).c_str());
+  std::printf("solo  compliant p99=%s (sent %.0f qps)\n",
+              FormatNanos(solo_p99).c_str(), solo.compliant.sent_qps);
+  std::printf(
+      "fair  compliant p99=%s (hostile quota_shed=%llu; sent %.0f / %.0f "
+      "qps)\n",
+      FormatNanos(fair_p99).c_str(),
+      static_cast<unsigned long long>(quota_shed), fair.compliant.sent_qps,
+      fair.hostile.sent_qps);
+  std::printf("fifo  compliant p99=%s (sent %.0f / %.0f qps)\n",
+              FormatNanos(fifo_p99).c_str(), fifo.compliant.sent_qps,
+              fifo.hostile.sent_qps);
   std::printf("verdict: fair/solo p99 ratio %.2f -> %s\n", ratio,
               within_2x ? "within 2x" : "ISOLATION BREACH");
 
