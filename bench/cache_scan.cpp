@@ -5,13 +5,16 @@
 // where the claim breaks (c approaching the corpus size).
 //
 // The BM_StreamScan rows compare the full key scan (BatchDistance plus
-// argmin) with the early-abandon NearestL2 on the keys a served stream
-// leaves in a capacity-300 cache: an MMLU-like Zipf stream (mostly hits)
-// and a MedRAG-like stream of distinct questions (mostly misses), each
-// with the arena hot in the CPU caches and flushed from them before every
-// scan. Each iteration scans one query both ways, in alternating order,
-// and checks that both return the same slot and float bits. The custom
-// context lists the host.
+// argmin) with the early-abandon NearestL2 and with the cache's pick
+// between them (NearestL2 after a query whose nearest key lay within τ,
+// the full scan after one whose did not, as ApproxCache does) on the keys
+// a served stream leaves in a capacity-300 cache: an MMLU-like Zipf
+// stream (mostly hits) and a MedRAG-like stream of distinct questions
+// (mostly misses), each with the arena hot in the CPU caches and flushed
+// from them before every scan. Each iteration scans one query all three
+// ways, in rotating order, and checks that all return the same slot and
+// float bits; *_bytes is the share of the arena each variant read. The
+// custom context lists the host.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -213,54 +216,59 @@ void BM_StreamScan(benchmark::State& state) {
   const Matrix& keys = arena.keys;
   const std::size_t n = keys.rows();
   const std::size_t dim = keys.dim();
-  std::vector<float> scratch(n);
-  double full_ns = 0.0, abandon_ns = 0.0, floats_read = 0.0, hits = 0.0;
+  std::vector<float> dists(n), scratch(n * kNearestL2ScratchPerRow);
+  // Per variant: 0 = full scan, 1 = NearestL2 on every query, 2 = the
+  // cache's pick (ApproxCache::ScanKeys): NearestL2 after a query whose
+  // nearest key lay within τ, the full scan after one whose did not.
+  double ns[3] = {}, floats_read[3] = {}, hits = 0.0;
+  bool last_near = true;
   std::size_t probe = 0;
   using Clock = std::chrono::steady_clock;
   for (auto _ : state) {
     const auto q = arena.probes.Row(probe % arena.probes.rows());
-    std::size_t full_row = 0;
-    float full_dist = 0.f;
-    NearestRow abandon;
+    NearestRow got[3];
     Clock::duration iteration{};
-    for (int pass = 0; pass < 2; ++pass) {
-      // Alternate which variant goes first, so neither always runs on
-      // caches the other warmed (hot) or on the first clock read.
-      const bool run_full = (pass == 0) == (probe % 2 == 0);
+    for (int pass = 0; pass < 3; ++pass) {
+      // Rotate which variant goes first, so none always runs on caches
+      // another warmed (hot) or on the first clock read.
+      const int v = static_cast<int>((probe + pass) % 3);
       if (cold) FlushFromCaches(keys.data(), n * dim * sizeof(float));
       const auto start = Clock::now();
-      if (run_full) {
-        BatchDistance(Metric::kL2, q, keys.data(), n, dim, scratch.data());
-        const auto best = std::min_element(scratch.begin(), scratch.end());
-        full_row = static_cast<std::size_t>(best - scratch.begin());
-        full_dist = *best;
+      if (v == 0 || (v == 2 && !last_near)) {
+        BatchDistance(Metric::kL2, q, keys.data(), n, dim, dists.data());
+        const auto best = std::min_element(dists.begin(), dists.end());
+        got[v] = {static_cast<std::size_t>(best - dists.begin()), *best,
+                  n * dim};
       } else {
-        abandon = NearestL2(q, keys.data(), n, dim, kStreamTau,
-                            scratch.data());
+        got[v] = NearestL2(q, keys.data(), n, dim, kStreamTau, scratch.data());
       }
       const auto took = Clock::now() - start;
       iteration += took;
-      (run_full ? full_ns : abandon_ns) +=
-          std::chrono::duration<double, std::nano>(took).count();
+      ns[v] += std::chrono::duration<double, std::nano>(took).count();
+      floats_read[v] += static_cast<double>(got[v].floats_read);
     }
-    if (abandon.row != full_row ||
-        FloatBits(abandon.distance) != FloatBits(full_dist)) {
-      state.SkipWithError("early abandon differs from the full scan");
-      return;
+    for (int v = 1; v < 3; ++v) {
+      if (got[v].row != got[0].row ||
+          FloatBits(got[v].distance) != FloatBits(got[0].distance)) {
+        state.SkipWithError("early abandon differs from the full scan");
+        return;
+      }
     }
-    floats_read += static_cast<double>(abandon.floats_read);
-    if (full_dist <= kStreamTau) hits += 1.0;
+    last_near = got[0].distance <= kStreamTau;
+    if (last_near) hits += 1.0;
     state.SetIterationTime(std::chrono::duration<double>(iteration).count());
     ++probe;
   }
   const double it = static_cast<double>(probe);
+  const double floats = it * static_cast<double>(n * dim);
   state.counters["keys"] = static_cast<double>(n);
   state.counters["hit_rate"] = hits / it;
-  state.counters["full_us"] = full_ns / it / 1e3;
-  state.counters["abandon_us"] = abandon_ns / it / 1e3;
-  state.counters["speedup"] = full_ns / abandon_ns;
-  state.counters["bytes_read"] =
-      floats_read / (it * static_cast<double>(n * dim));
+  state.counters["full_us"] = ns[0] / it / 1e3;
+  state.counters["nearest_us"] = ns[1] / it / 1e3;
+  state.counters["picked_us"] = ns[2] / it / 1e3;
+  state.counters["speedup"] = ns[0] / ns[2];
+  state.counters["nearest_bytes"] = floats_read[1] / floats;
+  state.counters["picked_bytes"] = floats_read[2] / floats;
 }
 BENCHMARK(BM_StreamScan)
     ->ArgNames({"mmlu", "cold"})

@@ -98,8 +98,9 @@ void ApproxCache::ResetArena() {
   values_.clear();
   values_.reserve(options_.capacity);
   entry_gen_.clear();
+  entry_version_.clear();
   policy_->Clear();
-  ++version_;
+  Reset();
 }
 
 std::size_t ApproxCache::size() const {
@@ -114,13 +115,13 @@ float ApproxCache::tolerance() const {
 
 void ApproxCache::set_tolerance(float tau) {
   std::lock_guard lock(mu_);
-  if (tau != options_.tolerance) ++version_;
+  if (tau != options_.tolerance) Reset();
   options_.tolerance = tau;
 }
 
 void ApproxCache::set_generation(std::uint64_t gen) {
   std::lock_guard lock(mu_);
-  if (gen != generation_) ++version_;
+  if (gen != generation_) Reset();
   generation_ = gen;
 }
 
@@ -134,25 +135,32 @@ std::optional<std::pair<std::size_t, float>> ApproxCache::ScanKeys(
   const std::size_t n = keys_.rows();
   if (n == 0) return std::nullopt;
   const obs::Span span(obs::Stage::kCacheScan);
-  scan_buffer_.resize(n);
   stats_.keys_scanned += n;
   kObsKeysScanned.Inc(n);
   // Early abandon needs non-negative terms (squared L2 only) and wants
-  // only the nearest key; invalidate-region reads every distance.
+  // only the nearest key; invalidate-region reads every distance. Its
+  // prepass pays off only when a key lies within the radius, so a scan
+  // that follows one whose nearest key lay outside it streams every key,
+  // as a run of misses does.
   if (options_.metric == Metric::kL2 &&
-      options_.staleness != StalenessPolicy::kInvalidateRegion) {
+      options_.staleness != StalenessPolicy::kInvalidateRegion &&
+      last_scan_near_) {
+    scan_buffer_.resize(n * kNearestL2ScratchPerRow);
     const NearestRow best =
         NearestL2(query, keys_.data(), n, dim_, radius, scan_buffer_.data());
     // Cache key scans are float primary scans: they feed the same scan.*
     // bandwidth accounting as the index scans, with the bytes actually
     // read (docs/METRICS.md).
     obs::ScanPrimaryBytes(best.floats_read * sizeof(float));
+    last_scan_near_ = best.distance <= radius;
     return std::make_pair(best.row, best.distance);
   }
+  scan_buffer_.resize(n);
   BatchDistanceWithNorms(options_.metric, query, keys_.data(),
                          keys_.RowNorms(), n, dim_, scan_buffer_.data());
   obs::ScanPrimaryBytes(n * dim_ * sizeof(float));
   const auto best = std::min_element(scan_buffer_.begin(), scan_buffer_.end());
+  last_scan_near_ = *best <= radius;
   return std::make_pair(
       static_cast<std::size_t>(best - scan_buffer_.begin()), *best);
 }
@@ -175,28 +183,72 @@ ApproxCache::LookupResult ApproxCache::Probe(
   return LookupLocked(query, answer_tau, /*count_miss=*/false);
 }
 
-bool ApproxCache::SettleMiss(std::uint64_t version) {
+ApproxCache::LookupResult ApproxCache::Recheck(
+    std::span<const float> query, std::optional<float> answer_tau,
+    const LookupResult& probe) {
+  CheckDim(query, dim_, "Recheck");
+  const obs::Span span(obs::Stage::kCacheLookup);
   std::lock_guard lock(mu_);
-  if (version != version_) return false;
-  CountMiss();
-  return true;
-}
-
-void ApproxCache::CountMiss() {
-  ++stats_.lookups;
-  ++stats_.misses;
-  kObsLookups.Inc();
-  kObsMisses.Inc();
+  // The probe's keys are as it read them unless a reset came since or its
+  // nearest key's slot was refilled. Invalidate-region drops need every
+  // distance, so those caches always look again in full.
+  const std::size_t n = keys_.rows();
+  const bool held =
+      probe.best_slot == kNoSlot ||
+      (probe.best_slot < n && entry_version_[probe.best_slot] <= probe.version);
+  if (probe.version < reset_version_ || !held ||
+      options_.staleness == StalenessPolicy::kInvalidateRegion) {
+    return LookupLocked(query, answer_tau, /*count_miss=*/true);
+  }
+  std::optional<std::pair<std::size_t, float>> best;
+  if (probe.best_slot != kNoSlot) {
+    best.emplace(probe.best_slot, probe.best_distance);
+  }
+  fresh_slots_.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (entry_version_[i] > probe.version) {
+      fresh_slots_.push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+  if (!fresh_slots_.empty()) {
+    const obs::Span scan_span(obs::Stage::kCacheScan);
+    const std::size_t k = fresh_slots_.size();
+    scan_buffer_.resize(k);
+    GatherDistance(options_.metric, query, keys_.data(), dim_,
+                   fresh_slots_.data(), k, scan_buffer_.data());
+    stats_.keys_scanned += k;
+    kObsKeysScanned.Inc(k);
+    obs::ScanPrimaryBytes(k * dim_ * sizeof(float));
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::size_t slot = fresh_slots_[j];
+      const float d = scan_buffer_[j];
+      if (!best || d < best->second ||
+          (d == best->second && slot < best->first)) {
+        best.emplace(slot, d);
+      }
+    }
+  }
+  return Classify(best, answer_tau, /*count_miss=*/true);
 }
 
 ApproxCache::LookupResult ApproxCache::LookupLocked(
     std::span<const float> query, std::optional<float> answer_tau,
     bool count_miss) {
+  return Classify(ScanKeys(query, answer_tau ? std::max(options_.tolerance,
+                                                        *answer_tau)
+                                             : options_.tolerance),
+                  answer_tau, count_miss);
+}
+
+ApproxCache::LookupResult ApproxCache::Classify(
+    std::optional<std::pair<std::size_t, float>> best,
+    std::optional<float> answer_tau, bool count_miss) {
   LookupResult result;
-  const auto best = ScanKeys(
-      query, answer_tau ? std::max(options_.tolerance, *answer_tau)
-                        : options_.tolerance);
-  if (best) result.best_distance = best->second;
+  result.version = version_;
+  if (best) {
+    result.best_slot = best->first;
+    result.best_distance = best->second;
+  }
   // Staleness contract (DESIGN.md §13): an entry filled under an older
   // index generation is never an answer hit; within τ it is a stale hit,
   // and what happens next is the configured policy's call.
@@ -214,7 +266,7 @@ ApproxCache::LookupResult ApproxCache::LookupLocked(
       } else {
         // Purge the whole τ-neighborhood of the query: every entry close
         // enough to have served this query is suspect after a mutation.
-        // scan_buffer_ still holds this lookup's distances.
+        // scan_buffer_ still holds this lookup's full scan.
         for (std::size_t i = 0; i < keys_.rows(); ++i) {
           if (scan_buffer_[i] <= options_.tolerance) drop.push_back(i);
         }
@@ -223,9 +275,13 @@ ApproxCache::LookupResult ApproxCache::LookupLocked(
       result.hit = false;
     }
   }
-  result.version = version_;
   if (!result.hit) {
-    if (count_miss) CountMiss();
+    if (count_miss) {
+      ++stats_.lookups;
+      ++stats_.misses;
+      kObsLookups.Inc();
+      kObsMisses.Inc();
+    }
     return result;
   }
   ++stats_.lookups;
@@ -250,14 +306,16 @@ void ApproxCache::RemoveSlots(const std::vector<std::size_t>& slots) {
       keys_.SetRow(slot, keys_.Row(last));
       values_[slot] = std::move(values_[last]);
       entry_gen_[slot] = entry_gen_[last];
+      entry_version_[slot] = entry_version_[last];
     }
     keys_.TruncateRows(last);
     values_.pop_back();
     entry_gen_.pop_back();
+    entry_version_.pop_back();
     ++stats_.stale_evictions;
     kObsStaleEvictions.Inc();
   }
-  ++version_;
+  Reset();
   // Eviction policies track slots, not entries; rebuild their
   // bookkeeping in slot order (the LoadFrom warm-restart approximation).
   policy_->Clear();
@@ -281,6 +339,7 @@ void ApproxCache::InsertLocked(std::span<const float> query,
     keys_.AppendRow(query);
     values_.emplace_back(std::move(docs));
     entry_gen_.push_back(generation_);
+    entry_version_.push_back(0);
   } else {
     const obs::Span evict_span(obs::Stage::kEvict);
     slot = policy_->SelectVictim();
@@ -290,7 +349,7 @@ void ApproxCache::InsertLocked(std::span<const float> query,
     values_[slot] = std::move(docs);
     entry_gen_[slot] = generation_;
   }
-  ++version_;
+  entry_version_[slot] = ++version_;
   ++stats_.insertions;
   kObsInsertions.Inc();
   kObsOccupancy.Set(static_cast<double>(keys_.rows()));

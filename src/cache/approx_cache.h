@@ -6,10 +6,11 @@
 // flat index uses (§3.2.1: "Our current implementation does a linear scan
 // over the keys"); if the closest key is within the similarity tolerance
 // τ, its value — the document-id list the database returned for that
-// key — is returned and the database lookup is skipped. Under L2 the
-// scan stops reading a key once its partial sum proves it cannot be the
-// nearest (NearestL2, DESIGN.md §5); the nearest key and its distance
-// are exactly those of the full scan.
+// key — is returned and the database lookup is skipped. Under L2, after
+// a scan whose nearest key lay within its radius, the scan stops reading
+// a key once its partial sum proves it cannot be the nearest (NearestL2,
+// DESIGN.md §5); the nearest key and its distance are exactly those of
+// the full scan.
 //
 // Answer reuse (DESIGN.md §15) is a second radius on the same scan, not
 // a second cache: a caller that passes τ_answer to Lookup learns whether
@@ -136,6 +137,8 @@ class ApproxCache {
   void set_generation(std::uint64_t gen);
   std::uint64_t generation() const;
 
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
   struct LookupResult {
     bool hit = false;
     /// Hit only: the nearest key is within the caller's τ_answer and was
@@ -148,7 +151,9 @@ class ApproxCache {
     float best_distance = std::numeric_limits<float>::infinity();
     /// Hit only: a copy of the cached document ids.
     std::vector<VectorId> value;
-    /// The cache's change count when the scan ran (see SettleMiss).
+    /// What Recheck resumes from: the nearest key's slot (kNoSlot when
+    /// the cache was empty) and the cache's change count when the scan ran.
+    std::size_t best_slot = kNoSlot;
     std::uint64_t version = 0;
   };
 
@@ -160,18 +165,23 @@ class ApproxCache {
   LookupResult Lookup(std::span<const float> query,
                       std::optional<float> answer_tau = std::nullopt);
 
-  /// Lookup that leaves a miss uncounted, for a caller that settles it
-  /// later (the serving driver's admission probe, DESIGN.md §8): hits,
-  /// scan work and stale drops count as in Lookup, lookups and misses do
-  /// not until SettleMiss, so each request still counts one lookup.
+  /// Lookup that leaves a miss uncounted, for a caller that looks again
+  /// later with Recheck (the serving driver's admission probe, DESIGN.md
+  /// §8): hits, scan work and stale drops count as in Lookup, lookups and
+  /// misses do not, so each request still counts one lookup.
   LookupResult Probe(std::span<const float> query,
                      std::optional<float> answer_tau = std::nullopt);
 
-  /// Counts the miss of a Probe whose result carried `version` and
-  /// returns true when nothing has changed since: no insert or removal,
-  /// no τ or generation change, so the scan would miss again. Returns
-  /// false and counts nothing otherwise; the caller then looks up again.
-  bool SettleMiss(std::uint64_t version);
+  /// Lookup of a query whose Probe (`probe`, with the same `answer_tau`)
+  /// missed, with Lookup's result and counts. When the cache only took
+  /// inserts since the probe and the probe's nearest key still holds its
+  /// slot, only the keys written since are read: the nearest key is then
+  /// the nearer of the probe's and theirs (the lower slot on a tie). A τ
+  /// or generation change, a removal, Clear or LoadFrom, and every
+  /// invalidate-region cache, take a full Lookup.
+  LookupResult Recheck(std::span<const float> query,
+                       std::optional<float> answer_tau,
+                       const LookupResult& probe);
 
   /// Algorithm 1 lines 7-11 (post-database path): stores `docs` under
   /// the query key, evicting one entry if the cache is full.
@@ -210,9 +220,17 @@ class ApproxCache {
   /// Lookup and Probe; `count_miss` false leaves a miss uncounted.
   LookupResult LookupLocked(std::span<const float> query,
                             std::optional<float> answer_tau, bool count_miss);
-  void CountMiss();
+  /// Classifies the nearest key `best` (slot, distance) against τ and
+  /// `answer_tau` and counts the outcome, as Lookup does.
+  LookupResult Classify(std::optional<std::pair<std::size_t, float>> best,
+                        std::optional<float> answer_tau, bool count_miss);
+  /// Records a change every earlier scan result is void after.
+  void Reset() noexcept { reset_version_ = ++version_; }
   /// Returns (slot, distance) of the closest key, or nullopt if none.
-  /// `radius` is the widest hit radius of the lookup (NearestL2).
+  /// `radius` is the widest hit radius of the lookup. An L2 scan runs
+  /// NearestL2 after a scan whose nearest key lay within its radius and
+  /// the full scan after one whose nearest key did not; both return the
+  /// same key and distance.
   std::optional<std::pair<std::size_t, float>> ScanKeys(
       std::span<const float> query, float radius);
   void InsertLocked(std::span<const float> query, std::vector<VectorId> docs);
@@ -230,9 +248,17 @@ class ApproxCache {
   Matrix keys_;                                // one row per slot
   std::vector<std::vector<VectorId>> values_;  // parallels keys_ rows
   std::vector<std::uint64_t> entry_gen_;       // index gen at fill time
+  std::vector<std::uint64_t> entry_version_;   // version_ at fill time
   std::vector<float> scan_buffer_;             // distance scratch
+  std::vector<std::uint32_t> fresh_slots_;     // Recheck scratch
   std::uint64_t generation_ = 0;               // latest index generation
-  std::uint64_t version_ = 0;  // bumped by every change a lookup could see
+  // Change count: bumped by every insert and Reset. reset_version_ is its
+  // value at the last τ, generation or arena change or removal.
+  std::uint64_t version_ = 0;
+  std::uint64_t reset_version_ = 0;
+  // Whether the last ScanKeys found its nearest key within its radius;
+  // picks the next scan's kernel.
+  bool last_scan_near_ = true;
 
   ApproxCacheStats stats_;
 };

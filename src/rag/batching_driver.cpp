@@ -111,40 +111,33 @@ void BatchingDriver::Fail(Pending& entry, RequestStatus status,
   entry.done(std::move(result));
 }
 
-BatchingDriver::Admitted BatchingDriver::Admit(Pending& entry, bool queue) {
-  enum class Outcome { kAccepted, kShed, kQuotaShed };
-  Outcome outcome = Outcome::kAccepted;
-  TenantId tenant = kDefaultTenant;
+BatchingDriver::Admitted BatchingDriver::Admit(Pending& entry) {
+  bool quota_shed = false;
   {
     std::lock_guard lock(mu_);
     if (stop_) return Admitted::kStopped;
     // Resolve the tenant while the entry is still cheap to refuse:
     // quota runs before any embedding/search work is spent on it.
     entry.tenant = registry_.Resolve(entry.tenant);
-    tenant = entry.tenant;
     ++stats_.submitted;
-    BatchingDriverStats& tstats = tenant_stats_[tenant];
+    BatchingDriverStats& tstats = tenant_stats_[entry.tenant];
     ++tstats.submitted;
-    if (registry_.Admit(tenant) != Admission::kAdmitted) {
+    if (registry_.Admit(entry.tenant) != Admission::kAdmitted) {
       ++stats_.quota_shed;
       ++tstats.quota_shed;
-      outcome = Outcome::kQuotaShed;
-    } else if (queue && !PushLocked(entry)) {
-      outcome = Outcome::kShed;
+      quota_shed = true;
     }
   }
   kObsSubmitted.Inc();
   TenantCounters delta;
   delta.submitted = 1;
-  if (outcome == Outcome::kShed) delta.shed = 1;
-  if (outcome == Outcome::kQuotaShed) delta.quota_shed = 1;
-  registry_.Record(tenant, delta);
-  if (outcome != Outcome::kAccepted) {
-    (outcome == Outcome::kShed ? kObsShed : kObsQuotaShed).Inc();
+  delta.quota_shed = quota_shed ? 1 : 0;
+  registry_.Record(entry.tenant, delta);
+  if (quota_shed) {
+    kObsQuotaShed.Inc();
     Fail(entry, RequestStatus::kResourceExhausted, 0);
     return Admitted::kShed;
   }
-  if (queue) cv_.notify_all();
   return Admitted::kAccepted;
 }
 
@@ -173,10 +166,7 @@ bool BatchingDriver::Run(Pending& entry, bool here) {
   const bool probe =
       !mutation_enabled() &&
       entry.deadline >= std::chrono::steady_clock::now();
-  if (!probe && !here) {
-    return Admit(entry, /*queue=*/true) != Admitted::kStopped;
-  }
-  switch (Admit(entry, /*queue=*/false)) {
+  switch (Admit(entry)) {
     case Admitted::kStopped:
       return false;
     case Admitted::kShed:
@@ -247,21 +237,23 @@ void BatchingDriver::Embed(Pending& entry) const {
 bool BatchingDriver::Probe(Pending& entry, bool admission, BatchResult& result,
                            TenantCounters& delta) {
   ProximityCache& cache = registry_.CacheFor(entry.tenant);
-  // The admission probe's miss stands while the cache is unchanged; once
-  // it took an insert (say, a τ-twin's retrieval) the entry looks again.
-  if (entry.probed && cache.SettleMiss(*entry.probed)) {
-    registry_.ObserveLookup(entry.tenant, false);
-    return false;
-  }
   // The probe runs with the entry's trace as the thread context, so the
   // cache's own spans (kCacheLookup/kCacheScan) join the trace.
   const obs::ScopedTraceContext trace_scope(entry.trace);
   std::optional<float> answer_tau;
   if (options_.answer_reuse) answer_tau = registry_.AnswerTauFor(entry.tenant);
-  auto cached = admission ? cache.Probe(entry.embedding, answer_tau)
-                          : cache.Lookup(entry.embedding, answer_tau);
+  ProximityCache::LookupResult cached;
+  if (admission) {
+    cached = cache.Probe(entry.embedding, answer_tau);
+  } else if (entry.probed) {
+    // A miss of the admission probe reads only the keys written since
+    // (say, a τ-twin's retrieval).
+    cached = cache.Recheck(entry.embedding, answer_tau, *entry.probed);
+  } else {
+    cached = cache.Lookup(entry.embedding, answer_tau);
+  }
   if (admission && !cached.hit) {
-    entry.probed = cached.version;  // the flush settles this miss
+    entry.probed = std::move(cached);  // the flush rechecks this miss
     return false;
   }
   registry_.ObserveLookup(entry.tenant, cached.hit);

@@ -21,10 +21,9 @@
 // same batch coalesce onto that leader's retrieval. Across flushes the
 // one flusher thread serializes batches. A τ-similar query that missed
 // while its twin's search was in flight finds the twin's insert at
-// flush: the flush re-probes an entry whose cache changed since its
-// admission probe (and otherwise settles that probe's miss), so the pair
-// still ends as one retrieval plus one hit, and each request counts one
-// cache lookup. Serve is the probe step plus, on a miss, a batch of one
+// flush: the flush rechecks the admission probe's miss against the keys
+// written since (ApproxCache::Recheck), so the pair still ends as one
+// retrieval plus one hit, and each request counts one cache lookup. Serve is the probe step plus, on a miss, a batch of one
 // on the caller's thread, concurrently with the flusher; the caches and
 // the registry carry their own locks. Every submitted query is exactly
 // one of {hit, retrieved, coalesced, shed, expired, quota_shed};
@@ -299,9 +298,9 @@ class BatchingDriver {
   struct Pending {
     std::string text;              // non-empty: not embedded yet
     std::vector<float> embedding;  // used when text is empty
-    /// Set when the admission probe missed: the cache version it saw
-    /// (ApproxCache::SettleMiss).
-    std::optional<std::uint64_t> probed;
+    /// Set when the admission probe missed: where its scan stood
+    /// (ApproxCache::Recheck).
+    std::optional<ProximityCache::LookupResult> probed;
     BatchCallback done;
     std::chrono::steady_clock::time_point enqueued;
     std::chrono::steady_clock::time_point deadline;
@@ -321,21 +320,20 @@ class BatchingDriver {
 
   enum class Admitted { kStopped, kShed, kAccepted };
 
-  /// Shared admission path: resolves the tenant, counts the submission
-  /// and consults the tenant quota and (when `queue`) the queue bound.
-  /// kStopped after Shutdown — the entry is left intact (callback not
-  /// invoked) so the caller picks throw vs callback. kShed after the
-  /// callback ran inline with kResourceExhausted. kAccepted: queued
-  /// when `queue`, otherwise the caller runs it.
-  Admitted Admit(Pending& entry, bool queue);
+  /// Admission: resolves the tenant, counts the submission and consults
+  /// the tenant quota. kStopped after Shutdown — the entry is left intact
+  /// (callback not invoked) so the caller picks throw vs callback. kShed
+  /// after the callback ran inline with kResourceExhausted. kAccepted: the
+  /// caller runs or queues the entry.
+  Admitted Admit(Pending& entry);
   /// Queues an admitted entry unless the queue bound sheds it (counted,
   /// inflight slot released; returns false). Caller must hold mu_.
   bool PushLocked(Pending& entry);
-  /// The probe step (DESIGN.md §8): Admit, then ProbeAtAdmission; a miss
-  /// is queued, or with `here` runs as a batch of one on this thread.
-  /// An entry past its deadline, and every entry of a mutation-armed
-  /// driver, is admitted unprobed. False after Shutdown (entry intact,
-  /// callback not invoked).
+  /// Every request's one path (DESIGN.md §8): Admit, then
+  /// ProbeAtAdmission; a miss is queued, or with `here` runs as a batch of
+  /// one on this thread. An entry past its deadline, and every entry of a
+  /// mutation-armed driver, skips the probe. False after Shutdown (entry
+  /// intact, callback not invoked).
   bool Run(Pending& entry, bool here);
   /// Embeds and probes an admitted entry on this thread; a hit completes
   /// it here (true).
@@ -348,7 +346,7 @@ class BatchingDriver {
   /// with answer reuse, τ_answer (DESIGN.md §15); shared by the
   /// admission probe and the flush. A hit fills `result` and counts into
   /// `delta`. At admission a miss stays open (`probed`); at flush it is
-  /// settled, or looked up again when the cache changed since.
+  /// rechecked against the keys written since.
   bool Probe(Pending& entry, bool admission, BatchResult& result,
              TenantCounters& delta);
 

@@ -108,6 +108,10 @@ struct NearestRow {
   std::size_t floats_read = 0;
 };
 
+/// Scratch floats NearestL2 needs per row: a partial sum and the two
+/// accumulators of the widest level (16 lanes each).
+inline constexpr std::size_t kNearestL2ScratchPerRow = 33;
+
 /// The squared-L2 nearest of `count` (> 0) contiguous rows to `query`: the
 /// row and float bits of BatchDistance(kL2, ...) followed by
 /// std::min_element, for finite inputs. The vector levels stop reading a
@@ -117,9 +121,10 @@ struct NearestRow {
 /// a dropped row cannot be the nearest. A prepass over the first 64 floats
 /// of every row picks the first candidate; when its full distance is
 /// farther than `radius` (the caller's widest hit radius: a miss in the
-/// making, whose far bound drops little), every row is read in full
-/// instead. `scratch` holds `count` floats. The portable level always reads
-/// every row.
+/// making, whose far bound drops little), every row's rest is read in
+/// full from where the prepass stopped, so no float is read twice but the
+/// candidate's. `scratch` holds count * kNearestL2ScratchPerRow floats.
+/// The portable level always reads every row.
 NearestRow NearestL2(std::span<const float> query, const float* base,
                      std::size_t count, std::size_t dim, float radius,
                      float* scratch) noexcept;

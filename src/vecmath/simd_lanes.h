@@ -363,99 +363,163 @@ void Multi(const float* qs, std::size_t nq, const float* base,
 /// of the main loop.
 constexpr std::size_t kAbandonChunk = 64;
 
-/// One row's squared L2 sum, run a chunk at a time in the single-pair
-/// order (Tile<W, L2Op, 1, 1>): the same steps on the same two
-/// accumulators, so Finish returns the bits the batch kernel gives the
-/// row. Bound() sums the accumulators so far; every step adds a square,
-/// and float addition of non-negative terms is monotone, so Bound() never
-/// exceeds the row's finished distance.
-template <int W>
-struct L2Run {
-  typename Lanes<W>::F a0{}, a1{};
-  std::size_t i = 0;  // floats consumed
-
-  /// Main-loop steps up to `end`, a multiple of 2W within the main loop.
-  void StepTo(const float* q, const float* row, std::size_t end) noexcept {
-    for (; i < end; i += 2 * W) {
-      L2Op::Step(&a0, Load<W>(q + i), Load<W>(row + i));
-      L2Op::Step(&a1, Load<W>(q + i + W), Load<W>(row + i + W));
+/// R rows (`dim` floats apart) through main-loop floats [from, to) of the
+/// single-pair L2 order (Tile<W, L2Op, 1, 1>), each query load shared by
+/// the R rows. `park` keeps each row's two accumulators between calls (2W
+/// floats per row): they start at zero when `from` is 0 and are read from
+/// `park` otherwise. Without kFinish they are parked again and out[r] is
+/// the partial sum so far: every step adds a square, and float addition
+/// of non-negative terms is monotone, so it never exceeds the row's
+/// distance. With kFinish, `to` is the main loop's end; the mop-up step
+/// and the scalar tail follow and out[r] is the distance, the bits Batch
+/// gives the row.
+template <int W, int R, bool kFinish>
+[[gnu::always_inline]] inline void L2Rows(const float* q, const float* rows,
+                                          std::size_t dim, std::size_t from,
+                                          std::size_t to, float* park,
+                                          float* out) noexcept {
+  using V = typename Lanes<W>::F;
+  V a0[R], a1[R];
+#pragma GCC unroll 16
+  for (int r = 0; r < R; ++r) {
+    if (from == 0) {
+      a0[r] = a1[r] = V{};
+    } else {
+      a0[r] = Load<W>(park + r * 2 * W);
+      a1[r] = Load<W>(park + r * 2 * W + W);
     }
   }
-  float Bound() const noexcept { return Reduce<W>(a0 + a1); }
-  /// The rest of the row: main loop, mop-up step, scalar tail.
-  float Finish(const float* q, const float* row, std::size_t n) noexcept {
-    StepTo(q, row, n / (2 * W) * (2 * W));
-    if (i + W <= n) {
-      L2Op::Step(&a0, Load<W>(q + i), Load<W>(row + i));
+  std::size_t i = from;
+  for (; i < to; i += 2 * W) {
+    if constexpr (kFinish) {
+      for (int r = 0; r < R; ++r) {
+        for (std::size_t l = 0; l < 2 * W; l += 16) {
+          __builtin_prefetch(rows + r * dim + i + kPfAhead + l, 0, 3);
+        }
+      }
+    }
+    const V q0 = Load<W>(q + i);
+    const V q1 = Load<W>(q + i + W);
+#pragma GCC unroll 16
+    for (int r = 0; r < R; ++r) {
+      L2Op::Step(&a0[r], q0, Load<W>(rows + r * dim + i));
+      L2Op::Step(&a1[r], q1, Load<W>(rows + r * dim + i + W));
+    }
+  }
+  if constexpr (kFinish) {
+    if (i + W <= dim) {
+      const V q0 = Load<W>(q + i);
+#pragma GCC unroll 16
+      for (int r = 0; r < R; ++r) {
+        L2Op::Step(&a0[r], q0, Load<W>(rows + r * dim + i));
+      }
       i += W;
     }
-    float tail = 0.f;
-    for (; i < n; ++i) L2Op::Step(&tail, q[i], row[i]);
-    return Reduce<W>(a0 + a1) + tail;
+    float tail[R] = {};
+    for (; i < dim; ++i) {
+#pragma GCC unroll 16
+      for (int r = 0; r < R; ++r) L2Op::Step(&tail[r], q[i], rows[r * dim + i]);
+    }
+#pragma GCC unroll 16
+    for (int r = 0; r < R; ++r) out[r] = Reduce<W>(a0[r] + a1[r]) + tail[r];
+  } else {
+#pragma GCC unroll 16
+    for (int r = 0; r < R; ++r) {
+      __builtin_memcpy(park + r * 2 * W, &a0[r], sizeof(V));
+      __builtin_memcpy(park + r * 2 * W + W, &a1[r], sizeof(V));
+      out[r] = Reduce<W>(a0[r] + a1[r]);
+    }
   }
-};
+}
 
 /// The nearest_l2 slot (kernels.h NearestL2). A prepass runs every row's
-/// head and picks the smallest partial sum as the candidate, whose full
-/// distance bounds the rest. A candidate farther than `radius` bounds too
-/// little to pay for the chunked loop, so then every row streams through
-/// Batch. Otherwise each other row runs a chunk at a time and is dropped
-/// once its partial sum exceeds the nearest distance so far; a row that
-/// finishes at a smaller distance, or at an equal one in a lower slot,
-/// becomes the nearest. Heads are re-read by the rows that survive them.
+/// head, parks its accumulators and picks the smallest partial sum as the
+/// candidate, whose full distance bounds the rest. When the candidate is
+/// farther than `radius` (or its head alone is), the bound would drop
+/// little: every row's rest streams four rows at a time from its parked
+/// head, so each float is read once (the candidate's rest twice).
+/// Otherwise each other row resumes from its head a chunk at a time and
+/// is dropped once its partial sum exceeds the nearest distance so far; a
+/// row that finishes at a smaller distance, or at an equal one in a lower
+/// slot, becomes the nearest.
 template <int W>
 NearestRow NearestL2(const float* q, const float* base, std::size_t count,
                      std::size_t dim, float radius, float* scratch) noexcept {
+  constexpr std::size_t kPark = 2 * W;
   static_assert(kAbandonChunk % (2 * W) == 0);
+  static_assert(1 + kPark <= kNearestL2ScratchPerRow);
   const std::size_t main = dim / (2 * W) * (2 * W);
   const std::size_t head = main < kAbandonChunk ? main : kAbandonChunk;
-  // Heads through the 4-row tile: the same steps, so the same partial
-  // sums as L2Run::Bound, with each query load shared by four rows.
+  float* sums = scratch;          // count partial sums, then distances
+  float* park = scratch + count;  // kPark floats per row
+  // Heads are `dim` floats apart, too far for the hardware prefetcher:
+  // each block of four rows asks for the next block's heads.
   std::size_t r = 0;
   for (; r + 4 <= count; r += 4) {
-    Tile<W, L2Op, 4, 1>(q, 0, base + r * dim, dim, head, scratch + r);
+    for (std::size_t l = 0; l < head && r + 8 <= count; l += 16) {
+      for (std::size_t k = 4; k < 8; ++k) {
+        __builtin_prefetch(base + (r + k) * dim + l, 0, 3);
+      }
+    }
+    L2Rows<W, 4, false>(q, base + r * dim, dim, 0, head, park + r * kPark,
+                        sums + r);
   }
   for (; r < count; ++r) {
-    Tile<W, L2Op, 1, 1>(q, 0, base + r * dim, dim, head, scratch + r);
+    L2Rows<W, 1, false>(q, base + r * dim, dim, 0, head, park + r * kPark,
+                        sums + r);
   }
   std::size_t cand = 0;
   for (r = 1; r < count; ++r) {
-    if (scratch[r] < scratch[cand]) cand = r;
+    if (sums[r] < sums[cand]) cand = r;
   }
-  NearestRow best{cand, L2Run<W>{}.Finish(q, base + cand * dim, dim),
-                  count * head + dim};
-  if (!(best.distance <= radius)) {
-    Batch<W, L2Op>(q, base, count, dim, scratch);
-    best.floats_read += count * dim;
+  NearestRow best{cand, sums[cand], count * head};
+  bool far = !(sums[cand] <= radius);
+  if (!far) {
+    L2Rows<W, 1, true>(q, base + cand * dim, dim, head, main,
+                       park + cand * kPark, &best.distance);
+    best.floats_read += dim - head;
+    far = !(best.distance <= radius);
+  }
+  if (far) {
+    for (r = 0; r + 4 <= count; r += 4) {
+      L2Rows<W, 4, true>(q, base + r * dim, dim, head, main, park + r * kPark,
+                         sums + r);
+    }
+    for (; r < count; ++r) {
+      L2Rows<W, 1, true>(q, base + r * dim, dim, head, main, park + r * kPark,
+                         sums + r);
+    }
+    best.floats_read += count * (dim - head);
     best.row = 0;
-    best.distance = scratch[0];
+    best.distance = sums[0];
     for (r = 1; r < count; ++r) {
-      if (scratch[r] < best.distance) {
+      if (sums[r] < best.distance) {
         best.row = r;
-        best.distance = scratch[r];
+        best.distance = sums[r];
       }
     }
     return best;
   }
   for (r = 0; r < count; ++r) {
-    if (r == cand || scratch[r] > best.distance) continue;
+    float partial = sums[r];
+    if (r == cand || partial > best.distance) continue;
     const float* row = base + r * dim;
-    L2Run<W> run;
-    run.StepTo(q, row, head);
-    bool dropped = false;
-    while (run.i < main && !dropped) {
-      run.StepTo(q, row, run.i + kAbandonChunk < main ? run.i + kAbandonChunk
-                                                      : main);
-      dropped = run.Bound() > best.distance;
+    std::size_t i = head;
+    while (i < main && !(partial > best.distance)) {
+      const std::size_t to = i + kAbandonChunk < main ? i + kAbandonChunk : main;
+      L2Rows<W, 1, false>(q, row, dim, i, to, park + r * kPark, &partial);
+      i = to;
     }
-    if (!dropped) {
-      const float d = run.Finish(q, row, dim);
+    if (!(partial > best.distance)) {
+      float d = 0.f;
+      L2Rows<W, 1, true>(q, row, dim, i, main, park + r * kPark, &d);
+      i = dim;
       if (d < best.distance || (d == best.distance && r < best.row)) {
         best.row = r;
         best.distance = d;
       }
     }
-    best.floats_read += run.i;
+    best.floats_read += i - head;
   }
   return best;
 }

@@ -4,8 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "cache/adaptive_tau.h"
 #include "cache/approx_cache.h"
@@ -284,6 +289,143 @@ TEST(AnswerRadiusTest, StaleEntryIsNeverAnAnswerHit) {
   revalidating.set_generation(1);
   EXPECT_FALSE(revalidating.Lookup(Vec2(0, 0), 0.5f).hit);
   EXPECT_EQ(revalidating.size(), 0u);  // dropped, as without τ_answer
+}
+
+// Recheck after a missed Probe gives Lookup's result and counts, though
+// it reads only the keys written since the probe: two caches take the
+// same operations, one rechecking and one looking up in full. Inserts
+// fill and evict; some land within τ or τ_answer of the query; now and
+// then τ or the generation moves, which forces a full recheck.
+TEST(RecheckTest, MatchesAFullLookup) {
+  constexpr std::size_t kDim = 8;
+  for (const Metric metric : {Metric::kL2, Metric::kCosine}) {
+    for (const StalenessPolicy staleness :
+         {StalenessPolicy::kServeStale, StalenessPolicy::kRevalidate,
+          StalenessPolicy::kInvalidateRegion}) {
+      SCOPED_TRACE(std::string(MetricName(metric)) + " " +
+                   StalenessPolicyName(staleness));
+      ApproxCacheOptions opts = SmallCache(12, metric == Metric::kL2
+                                                   ? 1.0f
+                                                   : 0.05f);
+      opts.metric = metric;
+      opts.staleness = staleness;
+      opts.eviction = EvictionKind::kLru;
+      ApproxCache rechecking(kDim, opts);
+      ApproxCache looking(kDim, opts);
+      const std::optional<float> answer_tau =
+          metric == Metric::kL2 ? 0.3f : 0.01f;
+      Rng rng(2026);
+      const auto random_vec = [&](std::span<const float> near, float sd) {
+        std::vector<float> v(kDim);
+        for (std::size_t d = 0; d < kDim; ++d) {
+          v[d] = (near.empty() ? 0.f : near[d]) +
+                 static_cast<float>(rng.Gaussian(0, sd));
+        }
+        return v;
+      };
+      std::uint64_t generation = 0;
+      std::size_t rechecks = 0;
+      for (int trial = 0; trial < 400; ++trial) {
+        const std::vector<float> q = random_vec({}, 1.0f);
+        const auto pa = rechecking.Probe(q, answer_tau);
+        const auto pb = looking.Probe(q, answer_tau);
+        ASSERT_EQ(pa.hit, pb.hit);
+        if (pa.hit) continue;
+        const int inserts = static_cast<int>(rng.Below(5));
+        for (int i = 0; i < inserts; ++i) {
+          // Near the query (a τ-twin's retrieval), or anywhere.
+          const std::vector<float> key =
+              rng.Bernoulli(0.4) ? random_vec(q, 0.2f) : random_vec({}, 1.0f);
+          const std::vector<VectorId> docs{trial * 10 + i};
+          rechecking.Insert(key, docs);
+          looking.Insert(key, docs);
+        }
+        if (rng.Bernoulli(0.05)) {
+          ++generation;
+          rechecking.set_generation(generation);
+          looking.set_generation(generation);
+        }
+        const auto a = rechecking.Recheck(q, answer_tau, pa);
+        const auto b = looking.Lookup(q, answer_tau);
+        ++rechecks;
+        ASSERT_EQ(a.hit, b.hit) << "trial " << trial;
+        EXPECT_EQ(a.answer, b.answer);
+        EXPECT_EQ(a.stale, b.stale);
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(a.best_distance),
+                  std::bit_cast<std::uint32_t>(b.best_distance));
+        EXPECT_EQ(a.best_slot, b.best_slot);
+        EXPECT_EQ(a.value, b.value);
+        ASSERT_EQ(rechecking.size(), looking.size());
+      }
+      const ApproxCacheStats sa = rechecking.stats();
+      const ApproxCacheStats sb = looking.stats();
+      EXPECT_GT(rechecks, 100u);
+      EXPECT_GT(sa.hits, 10u);
+      EXPECT_EQ(sa.lookups, sb.lookups);
+      EXPECT_EQ(sa.hits, sb.hits);
+      EXPECT_EQ(sa.misses, sb.misses);
+      EXPECT_EQ(sa.stale_hits, sb.stale_hits);
+      if (staleness == StalenessPolicy::kInvalidateRegion) {
+        EXPECT_EQ(sa.keys_scanned, sb.keys_scanned);
+      } else {
+        EXPECT_LT(sa.keys_scanned, sb.keys_scanned);
+      }
+    }
+  }
+}
+
+// What a recheck reads: nothing when the cache is unchanged, the keys
+// written since otherwise, and every key after a τ change or once the
+// probe's nearest key lost its slot.
+TEST(RecheckTest, ReadsOnlyKeysWrittenSinceTheProbe) {
+  ApproxCache cache(2, SmallCache(4, 1.0f));
+  cache.Insert(Vec2(10, 0), {1});
+  cache.Insert(Vec2(20, 0), {2});
+  const auto probe = cache.Probe(Vec2(0, 0));  // d = 100: a miss
+  ASSERT_FALSE(probe.hit);
+  EXPECT_EQ(probe.best_slot, 0u);
+  EXPECT_EQ(cache.stats().lookups, 0u);  // a probe's miss is not counted
+
+  std::uint64_t scanned = cache.stats().keys_scanned;
+  EXPECT_FALSE(cache.Recheck(Vec2(0, 0), std::nullopt, probe).hit);
+  EXPECT_EQ(cache.stats().keys_scanned, scanned);  // unchanged: no read
+
+  cache.Insert(Vec2(0.5f, 0), {3});  // slot 2, within τ
+  scanned = cache.stats().keys_scanned;
+  const auto twin = cache.Recheck(Vec2(0, 0), std::nullopt, probe);
+  ASSERT_TRUE(twin.hit);
+  EXPECT_EQ(twin.value, (std::vector<VectorId>{3}));
+  EXPECT_EQ(cache.stats().keys_scanned, scanned + 1);
+
+  cache.set_tolerance(2.0f);
+  scanned = cache.stats().keys_scanned;
+  EXPECT_TRUE(cache.Recheck(Vec2(0, 0), std::nullopt, probe).hit);
+  EXPECT_EQ(cache.stats().keys_scanned, scanned + 3);  // a full lookup
+
+  // The probe's nearest key (slot 0) is evicted and its slot refilled.
+  ApproxCacheOptions fifo = SmallCache(2, 1.0f);
+  fifo.eviction = EvictionKind::kFifo;
+  ApproxCache full(2, fifo);
+  full.Insert(Vec2(10, 0), {1});
+  full.Insert(Vec2(20, 0), {2});
+  const auto far = full.Probe(Vec2(0, 0));
+  ASSERT_FALSE(far.hit);
+  full.Insert(Vec2(30, 0), {3});  // evicts slot 0
+  scanned = full.stats().keys_scanned;
+  const auto again = full.Recheck(Vec2(0, 0), std::nullopt, far);
+  EXPECT_FALSE(again.hit);
+  EXPECT_EQ(again.best_slot, 1u);  // (20, 0) is now the nearest
+  EXPECT_EQ(full.stats().keys_scanned, scanned + 2);
+  EXPECT_EQ(full.stats().lookups, 1u);
+
+  // Fresh keys as near as the probe's nearest lose the tie to its lower
+  // slot, as in a full scan.
+  ApproxCache tied(2, SmallCache(4, 1.0f));
+  tied.Insert(Vec2(10, 0), {1});
+  const auto before = tied.Probe(Vec2(0, 0));
+  tied.Insert(Vec2(-10, 0), {2});
+  tied.Insert(Vec2(0, 10), {3});
+  EXPECT_EQ(tied.Recheck(Vec2(0, 0), std::nullopt, before).best_slot, 0u);
 }
 
 // ------------------------------------------------------ ProximityCache --

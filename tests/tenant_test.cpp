@@ -320,8 +320,8 @@ TEST(TenantDriverTest, OverQuotaSubmissionsShedBeforeAnyWork) {
   ASSERT_TRUE(per_tenant.count(1));
   EXPECT_EQ(per_tenant.at(1).quota_shed, 4u);
   ExpectConserved(per_tenant.at(1));
-  // Only the admitted query was probed (one key, at admission; the flush
-  // settled its miss without a second scan).
+  // Only the admitted query was probed (one key, at admission; the
+  // flush's recheck read no key, since none was written after the probe).
   const ApproxCacheStats cstats = registry.CacheFor(1).stats();
   EXPECT_EQ(cstats.keys_scanned, 1u);
   EXPECT_EQ(cstats.lookups, 1u);
