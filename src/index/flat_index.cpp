@@ -31,6 +31,14 @@ VectorId FlatIndex::Add(std::span<const float> vec) {
   return id;
 }
 
+VectorId FlatIndex::AddRows(const Matrix& vectors, std::size_t lo,
+                            std::size_t hi) {
+  CheckRows(vectors, lo, hi);
+  vectors_.Reserve(size() + (hi - lo));
+  if (quantized()) store_.Reserve(size() + (hi - lo));
+  return VectorIndex::AddRows(vectors, lo, hi);
+}
+
 std::vector<Neighbor> FlatIndex::Search(std::span<const float> query,
                                         std::size_t k) const {
   CheckDim(query);

@@ -31,6 +31,9 @@ class FlatIndex final : public VectorIndex {
   std::size_t size() const noexcept override { return vectors_.rows(); }
 
   VectorId Add(std::span<const float> vec) override;
+  /// Reserves room for the rows, then adds them through Add.
+  VectorId AddRows(const Matrix& vectors, std::size_t lo,
+                   std::size_t hi) override;
   std::vector<Neighbor> Search(std::span<const float> query,
                                std::size_t k) const override;
   /// One scan for the whole block: every row tile is read once and run

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 
 #include "common/rng.h"
@@ -29,7 +30,84 @@ struct NeighborCloserFirst {
     return a.distance < b.distance;
   }
 };
+
+// HNSW Algorithm 4. Visits `candidates` closest first by (distance, id)
+// and keeps one only if it is closer to the base node than to every
+// candidate kept before it, which spreads links across directions; then
+// backfills with the closest pruned ones (keepPrunedConnections of the
+// reference implementation) up to `max_links`. `pair(a, b)` is the
+// distance from candidates[a] to an earlier kept candidates[b]. Returns
+// positions into `candidates`, in link order.
+template <class PairDistance>
+std::vector<std::uint32_t> SelectDiverse(std::span<const Neighbor> candidates,
+                                         std::size_t max_links,
+                                         PairDistance&& pair) {
+  std::vector<std::uint32_t> order(candidates.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return NeighborCloser{}(candidates[a], candidates[b]);
+  });
+  std::vector<std::uint32_t> chosen;
+  chosen.reserve(max_links);
+  for (const std::uint32_t a : order) {
+    if (chosen.size() >= max_links) break;
+    bool keep = true;
+    for (const std::uint32_t b : chosen) {
+      if (pair(a, b) < candidates[a].distance) {
+        keep = false;
+        break;
+      }
+    }
+    if (keep) chosen.push_back(a);
+  }
+  for (const std::uint32_t a : order) {
+    if (chosen.size() >= max_links) break;
+    if (std::find(chosen.begin(), chosen.end(), a) == chosen.end()) {
+      chosen.push_back(a);
+    }
+  }
+  return chosen;
+}
+
+// Position of the unordered pair {a, b}, a != b, in a triangle over list
+// positions: the pairs of position j take [j(j-1)/2, j(j+1)/2), so the
+// triangle over n positions is a prefix of the one over n + 1.
+std::size_t PairSlot(std::uint32_t a, std::uint32_t b) noexcept {
+  if (a < b) std::swap(a, b);
+  return std::size_t{a} * (a - 1) / 2 + b;
+}
+
+std::size_t PairCount(std::size_t n) noexcept { return n * (n - 1) / 2; }
+
+constexpr float kNotComputed = std::numeric_limits<float>::quiet_NaN();
 }  // namespace
+
+// What AddRows remembers for each node it adds (see memo_). Exact by
+// construction (DESIGN.md §5): every stored float is what the kernel
+// returned for that pair, read where the Add loop would call the kernel.
+// The pair direction needs no key: within one node the heuristic always
+// measures the later of two links (by the fixed (distance, id) order)
+// from the earlier, so even cosine, whose kernel is not symmetric by
+// construction, reads back the direction it wrote.
+struct HnswIndex::BuildMemo {
+  struct Node {
+    // dist[i] = Dist(node, links_[node][0][i]), the key ShrinkLinks sorts
+    // by. Grows with the list and is rewritten with it.
+    std::vector<float> dist;
+    // PairDist between list positions (PairSlot), kNotComputed until the
+    // heuristic needs it; sized at the node's first shrink.
+    std::vector<float> pairs;
+  };
+  NodeId first = 0;         // nodes[i] belongs to node first + i
+  std::vector<Node> nodes;
+  // The remapped triangle, swapped with a node's. Reserved for a full
+  // list plus one, so the buffers passed around never grow.
+  std::vector<float> next;
+
+  Node* Find(NodeId node) noexcept {
+    return node >= first ? &nodes[node - first] : nullptr;
+  }
+};
 
 HnswIndex::HnswIndex(std::size_t dim, HnswOptions options)
     : options_(options),
@@ -42,6 +120,8 @@ HnswIndex::HnswIndex(std::size_t dim, HnswOptions options)
   }
   if (quantized()) store_ = CompressedStore(dim, options_.storage);
 }
+
+HnswIndex::~HnswIndex() = default;
 
 float HnswIndex::Dist(std::span<const float> a, NodeId b) const noexcept {
   return Distance(options_.metric, a, vectors_.Row(b));
@@ -165,51 +245,46 @@ std::vector<Neighbor> HnswIndex::SearchLayer(
   return results;
 }
 
-std::vector<HnswIndex::NodeId> HnswIndex::SelectNeighborsHeuristic(
-    std::vector<Neighbor> candidates, std::size_t max_links) const {
-  std::sort(candidates.begin(), candidates.end(), NeighborCloser{});
-  std::vector<NodeId> selected;
-  selected.reserve(max_links);
-  for (const auto& cand : candidates) {
-    if (selected.size() >= max_links) break;
-    // Keep `cand` only if it is closer to the query than to every already
-    // selected neighbor — this spreads links across directions.
-    bool keep = true;
-    const auto cand_vec = vectors_.Row(static_cast<std::size_t>(cand.id));
-    for (NodeId s : selected) {
-      const float d_cs = Distance(options_.metric, cand_vec, vectors_.Row(s));
-      if (d_cs < cand.distance) {
-        keep = false;
-        break;
-      }
-    }
-    if (keep) selected.push_back(static_cast<NodeId>(cand.id));
-  }
-  // Backfill with the closest pruned candidates if diversity left slots
-  // unused (keepPrunedConnections from the reference implementation).
-  if (selected.size() < max_links) {
-    for (const auto& cand : candidates) {
-      if (selected.size() >= max_links) break;
-      const NodeId id = static_cast<NodeId>(cand.id);
-      if (std::find(selected.begin(), selected.end(), id) == selected.end()) {
-        selected.push_back(id);
-      }
-    }
-  }
-  return selected;
-}
-
 void HnswIndex::ShrinkLinks(NodeId node, int level) {
   auto& list = links_[node][static_cast<std::size_t>(level)];
   const std::size_t max_links = MaxLinksFor(level);
   if (list.size() <= max_links) return;
+  BuildMemo::Node* memo = level == 0 && memo_ ? memo_->Find(node) : nullptr;
   const auto node_vec = vectors_.Row(node);
   std::vector<Neighbor> candidates;
   candidates.reserve(list.size());
-  for (NodeId nb : list) {
-    candidates.push_back({static_cast<VectorId>(nb), Dist(node_vec, nb)});
+  for (std::size_t i = 0; i < list.size(); ++i) {
+    candidates.push_back({static_cast<VectorId>(list[i]),
+                          memo ? memo->dist[i] : Dist(node_vec, list[i])});
   }
-  list = SelectNeighborsHeuristic(std::move(candidates), max_links);
+  auto link = [&](std::uint32_t i) {
+    return static_cast<NodeId>(candidates[i].id);
+  };
+  if (memo) memo->pairs.resize(PairCount(list.size()), kNotComputed);
+  const auto chosen = SelectDiverse(
+      candidates, max_links, [&](std::uint32_t a, std::uint32_t b) {
+        if (!memo) return PairDist(link(a), link(b));
+        float& d = memo->pairs[PairSlot(a, b)];
+        if (std::isnan(d)) d = PairDist(link(a), link(b));
+        return d;
+      });
+
+  list.resize(chosen.size());
+  for (std::size_t p = 0; p < chosen.size(); ++p) list[p] = link(chosen[p]);
+  if (!memo) return;
+  // Position p of the new list is position chosen[p] of the old one.
+  memo->dist.resize(chosen.size());
+  for (std::size_t p = 0; p < chosen.size(); ++p) {
+    memo->dist[p] = candidates[chosen[p]].distance;
+  }
+  auto& next = memo_->next;
+  next.resize(PairCount(chosen.size()));
+  for (std::uint32_t q = 1; q < chosen.size(); ++q) {
+    for (std::uint32_t p = 0; p < q; ++p) {
+      next[PairSlot(q, p)] = memo->pairs[PairSlot(chosen[q], chosen[p])];
+    }
+  }
+  memo->pairs.swap(next);
 }
 
 VectorId HnswIndex::Add(std::span<const float> vec) {
@@ -262,11 +337,36 @@ VectorId HnswIndex::Add(std::span<const float> vec) {
       }
     }
 
-    auto selected =
-        SelectNeighborsHeuristic(candidates, MaxLinksFor(l));
-    links_[id][static_cast<std::size_t>(l)] = selected;
-    for (NodeId nb : selected) {
+    const auto chosen = SelectDiverse(
+        candidates, MaxLinksFor(l), [&](std::uint32_t a, std::uint32_t b) {
+          return PairDist(static_cast<NodeId>(candidates[a].id),
+                          static_cast<NodeId>(candidates[b].id));
+        });
+    // Level 0 of a node AddRows adds carries each link's distance
+    // (BuildMemo). A float beam measured Dist(id, link) through
+    // GatherDistance, which has the kernel's bits, and L2 and inner
+    // product are symmetric bit for bit, so the same float is also the
+    // reverse link's Dist(link, id). Cosine recomputes the reverse
+    // direction; a quantized beam's distances are approximate, so it
+    // recomputes both.
+    const bool memoize = l == 0 && memo_ != nullptr;
+    const bool beam_exact = !quantized();
+    const bool beam_symmetric =
+        beam_exact && options_.metric != Metric::kCosine;
+    BuildMemo::Node* own_memo = memoize ? memo_->Find(id) : nullptr;
+    if (own_memo) own_memo->dist.reserve(MaxLinksFor(0) + 1);
+    for (const std::uint32_t c : chosen) {
+      const auto nb = static_cast<NodeId>(candidates[c].id);
+      links_[id][static_cast<std::size_t>(l)].push_back(nb);
       links_[nb][static_cast<std::size_t>(l)].push_back(id);
+      if (own_memo) {
+        own_memo->dist.push_back(beam_exact ? candidates[c].distance
+                                            : PairDist(id, nb));
+      }
+      if (BuildMemo::Node* back = memoize ? memo_->Find(nb) : nullptr) {
+        back->dist.push_back(beam_symmetric ? candidates[c].distance
+                                            : PairDist(nb, id));
+      }
       ShrinkLinks(nb, l);
     }
 
@@ -285,6 +385,29 @@ VectorId HnswIndex::Add(std::span<const float> vec) {
     max_level_ = level;
   }
   return static_cast<VectorId>(id);
+}
+
+VectorId HnswIndex::AddRows(const Matrix& vectors, std::size_t lo,
+                            std::size_t hi) {
+  CheckRows(vectors, lo, hi);
+  const std::size_t n = size() + (hi - lo);
+  vectors_.Reserve(n);
+  if (quantized()) store_.Reserve(n);
+  levels_.reserve(n);
+  links_.reserve(n);
+  const auto first = static_cast<NodeId>(size());
+  memo_ = std::make_unique<BuildMemo>();
+  memo_->first = first;
+  memo_->nodes.resize(hi - lo);
+  memo_->next.reserve(PairCount(MaxLinksFor(0) + 1));
+  try {
+    for (std::size_t r = lo; r < hi; ++r) Add(vectors.Row(r));
+  } catch (...) {
+    memo_.reset();
+    throw;
+  }
+  memo_.reset();
+  return static_cast<VectorId>(first);
 }
 
 std::vector<Neighbor> HnswIndex::Search(std::span<const float> query,

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -36,6 +37,7 @@ struct HnswOptions {
 class HnswIndex final : public VectorIndex {
  public:
   HnswIndex(std::size_t dim, HnswOptions options = {});
+  ~HnswIndex() override;
 
   std::size_t dim() const noexcept override { return vectors_.dim(); }
   Metric metric() const noexcept override { return options_.metric; }
@@ -43,6 +45,14 @@ class HnswIndex final : public VectorIndex {
 
   /// Not thread-safe; build the graph single-threaded, then Search freely.
   VectorId Add(std::span<const float> vec) override;
+
+  /// Adds rows [lo, hi) through Add, one by one, while a build memo
+  /// (BuildMemo below) keeps the distances the build has computed: the
+  /// graph is the Add loop's, byte for byte, at a fraction of the
+  /// distance evaluations (DESIGN.md §5). The memo is dropped before
+  /// returning.
+  VectorId AddRows(const Matrix& vectors, std::size_t lo,
+                   std::size_t hi) override;
 
   std::vector<Neighbor> Search(std::span<const float> query,
                                std::size_t k) const override;
@@ -98,10 +108,10 @@ class HnswIndex final : public VectorIndex {
   void GreedyStep(std::span<const float> query, NodeId& entry,
                   float& entry_dist, int level) const;
 
-  /// HNSW Algorithm 4: prunes `candidates` (sorted ascending) to at most
-  /// `max_links` diverse neighbors.
-  std::vector<NodeId> SelectNeighborsHeuristic(
-      std::vector<Neighbor> candidates, std::size_t max_links) const;
+  /// Distance(metric, row a, row b), the diversity heuristic's pair test.
+  float PairDist(NodeId a, NodeId b) const noexcept {
+    return Distance(options_.metric, vectors_.Row(a), vectors_.Row(b));
+  }
 
   std::size_t MaxLinksFor(int level) const noexcept {
     return level == 0 ? options_.M * 2 : options_.M;
@@ -109,6 +119,9 @@ class HnswIndex final : public VectorIndex {
 
   /// Re-prunes `node`'s link list on `level` after adding a reverse edge.
   void ShrinkLinks(NodeId node, int level);
+
+  /// Scratch of one AddRows call (defined in the .cpp; DESIGN.md §5).
+  struct BuildMemo;
 
   // Visited-set pool: epoch-stamped arrays reused across searches.
   struct VisitedGuard;
@@ -127,6 +140,10 @@ class HnswIndex final : public VectorIndex {
   int max_level_ = -1;
   std::uint64_t level_rng_state_;
   double level_mult_;
+
+  // Null outside AddRows, so a lone Add runs without it and builds the
+  // same graph.
+  std::unique_ptr<BuildMemo> memo_;
 
   mutable std::mutex visited_mu_;
   mutable std::vector<std::unique_ptr<std::vector<std::uint32_t>>>

@@ -1,10 +1,12 @@
 #include "index/index_factory.h"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 #include "common/log.h"
 #include "common/rng.h"
+#include "common/stopwatch.h"
 #include "index/flat_index.h"
 #include "index/hnsw_index.h"
 #include "index/ivf_flat_index.h"
@@ -14,17 +16,19 @@ namespace proximity {
 
 namespace {
 
-/// Deterministic subsample of up to `max_rows` corpus rows for training.
-Matrix TrainingSample(const Matrix& corpus, std::size_t max_rows,
-                      std::uint64_t seed) {
-  if (corpus.rows() <= max_rows) return corpus;
-  Rng rng(seed);
-  std::vector<std::size_t> ids(corpus.rows());
-  for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = i;
-  rng.Shuffle(ids);
-  ids.resize(max_rows);
+/// Deterministic subsample of up to `max_rows` of corpus rows [lo, hi)
+/// for training: the whole range in order when it fits.
+Matrix TrainingSample(const Matrix& corpus, std::size_t lo, std::size_t hi,
+                      std::size_t max_rows, std::uint64_t seed) {
+  std::vector<std::size_t> ids(hi - lo);
+  std::iota(ids.begin(), ids.end(), lo);
+  if (ids.size() > max_rows) {
+    Rng rng(seed);
+    rng.Shuffle(ids);
+    ids.resize(max_rows);
+  }
   Matrix sample(0, corpus.dim());
-  sample.Reserve(max_rows);
+  sample.Reserve(ids.size());
   for (std::size_t id : ids) sample.AppendRow(corpus.Row(id));
   return sample;
 }
@@ -33,7 +37,19 @@ Matrix TrainingSample(const Matrix& corpus, std::size_t max_rows,
 
 std::unique_ptr<VectorIndex> BuildIndex(const IndexSpec& spec,
                                         const Matrix& corpus) {
+  return BuildIndex(spec, corpus, 0, corpus.rows());
+}
+
+std::unique_ptr<VectorIndex> BuildIndex(const IndexSpec& spec,
+                                        const Matrix& corpus, std::size_t lo,
+                                        std::size_t hi) {
+  const Stopwatch watch;
   const std::size_t dim = corpus.dim();
+  if (lo > hi || hi > corpus.rows()) {
+    throw std::invalid_argument("BuildIndex: rows [" + std::to_string(lo) +
+                                ", " + std::to_string(hi) + ") of " +
+                                std::to_string(corpus.rows()));
+  }
   std::unique_ptr<VectorIndex> index;
 
   StorageLayout storage = StorageLayout::kFloat32;
@@ -66,9 +82,9 @@ std::unique_ptr<VectorIndex> BuildIndex(const IndexSpec& spec,
     opts.storage = storage;
     opts.rerank_factor = spec.rerank_factor;
     auto ivf = std::make_unique<IvfFlatIndex>(dim, opts);
-    ivf->Train(TrainingSample(corpus, std::max<std::size_t>(spec.ivf_nlist * 64,
-                                                            4096),
-                              spec.seed));
+    ivf->Train(TrainingSample(
+        corpus, lo, hi, std::max<std::size_t>(spec.ivf_nlist * 64, 4096),
+        spec.seed));
     index = std::move(ivf);
   } else if (spec.kind == "mutable") {
     if (storage != StorageLayout::kFloat32) {
@@ -94,9 +110,10 @@ std::unique_ptr<VectorIndex> BuildIndex(const IndexSpec& spec,
                                 spec.kind + "' (known: " + known + ")");
   }
 
-  LogInfo("building {} over {} vectors (dim {})", spec.kind, corpus.rows(),
-          dim);
-  index->AddBatch(corpus);
+  LogInfo("building {} over {} vectors (dim {})", spec.kind, hi - lo, dim);
+  index->AddRows(corpus, lo, hi);
+  LogInfo("built {} over {} vectors in {:.0f} ms", spec.kind, hi - lo,
+          watch.ElapsedMillis());
   return index;
 }
 

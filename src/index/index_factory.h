@@ -51,4 +51,12 @@ struct IndexSpec {
 std::unique_ptr<VectorIndex> BuildIndex(const IndexSpec& spec,
                                         const Matrix& corpus);
 
+/// BuildIndex over rows [lo, hi) of `corpus`, read in place (the index
+/// copies each row once; IVF also copies its training sample). Index ids
+/// count from 0 at row `lo`. Throws std::invalid_argument when [lo, hi)
+/// is not a range of corpus rows, besides the cases above.
+std::unique_ptr<VectorIndex> BuildIndex(const IndexSpec& spec,
+                                        const Matrix& corpus, std::size_t lo,
+                                        std::size_t hi);
+
 }  // namespace proximity

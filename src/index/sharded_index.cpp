@@ -1,6 +1,7 @@
 #include "index/sharded_index.h"
 
 #include <algorithm>
+#include <numeric>
 #include <queue>
 #include <stdexcept>
 #include <string>
@@ -263,24 +264,23 @@ std::unique_ptr<ShardedIndex> BuildPartitionedIndex(const IndexSpec& spec,
                                           : ThreadPool::Shared().size();
   S = std::max<std::size_t>(1, std::min(S, rows_local));
   const std::size_t sub_chunk = (rows_local + S - 1) / S;
+  // Only non-empty sub-stripes become shards: the ceiling cut can run
+  // out of rows early (9 rows over 4 shards cut 3/3/3), and an empty
+  // shard has nothing to train or search.
+  S = (rows_local + sub_chunk - 1) / sub_chunk;
   std::vector<std::unique_ptr<VectorIndex>> shards(S);
   std::vector<std::vector<VectorId>> global_ids(S);
   // Shards build in parallel: construction of distinct indexes is
   // independent, and nested pool use (k-means in an IVF shard's Train)
   // is safe because blocked ParallelFor callers help drain the queue.
+  // Each shard reads its rows straight from the corpus.
   ThreadPool::Shared().ParallelFor(0, S, [&](std::size_t s) {
-    const std::size_t sub_lo = std::min(rows_local, s * sub_chunk);
-    const std::size_t sub_hi = std::min(rows_local, sub_lo + sub_chunk);
-    Matrix sub(0, corpus.dim());
-    sub.Reserve(sub_hi - sub_lo);
-    for (std::size_t r = sub_lo; r < sub_hi; ++r) {
-      sub.AppendRow(corpus.Row(lo + r));
-    }
-    shards[s] = BuildIndex(spec, sub);
-    global_ids[s].reserve(sub_hi - sub_lo);
-    for (std::size_t r = sub_lo; r < sub_hi; ++r) {
-      global_ids[s].push_back(static_cast<VectorId>(lo + r));
-    }
+    const std::size_t sub_lo = lo + s * sub_chunk;
+    const std::size_t sub_hi = std::min(hi, sub_lo + sub_chunk);
+    shards[s] = BuildIndex(spec, corpus, sub_lo, sub_hi);
+    global_ids[s].resize(sub_hi - sub_lo);
+    std::iota(global_ids[s].begin(), global_ids[s].end(),
+              static_cast<VectorId>(sub_lo));
   });
   return std::make_unique<ShardedIndex>(std::move(shards),
                                         std::move(global_ids));

@@ -131,9 +131,11 @@ class ShardedIndex final : public VectorIndex {
 
 /// Builds a sharded index over stripe `part` of `parts` of `corpus`,
 /// with global ids equal to the stripe's corpus row numbers. The stripe
-/// cuts into `options.num_shards` contiguous sub-stripes (clamped to its
-/// row count), one sub-index each per `spec`, built in parallel on the
-/// shared pool. Stripe boundaries are exactly the ones
+/// cuts into `options.num_shards` contiguous sub-stripes of
+/// ceil(rows / num_shards) rows, one sub-index each per `spec` read in
+/// place from `corpus` and built in parallel on the shared pool; a cut
+/// that runs out of rows early yields fewer shards, never an empty one.
+/// Stripe boundaries are exactly the ones
 /// BuildShardedIndex(parts) would use, so N backend processes each
 /// serving one partition return the same global ids as a single process
 /// sharded N ways — the property the cluster router's exact merge builds

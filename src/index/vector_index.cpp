@@ -14,15 +14,31 @@ void VectorIndex::CheckDim(std::span<const float> v) const {
   }
 }
 
-VectorId VectorIndex::AddBatch(const Matrix& vectors) {
+void VectorIndex::CheckRows(const Matrix& vectors, std::size_t lo,
+                            std::size_t hi) const {
   if (vectors.dim() != dim()) {
-    throw std::invalid_argument("VectorIndex::AddBatch: dimension mismatch");
+    throw std::invalid_argument("VectorIndex::AddRows: dimension mismatch");
   }
+  if (lo > hi || hi > vectors.rows()) {
+    throw std::invalid_argument("VectorIndex::AddRows: rows [" +
+                                std::to_string(lo) + ", " +
+                                std::to_string(hi) + ") of " +
+                                std::to_string(vectors.rows()));
+  }
+}
+
+VectorId VectorIndex::AddRows(const Matrix& vectors, std::size_t lo,
+                              std::size_t hi) {
+  CheckRows(vectors, lo, hi);
   const VectorId first = static_cast<VectorId>(size());
-  for (std::size_t r = 0; r < vectors.rows(); ++r) {
+  for (std::size_t r = lo; r < hi; ++r) {
     Add(vectors.Row(r));
   }
   return first;
+}
+
+VectorId VectorIndex::AddBatch(const Matrix& vectors) {
+  return AddRows(vectors, 0, vectors.rows());
 }
 
 std::vector<std::vector<Neighbor>> VectorIndex::SearchBatch(

@@ -38,7 +38,15 @@ class VectorIndex {
   /// the call). Throws std::invalid_argument on dimension mismatch.
   virtual VectorId Add(std::span<const float> vec) = 0;
 
-  /// Appends all rows of `vectors`; returns the id of the first.
+  /// Appends rows [lo, hi) of `vectors` in order, as a loop over Add
+  /// would; returns the id of the first. Reads the rows in place, so a
+  /// caller adds a slice of a larger matrix without copying it out.
+  /// Indexes override it to reserve room for the rows (FlatIndex) or to
+  /// keep scratch across them (HnswIndex).
+  virtual VectorId AddRows(const Matrix& vectors, std::size_t lo,
+                           std::size_t hi);
+
+  /// AddRows over every row of `vectors`.
   virtual VectorId AddBatch(const Matrix& vectors);
 
   /// Returns up to k neighbors sorted closest-first. Thread-safe for
@@ -110,6 +118,9 @@ class VectorIndex {
 
  protected:
   void CheckDim(std::span<const float> v) const;
+  /// Throws std::invalid_argument unless `vectors` has this index's dim
+  /// and [lo, hi) is a range of its rows.
+  void CheckRows(const Matrix& vectors, std::size_t lo, std::size_t hi) const;
 };
 
 }  // namespace proximity

@@ -1,21 +1,19 @@
-// Unit tests for src/index: flat, k-means, IVF, HNSW, the graph
-// properties of the mutable Vamana-style index, the slow-storage wrapper,
-// recall utilities, and the factory.
+// Unit tests for src/index: flat, k-means, IVF, the graph properties of
+// the mutable Vamana-style index, the slow-storage wrapper, recall
+// utilities, and the factory. HNSW has its own suite (hnsw_test.cpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <set>
+#include <sstream>
 #include <string_view>
 
 #include "common/rng.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "vecmath/topk.h"
 #include "index/flat_index.h"
-#include "index/hnsw_index.h"
 #include "index/index_factory.h"
 #include "index/ivf_flat_index.h"
 #include "index/kmeans.h"
@@ -319,121 +317,6 @@ TEST(IvfFlatTest, EveryVectorLandsInExactlyOneList) {
   EXPECT_EQ(total, corpus.rows());
 }
 
-// ----------------------------------------------------------------- HNSW --
-
-TEST(HnswTest, ExactOnTinySets) {
-  const Matrix corpus = RandomMatrix(50, 8, 14);
-  HnswIndex index(8, {.M = 8, .ef_construction = 64, .ef_search = 50});
-  index.AddBatch(corpus);
-  for (std::uint64_t s = 0; s < 10; ++s) {
-    const auto q = RandomVec(8, 600 + s);
-    // With ef >= n the search is exhaustive on a connected graph.
-    EXPECT_EQ(index.Search(q, 5), BruteForce(corpus, q, 5));
-  }
-}
-
-TEST(HnswTest, HighRecallAtModerateEf) {
-  const Matrix corpus = RandomMatrix(3000, 32, 15);
-  HnswIndex index(32, {.M = 16, .ef_construction = 128, .ef_search = 64});
-  index.AddBatch(corpus);
-  double recall_sum = 0;
-  for (std::uint64_t s = 0; s < 30; ++s) {
-    const auto q = RandomVec(32, 700 + s);
-    recall_sum += RecallAtK(index.Search(q, 10), BruteForce(corpus, q, 10));
-  }
-  EXPECT_GT(recall_sum / 30, 0.9);
-}
-
-TEST(HnswTest, EfSearchImprovesRecall) {
-  const Matrix corpus = RandomMatrix(3000, 32, 16);
-  HnswIndex index(32, {.M = 8, .ef_construction = 64, .ef_search = 4});
-  index.AddBatch(corpus);
-  auto recall_at = [&](std::size_t ef) {
-    index.set_ef_search(ef);
-    double sum = 0;
-    for (std::uint64_t s = 0; s < 20; ++s) {
-      const auto q = RandomVec(32, 800 + s);
-      sum += RecallAtK(index.Search(q, 10), BruteForce(corpus, q, 10));
-    }
-    return sum / 20;
-  };
-  EXPECT_LT(recall_at(4), recall_at(128));
-}
-
-TEST(HnswTest, LevelsFollowGeometricDecay) {
-  const Matrix corpus = RandomMatrix(2000, 4, 17);
-  HnswIndex index(4, {.M = 16});
-  index.AddBatch(corpus);
-  std::size_t level0 = 0, level1plus = 0;
-  for (VectorId id = 0; id < 2000; ++id) {
-    if (index.NodeLevel(id) == 0) {
-      ++level0;
-    } else {
-      ++level1plus;
-    }
-  }
-  // With mult = 1/ln(16), P(level >= 1) = 1/16: expect ~125 of 2000.
-  EXPECT_GT(level0, 1700u);
-  EXPECT_GT(level1plus, 30u);
-  EXPECT_LT(level1plus, 400u);
-}
-
-TEST(HnswTest, LinkListsRespectDegreeBounds) {
-  const Matrix corpus = RandomMatrix(1000, 8, 18);
-  HnswOptions opts;
-  opts.M = 8;
-  HnswIndex index(8, opts);
-  index.AddBatch(corpus);
-  for (VectorId id = 0; id < 1000; ++id) {
-    for (int level = 0; level <= index.NodeLevel(id); ++level) {
-      const auto& links = index.Links(id, level);
-      const std::size_t bound = level == 0 ? opts.M * 2 : opts.M;
-      EXPECT_LE(links.size(), bound);
-      // No self-links, no duplicates.
-      std::set<std::uint32_t> unique(links.begin(), links.end());
-      EXPECT_EQ(unique.size(), links.size());
-      EXPECT_FALSE(unique.contains(static_cast<std::uint32_t>(id)));
-    }
-  }
-}
-
-TEST(HnswTest, DeterministicForSameSeed) {
-  const Matrix corpus = RandomMatrix(500, 8, 19);
-  HnswIndex a(8, {.seed = 5});
-  HnswIndex b(8, {.seed = 5});
-  a.AddBatch(corpus);
-  b.AddBatch(corpus);
-  const auto q = RandomVec(8, 900);
-  EXPECT_EQ(a.Search(q, 10), b.Search(q, 10));
-}
-
-TEST(HnswTest, SingleElement) {
-  HnswIndex index(4);
-  index.Add(std::vector<float>{1, 2, 3, 4});
-  const std::vector<float> q = {0, 0, 0, 0};
-  const auto result = index.Search(q, 3);
-  ASSERT_EQ(result.size(), 1u);
-  EXPECT_EQ(result[0].id, 0);
-}
-
-TEST(HnswTest, RejectsTinyM) {
-  EXPECT_THROW(HnswIndex(4, {.M = 1}), std::invalid_argument);
-}
-
-TEST(HnswTest, ConcurrentSearchesAreSafe) {
-  const Matrix corpus = RandomMatrix(1000, 16, 20);
-  HnswIndex index(16);
-  index.AddBatch(corpus);
-  ThreadPool pool(8);
-  std::atomic<int> mismatches{0};
-  const auto q = RandomVec(16, 1000);
-  const auto expected = index.Search(q, 10);
-  pool.ParallelFor(0, 100, [&](std::size_t) {
-    if (index.Search(q, 10) != expected) ++mismatches;
-  });
-  EXPECT_EQ(mismatches.load(), 0);
-}
-
 // --------------------------------------------------------------- Vamana --
 // Graph properties of the one Vamana-style graph, MutableGraphIndex (every
 // Add is a DiskANN fresh insert). Its slot arena, deletes and consolidation
@@ -623,6 +506,40 @@ TEST(IndexFactoryTest, BuildsAllKinds) {
     const auto q = RandomVec(16, 1600);
     EXPECT_EQ(index->Search(q, 5).size(), 5u) << kind;
   }
+}
+
+// A row range builds, reading the corpus in place, exactly what a copy of
+// those rows builds.
+TEST(IndexFactoryTest, RowRangeBuildsWhatACopyBuilds) {
+  auto saved = [](const VectorIndex& index) {
+    std::ostringstream os;
+    index.SaveTo(os);
+    return os.str();
+  };
+  auto copy_rows = [](const Matrix& m, std::size_t lo, std::size_t hi) {
+    Matrix copy(0, m.dim());
+    for (std::size_t r = lo; r < hi; ++r) copy.AppendRow(m.Row(r));
+    return copy;
+  };
+  const Matrix corpus = RandomMatrix(400, 8, 30);
+  for (std::string_view kind : kIndexKinds) {
+    IndexSpec spec;
+    spec.kind = kind;
+    spec.ivf_nlist = 8;
+    EXPECT_TRUE(saved(*BuildIndex(spec, corpus, 100, 350)) ==
+                saved(*BuildIndex(spec, copy_rows(corpus, 100, 350))))
+        << kind;
+  }
+  // Past 4096 rows IVF trains on a seeded subsample of the range.
+  const Matrix large = RandomMatrix(5000, 4, 31);
+  IndexSpec ivf;
+  ivf.kind = "ivf_flat";
+  ivf.ivf_nlist = 8;
+  EXPECT_TRUE(saved(*BuildIndex(ivf, large, 300, 4700)) ==
+              saved(*BuildIndex(ivf, copy_rows(large, 300, 4700))));
+
+  EXPECT_THROW(BuildIndex(ivf, corpus, 300, 401), std::invalid_argument);
+  EXPECT_THROW(BuildIndex(ivf, corpus, 5, 4), std::invalid_argument);
 }
 
 TEST(IndexFactoryTest, RejectsUnknownKind) {

@@ -15,6 +15,7 @@
 #include <future>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "common/rng.h"
 #include "embed/hash_embedder.h"
 #include "index/flat_index.h"
+#include "index/hnsw_index.h"
 #include "index/index_factory.h"
 #include "index/sharded_index.h"
 #include "rag/batching_driver.h"
@@ -156,6 +158,60 @@ TEST(ShardedIndexTest, ShardedBuildIsTheOnePartitionCase) {
       }
     }
     EXPECT_EQ(row, corpus.rows());
+  }
+}
+
+// The ceiling cut runs out of rows before the fourth shard of 9 rows
+// (3/3/3): it makes three shards rather than an empty fourth one, which
+// an IVF shard could not even train on. Both kinds stay exact here
+// (IVF probes all of its three lists), bit for bit the unsharded scan.
+TEST(ShardedIndexTest, CutThatRunsOutOfRowsMakesNoEmptyShard) {
+  const Matrix corpus = RandomMatrix(9, 4, 15);
+  const Matrix queries = RandomMatrix(6, 4, 16);
+  FlatIndex unsharded(4);
+  unsharded.AddBatch(corpus);
+  ShardedIndexOptions opts;
+  opts.num_shards = 4;
+  for (const char* kind : {"flat", "ivf_flat"}) {
+    SCOPED_TRACE(kind);
+    IndexSpec spec;
+    spec.kind = kind;
+    const auto sharded = BuildShardedIndex(spec, corpus, opts);
+    ASSERT_EQ(sharded->num_shards(), 3u);
+    for (std::size_t s = 0; s < 3; ++s) {
+      EXPECT_EQ(sharded->shard(s).size(), 3u) << "shard " << s;
+    }
+    for (std::size_t q = 0; q < queries.rows(); ++q) {
+      ExpectBitIdentical(sharded->Search(queries.Row(q), 9),
+                         unsharded.Search(queries.Row(q), 9));
+    }
+  }
+}
+
+// Shards build in parallel on the pool, each with its own build memo;
+// every one must be the graph a serial Add loop builds over its rows.
+TEST(ShardedIndexTest, ParallelHnswShardsMatchSerialBuilds) {
+  const Matrix corpus = RandomMatrix(2001, 16, 19);
+  IndexSpec spec;
+  spec.kind = "hnsw";
+  spec.hnsw_m = 8;
+  spec.hnsw_ef_construction = 48;
+  ShardedIndexOptions opts;
+  opts.num_shards = 4;
+  const auto sharded = BuildShardedIndex(spec, corpus, opts);
+  ASSERT_EQ(sharded->num_shards(), 4u);
+  const std::size_t chunk = 501;  // ceil(2001 / 4)
+  for (std::size_t s = 0; s < 4; ++s) {
+    HnswIndex serial(16, {.M = spec.hnsw_m,
+                          .ef_construction = spec.hnsw_ef_construction,
+                          .ef_search = spec.hnsw_ef_search,
+                          .seed = spec.seed});
+    const std::size_t end = std::min((s + 1) * chunk, corpus.rows());
+    for (std::size_t r = s * chunk; r < end; ++r) serial.Add(corpus.Row(r));
+    std::ostringstream want, got;
+    serial.SaveTo(want);
+    sharded->shard(s).SaveTo(got);
+    EXPECT_TRUE(want.str() == got.str()) << "shard " << s;
   }
 }
 
